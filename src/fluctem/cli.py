@@ -129,25 +129,38 @@ class _Units:
         self._energy = spec.get("energy", "hartree")
         self._temperature = spec.get("temperature", "hartree_temperature")
 
-    def length(self, value: float) -> float:
-        return convert(_number(value, "length"), self._length, "bohr")
+    def length(self, value: float, label: str) -> float:
+        return convert(_number(value, label), self._length, "bohr")
 
-    def energy(self, value: float) -> float:
-        return convert(_number(value, "energy"), self._energy, "hartree")
+    def energy(self, value: float, label: str) -> float:
+        return convert(_number(value, label), self._energy, "hartree")
 
-    def temperature(self, value: float) -> float:
-        return convert(_number(value, "temperature"), self._temperature,
+    def temperature(self, value: float, label: str) -> float:
+        return convert(_number(value, label), self._temperature,
                        "hartree_temperature")
 
-    def inverse_volume(self, value: float) -> float:
+    def inverse_volume(self, value: float, label: str) -> float:
         scale = convert(1.0, self._length, "bohr")
-        return _number(value, "number_density") / scale**3
+        return _number(value, label) / scale**3
 
 
 def _number(value, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{label} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{label} must be finite")
+    return number
+
+
+def _integer(value, label: str) -> int:
+    number = _number(value, label)
+    if not number.is_integer():
+        raise ConfigError(f"{label} must be an integer, got {value!r}")
+    return int(number)
 
 
 def _vector(value, label: str) -> tuple[float, ...]:
@@ -171,15 +184,21 @@ def _model(obj, units: _Units, label: str) -> KramersHeisenberg:
     if kind == "single_resonance":
         return single_resonance(_number(obj.get("alpha_static"),
                                         f"{label}.alpha_static"),
-                                units.energy(obj.get("omega")))
+                                units.energy(obj.get("omega"),
+                                             f"{label}.omega"))
     if kind == "transitions":
         rows = obj.get("transitions")
         if not isinstance(rows, list) or not rows:
             raise ConfigError(f"{label}.transitions must be a nonempty list")
-        return KramersHeisenberg(tuple(
-            Transition(units.energy(row.get("omega")),
-                       _number(row.get("d2"), f"{label}.d2"))
-            for row in rows))
+        transitions = []
+        for i, row in enumerate(rows):
+            row_label = f"{label}.transitions[{i}]"
+            if not isinstance(row, dict):
+                raise ConfigError(f"{row_label} must be an object")
+            transitions.append(Transition(
+                units.energy(row.get("omega"), f"{row_label}.omega"),
+                _number(row.get("d2"), f"{row_label}.d2")))
+        return KramersHeisenberg(tuple(transitions))
     raise ConfigError(
         f"{label}.model must be 'single_resonance' or 'transitions'")
 
@@ -200,8 +219,8 @@ def _quad_spec(cfg: dict) -> QuadratureSpec | None:
         if key in obj:
             kwargs[key] = _number(obj[key], f"quadrature.{key}")
     if "max_evals" in obj:
-        kwargs["max_evals"] = int(_number(obj["max_evals"],
-                                          "quadrature.max_evals"))
+        kwargs["max_evals"] = _integer(obj["max_evals"],
+                                       "quadrature.max_evals")
     try:
         return QuadratureSpec(**kwargs)
     except ValueError as exc:
@@ -216,7 +235,7 @@ def _run_pairwise(cfg: dict) -> tuple[list[str], list[float]]:
         raise ConfigError("pairwise needs exactly two atoms")
     model_a = _model(atoms[0], units, "atoms[0]")
     model_b = _model(atoms[1], units, "atoms[1]")
-    r = units.length(cfg.get("separation"))
+    r = units.length(cfg.get("separation"), "separation")
     pair = PairSpec(model_a, model_b, r)
     verdict = validity_check(pair)
     if not verdict.ok:
@@ -241,9 +260,9 @@ def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
     for k, atom in enumerate(atoms):
         if not isinstance(atom, dict):
             raise ConfigError(f"atoms[{k}] must be an object")
-        pos = tuple(units.length(v)
-                    for v in _vector(atom.get("position"),
-                                     f"atoms[{k}].position"))
+        label = f"atoms[{k}].position"
+        pos = tuple(units.length(v, label)
+                    for v in _vector(atom.get("position"), label))
         sites.append((pos, _model(atom, units, f"atoms[{k}]")))
     geometry = SystemGeometry(sites)
     nonretarded = cfg.get("nonretarded", False)
@@ -254,7 +273,7 @@ def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
             warnings.warn(f"atoms {i} and {j} strain the point-dipole "
                           f"picture: ratio = {verdict.ratio:.3g} >= 1")
     if "temperature" in cfg:
-        temp = units.temperature(cfg["temperature"])
+        temp = units.temperature(cfg["temperature"], "temperature")
         tail = MatsubaraSpec(rel_tol=quad.rel_tol) if quad else None
         free = free_energy_finiteT(geometry, temp, tail,
                                    nonretarded=nonretarded)
@@ -272,13 +291,15 @@ def _run_lamb(cfg: dict) -> tuple[list[str], list[float]]:
     cutoff = None
     if "cutoff" in cfg:
         try:
-            cutoff = CutoffSpec(units.energy(cfg["cutoff"]))
+            cutoff = CutoffSpec(units.energy(cfg["cutoff"], "cutoff"))
         except ValueError as exc:
             raise ConfigError(f"cutoff: {exc}") from None
     bethe = bethe_shift(model, cutoff)
     thermal = dielectric = err = 0.0
     if "temperature" in cfg:
-        res = thermal_shift(model, units.temperature(cfg["temperature"]),
+        res = thermal_shift(model,
+                            units.temperature(cfg["temperature"],
+                                              "temperature"),
                             quad)
         thermal, err = res.value, err + res.error_estimate
     if "medium" in cfg:
@@ -287,7 +308,8 @@ def _run_lamb(cfg: dict) -> tuple[list[str], list[float]]:
             raise ConfigError("medium must be an object")
         try:
             medium = DiluteMedium(
-                units.inverse_volume(spec.get("number_density")),
+                units.inverse_volume(spec.get("number_density"),
+                                     "medium.number_density"),
                 _model(spec.get("host"), units, "medium.host"))
         except ValueError as exc:
             raise ConfigError(f"medium: {exc}") from None
@@ -307,14 +329,14 @@ def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
         if not isinstance(atom, dict):
             raise ConfigError(f"atoms[{k}] must be an object")
         parsed.append(TwoStateAtom(
-            units.energy(atom.get("omega")),
+            units.energy(atom.get("omega"), f"atoms[{k}].omega"),
             _vector(atom.get("dipole"), f"atoms[{k}].dipole")))
     if "separation" in cfg:
-        r = units.length(cfg["separation"])
+        r = units.length(cfg["separation"], "separation")
         positions = ((0.0, 0.0, 0.0), (0.0, 0.0, r))
     else:
         positions = tuple(
-            tuple(units.length(v)
+            tuple(units.length(v, f"atoms[{k}].position")
                   for v in _vector(atom.get("position"),
                                    f"atoms[{k}].position"))
             for k, atom in enumerate(atoms))
@@ -324,11 +346,11 @@ def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
     amplitudes = spec.get("amplitudes")
     if not isinstance(amplitudes, list):
         raise ConfigError("mode.amplitudes must be a list")
-    mode = CavityMode(units.energy(spec.get("omega")),
+    mode = CavityMode(units.energy(spec.get("omega"), "mode.omega"),
                       _vector(spec.get("polarization"), "mode.polarization"),
                       tuple(_number(a, "mode.amplitudes") for a in amplitudes))
     system = CavitySystem(parsed, positions, mode)
-    n_max = int(_number(cfg.get("photon_cutoff", 12), "photon_cutoff"))
+    n_max = _integer(cfg.get("photon_cutoff", 12), "photon_cutoff")
     shift = perturbative_shift(system)
     extracted = interaction_extract(system, n_max)
     exact = exact_ground_energy(system, n_max)

@@ -7,8 +7,15 @@ homogeneous medium of real refractive index n is
                   * [ (I - p)/(k r) + (I - 3 p)(i/(k r)^2 - 1/(k r)^3) ]
 
 with k = n omega / c and p the outer product of the unit separation vector
-with itself.  One complex kernel serves the real axis, the positive
-imaginary axis (where every entry is exactly real), and the static limit.
+with itself.  On the real axis a complex kernel evaluates this form.  On
+the positive imaginary axis omega = i xi (vacuum) every entry is real,
+
+    G(r, i xi) = -exp(-x) [ (xi/c)^2 (I-p)/r + (xi/c)(I-3p)/r^2 + (I-3p)/r^3 ]
+
+with x = xi r / c, and :func:`imag_axis_green` evaluates it in that real
+form for any number of pairs at once from their distances and projectors;
+xi = 0 gives the static tensor (3 p - I)/r^3.  The single-pair functions
+:func:`dyadic_green_imag` and :func:`static_green` are views of it.
 Entries carry units of inverse volume in Hartree atomic units.
 """
 
@@ -23,14 +30,21 @@ __all__ = [
     "dyadic_green",
     "dyadic_green_imag",
     "static_green",
+    "imag_axis_green",
+    "pair_projectors",
     "im_coincidence",
 ]
 
 _IDENTITY = np.eye(3)
 
 
-def _projectors(rhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = np.outer(rhat, rhat)
+def pair_projectors(rhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transverse I - p and static I - 3p projectors of unit vectors.
+
+    ``rhat`` has shape (..., 3); both projectors have shape (..., 3, 3).
+    """
+    rhat = np.asarray(rhat, dtype=float)
+    p = rhat[..., :, None] * rhat[..., None, :]
     return _IDENTITY - p, _IDENTITY - 3.0 * p
 
 
@@ -46,17 +60,20 @@ def f_tensor(x: float, rhat: np.ndarray) -> np.ndarray:
     rhat = np.asarray(rhat, dtype=float)
     if abs(np.dot(rhat, rhat) - 1.0) > 1e-12:
         raise ValueError("rhat must be a unit vector")
-    transverse, static = _projectors(rhat)
+    transverse, static = pair_projectors(rhat)
     sx, cx = np.sin(x), np.cos(x)
     return transverse * (sx / x) + static * (cx / x**2 - sx / x**3)
 
 
 def _green_kernel(omega: complex, r: float, rhat: np.ndarray,
                   n_index: float) -> np.ndarray:
-    """Shared kernel for both frequency axes; omega may be complex."""
+    """Complex kernel of :func:`dyadic_green`; omega may be complex.
+
+    At omega = i xi it is an independent route to :func:`imag_axis_green`.
+    """
     k = n_index * omega / SPEED_OF_LIGHT
     kr = k * r
-    transverse, static = _projectors(rhat)
+    transverse, static = pair_projectors(rhat)
     bracket = (transverse / kr
                + static * (1j / (kr * kr) - 1.0 / (kr * kr * kr)))
     prefactor = omega * omega * k / SPEED_OF_LIGHT**2
@@ -78,24 +95,43 @@ def dyadic_green(rn: np.ndarray, rm: np.ndarray, omega: float,
     return _green_kernel(complex(omega), r, rhat, n_index)
 
 
+def imag_axis_green(xi: float, r: np.ndarray, transverse: np.ndarray,
+                    static: np.ndarray) -> np.ndarray:
+    """Vacuum Green tensors at i xi for many pairs; real (..., 3, 3) array.
+
+    ``r`` holds the distances (shape (...)), ``transverse`` and ``static``
+    the projectors I - p and I - 3p of :func:`pair_projectors`.  Entries
+    are -exp(-x) [ (xi/c)^2 (I-p)/r + (xi/c)(I-3p)/r^2 + (I-3p)/r^3 ] with
+    x = xi r / c; xi = 0 gives the static tensor (3 p - I)/r^3.
+    """
+    q = xi / SPEED_OF_LIGHT
+    r = np.asarray(r, dtype=float)[..., None, None]
+    # (xi/c)/r^2 + 1/r^3 = (1 + x)/r^3; dividing the projector by r^3
+    # makes xi = 0 give exactly (3p - I)/r^3
+    return -np.exp(-q * r) * ((q * q / r) * transverse
+                              + (1.0 + q * r) * (static / r**3))
+
+
+def _single_pair(rn: np.ndarray, rm: np.ndarray, xi: float) -> np.ndarray:
+    r, rhat = separation(rn, rm)
+    transverse, static = pair_projectors(rhat)
+    return imag_axis_green(xi, r, transverse, static)
+
+
 def dyadic_green_imag(rn: np.ndarray, rm: np.ndarray, xi: float) -> np.ndarray:
     """Green tensor on the positive imaginary axis (vacuum); real 3x3 array.
 
-    Entries equal -exp(-x) [ (xi/c)^2 (I-p)/r + (xi/c)(I-3p)/r^2
-    + (I-3p)/r^3 ] with x = xi r / c: every term real, decaying as exp(-x).
+    Single-pair view of :func:`imag_axis_green`: every term is real and
+    decays as exp(-x), x = xi r / c.
     """
     if xi <= 0:
         raise ValueError("imaginary-axis frequency must be positive")
-    r, rhat = separation(rn, rm)
-    g = _green_kernel(complex(0.0, xi), r, rhat, 1.0)
-    # purely imaginary omega makes every entry exactly real in IEEE terms
-    return g.real
+    return _single_pair(rn, rm, xi)
 
 
 def static_green(rn: np.ndarray, rm: np.ndarray) -> np.ndarray:
     """Zero-frequency (longitudinal) limit (3 p - I)/r^3 in vacuum."""
-    r, rhat = separation(rn, rm)
-    return (3.0 * np.outer(rhat, rhat) - _IDENTITY) / r**3
+    return _single_pair(rn, rm, 0.0)
 
 
 def im_coincidence(omega: float, n_index: float = 1.0) -> float:

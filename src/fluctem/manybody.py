@@ -14,6 +14,14 @@ symmetrized product sqrt(A) T sqrt(A), whose real eigenvalues make the log
 branch explicit: any eigenvalue crossing -1 means the coupled ground state
 is unstable and the calculation refuses to continue.
 
+The pair data a frequency node needs (index pairs, distances, transverse
+and static projectors) is computed once per :class:`SystemGeometry`, so
+each node assembles the Green blocks of all pairs in one broadcast through
+:func:`fluctem.green.imag_axis_green`: :func:`build_T` scatters them into
+the 3N x 3N matrix, and :func:`second_order_energy` sums their squared
+Frobenius norms directly.  Per node the work is then a handful of array
+operations and one dense eigensolve.
+
 ``normal_mode_energy`` is the independent oracle for the electrostatic
 limit: identical single-resonance atoms give mode frequencies
 omega0 sqrt(1 + alpha_static t_k) over the eigenvalues t_k of the static
@@ -29,8 +37,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import EnergyResult, SPEED_OF_LIGHT, separation
-from .green import dyadic_green_imag, static_green
+from .core import EnergyResult, SPEED_OF_LIGHT
+# dyadic_green_imag and static_green are the single-pair views of
+# imag_axis_green; they stay importable from this module
+from .green import (
+    dyadic_green_imag,
+    imag_axis_green,
+    pair_projectors,
+    static_green,
+)
 from .pairwise import PairSpec, PairValidity, validity_check
 from .polarizability import KramersHeisenberg, PolarizabilityModel
 from .quadrature import (
@@ -63,7 +78,9 @@ class SystemGeometry:
     ``sites`` is a sequence of (position, model) pairs; positions are
     3-vectors in bohr.  Coincident sites are rejected outright; close
     approaches that strain the point-dipole picture are reported by
-    :meth:`validity_reports` rather than rejected.
+    :meth:`validity_reports` rather than rejected.  The pair data every
+    frequency node reuses (index pairs i < j, distances, projectors) is
+    computed here once.
     """
 
     def __init__(self, sites: Sequence[tuple[Sequence[float],
@@ -76,12 +93,25 @@ class SystemGeometry:
                 raise ValueError("site positions must be 3-vectors")
             positions.append(p)
             models.append(model)
-        self._positions = np.array(positions, dtype=float)
+        self._positions = np.array(positions, dtype=float).reshape(-1, 3)
         self._positions.setflags(write=False)
         self._models = tuple(models)
-        for i in range(self.n_sites):
-            for j in range(i + 1, self.n_sites):
-                separation(self._positions[i], self._positions[j])
+        # alpha is evaluated once per distinct model and scattered to sites
+        index: dict[PolarizabilityModel, int] = {}
+        self._site_model = np.array(
+            [index.setdefault(m, len(index)) for m in self._models],
+            dtype=int)
+        self._distinct_models = tuple(index)
+        self._pair_i, self._pair_j = np.triu_indices(self.n_sites, k=1)
+        delta = self._positions[self._pair_i] - self._positions[self._pair_j]
+        # the dot product core.separation uses: distances, and with them the
+        # quadrature decay scale set by min_separation, agree bitwise with
+        # the single-pair functions
+        self._pair_r = np.sqrt((delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
+        if np.any(self._pair_r == 0.0):
+            raise ValueError("coincident points")
+        self._transverse, self._static = pair_projectors(
+            delta / self._pair_r[:, None])
 
     @property
     def n_sites(self) -> int:
@@ -95,15 +125,18 @@ class SystemGeometry:
     def models(self) -> tuple[PolarizabilityModel, ...]:
         return self._models
 
+    @property
+    def pair_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Site indices (i, j) of every pair i < j, in row-major order."""
+        return self._pair_i, self._pair_j
+
     def validity_reports(self) -> tuple[tuple[int, int, PairValidity], ...]:
         """Point-dipole validity verdict for every pair."""
-        reports = []
-        for i in range(self.n_sites):
-            for j in range(i + 1, self.n_sites):
-                r, _ = separation(self._positions[i], self._positions[j])
-                pair = PairSpec(self._models[i], self._models[j], r)
-                reports.append((i, j, validity_check(pair)))
-        return tuple(reports)
+        return tuple(
+            (int(i), int(j),
+             validity_check(PairSpec(self._models[i], self._models[j],
+                                     float(r))))
+            for i, j, r in zip(self._pair_i, self._pair_j, self._pair_r))
 
     def lowest_transition(self) -> float:
         """Smallest transition frequency present, or 1.0 if none."""
@@ -113,10 +146,17 @@ class SystemGeometry:
         return min(lows) if lows else 1.0
 
     def min_separation(self) -> float:
-        dists = [separation(self._positions[i], self._positions[j])[0]
-                 for i in range(self.n_sites)
-                 for j in range(i + 1, self.n_sites)]
-        return min(dists) if dists else math.inf
+        return float(self._pair_r.min()) if self._pair_r.size else math.inf
+
+    def pair_green(self, xi: float) -> np.ndarray:
+        """Green tensors G(r_i, r_j, i xi) of all pairs i < j; (P, 3, 3)."""
+        return imag_axis_green(xi, self._pair_r, self._transverse,
+                               self._static)
+
+    def alpha_values(self, xi: float) -> np.ndarray:
+        """alpha(i xi) of every site, each distinct model evaluated once."""
+        values = np.array([m.alpha_imag(xi) for m in self._distinct_models])
+        return values[self._site_model]
 
 
 def build_T(geom: SystemGeometry, xi: float) -> np.ndarray:
@@ -128,27 +168,18 @@ def build_T(geom: SystemGeometry, xi: float) -> np.ndarray:
     if xi < 0:
         raise ValueError("imaginary-axis frequency must be >= 0")
     n = geom.n_sites
-    t = np.zeros((3 * n, 3 * n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if xi == 0.0:
-                block = -static_green(geom.positions[i], geom.positions[j])
-            else:
-                block = -dyadic_green_imag(geom.positions[i],
-                                           geom.positions[j], xi)
-            t[3 * i:3 * i + 3, 3 * j:3 * j + 3] = block
-            t[3 * j:3 * j + 3, 3 * i:3 * i + 3] = block
-    return t
-
-
-def _alpha_values(geom: SystemGeometry, xi: float) -> np.ndarray:
-    return np.array([m.alpha_imag(xi) for m in geom.models])
+    blocks = -geom.pair_green(xi)
+    i, j = geom.pair_indices
+    t = np.zeros((n, 3, n, 3))
+    t[i, :, j, :] = blocks
+    t[j, :, i, :] = blocks
+    return t.reshape(3 * n, 3 * n)
 
 
 def _log_det_stable(geom: SystemGeometry, xi: float,
                     t: np.ndarray) -> float:
     """log det[1 + A T] through sqrt(A) T sqrt(A), branch-checked."""
-    alphas = _alpha_values(geom, xi)
+    alphas = geom.alpha_values(xi)
     if np.any(alphas < 0):
         raise StrongCouplingError("negative polarizability is not supported")
     s = np.repeat(np.sqrt(alphas), 3)
@@ -158,7 +189,7 @@ def _log_det_stable(geom: SystemGeometry, xi: float,
         raise StrongCouplingError(
             f"strong-coupling/overlap regime at xi={xi!r}: "
             "an interaction mode crosses the stability boundary")
-    return math.fsum(math.log1p(m) for m in mu)
+    return math.fsum(np.log1p(mu))
 
 
 def dressed_susceptibility(geom: SystemGeometry, xi: float) -> np.ndarray:
@@ -169,7 +200,7 @@ def dressed_susceptibility(geom: SystemGeometry, xi: float) -> np.ndarray:
     -log det[1 + A T] whenever A is invertible.
     """
     t = build_T(geom, xi)
-    alphas = _alpha_values(geom, xi)
+    alphas = geom.alpha_values(xi)
     a = np.diag(np.repeat(alphas, 3))
     system = np.eye(3 * geom.n_sites) + a @ t
     eigs = np.linalg.eigvals(system)
@@ -204,7 +235,7 @@ def _logdet_function(geom: SystemGeometry, nonretarded: bool
                     raise StrongCouplingError(
                         f"strong-coupling/overlap regime at xi={xi!r}: "
                         "an interaction mode crosses the stability boundary")
-                return math.fsum(math.log1p(m) for m in scaled)
+                return math.fsum(np.log1p(scaled))
 
             return g_identical
         return lambda xi: _log_det_stable(geom, xi, static_t)
@@ -265,22 +296,15 @@ def second_order_energy(geom: SystemGeometry,
     quad = quad or QuadratureSpec()
     if quad.decay_scale is None:
         quad = replace(quad, decay_scale=_decay_scale(geom, nonretarded=False))
-    pairs = [(i, j) for i in range(geom.n_sites)
-             for j in range(i + 1, geom.n_sites)]
+    i, j = geom.pair_indices
 
     def integrand(xi: float) -> float:
-        alphas = _alpha_values(geom, xi)
-        terms = []
-        for i, j in pairs:
-            if xi == 0.0:
-                g_block = -static_green(geom.positions[i], geom.positions[j])
-            else:
-                g_block = -dyadic_green_imag(geom.positions[i],
-                                             geom.positions[j], xi)
-            # ordered pairs count each unordered pair twice
-            terms.append(2.0 * alphas[i] * alphas[j]
-                         * float(np.sum(g_block * g_block)))
-        return math.fsum(terms)
+        alphas = geom.alpha_values(xi)
+        g = geom.pair_green(xi)
+        # Tr[G_nm G_mn] = ||G_nm||_F^2; ordered pairs count each
+        # unordered pair twice
+        return math.fsum(2.0 * alphas[i] * alphas[j]
+                         * np.sum(g * g, axis=(1, 2)))
 
     res = integrate_semi_infinite(integrand, quad)
     pref = 1.0 / (4.0 * math.pi)

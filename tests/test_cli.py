@@ -125,6 +125,57 @@ def test_cavity_node_writes_zero_interaction(tmp_path):
     assert row[header.index("self_2")] < 0
 
 
+def cavity_config(**extra):
+    return dict({
+        "task": "cavity",
+        "atoms": [{"omega": 0.9, "dipole": [0.1, 0, 0]},
+                  {"omega": 1.1, "dipole": [0.1, 0, 0]}],
+        "mode": {"omega": 20.0, "polarization": [1, 0, 0],
+                 "amplitudes": [0.03, 0.04]},
+        "separation": 10.0,
+    }, **extra)
+
+
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert run(write_config(tmp_path, pairwise_config(float("inf"))),
+               str(out)) == 1
+    err = capsys.readouterr().err
+    assert "error: config:" in err and "separation" in err
+    assert not out.exists()
+    cfg = {"task": "manybody",
+           "atoms": [dict(ATOM, position=[0, 0, 0]),
+                     dict(ATOM, position=[0, 0, float("nan")])]}
+    assert run(write_config(tmp_path, cfg, "nan.json"), str(out)) == 1
+    err = capsys.readouterr().err
+    assert "error: config:" in err and "atoms[1].position" in err
+
+
+def test_transition_row_must_be_an_object(tmp_path, capsys):
+    atom = {"model": "transitions",
+            "transitions": [{"omega": 0.5, "d2": 1.0}, [1.0]]}
+    cfg = {"task": "pairwise", "atoms": [dict(ATOM), atom],
+           "separation": 3.0}
+    assert run(write_config(tmp_path, cfg)) == 1
+    err = capsys.readouterr().err
+    assert "error: config:" in err and "atoms[1].transitions[1]" in err
+
+
+def test_integer_keys_reject_fractions(tmp_path, capsys):
+    path = write_config(tmp_path, cavity_config(photon_cutoff=12.7))
+    assert run(path, str(tmp_path / "a.csv")) == 1
+    err = capsys.readouterr().err
+    assert "error: config:" in err and "photon_cutoff" in err
+    cfg = pairwise_config()
+    cfg["quadrature"] = {"max_evals": 1000.5}
+    assert run(write_config(tmp_path, cfg, "q.json")) == 1
+    err = capsys.readouterr().err
+    assert "error: config:" in err and "quadrature.max_evals" in err
+    # an integral value written as a float is still an integer
+    path = write_config(tmp_path, cavity_config(photon_cutoff=12.0), "i.json")
+    assert run(path, str(tmp_path / "b.csv")) == 0
+
+
 def test_scan_london_slope(tmp_path):
     cfg = {"task": "scan", "subtask": "pairwise",
            "atoms": [dict(ATOM), dict(ATOM)], "separation": 1.0,

@@ -1,8 +1,9 @@
 """Green tensor checks against independent closed forms.
 
 The imaginary-axis oracle here is coded directly from the real expression
--exp(-x) [ (xi/c)^2 (I-p)/r + (xi/c)(I-3p)/r^2 + (I-3p)/r^3 ], independent
-of the production path (a complex kernel shared with the real axis).
+-exp(-x) [ (xi/c)^2 (I-p)/r + (xi/c)(I-3p)/r^2 + (I-3p)/r^3 ] with its own
+projectors; the complex real-axis kernel evaluated at omega = i xi is a
+second, independent route to the batched imaginary-axis evaluator.
 """
 
 import math
@@ -12,10 +13,13 @@ import pytest
 
 from fluctem.core import SPEED_OF_LIGHT, vec3
 from fluctem.green import (
+    _green_kernel,
     dyadic_green,
     dyadic_green_imag,
     f_tensor,
     im_coincidence,
+    imag_axis_green,
+    pair_projectors,
     static_green,
 )
 
@@ -125,11 +129,39 @@ def test_imag_axis_matches_independent_oracle():
 
 
 def test_imag_axis_entries_exactly_real():
-    from fluctem.green import _green_kernel
     g = _green_kernel(complex(0.0, 0.7), 2.0, np.array([0.6, 0.0, 0.8]), 1.0)
     assert np.all(g.imag == 0.0)
     real = dyadic_green_imag(vec3(1.2, 0, 1.6), vec3(0, 0, 0), 0.7)
     assert real.dtype == np.float64
+
+
+def test_batched_imag_axis_matches_complex_kernel():
+    rng = np.random.default_rng(11)
+    d = rng.standard_normal((40, 3))
+    r = rng.uniform(0.5, 300.0, size=40)
+    rhat = d / np.linalg.norm(d, axis=1)[:, None]
+    transverse, static = pair_projectors(rhat)
+    for xi in (1e-6, 0.37, 5.0, 80.0):
+        batched = imag_axis_green(xi, r, transverse, static)
+        assert batched.shape == (40, 3, 3) and batched.dtype == np.float64
+        for g, r_p, rhat_p in zip(batched, r, rhat):
+            kernel = _green_kernel(complex(0.0, xi), r_p, rhat_p, 1.0)
+            assert np.allclose(g, kernel.real, rtol=1e-12, atol=0.0)
+            # r and rhat recomputed from r * rhat differ in the last bit
+            single = dyadic_green_imag(r_p * rhat_p, vec3(0, 0, 0), xi)
+            assert np.abs(g - single).max() <= 1e-13 * np.abs(g).max()
+
+
+def test_batched_imag_axis_static_is_static_green():
+    rn, rm = vec3(0.4, -1.0, 2.0), vec3(1.0, 0.5, -0.3)
+    d = rn - rm
+    r = np.linalg.norm(d)
+    transverse, static = pair_projectors((d / r)[None])
+    batched = imag_axis_green(0.0, np.array([r]), transverse, static)
+    assert np.allclose(batched[0], static_green(rn, rm), rtol=1e-15)
+    p = np.outer(d, d) / r**2
+    assert np.allclose(batched[0], (3.0 * p - np.eye(3)) / r**3,
+                       rtol=1e-14, atol=0.0)
 
 
 def test_imag_axis_static_limit():

@@ -2,12 +2,15 @@
 oracle, pairwise reduction, thermal limits, and the coupling-constant
 integral identity."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from fluctem.core import vec3
+import fluctem.manybody as manybody
+from fluctem.core import SPEED_OF_LIGHT, vec3
+from fluctem.green import dyadic_green_imag, static_green
 from fluctem.manybody import (
     StrongCouplingError,
     SystemGeometry,
@@ -21,7 +24,7 @@ from fluctem.manybody import (
 )
 from fluctem.pairwise import PairSpec, vdw_energy
 from fluctem.polarizability import KramersHeisenberg, Transition, single_resonance
-from fluctem.quadrature import MatsubaraSpec
+from fluctem.quadrature import MatsubaraSpec, integrate_semi_infinite
 
 
 def chain_geometry(model, spacing, n):
@@ -73,6 +76,110 @@ def test_build_T_symmetric_at_finite_frequency():
     ])
     t = build_T(geom, 0.37)
     assert np.array_equal(t, t.T)
+
+
+def random_cluster(n, seed=27, min_distance=1.5):
+    rng = np.random.default_rng(seed)
+    models = (single_resonance(1.0, 0.5), single_resonance(2.0, 0.4),
+              KramersHeisenberg((Transition(0.4, 1.2), Transition(1.1, 0.6))))
+    while True:
+        pts = rng.uniform(-6.0, 6.0, size=(n, 3))
+        geom = SystemGeometry([(p, models[k % 3])
+                               for k, p in enumerate(pts)])
+        if n < 2 or geom.min_separation() > min_distance:
+            return geom
+
+
+def pair_loop_T(geom, xi):
+    """Interaction matrix assembled block by block from the single-pair
+    Green functions."""
+    n = geom.n_sites
+    t = np.zeros((3 * n, 3 * n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            ri, rj = geom.positions[i], geom.positions[j]
+            g = static_green(ri, rj) if xi == 0.0 \
+                else dyadic_green_imag(ri, rj, xi)
+            t[3 * i:3 * i + 3, 3 * j:3 * j + 3] = -g
+            t[3 * j:3 * j + 3, 3 * i:3 * i + 3] = -g
+    return t
+
+
+def pair_loop_second_order_integrand(geom, xi):
+    alphas = [m.alpha_imag(xi) for m in geom.models]
+    terms = []
+    for i in range(geom.n_sites):
+        for j in range(i + 1, geom.n_sites):
+            ri, rj = geom.positions[i], geom.positions[j]
+            g = static_green(ri, rj) if xi == 0.0 \
+                else dyadic_green_imag(ri, rj, xi)
+            terms.append(2.0 * alphas[i] * alphas[j] * float(np.sum(g * g)))
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 27])
+@pytest.mark.parametrize("xi_kind", ["static", "quasi_static", "0.37", "50"])
+def test_build_T_matches_pair_loop(n_atoms, xi_kind):
+    geom = random_cluster(n_atoms)
+    r = geom.min_separation() if n_atoms > 1 else 1.0
+    xi = {"static": 0.0, "quasi_static": 1e-5 * SPEED_OF_LIGHT / r,
+          "0.37": 0.37, "50": 50.0}[xi_kind]
+    batched = build_T(geom, xi)
+    reference = pair_loop_T(geom, xi)
+    assert batched.shape == reference.shape == (3 * n_atoms, 3 * n_atoms)
+    assert np.array_equal(batched, batched.T)
+    assert np.abs(batched - reference).max() \
+        <= 1e-13 * np.abs(reference).max(initial=0.0)
+
+
+def test_second_order_matches_pair_loop_integrand(monkeypatch):
+    geom = random_cluster(6, seed=5, min_distance=3.0)
+    seen = []
+
+    def recording(integrand, spec):
+        def wrapped(xi):
+            value = integrand(xi)
+            seen.append((xi, value))
+            return value
+        return integrate_semi_infinite(wrapped, spec)
+
+    monkeypatch.setattr(manybody, "integrate_semi_infinite", recording)
+    batched = second_order_energy(geom)
+    assert len(seen) == batched.evaluations > 0
+    for xi, value in seen:
+        reference = pair_loop_second_order_integrand(geom, xi)
+        assert value == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+
+def pinned_cube():
+    rng = np.random.default_rng(2024)
+    models = (single_resonance(1.5, 0.5),
+              KramersHeisenberg((Transition(0.4, 1.2), Transition(1.1, 0.6))))
+    corners = itertools.product((0.0, 5.0), repeat=3)
+    return SystemGeometry([(np.array(c) + rng.uniform(-0.3, 0.3, 3),
+                            models[k % 2])
+                           for k, c in enumerate(corners)])
+
+
+def test_evaluation_counts_pinned():
+    # counts and values of the pair-by-pair Green assembly: batching the
+    # pairs makes each node cheaper and must leave the nodes as they were
+    geom = pinned_cube()
+    t0 = free_energy_T0(geom)
+    thermal = free_energy_finiteT(geom, 0.1)
+    second = second_order_energy(geom)
+    assert (t0.evaluations, thermal.evaluations, second.evaluations) \
+        == (101, 298, 101)
+    assert t0.value == pytest.approx(-0.0012604643522799504, rel=1e-12)
+    assert thermal.value == pytest.approx(-0.0014078704962657174, rel=1e-12)
+    assert second.value == pytest.approx(-0.0012696444473952225, rel=1e-12)
+
+
+def test_alpha_values_follow_site_models():
+    geom = random_cluster(7, seed=3)
+    for xi in (0.0, 0.2, 3.0):
+        assert np.array_equal(geom.alpha_values(xi),
+                              [m.alpha_imag(xi) for m in geom.models])
 
 
 def test_dressed_susceptibility_single_atom_is_bare():
