@@ -156,6 +156,12 @@ def _number(value, label: str) -> float:
     return number
 
 
+def _positive(value: float, label: str) -> float:
+    if not value > 0:
+        raise ConfigError(f"{label} must be positive")
+    return value
+
+
 def _integer(value, label: str) -> int:
     number = _number(value, label)
     if not number.is_integer():
@@ -182,10 +188,12 @@ def _model(obj, units: _Units, label: str) -> KramersHeisenberg:
         raise ConfigError(f"{label} must be an object")
     kind = obj.get("model")
     if kind == "single_resonance":
-        return single_resonance(_number(obj.get("alpha_static"),
-                                        f"{label}.alpha_static"),
-                                units.energy(obj.get("omega"),
-                                             f"{label}.omega"))
+        return single_resonance(
+            _positive(_number(obj.get("alpha_static"),
+                              f"{label}.alpha_static"),
+                      f"{label}.alpha_static"),
+            _positive(units.energy(obj.get("omega"), f"{label}.omega"),
+                      f"{label}.omega"))
     if kind == "transitions":
         rows = obj.get("transitions")
         if not isinstance(rows, list) or not rows:
@@ -195,9 +203,12 @@ def _model(obj, units: _Units, label: str) -> KramersHeisenberg:
             row_label = f"{label}.transitions[{i}]"
             if not isinstance(row, dict):
                 raise ConfigError(f"{row_label} must be an object")
+            d2 = _number(row.get("d2"), f"{row_label}.d2")
+            if d2 < 0:
+                raise ConfigError(f"{row_label}.d2 cannot be negative")
             transitions.append(Transition(
-                units.energy(row.get("omega"), f"{row_label}.omega"),
-                _number(row.get("d2"), f"{row_label}.d2")))
+                _positive(units.energy(row.get("omega"), f"{row_label}.omega"),
+                          f"{row_label}.omega"), d2))
         return KramersHeisenberg(tuple(transitions))
     raise ConfigError(
         f"{label}.model must be 'single_resonance' or 'transitions'")
@@ -235,7 +246,8 @@ def _run_pairwise(cfg: dict) -> tuple[list[str], list[float]]:
         raise ConfigError("pairwise needs exactly two atoms")
     model_a = _model(atoms[0], units, "atoms[0]")
     model_b = _model(atoms[1], units, "atoms[1]")
-    r = units.length(cfg.get("separation"), "separation")
+    r = _positive(units.length(cfg.get("separation"), "separation"),
+                  "separation")
     pair = PairSpec(model_a, model_b, r)
     verdict = validity_check(pair)
     if not verdict.ok:
@@ -264,6 +276,13 @@ def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
         pos = tuple(units.length(v, label)
                     for v in _vector(atom.get("position"), label))
         sites.append((pos, _model(atom, units, f"atoms[{k}]")))
+    delta = np.array([pos for pos, _ in sites])
+    delta = delta[:, None, :] - delta[None, :, :]
+    # a zero squared distance, as SystemGeometry finds it: equal positions,
+    # or separations so small that their square underflows
+    i, j = np.nonzero(np.triu(np.sum(delta * delta, axis=-1) == 0.0, k=1))
+    if i.size:
+        raise ConfigError(f"atoms[{i[0]}] and atoms[{j[0]}] coincide")
     geometry = SystemGeometry(sites)
     nonretarded = cfg.get("nonretarded", False)
     if not isinstance(nonretarded, bool):
@@ -273,7 +292,8 @@ def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
             warnings.warn(f"atoms {i} and {j} strain the point-dipole "
                           f"picture: ratio = {verdict.ratio:.3g} >= 1")
     if "temperature" in cfg:
-        temp = units.temperature(cfg["temperature"], "temperature")
+        temp = _positive(units.temperature(cfg["temperature"], "temperature"),
+                         "temperature")
         tail = MatsubaraSpec(rel_tol=quad.rel_tol) if quad else None
         free = free_energy_finiteT(geometry, temp, tail,
                                    nonretarded=nonretarded)
@@ -297,10 +317,9 @@ def _run_lamb(cfg: dict) -> tuple[list[str], list[float]]:
     bethe = bethe_shift(model, cutoff)
     thermal = dielectric = err = 0.0
     if "temperature" in cfg:
-        res = thermal_shift(model,
-                            units.temperature(cfg["temperature"],
-                                              "temperature"),
-                            quad)
+        temp = _positive(units.temperature(cfg["temperature"], "temperature"),
+                         "temperature")
+        res = thermal_shift(model, temp, quad)
         thermal, err = res.value, err + res.error_estimate
     if "medium" in cfg:
         spec = cfg["medium"]
@@ -329,10 +348,12 @@ def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
         if not isinstance(atom, dict):
             raise ConfigError(f"atoms[{k}] must be an object")
         parsed.append(TwoStateAtom(
-            units.energy(atom.get("omega"), f"atoms[{k}].omega"),
+            _positive(units.energy(atom.get("omega"), f"atoms[{k}].omega"),
+                      f"atoms[{k}].omega"),
             _vector(atom.get("dipole"), f"atoms[{k}].dipole")))
     if "separation" in cfg:
-        r = units.length(cfg["separation"], "separation")
+        r = _positive(units.length(cfg["separation"], "separation"),
+                      "separation")
         positions = ((0.0, 0.0, 0.0), (0.0, 0.0, r))
     else:
         positions = tuple(

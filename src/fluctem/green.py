@@ -13,8 +13,9 @@ the positive imaginary axis omega = i xi (vacuum) every entry is real,
     G(r, i xi) = -exp(-x) [ (xi/c)^2 (I-p)/r + (xi/c)(I-3p)/r^2 + (I-3p)/r^3 ]
 
 with x = xi r / c, and :func:`imag_axis_green` evaluates it in that real
-form for any number of pairs at once from their distances and projectors;
-xi = 0 gives the static tensor (3 p - I)/r^3.  The single-pair functions
+form for any number of pairs, and any number of frequencies, at once from
+their distances and projectors; xi = 0 gives the static tensor
+(3 p - I)/r^3.  The single-pair functions
 :func:`dyadic_green_imag` and :func:`static_green` are views of it.
 Entries carry units of inverse volume in Hartree atomic units.
 """
@@ -95,21 +96,27 @@ def dyadic_green(rn: np.ndarray, rm: np.ndarray, omega: float,
     return _green_kernel(complex(omega), r, rhat, n_index)
 
 
-def imag_axis_green(xi: float, r: np.ndarray, transverse: np.ndarray,
+def imag_axis_green(xi, r: np.ndarray, transverse: np.ndarray,
                     static: np.ndarray) -> np.ndarray:
-    """Vacuum Green tensors at i xi for many pairs; real (..., 3, 3) array.
+    """Vacuum Green tensors at i xi for many pairs and frequencies.
 
     ``r`` holds the distances (shape (...)), ``transverse`` and ``static``
-    the projectors I - p and I - 3p of :func:`pair_projectors`.  Entries
-    are -exp(-x) [ (xi/c)^2 (I-p)/r + (xi/c)(I-3p)/r^2 + (I-3p)/r^3 ] with
+    the projectors I - p and I - 3p of :func:`pair_projectors`.  ``xi`` is
+    one frequency or an array of them (shape (K,)); the real result has
+    shape (K, ..., 3, 3), or (..., 3, 3) for a scalar ``xi``, and slice k
+    equals the call at xi[k] bit for bit.  Entries are
+    -exp(-x) [ (xi/c)^2 (I-p)/r + (xi/c)(I-3p)/r^2 + (I-3p)/r^3 ] with
     x = xi r / c; xi = 0 gives the static tensor (3 p - I)/r^3.
     """
-    q = xi / SPEED_OF_LIGHT
     r = np.asarray(r, dtype=float)[..., None, None]
+    q = np.divide(xi, SPEED_OF_LIGHT)
+    if q.ndim:
+        q = q.reshape(q.shape + (1,) * r.ndim)
+    x = q * r
     # (xi/c)/r^2 + 1/r^3 = (1 + x)/r^3; dividing the projector by r^3
     # makes xi = 0 give exactly (3p - I)/r^3
-    return -np.exp(-q * r) * ((q * q / r) * transverse
-                              + (1.0 + q * r) * (static / r**3))
+    return -np.exp(-x) * ((q * q / r) * transverse
+                          + (1.0 + x) * (static / r**3))
 
 
 def _single_pair(rn: np.ndarray, rm: np.ndarray, xi: float) -> np.ndarray:

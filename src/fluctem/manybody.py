@@ -14,13 +14,19 @@ symmetrized product sqrt(A) T sqrt(A), whose real eigenvalues make the log
 branch explicit: any eigenvalue crossing -1 means the coupled ground state
 is unstable and the calculation refuses to continue.
 
-The pair data a frequency node needs (index pairs, distances, transverse
-and static projectors) is computed once per :class:`SystemGeometry`, so
-each node assembles the Green blocks of all pairs in one broadcast through
+The pair data a frequency needs (index pairs, distances, transverse and
+static projectors) is computed once per :class:`SystemGeometry`, and the
+Green blocks of all pairs come from one broadcast through
 :func:`fluctem.green.imag_axis_green`: :func:`build_T` scatters them into
 the 3N x 3N matrix, and :func:`second_order_energy` sums their squared
-Frobenius norms directly.  Per node the work is then a handful of array
-operations and one dense eigensolve.
+Frobenius norms directly.  The log-det integrand has one evaluation path,
+which takes one frequency or a 1-D array of K: the Green blocks, alpha(i xi)
+of each distinct model and T(xi) are evaluated for the whole array, and
+one ``eigvalsh`` call solves the stacked (K, 3N, 3N) matrices.  The thermal
+sum hands it blocks of Matsubara frequencies; the tanh-sinh integrals (the
+T = 0 energy and the thermal tail) call it node by node.  Every stacked
+slice equals the single-frequency call bit for bit, so the blocking
+changes no result.
 
 ``normal_mode_energy`` is the independent oracle for the electrostatic
 limit: identical single-resonance atoms give mode frequencies
@@ -102,6 +108,17 @@ class SystemGeometry:
             [index.setdefault(m, len(index)) for m in self._models],
             dtype=int)
         self._distinct_models = tuple(index)
+        # Kramers-Heisenberg sums of one or two transitions are evaluated on
+        # whole frequency arrays from their (omega_s d2_s, omega_s^2) pairs:
+        # one addition is the correctly rounded sum math.fsum returns, so
+        # the values equal alpha_imag bit for bit.  Other models (None here)
+        # are evaluated frequency by frequency.
+        self._alpha_terms = tuple(
+            tuple((t.omega_sg * t.d2, t.omega_sg * t.omega_sg)
+                  for t in m.transitions)
+            if isinstance(m, KramersHeisenberg)
+            and 0 < len(m.transitions) <= 2 else None
+            for m in self._distinct_models)
         self._pair_i, self._pair_j = np.triu_indices(self.n_sites, k=1)
         delta = self._positions[self._pair_i] - self._positions[self._pair_j]
         # the dot product core.separation uses: distances, and with them the
@@ -112,6 +129,14 @@ class SystemGeometry:
             raise ValueError("coincident points")
         self._transverse, self._static = pair_projectors(
             delta / self._pair_r[:, None])
+        # flat places of every pair block in the 3N x 3N matrix: the upper
+        # copy at block (i, j), the lower one at (j, i)
+        dim = 3 * self.n_sites
+        i3 = 3 * self._pair_i[:, None, None]
+        j3 = 3 * self._pair_j[:, None, None]
+        a, b = np.arange(3)[:, None], np.arange(3)
+        self._upper = (i3 + a) * dim + j3 + b
+        self._lower = (j3 + a) * dim + i3 + b
 
     @property
     def n_sites(self) -> int:
@@ -148,48 +173,84 @@ class SystemGeometry:
     def min_separation(self) -> float:
         return float(self._pair_r.min()) if self._pair_r.size else math.inf
 
-    def pair_green(self, xi: float) -> np.ndarray:
-        """Green tensors G(r_i, r_j, i xi) of all pairs i < j; (P, 3, 3)."""
+    def pair_green(self, xi) -> np.ndarray:
+        """Green tensors G(r_i, r_j, i xi) of all pairs i < j.
+
+        (P, 3, 3) for one frequency, (K, P, 3, 3) for K of them.
+        """
         return imag_axis_green(xi, self._pair_r, self._transverse,
                                self._static)
 
-    def alpha_values(self, xi: float) -> np.ndarray:
-        """alpha(i xi) of every site, each distinct model evaluated once."""
-        values = np.array([m.alpha_imag(xi) for m in self._distinct_models])
-        return values[self._site_model]
+    def model_alphas(self, xi) -> np.ndarray:
+        """alpha(i xi) of every distinct model, equal to ``alpha_imag``.
+
+        (M,) for one frequency, (K, M) for K of them.
+        """
+        xi = _frequencies(xi)
+        x2 = xi * xi
+        alphas = []
+        for model, pairs in zip(self._distinct_models, self._alpha_terms):
+            if pairs is None:
+                alphas.append(np.reshape(
+                    [model.alpha_imag(x) for x in xi.ravel().tolist()],
+                    xi.shape))
+                continue
+            terms = [strength / (omega2 + x2) for strength, omega2 in pairs]
+            alphas.append((2.0 / 3.0) * sum(terms[1:], terms[0]))
+        return np.array(alphas).T
+
+    def alpha_values(self, xi) -> np.ndarray:
+        """alpha(i xi) of every site, each distinct model evaluated once.
+
+        (N,) for one frequency, (K, N) for K of them.
+        """
+        return self.model_alphas(xi)[..., self._site_model]
 
 
-def build_T(geom: SystemGeometry, xi: float) -> np.ndarray:
+def _frequencies(xi) -> np.ndarray:
+    """``xi`` as a float array, refusing negative frequencies."""
+    xi = np.asarray(xi, dtype=float)
+    # a Python min: far cheaper than a numpy reduction on one or a few
+    # entries, and every node of a quadrature passes here
+    if min(xi.ravel().tolist(), default=0.0) < 0:
+        raise ValueError("imaginary-axis frequency must be >= 0")
+    return xi
+
+
+def build_T(geom: SystemGeometry, xi) -> np.ndarray:
     """Interaction matrix: off-diagonal blocks -G(r_n, r_m, i xi).
 
-    xi = 0 selects the electrostatic tensor (I - 3 rhat rhat)/r^3; the
-    diagonal blocks are exactly zero.
+    One frequency gives the (3N, 3N) matrix; a 1-D array of K frequencies
+    gives the (K, 3N, 3N) stack, whose slice k equals the call at xi[k]
+    bit for bit.  xi = 0 selects the electrostatic tensor
+    (I - 3 rhat rhat)/r^3; the diagonal blocks are exactly zero.
     """
-    if xi < 0:
-        raise ValueError("imaginary-axis frequency must be >= 0")
-    n = geom.n_sites
+    xi = _frequencies(xi)
+    dim = 3 * geom.n_sites
     blocks = -geom.pair_green(xi)
-    i, j = geom.pair_indices
-    t = np.zeros((n, 3, n, 3))
-    t[i, :, j, :] = blocks
-    t[j, :, i, :] = blocks
-    return t.reshape(3 * n, 3 * n)
+    t = np.zeros(xi.shape + (dim * dim,))
+    t[..., geom._upper] = blocks
+    t[..., geom._lower] = blocks
+    return t.reshape(xi.shape + (dim, dim))
 
 
-def _log_det_stable(geom: SystemGeometry, xi: float,
-                    t: np.ndarray) -> float:
-    """log det[1 + A T] through sqrt(A) T sqrt(A), branch-checked."""
-    alphas = geom.alpha_values(xi)
-    if np.any(alphas < 0):
-        raise StrongCouplingError("negative polarizability is not supported")
-    s = np.repeat(np.sqrt(alphas), 3)
-    sym = (s[:, None] * s[None, :]) * t
-    mu = np.linalg.eigvalsh(sym)
-    if np.any(mu <= -1.0):
+def _log1p_sums(xi, mu: np.ndarray):
+    """sum_k log1p(mu_k) over the last axis of ``mu``: a float for the
+    modes of one xi, an array for the (K, 3N) modes of K.
+
+    A mode at or past mu = -1 leaves the coupled ground state unstable:
+    the first such xi is named in the error.
+    """
+    if mu.min() <= -1.0:
+        first = np.argmax(np.ravel(mu.min(axis=-1) <= -1.0))
         raise StrongCouplingError(
-            f"strong-coupling/overlap regime at xi={xi!r}: "
+            "strong-coupling/overlap regime at "
+            f"xi={float(np.ravel(xi)[first])!r}: "
             "an interaction mode crosses the stability boundary")
-    return math.fsum(np.log1p(mu))
+    logs = np.log1p(mu).tolist()
+    if mu.ndim == 1:
+        return math.fsum(logs)
+    return np.array([math.fsum(row) for row in logs])
 
 
 def dressed_susceptibility(geom: SystemGeometry, xi: float) -> np.ndarray:
@@ -219,30 +280,30 @@ def _decay_scale(geom: SystemGeometry, nonretarded: bool) -> float:
 
 
 def _logdet_function(geom: SystemGeometry, nonretarded: bool
-                     ) -> Callable[[float], float]:
-    static_t = build_T(geom, 0.0)
-    if nonretarded:
-        if all(m == geom.models[0] for m in geom.models):
-            # identical scalar polarizabilities commute with T: the
-            # eigenproblem factorizes and needs solving only once
-            t_eigs = np.linalg.eigvalsh(static_t)
-            model = geom.models[0]
+                     ) -> Callable[..., float | np.ndarray]:
+    """g(xi) = log det[1 + A T](i xi), the one log-det evaluation path.
 
-            def g_identical(xi: float) -> float:
-                alpha = model.alpha_imag(xi)
-                scaled = alpha * t_eigs
-                if scaled.min() <= -1.0:
-                    raise StrongCouplingError(
-                        f"strong-coupling/overlap regime at xi={xi!r}: "
-                        "an interaction mode crosses the stability boundary")
-                return math.fsum(np.log1p(scaled))
+    ``xi`` is one frequency, giving a float, or a 1-D array of K, giving K
+    values.  The determinant goes through the symmetrized
+    sqrt(A) T sqrt(A) of every frequency, all solved by one stacked
+    eigensolve.  Identical scalar polarizabilities commute with the static
+    T of the nonretarded limit: the eigenproblem then factorizes, is solved
+    once, and each frequency only scales its eigenvalues by alpha(i xi).
+    """
+    if nonretarded and all(m == geom.models[0] for m in geom.models):
+        t_eigs = np.linalg.eigvalsh(build_T(geom, 0.0))
+        return lambda xi: _log1p_sums(xi, geom.model_alphas(xi) * t_eigs)
+    static_t = build_T(geom, 0.0) if nonretarded else None
 
-            return g_identical
-        return lambda xi: _log_det_stable(geom, xi, static_t)
-
-    def g(xi: float) -> float:
-        t = static_t if xi == 0.0 else build_T(geom, xi)
-        return _log_det_stable(geom, xi, t)
+    def g(xi):
+        alphas = geom.alpha_values(xi)
+        if alphas.min() < 0:
+            raise StrongCouplingError(
+                "negative polarizability is not supported")
+        s = np.sqrt(alphas).repeat(3, axis=-1)
+        t = static_t if nonretarded else build_T(geom, xi)
+        mu = np.linalg.eigvalsh((s[..., :, None] * s[..., None, :]) * t)
+        return _log1p_sums(xi, mu)
 
     return g
 
@@ -303,8 +364,8 @@ def second_order_energy(geom: SystemGeometry,
         g = geom.pair_green(xi)
         # Tr[G_nm G_mn] = ||G_nm||_F^2; ordered pairs count each
         # unordered pair twice
-        return math.fsum(2.0 * alphas[i] * alphas[j]
-                         * np.sum(g * g, axis=(1, 2)))
+        return math.fsum((2.0 * alphas[i] * alphas[j]
+                          * np.sum(g * g, axis=(1, 2))).tolist())
 
     res = integrate_semi_infinite(integrand, quad)
     pref = 1.0 / (4.0 * math.pi)

@@ -334,30 +334,59 @@ def integrate_pv(f_regular: Callable[[float], float], pole: float,
     return EnergyResult(value, err, evals)
 
 
-def matsubara_sum(g: Callable[[float], float], temperature: float,
+# Matsubara terms evaluated per call of the integrand: enough to spread
+# the per-call overhead, few enough that the terms computed past the stop
+# (at most _BLOCK - 1) stay cheap and the stacked arrays stay small
+_BLOCK = 32
+
+
+def _matsubara_terms(g: Callable[[np.ndarray], np.ndarray], t_step: float,
+                     n_max: int):
+    """(n, g(xi_n)) for n = 0 .. n_max, evaluated _BLOCK terms per call.
+
+    A non-finite value raises once it is reached, so values past the
+    caller's stop are never checked.
+    """
+    for start in range(0, n_max + 1, _BLOCK):
+        ns = np.arange(start, min(start + _BLOCK, n_max + 1))
+        values = np.asarray(g(ns * t_step), dtype=float)
+        for n, value in zip(ns.tolist(), values.tolist()):
+            if not math.isfinite(value):
+                raise QuadratureError(
+                    f"matsubara term is {value!r} at xi={n * t_step!r}")
+            yield n, value
+
+
+def matsubara_sum(g: Callable[[np.ndarray], np.ndarray], temperature: float,
                   spec: MatsubaraSpec | None = None) -> EnergyResult:
     """Thermal sum  k_B T * [ g(0)/2 + sum_{n>=1} g(2 pi n k_B T) ].
 
-    Terms are accumulated until ``consecutive_small`` successive terms fall
-    below ``rel_tol`` times the running sum, or ``n_max`` is reached.  The
-    remainder is restored by the midpoint integral estimate
-    (1/2pi) * int_{xi_(N+1/2)}^inf g(xi) dxi, whose own accuracy is gauged
-    against the trapezoidal association and reported in the error.
+    ``g`` maps a 1-D array of frequencies to the array of its values, and
+    a single frequency to its value.  The sum calls it on blocks of up to
+    32 successive xi_n; the tail integrals call it node by node.  Terms
+    are accumulated one by one until ``consecutive_small`` successive
+    terms fall below ``rel_tol`` times the running sum, or ``n_max`` is
+    reached.  The last block may run up to 31 terms past that stop; those
+    are discarded and not counted, so ``evaluations`` (summed terms, tail
+    nodes and one trapezoid end point) equals that of a term-by-term
+    evaluation.  A non-finite summed term raises :class:`QuadratureError`
+    naming its xi_n.  The remainder is restored by the midpoint integral
+    estimate (1/2pi) * int_{xi_(N+1/2)}^inf g(xi) dxi, whose own accuracy
+    is gauged against the trapezoidal association and reported in the
+    error.
     """
     spec = spec or MatsubaraSpec()
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     t_step = 2.0 * math.pi * temperature
-    terms = [0.5 * g(0.0)]
-    partial = terms[0]
+    terms = []
+    partial = 0.0
     small_run = 0
-    n = 0
-    while n < spec.n_max:
-        n += 1
-        term = g(n * t_step)
+    for n, value in _matsubara_terms(g, t_step, spec.n_max):
+        term = value if n else 0.5 * value
         terms.append(term)
         partial += term
-        if abs(term) < spec.rel_tol * max(abs(partial), 1e-300):
+        if n and abs(term) < spec.rel_tol * max(abs(partial), 1e-300):
             small_run += 1
             if small_run >= spec.consecutive_small:
                 break
@@ -369,12 +398,14 @@ def matsubara_sum(g: Callable[[float], float], temperature: float,
     tail_spec = QuadratureSpec(method="tanh_sinh", rel_tol=spec.rel_tol,
                                abs_tol=1e-300, decay_scale=max(xi_mid, t_step))
     try:
-        mid = integrate_semi_infinite(lambda x: g(xi_mid + x), tail_spec)
-        trap = integrate_semi_infinite(lambda x: g(xi_next + x), tail_spec)
+        mid = integrate_semi_infinite(lambda x: float(g(xi_mid + x)),
+                                      tail_spec)
+        trap = integrate_semi_infinite(lambda x: float(g(xi_next + x)),
+                                       tail_spec)
     except QuadratureError as exc:
         raise QuadratureError(
             f"matsubara tail did not converge after n_max={n}: {exc}") from exc
-    g_next = g(xi_next)
+    g_next = float(g(xi_next))
     tail_mid = mid.value / (2.0 * math.pi)
     tail_trap = trap.value / (2.0 * math.pi) + 0.5 * temperature * g_next
     value = temperature * math.fsum(terms) + tail_mid

@@ -161,6 +161,69 @@ def test_transition_row_must_be_an_object(tmp_path, capsys):
     assert "error: config:" in err and "atoms[1].transitions[1]" in err
 
 
+def config_error(tmp_path, capsys, cfg):
+    """Run ``cfg`` expecting exit 1 with a config error; its message."""
+    assert run(write_config(tmp_path, cfg), str(tmp_path / "out.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert not (tmp_path / "out.csv").exists()
+    return err
+
+
+def manybody_config(**extra):
+    return dict({"task": "manybody",
+                 "atoms": [dict(ATOM, position=[0, 0, 0]),
+                           dict(ATOM, position=[0, 0, 4.0])]}, **extra)
+
+
+def test_coincident_manybody_atoms_name_both(tmp_path, capsys):
+    cfg = manybody_config()
+    cfg["atoms"].append(dict(ATOM, position=[0.0, 0.0, 4.0]))
+    err = config_error(tmp_path, capsys, cfg)
+    assert "atoms[1]" in err and "atoms[2]" in err
+    # distinct positions whose squared separation underflows to zero
+    cfg["atoms"][2]["position"] = [1e-200, 0.0, 0.0]
+    cfg["atoms"][1]["position"] = [0.0, 0.0, 0.0]
+    err = config_error(tmp_path, capsys, cfg)
+    assert "atoms[0]" in err and "atoms[1]" in err
+
+
+def test_nonpositive_transition_omega_is_named(tmp_path, capsys):
+    atom = {"model": "transitions",
+            "transitions": [{"omega": 0.5, "d2": 1.0},
+                            {"omega": -0.2, "d2": 1.0}]}
+    cfg = {"task": "pairwise", "atoms": [dict(ATOM), atom],
+           "separation": 3.0}
+    err = config_error(tmp_path, capsys, cfg)
+    assert "atoms[1].transitions[1].omega" in err
+    atom["transitions"][1] = {"omega": 0.7, "d2": -1.0}
+    err = config_error(tmp_path, capsys, cfg)
+    assert "atoms[1].transitions[1].d2" in err
+    cfg = manybody_config()
+    cfg["atoms"][0]["omega"] = 0.0
+    assert "atoms[0].omega" in config_error(tmp_path, capsys, cfg)
+
+
+def test_nonpositive_alpha_static_is_named(tmp_path, capsys):
+    cfg = manybody_config()
+    cfg["atoms"][1]["alpha_static"] = -1.0
+    assert "atoms[1].alpha_static" in config_error(tmp_path, capsys, cfg)
+
+
+def test_nonpositive_separation_is_named(tmp_path, capsys):
+    err = config_error(tmp_path, capsys, pairwise_config(separation=-2.0))
+    assert "separation" in err
+    err = config_error(tmp_path, capsys, cavity_config(separation=0.0))
+    assert "separation" in err
+
+
+def test_nonpositive_temperature_is_named(tmp_path, capsys):
+    err = config_error(tmp_path, capsys, manybody_config(temperature=0.0))
+    assert "temperature" in err
+    cfg = {"task": "lamb", "atom": dict(ATOM), "temperature": -0.1}
+    assert "temperature" in config_error(tmp_path, capsys, cfg)
+
+
 def test_integer_keys_reject_fractions(tmp_path, capsys):
     path = write_config(tmp_path, cavity_config(photon_cutoff=12.7))
     assert run(path, str(tmp_path / "a.csv")) == 1

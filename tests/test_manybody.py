@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import fluctem.manybody as manybody
-from fluctem.core import SPEED_OF_LIGHT, vec3
+import fluctem.quadrature as quadrature
+from fluctem.core import SPEED_OF_LIGHT, EnergyResult, vec3
 from fluctem.green import dyadic_green_imag, static_green
 from fluctem.manybody import (
     StrongCouplingError,
@@ -24,7 +25,11 @@ from fluctem.manybody import (
 )
 from fluctem.pairwise import PairSpec, vdw_energy
 from fluctem.polarizability import KramersHeisenberg, Transition, single_resonance
-from fluctem.quadrature import MatsubaraSpec, integrate_semi_infinite
+from fluctem.quadrature import (
+    MatsubaraSpec,
+    QuadratureSpec,
+    integrate_semi_infinite,
+)
 
 
 def chain_geometry(model, spacing, n):
@@ -180,6 +185,146 @@ def test_alpha_values_follow_site_models():
     for xi in (0.0, 0.2, 3.0):
         assert np.array_equal(geom.alpha_values(xi),
                               [m.alpha_imag(xi) for m in geom.models])
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 27])
+def test_build_T_stack_slices_equal_scalar_calls(n_atoms):
+    # the frequency kinds of test_build_T_matches_pair_loop, as one stack
+    geom = random_cluster(n_atoms)
+    r = geom.min_separation() if n_atoms > 1 else 1.0
+    xis = np.array([0.0, 1e-5 * SPEED_OF_LIGHT / r, 0.37, 50.0])
+    stacked = build_T(geom, xis)
+    assert stacked.shape == (len(xis), 3 * n_atoms, 3 * n_atoms)
+    for k, xi in enumerate(xis):
+        assert np.array_equal(stacked[k], build_T(geom, xi))
+        assert np.array_equal(stacked[k], build_T(geom, float(xi)))
+
+
+def test_build_T_rejects_negative_frequency_in_stack():
+    with pytest.raises(ValueError):
+        build_T(random_cluster(3), np.array([0.1, -0.2]))
+
+
+def test_alpha_stack_equals_alpha_imag_bitwise():
+    three = KramersHeisenberg((Transition(0.3, 1.0), Transition(0.7, 0.5),
+                               Transition(1.9, 0.2)))
+    xis = np.array([0.0, 1e-3, 0.2, 0.37, 3.0, 50.0])
+    for geom in (random_cluster(7, seed=3),
+                 SystemGeometry([(vec3(0, 0, 0), three),
+                                 (vec3(0, 0, 4), single_resonance(1.0, 0.5))])):
+        stacked = geom.alpha_values(xis)
+        assert stacked.shape == (len(xis), geom.n_sites)
+        for k, xi in enumerate(xis.tolist()):
+            assert np.array_equal(stacked[k],
+                                  [m.alpha_imag(xi) for m in geom.models])
+
+
+def identical_cube():
+    return SystemGeometry([(p, single_resonance(1.5, 0.5))
+                           for p in pinned_cube().positions])
+
+
+@pytest.mark.parametrize("nonretarded", [False, True])
+@pytest.mark.parametrize("make", [pinned_cube, identical_cube])
+def test_stacked_log_det_equals_single_calls(nonretarded, make):
+    geom = make()
+    g = manybody._logdet_function(geom, nonretarded)
+    xis = np.arange(40) * 0.0731
+    stacked = g(xis)
+    assert stacked.shape == xis.shape
+    for k, xi in enumerate(xis.tolist()):
+        assert np.array_equal(stacked[k], g(np.array([xi]))[0])
+        assert np.array_equal(stacked[k], g(xi))
+
+
+def term_by_term_log_det(geom, nonretarded):
+    """log det[1 + A T](i xi) one frequency at a time, with per-site
+    alpha_imag calls: the term-by-term route the stacked one replaces."""
+    static_t = build_T(geom, 0.0)
+    t_eigs = np.linalg.eigvalsh(static_t)
+
+    def g(xi):
+        alphas = [m.alpha_imag(xi) for m in geom.models]
+        if nonretarded and all(m == geom.models[0] for m in geom.models):
+            mu = alphas[0] * t_eigs
+        else:
+            s = np.repeat(np.sqrt(alphas), 3)
+            t = static_t if nonretarded else build_T(geom, xi)
+            mu = np.linalg.eigvalsh((s[:, None] * s[None, :]) * t)
+        return math.fsum(np.log1p(mu).tolist())
+
+    return g
+
+
+def term_by_term_matsubara(g, temperature, spec):
+    """The thermal sum with one g call per term, its n and evaluations."""
+    t_step = 2.0 * math.pi * temperature
+    terms = [0.5 * g(0.0)]
+    partial, small_run, n = terms[0], 0, 0
+    while n < spec.n_max:
+        n += 1
+        term = g(n * t_step)
+        terms.append(term)
+        partial += term
+        if abs(term) < spec.rel_tol * max(abs(partial), 1e-300):
+            small_run += 1
+            if small_run >= spec.consecutive_small:
+                break
+        else:
+            small_run = 0
+    xi_mid, xi_next = (n + 0.5) * t_step, (n + 1.0) * t_step
+    tail_spec = QuadratureSpec(method="tanh_sinh", rel_tol=spec.rel_tol,
+                               abs_tol=1e-300, decay_scale=max(xi_mid, t_step))
+    mid = integrate_semi_infinite(lambda x: g(xi_mid + x), tail_spec)
+    trap = integrate_semi_infinite(lambda x: g(xi_next + x), tail_spec)
+    g_next = g(xi_next)
+    tail_mid = mid.value / (2.0 * math.pi)
+    tail_trap = trap.value / (2.0 * math.pi) + 0.5 * temperature * g_next
+    value = temperature * math.fsum(terms) + tail_mid
+    err = (2.0 * abs(tail_mid - tail_trap)
+           + (mid.error_estimate + trap.error_estimate) / (2.0 * math.pi)
+           + 4.0 * np.finfo(float).eps * temperature
+           * math.fsum(abs(t) for t in terms))
+    evals = len(terms) + mid.evaluations + trap.evaluations + 1
+    return n, EnergyResult(value, err, evals)
+
+
+@pytest.mark.parametrize("case", [
+    ("pinned cube, T=0.1", pinned_cube, 0.1, False, MatsubaraSpec()),
+    ("pinned cube, T=0.01", pinned_cube, 0.01, False, MatsubaraSpec()),
+    ("identical nonretarded, T=1e-3", identical_cube, 1e-3, True,
+     MatsubaraSpec()),
+    ("reaches n_max", pinned_cube, 1e-3, False, MatsubaraSpec(n_max=45)),
+], ids=lambda case: case[0])
+def test_blocked_thermal_sum_matches_term_by_term(case, monkeypatch):
+    _, make, temperature, nonretarded, spec = case
+    geom = make()
+    n_ref, reference = term_by_term_matsubara(
+        term_by_term_log_det(geom, nonretarded), temperature, spec)
+    # the tail integrals start at xi_(n + 1/2): their decay scale gives n
+    scales = []
+
+    def recording(f, tail_spec=None):
+        scales.append(tail_spec.decay_scale)
+        return integrate_semi_infinite(f, tail_spec)
+
+    monkeypatch.setattr(quadrature, "integrate_semi_infinite", recording)
+    blocked = free_energy_finiteT(geom, temperature, spec,
+                                  nonretarded=nonretarded)
+    t_step = 2.0 * math.pi * temperature
+    assert scales[0] == max((n_ref + 0.5) * t_step, t_step)
+    assert blocked.evaluations == reference.evaluations
+    assert blocked.value == reference.value
+    assert blocked.error_estimate == reference.error_estimate
+    if spec.n_max == 45:
+        assert n_ref == 45
+
+
+def test_strong_coupling_raises_at_finite_temperature():
+    geom = chain_geometry(single_resonance(8.0, 0.5), 1.0, 2)
+    for nonretarded in (False, True):
+        with pytest.raises(StrongCouplingError, match="xi=0.0"):
+            free_energy_finiteT(geom, 0.05, nonretarded=nonretarded)
 
 
 def test_dressed_susceptibility_single_atom_is_bare():

@@ -203,7 +203,7 @@ def geometric_sum(temperature):
 
 @pytest.mark.parametrize("temperature", [0.7, 0.05, 1e-3])
 def test_matsubara_geometric_closed_form(temperature):
-    res = matsubara_sum(lambda x: math.exp(-x), temperature)
+    res = matsubara_sum(lambda x: np.exp(-x), temperature)
     exact = geometric_sum(temperature)
     assert res.value == pytest.approx(exact, rel=1e-8)
     assert res.error_estimate >= abs(res.value - exact) * 0.5
@@ -211,14 +211,14 @@ def test_matsubara_geometric_closed_form(temperature):
 
 def test_matsubara_low_temperature_approaches_integral():
     # T (g(0)/2 + sum g) -> (1/2pi) int_0^inf g as T -> 0, residual ~ T^2
-    res = matsubara_sum(lambda x: math.exp(-x), 1e-3)
+    res = matsubara_sum(lambda x: np.exp(-x), 1e-3)
     limit = 1.0 / (2.0 * math.pi)
     assert abs(res.value - limit) < 1e-5
     assert abs(res.value - limit) == pytest.approx(math.pi / 6 * 1e-6, rel=0.01)
 
 
 def test_matsubara_high_temperature_zero_term_dominates():
-    res = matsubara_sum(lambda x: math.exp(-x), 100.0)
+    res = matsubara_sum(lambda x: np.exp(-x), 100.0)
     assert res.value == pytest.approx(50.0, rel=1e-12)
 
 
@@ -232,6 +232,28 @@ def test_matsubara_deep_tail_beyond_n_max():
     exact = 0.25 / math.tanh(0.5 / t)
     assert res.value == pytest.approx(exact, rel=1e-9)
     assert res.error_estimate >= abs(res.value - exact)
+
+
+def test_matsubara_non_finite_term_names_its_frequency():
+    # xi_1 = 2 pi 0.1 falls in the NaN window; without the check the stop
+    # rule never fires and the sum runs to n_max
+    def g(x):
+        return np.where((0.5 < x) & (x < 0.7), np.nan, np.exp(-x))
+
+    with pytest.raises(QuadratureError, match=r"xi=0\.628318530717958"):
+        matsubara_sum(g, 0.1)
+    with pytest.raises(QuadratureError, match="inf"):
+        matsubara_sum(lambda x: np.where(x > 3.0, np.inf, np.exp(-x)), 0.1)
+
+
+def test_matsubara_blocks_past_the_stop_are_not_counted():
+    # terms computed past the stop within a block neither count nor check:
+    # a NaN beyond the stop changes nothing
+    clean = matsubara_sum(lambda x: np.exp(-x), 0.7)
+    spoiled = matsubara_sum(
+        lambda x: np.where(x > 20 * 2 * math.pi * 0.7 - 1.0, np.nan,
+                           np.exp(-x)) if np.ndim(x) else math.exp(-x), 0.7)
+    assert spoiled == clean
 
 
 def test_matsubara_validation():
