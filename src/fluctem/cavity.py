@@ -17,13 +17,20 @@ with c_n = A_n (d_n . polarization) sqrt(omega) and v_nm the
 electrostatic dipole-dipole coefficient for the pair.  The uncoupled
 ground energy is zero by construction, so the coupled ground eigenvalue
 is itself the shift.
+
+The oracle scatters each term into one flat buffer, at positions that
+depend only on the atom count and the photon cutoff and are computed
+once for each.  A system solves each cutoff and pair setting once, so
+the pair energy and the full shift share the solve with the pair on.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,7 +43,6 @@ __all__ = [
     "PerturbativeShift",
     "dipole_dipole_energy",
     "perturbative_shift",
-    "multilevel_self_shift",
     "exact_ground_energy",
     "interaction_extract",
 ]
@@ -46,6 +52,10 @@ __all__ = [
 _HIGH_FREQUENCY_RATIO = 10.0
 
 _MAX_ATOMS_EXACT = 4
+# the convergence check also solves at cutoff + 4; at 4 atoms and the
+# largest cutoff that dense matrix is 1680 x 1680
+_MIN_PHOTON_CUTOFF = 4
+_MAX_PHOTON_CUTOFF = 100
 _DEFAULT_PHOTON_CUTOFF = 12
 _CONVERGENCE_TOL = 1e-10
 
@@ -116,7 +126,9 @@ class CavitySystem:
     """Atoms, their positions, and the mode they share.
 
     Positions are 3-vectors in bohr; coincident atoms are rejected.  The
-    amplitude list of the mode must match the atom count.
+    amplitude list of the mode must match the atom count.  A system keeps
+    the ground energy of each photon cutoff and pair setting it has
+    solved.
     """
 
     def __init__(self, atoms: Sequence[TwoStateAtom],
@@ -136,6 +148,7 @@ class CavitySystem:
         self._atoms = atoms
         self._positions = pos
         self._mode = mode
+        self._grounds: dict[tuple[int, bool], float] = {}
 
     @property
     def atoms(self) -> tuple[TwoStateAtom, ...]:
@@ -238,60 +251,68 @@ def perturbative_shift(system: CavitySystem,
     return PerturbativeShift(selves[0], selves[1], interaction)
 
 
-def multilevel_self_shift(transitions: Sequence[tuple[float, float]],
-                          amplitude: float, omega: float) -> float:
-    """Self shift -A^2 sum_s |(d.e)_s|^2 omega/(omega + omega_s).
+class _Layout(NamedTuple):
+    """Index and value vectors placing each term in a flat dim x dim buffer.
 
-    ``transitions`` pairs each transition frequency with the squared
-    projection of its dipole matrix element on the mode polarization.
+    Basis state s = config * (n_max + 1) + photons, atom 0 the most
+    significant bit of config.  Every array is read-only.
     """
-    if omega <= 0:
-        raise ValueError("mode frequency must be positive")
-    total = 0.0
-    for omega_sg, projected_d2 in transitions:
-        if omega_sg <= 0:
-            raise ValueError("transition frequencies must be positive")
-        if projected_d2 < 0:
-            raise ValueError("squared projections must be nonnegative")
-        total += projected_d2 * omega / (omega + omega_sg)
-    return -amplitude**2 * total
+
+    photons: np.ndarray   # (dim,) photon number of each state
+    excited: np.ndarray   # (N, dim) 1.0 where atom n is excited
+    coupling: np.ndarray  # (N, M) positions of (sigma_n + sigma_n')(a + a')
+    root: np.ndarray      # (M,) sqrt(k + 1) at each of those positions
+    pairs: np.ndarray     # (N(N-1)/2, dim) positions of each pair term
+
+
+@lru_cache(maxsize=8)
+def _layout(n_atoms: int, n_max: int) -> _Layout:
+    dim_field = n_max + 1
+    dim = 2**n_atoms * dim_field
+    config, photons = np.divmod(np.arange(dim), dim_field)
+    bits = [1 << (n_atoms - 1 - n) for n in range(n_atoms)]
+    # each state that can take one more photon, and its partner with one
+    # more photon and atom n flipped; both orders of the pair are stored
+    lower = np.flatnonzero(photons < n_max)
+    root = np.sqrt(photons[lower] + 1.0)
+    coupling = []
+    for bit in bits:
+        upper = (config[lower] ^ bit) * dim_field + photons[lower] + 1
+        coupling.append(np.concatenate([lower * dim + upper,
+                                        upper * dim + lower]))
+    pairs = [np.arange(dim) * dim
+             + (config ^ bits[n] ^ bits[m]) * dim_field + photons
+             for n, m in itertools.combinations(range(n_atoms), 2)]
+    layout = _Layout(
+        photons=photons.astype(float),
+        excited=np.array([(config & bit) != 0 for bit in bits], dtype=float),
+        coupling=np.array(coupling),
+        root=np.concatenate([root, root]),
+        pairs=np.array(pairs, dtype=np.intp).reshape(-1, dim))
+    for array in layout:
+        array.setflags(write=False)
+    return layout
 
 
 def _hamiltonian(system: CavitySystem, n_max: int,
                  include_pair: bool) -> np.ndarray:
-    n_atoms = system.n_atoms
-    dim_field = n_max + 1
-    dim = 2**n_atoms * dim_field
-
-    lower = np.zeros((dim_field, dim_field))
-    for k in range(n_max):
-        lower[k, k + 1] = math.sqrt(k + 1.0)
-    quadrature_op = lower + lower.T
-    number_op = np.diag(np.arange(dim_field, dtype=float))
-
-    excite = np.diag([0.0, 1.0])
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    eye2 = np.eye(2)
-
-    def atom_op(op: np.ndarray, n: int) -> np.ndarray:
-        out = np.eye(1)
-        for k in range(n_atoms):
-            out = np.kron(out, op if k == n else eye2)
-        return out
-
-    eye_atoms = np.eye(2**n_atoms)
-    h = np.kron(eye_atoms, system.mode.omega * number_op)
-    for n in range(n_atoms):
-        h += np.kron(system.atoms[n].omega * atom_op(excite, n),
-                     np.eye(dim_field))
-        h += np.kron(system.coupling(n) * atom_op(flip, n), quadrature_op)
+    # terms sit on disjoint entries apart from the diagonal, which sums
+    # the mode and then each atom in turn; adding into zeros keeps zero
+    # entries +0.0 whatever the sign of a coefficient
+    layout = _layout(system.n_atoms, n_max)
+    dim = layout.photons.size
+    diagonal = system.mode.omega * layout.photons
+    for atom, excited in zip(system.atoms, layout.excited):
+        diagonal = diagonal + atom.omega * excited
+    h = np.zeros(dim * dim)
+    h[::dim + 1] = diagonal
+    for n, index in enumerate(layout.coupling):
+        h[index] += system.coupling(n) * layout.root
     if include_pair:
-        for n in range(n_atoms):
-            for m in range(n + 1, n_atoms):
-                pair = atom_op(flip, n) @ atom_op(flip, m)
-                h += np.kron(system.pair_coefficient(n, m) * pair,
-                             np.eye(dim_field))
-    return h
+        pairs = itertools.combinations(range(system.n_atoms), 2)
+        for (n, m), index in zip(pairs, layout.pairs):
+            h[index] += system.pair_coefficient(n, m)
+    return h.reshape(dim, dim)
 
 
 def _ground_energy(system: CavitySystem, n_max: int,
@@ -299,17 +320,24 @@ def _ground_energy(system: CavitySystem, n_max: int,
     if system.n_atoms > _MAX_ATOMS_EXACT:
         raise ValueError(
             f"exact oracle limited to {_MAX_ATOMS_EXACT} atoms")
-    if n_max < 4:
-        raise ValueError("photon cutoff must be at least 4")
-    coarse = float(np.linalg.eigvalsh(
-        _hamiltonian(system, n_max, include_pair))[0])
-    fine = float(np.linalg.eigvalsh(
-        _hamiltonian(system, n_max + 4, include_pair))[0])
-    if abs(fine - coarse) >= _CONVERGENCE_TOL:
-        raise RuntimeError(
-            f"ground energy not converged in photon number: cutoff {n_max} "
-            f"vs {n_max + 4} differ by {abs(fine - coarse):.3e}")
-    return fine
+    if n_max < _MIN_PHOTON_CUTOFF:
+        raise ValueError(
+            f"photon cutoff must be at least {_MIN_PHOTON_CUTOFF}")
+    if n_max > _MAX_PHOTON_CUTOFF:
+        raise ValueError(
+            f"photon cutoff must be at most {_MAX_PHOTON_CUTOFF}")
+    key = (n_max, include_pair)
+    if key not in system._grounds:
+        coarse = float(np.linalg.eigvalsh(
+            _hamiltonian(system, n_max, include_pair))[0])
+        fine = float(np.linalg.eigvalsh(
+            _hamiltonian(system, n_max + 4, include_pair))[0])
+        if abs(fine - coarse) >= _CONVERGENCE_TOL:
+            raise RuntimeError(
+                f"ground energy not converged in photon number: cutoff "
+                f"{n_max} vs {n_max + 4} differ by {abs(fine - coarse):.3e}")
+        system._grounds[key] = fine
+    return system._grounds[key]
 
 
 def exact_ground_energy(system: CavitySystem,

@@ -20,9 +20,11 @@ The config is a single JSON object.  Top-level keys:
   medium       optional {"number_density", "host": <model>} (lamb);
                density in inverse cubic length units
   mode         {"omega", "polarization", "amplitudes"} (cavity)
-  photon_cutoff optional photon-number cutoff for the cavity oracle
+  photon_cutoff optional photon-number cutoff for the cavity oracle,
+               an integer from 4 to 100 (default 12)
   nonretarded  optional bool (manybody)
-  sweep        {"parameter": <dotted path>, "values": [...]}, scan only
+  sweep        {"parameter": <dotted path>, "values": [...]}, scan only;
+               the points run one after another
   subtask      the task a scan wraps, scan only
 
 Polarizable-atom model objects: {"model": "single_resonance",
@@ -46,16 +48,16 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .cavity import (
+    _MAX_PHOTON_CUTOFF,
+    _MIN_PHOTON_CUTOFF,
     CavityMode,
     CavitySystem,
     TwoStateAtom,
@@ -372,6 +374,10 @@ def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
                       tuple(_number(a, "mode.amplitudes") for a in amplitudes))
     system = CavitySystem(parsed, positions, mode)
     n_max = _integer(cfg.get("photon_cutoff", 12), "photon_cutoff")
+    if not _MIN_PHOTON_CUTOFF <= n_max <= _MAX_PHOTON_CUTOFF:
+        raise ConfigError(
+            f"photon_cutoff must be from {_MIN_PHOTON_CUTOFF} to "
+            f"{_MAX_PHOTON_CUTOFF}, got {n_max}")
     shift = perturbative_shift(system)
     extracted = interaction_extract(system, n_max)
     exact = exact_ground_energy(system, n_max)
@@ -410,20 +416,6 @@ def _set_path(cfg: dict, path: str, value: float) -> None:
     node[key] = value
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("FLUCT_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"FLUCT_THREADS must be an integer, got {raw!r}") \
-            from None
-    if count < 1:
-        raise ConfigError("FLUCT_THREADS must be at least 1")
-    return count
-
-
 def _fit_slope(xs: list[float], ys: list[float]) -> float:
     points = [(x, abs(y)) for x, y in zip(xs, ys)
               if x > 0 and y != 0 and math.isfinite(y)]
@@ -459,19 +451,11 @@ def _run_scan(cfg: dict,
     _check_keys(base, subtask)
     runner = _RUNNERS[subtask]
 
-    def point(value: float) -> tuple[list[str], list[float]]:
+    results = []
+    for value in values:
         local = copy.deepcopy(base)
         _set_path(local, parameter, value)
-        return runner(local)
-
-    # probe the path on the first value before spinning up workers
-    _set_path(copy.deepcopy(base), parameter, values[0])
-    workers = min(_worker_count(), len(values))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, values))
-    else:
-        results = [point(v) for v in values]
+        results.append(runner(local))
 
     columns = [parameter] + results[0][0]
     rows = []

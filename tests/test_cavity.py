@@ -1,7 +1,9 @@
 """Cavity-coupled atoms: closed perturbative shift against the dense
 diagonalization oracle, node and parity properties, inverse-cube scaling
-of the mode-mediated pair term."""
+of the mode-mediated pair term, and the scattered Hamiltonian against a
+Kronecker-product build."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,10 +16,10 @@ from fluctem.cavity import (
     dipole_dipole_energy,
     exact_ground_energy,
     interaction_extract,
-    multilevel_self_shift,
     perturbative_shift,
 )
-from fluctem.cavity import _hamiltonian
+from fluctem.cavity import _hamiltonian, _layout
+from fluctem.cli import _run_cavity
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
@@ -138,25 +140,6 @@ def test_perturbative_needs_two_atoms():
         perturbative_shift(triple)
 
 
-def test_multilevel_matches_two_state_self_term():
-    system = make_system()
-    shift = perturbative_shift(system)
-    single = multilevel_self_shift([(0.9, 0.1**2)], amplitude=0.03,
-                                   omega=20.0)
-    assert single == pytest.approx(shift.self_1, rel=1e-15)
-
-
-def test_multilevel_high_frequency_saturation_and_linearity():
-    shift = multilevel_self_shift([(1.0, 0.04)], amplitude=0.5, omega=1e8)
-    assert shift == pytest.approx(-0.25 * 0.04, rel=1e-7)
-    split = multilevel_self_shift([(1.0, 0.02), (1.0, 0.02)],
-                                  amplitude=0.5, omega=30.0)
-    merged = multilevel_self_shift([(1.0, 0.04)], amplitude=0.5, omega=30.0)
-    assert split == pytest.approx(merged, rel=1e-15)
-    with pytest.raises(ValueError):
-        multilevel_self_shift([(0.0, 0.1)], amplitude=0.5, omega=30.0)
-
-
 def test_exact_zero_coupling_is_exactly_zero():
     system = make_system(a1=0.0, a2=0.0, d1=(0, 0, 0), d2=(0, 0, 0))
     assert exact_ground_energy(system) == 0.0
@@ -229,6 +212,8 @@ def test_exact_cutoff_validation_and_atom_limit():
     system = make_system()
     with pytest.raises(ValueError, match="at least 4"):
         exact_ground_energy(system, n_max=3)
+    with pytest.raises(ValueError, match="at most 100"):
+        exact_ground_energy(system, n_max=10**9)
     atom = TwoStateAtom(1.0, (0.05, 0, 0))
     mode = CavityMode(20.0, X, tuple([0.02] * 5))
     positions = tuple((0.0, 0.0, 4.0 * k) for k in range(5))
@@ -295,3 +280,108 @@ def test_interaction_extract_needs_two_atoms():
     triple = CavitySystem((atom, atom, atom), positions, mode)
     with pytest.raises(ValueError, match="two atoms"):
         interaction_extract(triple)
+
+
+def kron_hamiltonian(system, n_max, include_pair):
+    # every operator built as a Kronecker product on {g, e}^N x Fock(n_max)
+    n_atoms = system.n_atoms
+    dim_field = n_max + 1
+    lower = np.zeros((dim_field, dim_field))
+    for k in range(n_max):
+        lower[k, k + 1] = math.sqrt(k + 1.0)
+    quadrature_op = lower + lower.T
+    number_op = np.diag(np.arange(dim_field, dtype=float))
+    excite = np.diag([0.0, 1.0])
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    def atom_op(op, n):
+        out = np.eye(1)
+        for k in range(n_atoms):
+            out = np.kron(out, op if k == n else np.eye(2))
+        return out
+
+    h = np.kron(np.eye(2**n_atoms), system.mode.omega * number_op)
+    for n in range(n_atoms):
+        h += np.kron(system.atoms[n].omega * atom_op(excite, n),
+                     np.eye(dim_field))
+        h += np.kron(system.coupling(n) * atom_op(flip, n), quadrature_op)
+    if include_pair:
+        for n, m in itertools.combinations(range(n_atoms), 2):
+            pair = atom_op(flip, n) @ atom_op(flip, m)
+            h += np.kron(system.pair_coefficient(n, m) * pair,
+                         np.eye(dim_field))
+    return h
+
+
+def random_system(n_atoms, seed):
+    rng = np.random.default_rng(seed)
+    atoms = [TwoStateAtom(float(rng.uniform(0.5, 2.0)),
+                          0.2 * rng.standard_normal(3))
+             for _ in range(n_atoms)]
+    polarization = rng.standard_normal(3)
+    polarization /= np.linalg.norm(polarization)
+    amplitudes = rng.uniform(-0.1, 0.1, n_atoms)
+    # a node: the coupling of atom 0 is a signed zero
+    amplitudes[0] = 0.0
+    mode = CavityMode(float(rng.uniform(5.0, 30.0)), polarization,
+                      amplitudes)
+    positions = [(0.3 * k, 0.0, 4.0 * k) for k in range(n_atoms)]
+    return CavitySystem(atoms, positions, mode)
+
+
+@pytest.mark.parametrize("system", [
+    *(random_system(n_atoms, seed=n_atoms) for n_atoms in (1, 2, 3, 4)),
+    # orthogonal transverse dipoles: the pair coefficient is a signed zero
+    make_system(d1=(0.1, 0, 0), d2=(0, 0.1, 0)),
+], ids=["N1", "N2", "N3", "N4", "zero-pair"])
+def test_hamiltonian_equals_kron_build(system):
+    for n_max in (4, 12, 16):
+        for include_pair in (False, True):
+            h = _hamiltonian(system, n_max, include_pair)
+            reference = kron_hamiltonian(system, n_max, include_pair)
+            assert np.array_equal(h, reference)
+            assert np.array_equal(np.signbit(h), np.signbit(reference))
+
+
+def test_layout_arrays_are_read_only():
+    layout = _layout(3, 12)
+    assert layout is _layout(3, 12)
+    for array in layout:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flat[0] = 1
+
+
+def test_cavity_point_makes_four_eigensolves(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    _run_cavity({
+        "task": "cavity",
+        "atoms": [{"omega": 0.9, "dipole": [0.1, 0, 0]},
+                  {"omega": 1.1, "dipole": [0.1, 0, 0]}],
+        "mode": {"omega": 20.0, "polarization": [1, 0, 0],
+                 "amplitudes": [0.03, 0.04]},
+        "separation": 8.0,
+    })
+    # cutoff 12 and 16, each with and without the pair coupling
+    assert sorted(calls) == [(52, 52), (52, 52), (68, 68), (68, 68)]
+
+
+def test_shared_ground_solve_is_order_independent():
+    first = make_system(r=8.0)
+    exact_first = exact_ground_energy(first)
+    extract_second = interaction_extract(first)
+    second = make_system(r=8.0)
+    extract_first = interaction_extract(second)
+    exact_second = exact_ground_energy(second)
+    assert exact_first.hex() == exact_second.hex()
+    assert extract_first.hex() == extract_second.hex()
+    fine = float(np.linalg.eigvalsh(_hamiltonian(make_system(r=8.0), 16,
+                                                 True))[0])
+    assert exact_first.hex() == fine.hex()

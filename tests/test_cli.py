@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,32 @@ def test_integer_keys_reject_fractions(tmp_path, capsys):
     assert run(path, str(tmp_path / "b.csv")) == 0
 
 
+def test_photon_cutoff_below_four_is_named(tmp_path, capsys):
+    for cutoff in (3, -2):
+        path = write_config(tmp_path, cavity_config(photon_cutoff=cutoff))
+        assert run(path, str(tmp_path / "a.csv")) == 1
+        err = capsys.readouterr().err
+        assert "error: config:" in err and "photon_cutoff" in err
+
+
+def test_huge_photon_cutoff_is_named_before_any_build(tmp_path, capsys,
+                                                       monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Hamiltonian was built")
+
+    monkeypatch.setattr("fluctem.cavity._hamiltonian", refuse)
+    path = write_config(tmp_path, cavity_config(photon_cutoff=10**9))
+    tracemalloc.start()
+    try:
+        assert run(path, str(tmp_path / "a.csv")) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert "error: config:" in err and "photon_cutoff" in err
+    assert peak < 1 << 20
+
+
 def test_scan_london_slope(tmp_path):
     cfg = {"task": "scan", "subtask": "pairwise",
            "atoms": [dict(ATOM), dict(ATOM)], "separation": 1.0,
@@ -277,29 +304,6 @@ def test_shipped_examples_all_run(tmp_path):
     for name in ("pairwise.json", "manybody.json", "cavity.json"):
         out = tmp_path / (name + ".csv")
         assert run(str(CONFIG_DIR / name), str(out)) == 0, name
-
-
-def test_scan_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, {
-        "task": "scan", "subtask": "pairwise",
-        "atoms": [dict(ATOM), dict(ATOM)], "separation": 1.0,
-        "sweep": {"parameter": "separation", "values": [2.0, 3.0, 4.0]}})
-    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    monkeypatch.setenv("FLUCT_THREADS", "1")
-    assert run(cfg, str(serial)) == 0
-    monkeypatch.setenv("FLUCT_THREADS", "3")
-    assert run(cfg, str(parallel)) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
-def test_bad_thread_env_is_an_error(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path, {
-        "task": "scan", "subtask": "pairwise",
-        "atoms": [dict(ATOM), dict(ATOM)], "separation": 1.0,
-        "sweep": {"parameter": "separation", "values": [2.0, 3.0]}})
-    monkeypatch.setenv("FLUCT_THREADS", "many")
-    assert run(cfg) == 1
-    assert "FLUCT_THREADS" in capsys.readouterr().err
 
 
 def test_sweep_rejects_non_numeric_target(tmp_path, capsys):
