@@ -69,8 +69,8 @@ class TwoStateAtom:
     """
 
     def __init__(self, omega: float, dipole: Sequence[float]):
-        if omega <= 0:
-            raise ValueError("transition frequency must be positive")
+        if not 0 < omega < math.inf:
+            raise ValueError("transition frequency must be positive and finite")
         d = np.asarray(dipole, dtype=float)
         if d.shape != (3,):
             raise ValueError("dipole must be a 3-vector")
@@ -97,12 +97,12 @@ class CavityMode:
 
     def __init__(self, omega: float, polarization: Sequence[float],
                  amplitudes: Sequence[float]):
-        if omega <= 0:
-            raise ValueError("mode frequency must be positive")
+        if not 0 < omega < math.inf:
+            raise ValueError("mode frequency must be positive and finite")
         e = np.asarray(polarization, dtype=float)
         if e.shape != (3,):
             raise ValueError("polarization must be a 3-vector")
-        if abs(math.sqrt(float(e @ e)) - 1.0) > 1e-12:
+        if not abs(math.sqrt(float(e @ e)) - 1.0) <= 1e-12:
             raise ValueError("polarization must be a unit vector")
         e.setflags(write=False)
         self._omega = float(omega)

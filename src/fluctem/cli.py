@@ -15,7 +15,9 @@ The config is a single JSON object.  Top-level keys:
                on the z axis)
   temperature  optional scalar (manybody -> thermal sum, lamb -> thermal
                shift)
-  quadrature   optional {"method", "rel_tol", "abs_tol", "max_evals"}
+  quadrature   optional {"rel_tol", "abs_tol", "max_evals"}; on a
+               manybody task with a temperature only rel_tol reaches the
+               thermal sum, and all three reach the second-order integral
   cutoff       optional frequency cutoff (lamb)
   medium       optional {"number_density", "host": <model>} (lamb);
                density in inverse cubic length units
@@ -222,12 +224,10 @@ def _quad_spec(cfg: dict) -> QuadratureSpec | None:
         return None
     if not isinstance(obj, dict):
         raise ConfigError("quadrature must be an object")
-    unknown = set(obj) - {"method", "rel_tol", "abs_tol", "max_evals"}
+    unknown = set(obj) - {"rel_tol", "abs_tol", "max_evals"}
     if unknown:
         raise ConfigError(f"unknown quadrature keys: {sorted(unknown)}")
     kwargs = {}
-    if "method" in obj:
-        kwargs["method"] = obj["method"]
     for key in ("rel_tol", "abs_tol"):
         if key in obj:
             kwargs[key] = _number(obj[key], f"quadrature.{key}")
@@ -363,14 +363,28 @@ def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
                   for v in _vector(atom.get("position"),
                                    f"atoms[{k}].position"))
             for k, atom in enumerate(atoms))
+    delta = np.asarray(positions[1], dtype=float) \
+        - np.asarray(positions[0], dtype=float)
+    r = math.sqrt(float(delta @ delta))
+    if r == 0.0:
+        raise ConfigError("atoms[0] and atoms[1] coincide")
     spec = cfg.get("mode")
     if not isinstance(spec, dict):
         raise ConfigError("cavity needs a mode object")
+    omega = _positive(units.energy(spec.get("omega"), "mode.omega"),
+                      "mode.omega")
+    polarization = np.array(
+        _vector(spec.get("polarization"), "mode.polarization"))
+    # CavityMode's own norm check, so that the two agree to the last bit
+    if not abs(math.sqrt(float(polarization @ polarization)) - 1.0) <= 1e-12:
+        raise ConfigError("mode.polarization must be a unit vector")
     amplitudes = spec.get("amplitudes")
     if not isinstance(amplitudes, list):
         raise ConfigError("mode.amplitudes must be a list")
-    mode = CavityMode(units.energy(spec.get("omega"), "mode.omega"),
-                      _vector(spec.get("polarization"), "mode.polarization"),
+    if len(amplitudes) != len(atoms):
+        raise ConfigError(f"mode.amplitudes needs one entry per atom "
+                          f"({len(atoms)}), got {len(amplitudes)}")
+    mode = CavityMode(omega, polarization,
                       tuple(_number(a, "mode.amplitudes") for a in amplitudes))
     system = CavitySystem(parsed, positions, mode)
     n_max = _integer(cfg.get("photon_cutoff", 12), "photon_cutoff")
@@ -381,9 +395,6 @@ def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
     shift = perturbative_shift(system)
     extracted = interaction_extract(system, n_max)
     exact = exact_ground_energy(system, n_max)
-    delta = np.asarray(positions[1], dtype=float) \
-        - np.asarray(positions[0], dtype=float)
-    r = math.sqrt(float(delta @ delta))
     return (["r", "self_1", "self_2", "interaction", "extracted",
              "exact_total"],
             [r, shift.self_1, shift.self_2, shift.interaction, extracted,

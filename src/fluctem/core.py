@@ -15,9 +15,6 @@ import numpy as np
 
 __all__ = [
     "SPEED_OF_LIGHT",
-    "HBAR",
-    "ELECTRON_MASS",
-    "BOLTZMANN",
     "HARTREE_EV",
     "HARTREE_JOULE",
     "BOHR_NM",
@@ -25,15 +22,11 @@ __all__ = [
     "EnergyResult",
     "convert",
     "vec3",
-    "unit_vector",
     "separation",
 ]
 
 # CODATA 2018. c is the inverse fine-structure constant in atomic units.
 SPEED_OF_LIGHT = 137.035999084
-HBAR = 1.0
-ELECTRON_MASS = 1.0
-BOLTZMANN = 1.0
 
 HARTREE_EV = 27.211386245988
 HARTREE_JOULE = 4.3597447222071e-18
@@ -106,15 +99,6 @@ class EnergyResult:
 def vec3(x: float, y: float, z: float) -> np.ndarray:
     """Build a 3-vector (float ndarray of shape (3,))."""
     return np.array([x, y, z], dtype=float)
-
-
-def unit_vector(v: np.ndarray) -> np.ndarray:
-    """Return v/|v|, rejecting zero-length input."""
-    v = np.asarray(v, dtype=float)
-    norm = math.sqrt(float(v @ v))
-    if norm == 0.0:
-        raise ValueError("zero vector has no direction")
-    return v / norm
 
 
 def separation(rn: np.ndarray, rm: np.ndarray) -> tuple[float, np.ndarray]:

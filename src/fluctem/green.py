@@ -33,7 +33,6 @@ __all__ = [
     "static_green",
     "imag_axis_green",
     "pair_projectors",
-    "im_coincidence",
 ]
 
 _IDENTITY = np.eye(3)
@@ -139,17 +138,3 @@ def dyadic_green_imag(rn: np.ndarray, rm: np.ndarray, xi: float) -> np.ndarray:
 def static_green(rn: np.ndarray, rm: np.ndarray) -> np.ndarray:
     """Zero-frequency (longitudinal) limit (3 p - I)/r^3 in vacuum."""
     return _single_pair(rn, rm, 0.0)
-
-
-def im_coincidence(omega: float, n_index: float = 1.0) -> float:
-    """Imaginary part of the Green tensor at coincident points.
-
-    Returns the full scalar coefficient 2 n omega^3 / c^3, the finite trace
-    of Im G as both points merge; each diagonal Cartesian component carries
-    one third of it.  The divergent real part is never computed.
-    """
-    if omega <= 0:
-        raise ValueError("frequency must be positive")
-    if n_index < 1.0:
-        raise ValueError("refractive index must be >= 1")
-    return 2.0 * n_index * omega**3 / SPEED_OF_LIGHT**3

@@ -22,7 +22,6 @@ from .quadrature import QuadratureSpec, integrate_interval, integrate_pv
 
 __all__ = [
     "CutoffSpec",
-    "Vacuum",
     "DiluteMedium",
     "bethe_shift",
     "bethe_shift_quadrature",
@@ -43,24 +42,20 @@ class CutoffSpec:
 
 
 @dataclass(frozen=True)
-class Vacuum:
-    """Trivial host: refractive index exactly 1."""
-
-
-@dataclass(frozen=True)
 class DiluteMedium:
     """Dilute host medium with n(omega) = 1 + 2 pi N alpha_host(omega).
 
     Validity requires |n - 1| < 0.1; the bound is checked at zero frequency,
-    where the off-resonant response is largest.
+    where the off-resonant response is largest.  A zero density is the
+    vacuum.
     """
 
     number_density: float
     host: KramersHeisenberg
 
     def __post_init__(self) -> None:
-        if self.number_density < 0:
-            raise ValueError("number density cannot be negative")
+        if not 0 <= self.number_density < math.inf:
+            raise ValueError("number density must be finite and nonnegative")
         static = 2.0 * math.pi * self.number_density \
             * self.host.static_polarizability()
         if static >= 0.1:
@@ -119,7 +114,7 @@ def bethe_shift_quadrature(model: KramersHeisenberg,
 
 
 def dielectric_shift_difference(model: KramersHeisenberg,
-                                medium: Vacuum | DiluteMedium,
+                                medium: DiluteMedium,
                                 quad: QuadratureSpec | None = None
                                 ) -> EnergyResult:
     """Shift of the subtracted level shift caused by a dilute host medium.
@@ -129,7 +124,7 @@ def dielectric_shift_difference(model: KramersHeisenberg,
     falloff of n - 1 makes the integral cutoff-free.
     """
     quad = quad or QuadratureSpec()
-    if isinstance(medium, Vacuum) or medium.number_density == 0.0 \
+    if medium.number_density == 0.0 \
             or not model.transitions or not medium.host.transitions:
         return EnergyResult(0.0, 0.0, 0)
     values, errors, evals = [], [], 0

@@ -53,7 +53,7 @@ from .green import (
     static_green,
 )
 from .pairwise import PairSpec, PairValidity, validity_check
-from .polarizability import KramersHeisenberg, PolarizabilityModel
+from .polarizability import KramersHeisenberg
 from .quadrature import (
     MatsubaraSpec,
     QuadratureSpec,
@@ -65,7 +65,6 @@ __all__ = [
     "StrongCouplingError",
     "SystemGeometry",
     "build_T",
-    "dressed_susceptibility",
     "free_energy_T0",
     "free_energy_finiteT",
     "second_order_energy",
@@ -90,7 +89,7 @@ class SystemGeometry:
     """
 
     def __init__(self, sites: Sequence[tuple[Sequence[float],
-                                             PolarizabilityModel]]):
+                                             KramersHeisenberg]]):
         positions = []
         models = []
         for position, model in sites:
@@ -103,21 +102,20 @@ class SystemGeometry:
         self._positions.setflags(write=False)
         self._models = tuple(models)
         # alpha is evaluated once per distinct model and scattered to sites
-        index: dict[PolarizabilityModel, int] = {}
+        index: dict[KramersHeisenberg, int] = {}
         self._site_model = np.array(
             [index.setdefault(m, len(index)) for m in self._models],
             dtype=int)
         self._distinct_models = tuple(index)
-        # Kramers-Heisenberg sums of one or two transitions are evaluated on
-        # whole frequency arrays from their (omega_s d2_s, omega_s^2) pairs:
-        # one addition is the correctly rounded sum math.fsum returns, so
-        # the values equal alpha_imag bit for bit.  Other models (None here)
-        # are evaluated frequency by frequency.
+        # sums of one or two transitions are evaluated on whole frequency
+        # arrays from their (omega_s d2_s, omega_s^2) pairs: one addition is
+        # the correctly rounded sum math.fsum returns, so the values equal
+        # alpha_imag bit for bit.  Models with no transitions or more than
+        # two (None here) are evaluated frequency by frequency.
         self._alpha_terms = tuple(
             tuple((t.omega_sg * t.d2, t.omega_sg * t.omega_sg)
                   for t in m.transitions)
-            if isinstance(m, KramersHeisenberg)
-            and 0 < len(m.transitions) <= 2 else None
+            if 0 < len(m.transitions) <= 2 else None
             for m in self._distinct_models)
         self._pair_i, self._pair_j = np.triu_indices(self.n_sites, k=1)
         delta = self._positions[self._pair_i] - self._positions[self._pair_j]
@@ -147,7 +145,7 @@ class SystemGeometry:
         return self._positions
 
     @property
-    def models(self) -> tuple[PolarizabilityModel, ...]:
+    def models(self) -> tuple[KramersHeisenberg, ...]:
         return self._models
 
     @property
@@ -166,8 +164,7 @@ class SystemGeometry:
     def lowest_transition(self) -> float:
         """Smallest transition frequency present, or 1.0 if none."""
         lows = [min(t.omega_sg for t in m.transitions)
-                for m in self._models
-                if isinstance(m, KramersHeisenberg) and m.transitions]
+                for m in self._models if m.transitions]
         return min(lows) if lows else 1.0
 
     def min_separation(self) -> float:
@@ -251,24 +248,6 @@ def _log1p_sums(xi, mu: np.ndarray):
     if mu.ndim == 1:
         return math.fsum(logs)
     return np.array([math.fsum(row) for row in logs])
-
-
-def dressed_susceptibility(geom: SystemGeometry, xi: float) -> np.ndarray:
-    """Interaction-dressed susceptibility M = A [1 + A T]^{-1}.
-
-    Self-interaction stays excluded: T has zero diagonal blocks, so M
-    reduces to A itself for a single atom.  log det[M] - log det[A] equals
-    -log det[1 + A T] whenever A is invertible.
-    """
-    t = build_T(geom, xi)
-    alphas = geom.alpha_values(xi)
-    a = np.diag(np.repeat(alphas, 3))
-    system = np.eye(3 * geom.n_sites) + a @ t
-    eigs = np.linalg.eigvals(system)
-    if np.min(eigs.real) <= 0.0:
-        raise StrongCouplingError(
-            f"unbounded-spectrum: 1 + A T is singular or negative at xi={xi!r}")
-    return a @ np.linalg.inv(system)
 
 
 def _decay_scale(geom: SystemGeometry, nonretarded: bool) -> float:
@@ -376,8 +355,7 @@ def second_order_energy(geom: SystemGeometry,
 def _identical_single_resonance(geom: SystemGeometry) -> tuple[float, float]:
     first = geom.models[0]
     for model in geom.models:
-        if not isinstance(model, KramersHeisenberg) \
-                or len(model.transitions) != 1 \
+        if len(model.transitions) != 1 \
                 or model.transitions != first.transitions:
             raise ValueError(
                 "normal-mode route needs identical single-resonance models")

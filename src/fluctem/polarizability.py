@@ -1,11 +1,12 @@
-"""Ground-state atomic polarizability models.
+"""Ground-state atomic polarizability: the Kramers-Heisenberg sum.
 
-All models expose one analytic function through three views: the positive
-imaginary axis (``alpha_imag``, real and positive), the real axis with an
-explicit regulator (``alpha_real``), and the full complex plane off the
-poles (``alpha_complex``).  The imaginary-axis view is the workhorse for
-dispersion-energy integrals; the real-axis view feeds emission and level
-shift calculations.
+The model sums over the upward transitions of a ground-state atom and
+exposes one analytic function through three views: the positive imaginary
+axis (``alpha_imag``, real and positive), the real axis with an explicit
+regulator (``alpha_real``), and the full complex plane off the poles
+(``alpha_complex``).  Every energy in the package integrates or sums the
+imaginary-axis view; the other two are the independent route that checks
+it.
 
 Frequencies and dipole strengths are in Hartree atomic units; returned
 polarizabilities are volumes in atomic units.
@@ -15,13 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 __all__ = [
     "Transition",
-    "PolarizabilityModel",
     "KramersHeisenberg",
-    "FreeElectron",
     "single_resonance",
 ]
 
@@ -34,22 +32,12 @@ class Transition:
     d2: float
 
     def __post_init__(self) -> None:
-        if not self.omega_sg > 0:
+        if not 0 < self.omega_sg < math.inf:
+            raise ValueError("transition frequency must be positive and "
+                             "finite for a ground-state atom")
+        if not 0 <= self.d2 < math.inf:
             raise ValueError(
-                "transition frequency must be positive for a ground-state atom")
-        if self.d2 < 0:
-            raise ValueError("squared dipole matrix element cannot be negative")
-
-
-@runtime_checkable
-class PolarizabilityModel(Protocol):
-    """Interface shared by all polarizability models."""
-
-    def alpha_imag(self, xi: float) -> float: ...
-
-    def alpha_real(self, omega: float, eta: float) -> complex: ...
-
-    def alpha_complex(self, z: complex) -> complex: ...
+                "squared dipole matrix element must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -100,27 +88,6 @@ class KramersHeisenberg:
 
     def static_polarizability(self) -> float:
         return self.alpha_imag(0.0)
-
-
-@dataclass(frozen=True)
-class FreeElectron:
-    """Unbound-electron limit: alpha(z) = -1/z^2 in atomic units."""
-
-    def alpha_complex(self, z: complex) -> complex:
-        z = complex(z)
-        if z == 0:
-            raise ValueError("free electron response diverges at zero frequency")
-        return -1.0 / (z * z)
-
-    def alpha_imag(self, xi: float) -> float:
-        if xi <= 0:
-            raise ValueError("free electron response diverges at zero frequency")
-        return 1.0 / (xi * xi)
-
-    def alpha_real(self, omega: float, eta: float) -> complex:
-        if eta <= 0:
-            raise ValueError("regulator eta must be positive")
-        return self.alpha_complex(complex(omega, eta))
 
 
 def single_resonance(alpha_static: float, omega0: float) -> KramersHeisenberg:

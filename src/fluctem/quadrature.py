@@ -1,18 +1,18 @@
 """Quadrature engines for the semi-infinite, principal-value, and
 Matsubara-sum integrals used throughout the package.
 
-Three engines serve ``integrate_semi_infinite``:
+Two engines serve them:
 
-* ``tanh_sinh`` (default): double-exponential nodes on [0, inf) through the
-  substitution x = s*exp(pi*sinh(k*h)), which is the tanh-sinh rule composed
-  with the algebraic map x = s*t/(1-t).  Smooth integrands with exponential
-  or algebraic tails converge at machine precision with a few hundred nodes.
-* ``mapped_gauss``: composite Gauss-Legendre on the mapped variable
-  t = x/(s+x), refined by panel doubling.
-* ``adaptive_subdivision``: globally adaptive bisection with an embedded
-  Gauss-Legendre error estimate, for integrands with interior structure.
+* tanh-sinh on [0, inf) (``integrate_semi_infinite``): double-exponential
+  nodes through the substitution x = s*exp(pi*sinh(k*h)), which is the
+  tanh-sinh rule composed with the algebraic map x = s*t/(1-t).  Smooth
+  integrands with exponential or algebraic tails converge at machine
+  precision with a few hundred nodes.
+* adaptive Gauss-Legendre on finite intervals (``integrate_interval`` and
+  the windows of ``integrate_pv``): globally adaptive bisection with an
+  embedded Gauss-Legendre error estimate.
 
-The error estimate of every engine is the difference of the last two
+The error estimate of both engines is the difference of the last two
 refinement levels inflated by a factor 2 (plus a machine-rounding floor), so
 reported errors stay on the safe side of the truth.
 """
@@ -53,28 +53,26 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Method, tolerances, and budget for one integration task.
+    """Tolerances and budget for one integration task.
 
-    ``decay_scale`` is a frequency hint: the [0, inf) maps place half of
-    their nodes below it.  ``None`` lets the caller of each physics module
+    ``decay_scale`` is a frequency hint: the [0, inf) map places half of
+    its nodes below it.  ``None`` lets the caller of each physics module
     pick a scale from the model (falling back to 1.0).
     """
 
-    method: str = "tanh_sinh"
     rel_tol: float = 1e-9
     abs_tol: float = 1e-14
     max_evals: int = 10**6
     decay_scale: float | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in ("tanh_sinh", "mapped_gauss", "adaptive_subdivision"):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_evals < 100:
             raise ValueError("max_evals must be >= 100")
-        if self.decay_scale is not None and self.decay_scale <= 0:
-            raise ValueError("decay_scale must be positive")
+        if self.decay_scale is not None \
+                and not 0 < self.decay_scale < math.inf:
+            raise ValueError("decay_scale must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -83,15 +81,12 @@ class MatsubaraSpec:
 
     rel_tol: float = 1e-9
     n_max: int = 10**5
-    consecutive_small: int = 3
 
     def __post_init__(self) -> None:
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.consecutive_small < 1:
-            raise ValueError("consecutive_small must be >= 1")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be positive and finite")
 
 
 @lru_cache(maxsize=32)
@@ -218,32 +213,6 @@ def _integrate_adaptive(f: _EvalCounter, lo: float, hi: float,
     return EnergyResult(value, err, f.count)
 
 
-def _integrate_mapped_gauss(f_mapped: _EvalCounter, spec: QuadratureSpec
-                             ) -> EnergyResult:
-    """Composite Gauss-Legendre on [0,1] refined by panel doubling."""
-    xs, ws = _leggauss(16)
-    prev = math.inf
-    value = math.inf
-    panels = 4
-    for _ in range(_MAX_LEVELS):
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        terms = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            terms.extend(w * half * f_mapped(mid + half * x) for x, w in zip(xs, ws))
-        prev, value = value, math.fsum(terms)
-        if not math.isinf(prev):
-            err = max(2.0 * abs(value - prev),
-                      4.0 * _EPS * math.fsum(abs(t) for t in terms))
-            if err <= _tolerance(spec, value):
-                return EnergyResult(value, err, f_mapped.count)
-        panels *= 2
-    raise QuadratureError(
-        f"mapped_gauss failed to reach tolerance within {f_mapped.count} evaluations"
-    )
-
-
 def integrate_semi_infinite(f: Callable[[float], float],
                             spec: QuadratureSpec | None = None) -> EnergyResult:
     """Integrate ``f`` over [0, inf).
@@ -253,21 +222,8 @@ def integrate_semi_infinite(f: Callable[[float], float],
     budget runs out or ``f`` returns NaN.
     """
     spec = spec or QuadratureSpec()
-    scale = spec.decay_scale or 1.0
-    if spec.method == "tanh_sinh":
-        return _integrate_exp_sinh(_EvalCounter(f, spec.max_evals), spec, scale)
-
-    def mapped(t: float) -> float:
-        u = 1.0 - t
-        if u < 1e-100:
-            return 0.0
-        x = scale * t / u
-        return f(x) * scale / (u * u)
-
-    counter = _EvalCounter(mapped, spec.max_evals)
-    if spec.method == "mapped_gauss":
-        return _integrate_mapped_gauss(counter, spec)
-    return _integrate_adaptive(counter, 0.0, 1.0, spec)
+    return _integrate_exp_sinh(_EvalCounter(f, spec.max_evals), spec,
+                               spec.decay_scale or 1.0)
 
 
 def integrate_interval(f: Callable[[float], float], lo: float, hi: float,
@@ -323,9 +279,8 @@ def integrate_pv(f_regular: Callable[[float], float], pole: float,
         return whole(a + delta + x)
 
     tail_scale = spec.decay_scale or a
-    tail_spec = QuadratureSpec(method="tanh_sinh", rel_tol=spec.rel_tol,
-                               abs_tol=spec.abs_tol, max_evals=spec.max_evals,
-                               decay_scale=tail_scale)
+    tail_spec = QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
+                               max_evals=spec.max_evals, decay_scale=tail_scale)
     results.append(integrate_semi_infinite(tail, tail_spec))
 
     value = math.fsum(r.value for r in results) + analytic
@@ -338,6 +293,8 @@ def integrate_pv(f_regular: Callable[[float], float], pole: float,
 # the per-call overhead, few enough that the terms computed past the stop
 # (at most _BLOCK - 1) stay cheap and the stacked arrays stay small
 _BLOCK = 32
+# successive terms under rel_tol that end the sum
+_CONSECUTIVE_SMALL = 3
 
 
 def _matsubara_terms(g: Callable[[np.ndarray], np.ndarray], t_step: float,
@@ -364,8 +321,8 @@ def matsubara_sum(g: Callable[[np.ndarray], np.ndarray], temperature: float,
     ``g`` maps a 1-D array of frequencies to the array of its values, and
     a single frequency to its value.  The sum calls it on blocks of up to
     32 successive xi_n; the tail integrals call it node by node.  Terms
-    are accumulated one by one until ``consecutive_small`` successive
-    terms fall below ``rel_tol`` times the running sum, or ``n_max`` is
+    are accumulated one by one until three successive terms fall below
+    ``rel_tol`` times the running sum, or ``n_max`` is
     reached.  The last block may run up to 31 terms past that stop; those
     are discarded and not counted, so ``evaluations`` (summed terms, tail
     nodes and one trapezoid end point) equals that of a term-by-term
@@ -388,15 +345,15 @@ def matsubara_sum(g: Callable[[np.ndarray], np.ndarray], temperature: float,
         partial += term
         if n and abs(term) < spec.rel_tol * max(abs(partial), 1e-300):
             small_run += 1
-            if small_run >= spec.consecutive_small:
+            if small_run >= _CONSECUTIVE_SMALL:
                 break
         else:
             small_run = 0
 
     xi_mid = (n + 0.5) * t_step
     xi_next = (n + 1.0) * t_step
-    tail_spec = QuadratureSpec(method="tanh_sinh", rel_tol=spec.rel_tol,
-                               abs_tol=1e-300, decay_scale=max(xi_mid, t_step))
+    tail_spec = QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=1e-300,
+                               decay_scale=max(xi_mid, t_step))
     try:
         mid = integrate_semi_infinite(lambda x: float(g(xi_mid + x)),
                                       tail_spec)

@@ -64,10 +64,14 @@ def test_dipole_dipole_validation():
 
 
 def test_type_validation():
-    with pytest.raises(ValueError):
-        TwoStateAtom(0.0, X)
-    with pytest.raises(ValueError):
-        CavityMode(1.0, (0.0, 0.0, 0.5), (0.1,))
+    for omega in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            TwoStateAtom(omega, X)
+        with pytest.raises(ValueError):
+            CavityMode(omega, X, (0.1,))
+    for polarization in ((0.0, 0.0, 0.5), (0.0, 0.0, math.nan)):
+        with pytest.raises(ValueError):
+            CavityMode(1.0, polarization, (0.1,))
     atom = TwoStateAtom(1.0, X)
     mode_short = CavityMode(20.0, X, (0.1,))
     with pytest.raises(ValueError, match="match atom count"):

@@ -4,6 +4,7 @@ and the slope checks on shipped example configs."""
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import fluctem
 from fluctem.cli import run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -225,6 +227,39 @@ def test_nonpositive_temperature_is_named(tmp_path, capsys):
     assert "temperature" in config_error(tmp_path, capsys, cfg)
 
 
+def test_nonpositive_mode_omega_is_named(tmp_path, capsys):
+    cfg = cavity_config()
+    cfg["mode"]["omega"] = 0.0
+    assert "mode.omega" in config_error(tmp_path, capsys, cfg)
+
+
+def test_non_unit_polarization_is_named(tmp_path, capsys):
+    cfg = cavity_config()
+    cfg["mode"]["polarization"] = [1, 1, 0]
+    assert "mode.polarization" in config_error(tmp_path, capsys, cfg)
+
+
+def test_amplitude_count_is_named(tmp_path, capsys):
+    cfg = cavity_config()
+    cfg["mode"]["amplitudes"] = [0.03]
+    assert "mode.amplitudes" in config_error(tmp_path, capsys, cfg)
+
+
+def test_coincident_cavity_atoms_name_both(tmp_path, capsys):
+    cfg = cavity_config()
+    del cfg["separation"]
+    for atom in cfg["atoms"]:
+        atom["position"] = [0.0, 1.0, 2.0]
+    err = config_error(tmp_path, capsys, cfg)
+    assert "atoms[0]" in err and "atoms[1]" in err
+
+
+def test_quadrature_method_is_an_unknown_key(tmp_path, capsys):
+    cfg = pairwise_config()
+    cfg["quadrature"] = {"method": "tanh_sinh"}
+    assert "method" in config_error(tmp_path, capsys, cfg)
+
+
 def test_integer_keys_reject_fractions(tmp_path, capsys):
     path = write_config(tmp_path, cavity_config(photon_cutoff=12.7))
     assert run(path, str(tmp_path / "a.csv")) == 1
@@ -372,10 +407,14 @@ def test_length_units_convert_at_boundary(tmp_path):
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path, pairwise_config())
     out = tmp_path / "out.csv"
+    # the child imports the package under test, wherever pytest found it
+    search = [str(Path(fluctem.__file__).parents[1]),
+              os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "fluctem.cli", "run", "--config", cfg,
          "--output", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, search))))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
     assert out.exists()

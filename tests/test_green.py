@@ -17,7 +17,6 @@ from fluctem.green import (
     dyadic_green,
     dyadic_green_imag,
     f_tensor,
-    im_coincidence,
     imag_axis_green,
     pair_projectors,
     static_green,
@@ -194,14 +193,3 @@ def test_domain_errors():
         dyadic_green_imag(p, p, xi=1.0)
     with pytest.raises(ValueError):
         dyadic_green_imag(p, vec3(0, 0, 0), xi=0.0)
-
-
-def test_im_coincidence_values():
-    assert im_coincidence(1.0) == pytest.approx(2.0 / C**3, rel=1e-15)
-    assert im_coincidence(2.0) == pytest.approx(16.0 / C**3, rel=1e-15)
-    assert im_coincidence(1.0, n_index=1.5) == pytest.approx(3.0 / C**3,
-                                                             rel=1e-15)
-    with pytest.raises(ValueError):
-        im_coincidence(0.0)
-    with pytest.raises(ValueError):
-        im_coincidence(1.0, n_index=0.9)

@@ -15,12 +15,7 @@ from fluctem.pairwise import (
     validity_check,
     vdw_energy,
 )
-from fluctem.polarizability import (
-    FreeElectron,
-    KramersHeisenberg,
-    Transition,
-    single_resonance,
-)
+from fluctem.polarizability import KramersHeisenberg, Transition, single_resonance
 
 C = SPEED_OF_LIGHT
 
@@ -35,7 +30,7 @@ def test_pair_spec_validation():
     with pytest.raises(ValueError):
         PairSpec(model, model, 0.0)
     with pytest.raises(TypeError):
-        PairSpec(model, FreeElectron(), 1.0)
+        PairSpec(model, object(), 1.0)
 
 
 def test_london_identical_single_resonance_closed_form():

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctem.polarizability import (
-    FreeElectron,
-    KramersHeisenberg,
-    Transition,
-    single_resonance,
-)
+from fluctem.polarizability import KramersHeisenberg, Transition, single_resonance
 
 
 def test_transition_validation():
@@ -19,8 +14,10 @@ def test_transition_validation():
         Transition(omega_sg=0.0, d2=1.0)
     with pytest.raises(ValueError):
         Transition(omega_sg=-0.5, d2=1.0)
-    with pytest.raises(ValueError):
-        Transition(omega_sg=0.5, d2=-1.0)
+    for omega_sg, d2 in ((0.5, -1.0), (0.5, math.nan), (0.5, math.inf),
+                         (math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            Transition(omega_sg=omega_sg, d2=d2)
 
 
 def test_single_resonance_static_limit():
@@ -37,25 +34,10 @@ def test_single_resonance_half_value_at_resonance_frequency():
 def test_single_resonance_validation():
     with pytest.raises(ValueError):
         single_resonance(alpha_static=-1.0, omega0=0.5)
-    with pytest.raises(ValueError):
-        single_resonance(alpha_static=1.0, omega0=0.0)
-
-
-def test_free_electron_imag_axis():
-    fe = FreeElectron()
-    assert fe.alpha_imag(2.0) == pytest.approx(0.25, rel=1e-15)
-    assert fe.alpha_imag(0.5) == pytest.approx(4.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        fe.alpha_imag(0.0)
-
-
-def test_free_electron_real_axis_matches_inverse_square_law():
-    fe = FreeElectron()
-    val = fe.alpha_real(2.0, eta=1e-10)
-    assert val.real == pytest.approx(-0.25, rel=1e-9)
-    assert abs(val.imag) < 1e-9
-    with pytest.raises(ValueError):
-        fe.alpha_real(1.0, eta=0.0)
+    for alpha_static, omega0 in ((1.0, 0.0), (math.nan, 0.5), (math.inf, 0.5),
+                                 (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            single_resonance(alpha_static=alpha_static, omega0=omega0)
 
 
 def test_kh_real_axis_regular_at_zero_frequency():
@@ -92,10 +74,6 @@ def test_oscillator_strength_sum_examples():
     assert toy.oscillator_strength_sum() == pytest.approx(5.0 / 6.0, rel=1e-14)
 
 
-def test_free_electron_has_no_oscillator_strength_sum():
-    assert not hasattr(FreeElectron(), "oscillator_strength_sum")
-
-
 def test_alpha_imag_nonincreasing_and_high_frequency_tail():
     model = KramersHeisenberg((Transition(0.375, 2.0), Transition(0.5, 1.0)))
     grid = [0.0, 0.1, 0.3, 0.9, 2.7, 8.1]
@@ -113,9 +91,6 @@ def test_shared_kernel_consistency_between_axes():
         kernel = model.alpha_complex(complex(0.0, xi))
         assert kernel.imag == 0.0
         assert abs(kernel.real - model.alpha_imag(xi)) <= 1e-12 * kernel.real
-    fe = FreeElectron()
-    assert fe.alpha_complex(0.7j).real == pytest.approx(fe.alpha_imag(0.7),
-                                                        rel=1e-15)
 
 
 @given(

@@ -24,8 +24,6 @@ from fluctem.quadrature import (
     matsubara_sum,
 )
 
-METHODS = ("tanh_sinh", "mapped_gauss", "adaptive_subdivision")
-
 # (integrand, exact value, decay scale) for the semi-infinite suite
 SEMI_INFINITE_CASES = [
     (lambda x: math.exp(-x), 1.0, 1.0),
@@ -37,25 +35,46 @@ SEMI_INFINITE_CASES = [
      5.75, 1.0),
     # algebraic tail: int dx/(1+x)^3 = 1/2
     (lambda x: (1.0 + x) ** -3, 0.5, 1.0),
+    # oscillating integrand: int e^{-x} cos x dx = 1/2
+    (lambda x: math.exp(-x) * math.cos(x), 0.5, 1.0),
 ]
+CASE_INDICES = range(len(SEMI_INFINITE_CASES))
 
 
-@pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("case", range(len(SEMI_INFINITE_CASES)))
-def test_semi_infinite_oracles(method, case):
+def _adaptive_on_half_line(f, spec):
+    """[0, inf) through the adaptive interval engine: x = s t/(1-t), t in [0, 1)."""
+    s = spec.decay_scale or 1.0
+
+    def compact(t):
+        u = 1.0 - t
+        return f(s * t / u) * s / (u * u)
+
+    return integrate_interval(compact, 0.0, 1.0, spec)
+
+
+# the two engines that reach [0, inf): exp-sinh directly, and the adaptive
+# Gauss-Legendre subdivision of integrate_interval after compactification
+ENGINES = {
+    "tanh_sinh": integrate_semi_infinite,
+    "adaptive_subdivision": _adaptive_on_half_line,
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("case", CASE_INDICES)
+def test_semi_infinite_oracles(engine, case):
     f, exact, scale = SEMI_INFINITE_CASES[case]
-    spec = QuadratureSpec(method=method, decay_scale=scale)
-    res = integrate_semi_infinite(f, spec)
+    res = ENGINES[engine](f, QuadratureSpec(decay_scale=scale))
     assert isinstance(res, EnergyResult)
     assert res.value == pytest.approx(exact, rel=1e-9, abs=1e-13)
     assert res.evaluations > 0
 
 
-@pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("case", range(len(SEMI_INFINITE_CASES)))
-def test_error_estimates_are_honest(method, case):
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("case", CASE_INDICES)
+def test_error_estimates_are_honest(engine, case):
     f, exact, scale = SEMI_INFINITE_CASES[case]
-    res = integrate_semi_infinite(f, QuadratureSpec(method=method, decay_scale=scale))
+    res = ENGINES[engine](f, QuadratureSpec(decay_scale=scale))
     assert res.error_estimate >= abs(res.value - exact)
 
 
@@ -95,8 +114,7 @@ def test_determinism_bit_identical():
 
 def test_methods_agree_with_each_other():
     f = lambda x: math.exp(-x) * math.cos(x)
-    values = [integrate_semi_infinite(f, QuadratureSpec(method=m)).value
-              for m in METHODS]
+    values = [engine(f, QuadratureSpec()).value for engine in ENGINES.values()]
     for v in values[1:]:
         assert v == pytest.approx(values[0], rel=1e-9, abs=1e-12)
     assert values[0] == pytest.approx(0.5, rel=1e-9)
@@ -127,18 +145,14 @@ def test_nan_integrand_raises():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(method="simpson")
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_evals=10)
-    with pytest.raises(ValueError):
-        QuadratureSpec(decay_scale=-1.0)
-    with pytest.raises(ValueError):
-        MatsubaraSpec(n_max=0)
-    with pytest.raises(ValueError):
-        MatsubaraSpec(consecutive_small=0)
+    for kwargs in ({"rel_tol": 0.0}, {"rel_tol": math.nan},
+                   {"abs_tol": math.nan}, {"max_evals": 10},
+                   {"decay_scale": -1.0}, {"decay_scale": math.nan}):
+        with pytest.raises(ValueError):
+            QuadratureSpec(**kwargs)
+    for kwargs in ({"n_max": 0}, {"rel_tol": math.nan}):
+        with pytest.raises(ValueError):
+            MatsubaraSpec(**kwargs)
 
 
 # ---------------------------------------------------------------------------
