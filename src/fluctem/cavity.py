@@ -18,10 +18,12 @@ electrostatic dipole-dipole coefficient for the pair.  The uncoupled
 ground energy is zero by construction, so the coupled ground eigenvalue
 is itself the shift.
 
-The oracle scatters each term into one flat buffer, at positions that
-depend only on the atom count and the photon cutoff and are computed
-once for each.  A system solves each cutoff and pair setting once, so
-the pair energy and the full shift share the solve with the pair on.
+The parity (-1)^(photons + excitations) commutes with H: a coupling term
+moves one photon and one excitation, a pair term two excitations.  The
+uncoupled ground state is even, so the oracle diagonalizes the even sector,
+2^(N-1) (n_max + 1) states (the Z2 symmetry of the quantum Rabi model),
+whose lowest level continues the uncoupled ground; tests check it against
+the full space up to ultrastrong coupling.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ class TwoStateAtom:
         if not 0 < omega < math.inf:
             raise ValueError("transition frequency must be positive and finite")
         d = np.asarray(dipole, dtype=float)
-        if d.shape != (3,):
-            raise ValueError("dipole must be a 3-vector")
+        if d.shape != (3,) or not np.all(np.isfinite(d)):
+            raise ValueError("dipole must be a finite 3-vector")
         d.setflags(write=False)
         self._omega = float(omega)
         self._dipole = d
@@ -108,6 +110,8 @@ class CavityMode:
         self._omega = float(omega)
         self._polarization = e
         self._amplitudes = tuple(float(a) for a in amplitudes)
+        if not all(map(math.isfinite, self._amplitudes)):
+            raise ValueError("amplitudes must be finite")
 
     @property
     def omega(self) -> float:
@@ -141,9 +145,8 @@ class CavitySystem:
             raise ValueError("positions must be one 3-vector per atom")
         if len(mode.amplitudes) != len(atoms):
             raise ValueError("mode amplitudes must match atom count")
-        for i in range(len(atoms)):
-            for j in range(i + 1, len(atoms)):
-                separation(pos[i], pos[j])
+        for i, j in itertools.combinations(range(len(atoms)), 2):
+            separation(pos[i], pos[j])
         pos.setflags(write=False)
         self._atoms = atoms
         self._positions = pos
@@ -254,8 +257,8 @@ def perturbative_shift(system: CavitySystem,
 class _Layout(NamedTuple):
     """Index and value vectors placing each term in a flat dim x dim buffer.
 
-    Basis state s = config * (n_max + 1) + photons, atom 0 the most
-    significant bit of config.  Every array is read-only.
+    States: the even ones of s = config * (n_max + 1) + photons, in order,
+    atom 0 the most significant bit of config.  Every array is read-only.
     """
 
     photons: np.ndarray   # (dim,) photon number of each state
@@ -268,20 +271,23 @@ class _Layout(NamedTuple):
 @lru_cache(maxsize=8)
 def _layout(n_atoms: int, n_max: int) -> _Layout:
     dim_field = n_max + 1
-    dim = 2**n_atoms * dim_field
-    config, photons = np.divmod(np.arange(dim), dim_field)
+    config, photons = np.divmod(np.arange(2**n_atoms * dim_field), dim_field)
     bits = [1 << (n_atoms - 1 - n) for n in range(n_atoms)]
+    # even states and their sector positions; every term keeps the parity
+    even = (photons + sum((config & bit) != 0 for bit in bits)) % 2 == 0
+    place = np.cumsum(even) - 1
+    config, photons, dim = config[even], photons[even], int(even.sum())
     # each state that can take one more photon, and its partner with one
     # more photon and atom n flipped; both orders of the pair are stored
     lower = np.flatnonzero(photons < n_max)
     root = np.sqrt(photons[lower] + 1.0)
     coupling = []
     for bit in bits:
-        upper = (config[lower] ^ bit) * dim_field + photons[lower] + 1
+        upper = place[(config[lower] ^ bit) * dim_field + photons[lower] + 1]
         coupling.append(np.concatenate([lower * dim + upper,
                                         upper * dim + lower]))
     pairs = [np.arange(dim) * dim
-             + (config ^ bits[n] ^ bits[m]) * dim_field + photons
+             + place[(config ^ bits[n] ^ bits[m]) * dim_field + photons]
              for n, m in itertools.combinations(range(n_atoms), 2)]
     layout = _Layout(
         photons=photons.astype(float),
@@ -328,10 +334,8 @@ def _ground_energy(system: CavitySystem, n_max: int,
             f"photon cutoff must be at most {_MAX_PHOTON_CUTOFF}")
     key = (n_max, include_pair)
     if key not in system._grounds:
-        coarse = float(np.linalg.eigvalsh(
-            _hamiltonian(system, n_max, include_pair))[0])
-        fine = float(np.linalg.eigvalsh(
-            _hamiltonian(system, n_max + 4, include_pair))[0])
+        coarse, fine = (float(np.linalg.eigvalsh(_hamiltonian(
+            system, n, include_pair))[0]) for n in (n_max, n_max + 4))
         if abs(fine - coarse) >= _CONVERGENCE_TOL:
             raise RuntimeError(
                 f"ground energy not converged in photon number: cutoff "
@@ -344,11 +348,10 @@ def exact_ground_energy(system: CavitySystem,
                         n_max: int = _DEFAULT_PHOTON_CUTOFF) -> float:
     """Coupled ground eigenvalue from dense diagonalization.
 
-    The basis is every atomic configuration tensor photon numbers
-    0..n_max; the result must move by less than 1e-10 when the photon
-    cutoff grows by 4, otherwise a ``RuntimeError`` reports the
-    non-convergence.  The uncoupled ground energy is zero, so the return
-    value is the full interaction-induced shift.
+    The basis is the even-parity sector of atomic configurations and photon
+    numbers 0..n_max; the result must move by less than 1e-10 when the
+    cutoff grows by 4, else a ``RuntimeError`` reports the non-convergence.
+    The uncoupled ground energy is zero, so the result is the full shift.
     """
     return _ground_energy(system, n_max, include_pair=True)
 

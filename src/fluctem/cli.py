@@ -81,9 +81,11 @@ from .manybody import (
     free_energy_finiteT,
     second_order_energy,
 )
+# london_energy is unused here but stays bound: perfbench's tracer wraps it
 from .pairwise import (
     PairSpec,
     casimir_polder_asymptote,
+    london_closed_form,
     london_energy,
     validity_check,
     vdw_energy,
@@ -256,12 +258,10 @@ def _run_pairwise(cfg: dict) -> tuple[list[str], list[float]]:
         warnings.warn(f"point-dipole picture strained: "
                       f"alpha_a0*alpha_b0/r^6 = {verdict.ratio:.3g} >= 1")
     vdw = vdw_energy(pair, quad)
-    london = london_energy(pair, quad)
     cp = casimir_polder_asymptote(model_a.static_polarizability(),
                                   model_b.static_polarizability(), r)
-    err = vdw.error_estimate + london.error_estimate
     return (["r", "E_vdw", "E_london", "E_cp", "err"],
-            [r, vdw.value, london.value, cp, err])
+            [r, vdw.value, london_closed_form(pair), cp, vdw.error_estimate])
 
 
 def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
@@ -334,7 +334,7 @@ def _run_lamb(cfg: dict) -> tuple[list[str], list[float]]:
                 _model(spec.get("host"), units, "medium.host"))
         except ValueError as exc:
             raise ConfigError(f"medium: {exc}") from None
-        res = dielectric_shift_difference(model, medium, quad)
+        res = dielectric_shift_difference(model, medium)
         dielectric, err = res.value, err + res.error_estimate
     return (["bethe", "thermal", "dielectric", "err"],
             [bethe, thermal, dielectric, err])

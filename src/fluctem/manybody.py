@@ -92,10 +92,10 @@ class SystemGeometry:
                                              KramersHeisenberg]]):
         positions = []
         models = []
-        for position, model in sites:
+        for k, (position, model) in enumerate(sites):
             p = np.asarray(position, dtype=float)
-            if p.shape != (3,):
-                raise ValueError("site positions must be 3-vectors")
+            if p.shape != (3,) or not np.all(np.isfinite(p)):
+                raise ValueError(f"site {k} needs a finite 3-vector position")
             positions.append(p)
             models.append(model)
         self._positions = np.array(positions, dtype=float).reshape(-1, 3)

@@ -1,7 +1,7 @@
 """Cavity-coupled atoms: closed perturbative shift against the dense
 diagonalization oracle, node and parity properties, inverse-cube scaling
-of the mode-mediated pair term, and the scattered Hamiltonian against a
-Kronecker-product build."""
+of the mode-mediated pair term, and the scattered even-parity Hamiltonian
+against a Kronecker-product build of the full space."""
 
 import itertools
 import math
@@ -79,6 +79,11 @@ def test_type_validation():
     mode = CavityMode(20.0, X, (0.1, 0.1))
     with pytest.raises(ValueError, match="coincident"):
         CavitySystem((atom, atom), ((0, 0, 0), (0, 0, 0)), mode)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dipole"):
+            TwoStateAtom(1.0, (bad, 0.0, 0.0))
+        with pytest.raises(ValueError, match="amplitudes"):
+            CavityMode(20.0, X, (0.03, bad))
 
 
 def test_high_frequency_flag_threshold():
@@ -317,6 +322,15 @@ def kron_hamiltonian(system, n_max, include_pair):
     return h
 
 
+def even_states(n_atoms, n_max):
+    # basis positions of P = (-1)^(photons + excitations) = +1, in the
+    # order of the Kronecker build
+    config, photons = np.divmod(np.arange(2**n_atoms * (n_max + 1)),
+                                n_max + 1)
+    excitations = np.array([bin(c).count("1") for c in config])
+    return np.flatnonzero((photons + excitations) % 2 == 0)
+
+
 def random_system(n_atoms, seed):
     rng = np.random.default_rng(seed)
     atoms = [TwoStateAtom(float(rng.uniform(0.5, 2.0)),
@@ -340,11 +354,43 @@ def random_system(n_atoms, seed):
 ], ids=["N1", "N2", "N3", "N4", "zero-pair"])
 def test_hamiltonian_equals_kron_build(system):
     for n_max in (4, 12, 16):
+        even = even_states(system.n_atoms, n_max)
         for include_pair in (False, True):
             h = _hamiltonian(system, n_max, include_pair)
             reference = kron_hamiltonian(system, n_max, include_pair)
+            reference = reference[np.ix_(even, even)]
             assert np.array_equal(h, reference)
             assert np.array_equal(np.signbit(h), np.signbit(reference))
+
+
+def strong_system(n_atoms, seed):
+    # couplings c_n = u (d_n . e) omega with |u| <= 1 and |d_n| ~ 1 reach
+    # the ultrastrong boundary c_n ~ omega; pair coefficients reach the
+    # atomic frequencies; atom 0 sits at a node
+    rng = np.random.default_rng(seed)
+    atoms = [TwoStateAtom(float(rng.uniform(0.5, 2.0)),
+                          rng.standard_normal(3) / math.sqrt(3.0))
+             for _ in range(n_atoms)]
+    polarization = rng.standard_normal(3)
+    polarization /= np.linalg.norm(polarization)
+    omega = float(rng.uniform(0.5, 5.0))
+    amplitudes = rng.uniform(-1.0, 1.0, n_atoms) * math.sqrt(omega)
+    amplitudes[0] = 0.0
+    positions = [(0.5 * k, 0.3 * k * k, 1.3 * k) for k in range(n_atoms)]
+    return CavitySystem(atoms, positions, CavityMode(omega, polarization,
+                                                     amplitudes))
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_even_sector_ground_equals_full_space_ground(n_atoms):
+    for seed in range(10):
+        system = strong_system(n_atoms, seed=100 * n_atoms + seed)
+        for include_pair in (False, True):
+            even = np.linalg.eigvalsh(_hamiltonian(system, 12,
+                                                   include_pair))[0]
+            full = np.linalg.eigvalsh(kron_hamiltonian(system, 12,
+                                                       include_pair))[0]
+            assert abs(even - full) <= 1e-13 * max(1.0, abs(full))
 
 
 def test_layout_arrays_are_read_only():
@@ -373,8 +419,9 @@ def test_cavity_point_makes_four_eigensolves(monkeypatch):
                  "amplitudes": [0.03, 0.04]},
         "separation": 8.0,
     })
-    # cutoff 12 and 16, each with and without the pair coupling
-    assert sorted(calls) == [(52, 52), (52, 52), (68, 68), (68, 68)]
+    # cutoff 12 and 16, each with and without the pair coupling, on the
+    # even-parity sector: 2 (n_max + 1) states for two atoms
+    assert sorted(calls) == [(26, 26), (26, 26), (34, 34), (34, 34)]
 
 
 def test_shared_ground_solve_is_order_independent():

@@ -2,6 +2,7 @@
 and the slope checks on shipped example configs."""
 
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -14,8 +15,11 @@ import pytest
 
 import fluctem
 from fluctem.cli import run
+from fluctem.pairwise import PairSpec, london_closed_form, vdw_energy
+from fluctem.polarizability import single_resonance
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+REPO = Path(__file__).resolve().parent.parent
+CONFIG_DIR = REPO / "configs"
 
 ATOM = {"model": "single_resonance", "alpha_static": 0.5, "omega": 0.5}
 
@@ -52,6 +56,31 @@ def test_pairwise_run_columns_and_signs(tmp_path):
     assert row[0] == 3.0
     assert row[1] < 0 and row[2] < 0 and row[3] < 0
     assert row[4] >= 0
+
+
+def test_pairwise_columns_are_closed_london_and_vdw_error(tmp_path):
+    cfg = write_config(tmp_path, pairwise_config())
+    out = tmp_path / "out.csv"
+    assert run(cfg, str(out)) == 0
+    _, ((r, e_vdw, e_london, _, err),) = read_table(out)
+    model = single_resonance(0.5, 0.5)
+    pair = PairSpec(model, model, r)
+    vdw = vdw_energy(pair)
+    assert e_london == london_closed_form(pair)
+    assert (e_vdw, err) == (vdw.value, vdw.error_estimate)
+
+
+def test_tracer_patch_points_resolve():
+    # perfbench/tracer.py wraps these names in place; a dropped import
+    # would break its traced runs
+    path = REPO / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    points = [(module, attr) for module, attr, _ in tracer.SPANS]
+    for module, attr in points + tracer.QUADRATURE:
+        assert callable(getattr(tracer._resolve(module), attr)), \
+            f"{module}.{attr}"
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -1,6 +1,8 @@
 """Radiative shift checks: closed form vs quadrature, dielectric
-difference against the analytic principal value, thermal scaling laws."""
+difference against the analytic principal value, scipy's Cauchy-weight
+quadrature and a 50-digit evaluation, thermal scaling laws."""
 
+import decimal
 import math
 
 import pytest
@@ -150,6 +152,74 @@ def test_dielectric_multi_transition_sums_pairs():
     parts = sum(single(ts, th) for ts in model.transitions
                 for th in host.transitions)
     assert total.value == pytest.approx(parts, rel=1e-12)
+
+
+def dielectric_oracle(model, medium):
+    # the closed form in 50-digit decimal arithmetic from the same float
+    # inputs; pi cancels from the prefactor -(2/(3 pi c^3)) 2 pi N (2/3)
+    exact = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        total = exact(0)
+        for ts in model.transitions:
+            for th in medium.host.transitions:
+                a, b = exact(ts.omega_sg), exact(th.omega_sg)
+                pv = 1 / (2 * a * a) if a == b \
+                    else (b / a).ln() / (b * b - a * a)
+                total += a * a * exact(ts.d2) * b * exact(th.d2) * pv
+        pref = -8 * exact(medium.number_density) / (9 * exact(C) ** 3)
+        return float(pref * total)
+
+
+def scipy_pv(a, b):
+    # PV int_0^inf dw / ((a + w)(b^2 - w^2)): Cauchy weight 1/(w - b)
+    # on [0, 2b], then the regular tail
+    integrate = pytest.importorskip("scipy.integrate")
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    near, _ = integrate.quad(lambda w: -1.0 / ((a + w) * (b + w)), 0.0,
+                             2.0 * b, weight="cauchy", wvar=b, **opts)
+    tail, _ = integrate.quad(lambda w: 1.0 / ((a + w) * (b * b - w * w)),
+                             2.0 * b, math.inf, **opts)
+    return near + tail
+
+
+def test_dielectric_closed_form_matches_cauchy_quadrature():
+    model = KramersHeisenberg((Transition(0.4, 1.0), Transition(0.7, 0.5),
+                               Transition(2.0, 0.2)))
+    host = KramersHeisenberg((Transition(2.0, 1.0), Transition(5.0, 2.0),
+                              Transition(0.3, 0.7)))
+    medium = DiluteMedium(1e-5, host)
+    pref = -(2.0 / (3.0 * math.pi * CUBIC)) * 2.0 * math.pi * 1e-5 \
+        * (2.0 / 3.0)
+    expected = pref * math.fsum(
+        ts.omega_sg**2 * ts.d2 * th.omega_sg * th.d2
+        * scipy_pv(ts.omega_sg, th.omega_sg)
+        for ts in model.transitions for th in host.transitions)
+    res = dielectric_shift_difference(model, medium)
+    assert res.value == pytest.approx(expected, rel=1e-11)
+    assert res.evaluations == 0
+    oracle = dielectric_oracle(model, medium)
+    assert res.error_estimate >= abs(res.value - oracle)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-12, -1e-12, 1e-9, -1e-9,
+                                    1e-6, -1e-6])
+def test_dielectric_near_degenerate_pair_is_continuous(offset):
+    omega = 0.7
+    model = KramersHeisenberg((Transition(omega, 1.3),))
+
+    def shift(host_omega):
+        host = KramersHeisenberg((Transition(host_omega, 0.9),))
+        medium = DiluteMedium(1e-5, host)
+        return dielectric_shift_difference(model, medium), medium
+
+    limit, _ = shift(omega)
+    res, medium = shift(omega * (1.0 + offset))
+    assert res.error_estimate >= abs(res.value - dielectric_oracle(model,
+                                                                   medium))
+    # the weight grows as b and the principal value falls as 1/(2a^2)
+    # times (1 - delta): the product moves at second order
+    assert abs(res.value / limit.value - 1.0) <= abs(offset) + 1e-15
 
 
 def test_thermal_high_temperature_quadratic_law():

@@ -42,6 +42,9 @@ def test_geometry_validation():
         SystemGeometry([(vec3(0, 0, 0), model), (vec3(0, 0, 0), model)])
     with pytest.raises(ValueError):
         SystemGeometry([((0.0, 0.0), model)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="site 1 needs a finite"):
+            SystemGeometry([(vec3(0, 0, 0), model), ((0.0, 0.0, bad), model)])
     geom = chain_geometry(model, 2.0, 3)
     assert geom.n_sites == 3
     assert geom.min_separation() == pytest.approx(2.0)
