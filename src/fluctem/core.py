@@ -78,9 +78,9 @@ class EnergyResult:
     Attributes
     ----------
     value : float
-        Energy in Hartree.
+        Energy in Hartree; never NaN.
     error_estimate : float
-        Nonnegative estimate of the absolute error.
+        Finite, nonnegative estimate of the absolute error.
     evaluations : int
         Number of integrand/summand evaluations spent producing it.
     """
@@ -90,8 +90,10 @@ class EnergyResult:
     evaluations: int
 
     def __post_init__(self) -> None:
-        if self.error_estimate < 0:
-            raise ValueError("error_estimate must be >= 0")
+        if math.isnan(self.value):
+            raise ValueError("value must not be NaN")
+        if not 0 <= self.error_estimate < math.inf:
+            raise ValueError("error_estimate must be finite and >= 0")
         if self.evaluations < 0:
             raise ValueError("evaluations must be >= 0")
 

@@ -158,8 +158,7 @@ def thermal_shift(model: KramersHeisenberg, temperature: float,
         return EnergyResult(0.0, 0.0, 0)
 
     def bose_numerator(w: float) -> float:
-        if w == 0.0:
-            return 0.0
+        # integrate_pv calls it at w > 0 only
         grow = w / temperature
         if grow > 700.0:
             return 0.0

@@ -73,6 +73,10 @@ __all__ = [
 ]
 
 
+# Gauss-Legendre nodes of the coupling-constant integral
+_PHF_NODES = 64
+
+
 class StrongCouplingError(RuntimeError):
     """Coupling strong enough to destabilize the coupled ground state."""
 
@@ -390,7 +394,7 @@ def normal_mode_energy(geom: SystemGeometry, nonretarded: bool = True
     return EnergyResult(value, err, 1)
 
 
-def phf_lambda_integral(x, nodes: int = 64) -> float:
+def phf_lambda_integral(x) -> float:
     """Coupling-constant integral int_0^1 (dl/l) Tr[l^2 x (1 - l^2 x)^{-1}].
 
     Gauss-Legendre on the unit interval; equals -(1/2) Tr log(1 - x) for
@@ -407,7 +411,7 @@ def phf_lambda_integral(x, nodes: int = 64) -> float:
         radius = float(np.max(np.abs(np.linalg.eigvals(x))))
     if radius >= 1.0:
         raise ValueError("spectral radius must be < 1")
-    glx, glw = np.polynomial.legendre.leggauss(nodes)
+    glx, glw = np.polynomial.legendre.leggauss(_PHF_NODES)
     lam = 0.5 * (glx + 1.0)
     w = 0.5 * glw
     terms = []

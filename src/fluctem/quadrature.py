@@ -1,28 +1,30 @@
-"""Quadrature engines for the semi-infinite, principal-value, and
+"""Quadrature for the semi-infinite, finite-interval, principal-value and
 Matsubara-sum integrals used throughout the package.
 
-Two engines serve them:
+One engine serves every integral: the double-exponential ladder on
+(0, inf), with nodes x = s*exp(pi*sinh(k*h)).  That is the tanh-sinh rule
+composed with the algebraic map x = s*t/(1-t) (Takahasi & Mori, Publ. RIMS
+9, 721 (1974)), so
 
-* tanh-sinh on [0, inf) (``integrate_semi_infinite``): double-exponential
-  nodes through the substitution x = s*exp(pi*sinh(k*h)), which is the
-  tanh-sinh rule composed with the algebraic map x = s*t/(1-t).  Smooth
-  integrands with exponential or algebraic tails converge at machine
-  precision with a few hundred nodes.
-* adaptive Gauss-Legendre on finite intervals (``integrate_interval`` and
-  the windows of ``integrate_pv``): globally adaptive bisection with an
-  embedded Gauss-Legendre error estimate.
+* ``integrate_semi_infinite`` runs it on [0, inf) with the scale s as
+  given;
+* ``integrate_interval`` maps it onto [lo, hi] through
+  w = lo + (hi-lo) u/(1+u), which is tanh-sinh on the interval;
+* ``integrate_pv`` subtracts f(pole), which removes the pole because
+  PV int_0^inf dw/(a^2 - w^2) = 0, and integrates the regular remainder on
+  both sides of it.
 
-The error estimate of both engines is the difference of the last two
-refinement levels inflated by a factor 2 (plus a machine-rounding floor), so
-reported errors stay on the safe side of the truth.
+Smooth integrands with exponential or algebraic tails converge at machine
+precision with a few hundred nodes.  The error estimate is the difference
+of the last two refinement levels inflated by a factor 2 (plus a
+machine-rounding floor), so reported errors stay on the safe side of the
+truth.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -48,7 +50,7 @@ _MAX_LEVELS = 13
 
 
 class QuadratureError(RuntimeError):
-    """Budget exhausted, NaN integrand, or non-convergent tail."""
+    """Budget exhausted, non-finite integrand, or non-convergent tail."""
 
 
 @dataclass(frozen=True)
@@ -89,11 +91,6 @@ class MatsubaraSpec:
             raise ValueError("rel_tol must be positive and finite")
 
 
-@lru_cache(maxsize=32)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
 def _tolerance(spec: QuadratureSpec, value: float) -> float:
     return max(spec.abs_tol, spec.rel_tol * abs(value))
 
@@ -113,13 +110,13 @@ class _EvalCounter:
             )
         self.count += 1
         y = self.f(x)
-        if math.isnan(y):
-            raise QuadratureError(f"integrand returned NaN at x={x!r}")
+        if not math.isfinite(y):
+            raise QuadratureError(f"integrand is {y!r} at x={x!r}")
         return y
 
 
-def _exp_sinh_level(f: _EvalCounter, scale: float, h: float, odd_only: bool
-                     ) -> tuple[float, float]:
+def _exp_sinh_level(f: Callable[[float], float], scale: float, h: float,
+                    odd_only: bool) -> tuple[float, float]:
     """One refinement level of the double-exponential ladder.
 
     Returns (sum of w*f contributions without the h factor, sum of |w*f|).
@@ -151,66 +148,27 @@ def _exp_sinh_level(f: _EvalCounter, scale: float, h: float, odd_only: bool
     return math.fsum(terms), math.fsum(abs(t) for t in terms)
 
 
-def _integrate_exp_sinh(f: _EvalCounter, spec: QuadratureSpec, scale: float
-                         ) -> EnergyResult:
+def _integrate_exp_sinh(g: Callable[[float], float], counter: _EvalCounter,
+                        spec: QuadratureSpec, scale: float) -> EnergyResult:
+    """int_0^inf g(u) du on the ladder; ``counter`` counts the calls of
+    the caller's integrand that ``g`` makes."""
     h = 0.5
-    total, total_abs = _exp_sinh_level(f, scale, h, odd_only=False)
+    total, total_abs = _exp_sinh_level(g, scale, h, odd_only=False)
     value = h * total
-    prev = math.inf
     for level in range(1, _MAX_LEVELS + 1):
         h *= 0.5
-        add, add_abs = _exp_sinh_level(f, scale, h, odd_only=True)
+        add, add_abs = _exp_sinh_level(g, scale, h, odd_only=True)
         total += add
         total_abs += add_abs
         prev, value = value, h * total
         diff = abs(value - prev)
         err = max(2.0 * diff, 4.0 * _EPS * h * total_abs)
         if level >= 2 and err <= _tolerance(spec, value):
-            return EnergyResult(value, err, f.count)
+            return EnergyResult(value, err, counter.count)
     raise QuadratureError(
-        f"tanh_sinh failed to reach tolerance within {f.count} evaluations"
+        f"tanh_sinh failed to reach tolerance within {counter.count} "
+        "evaluations"
     )
-
-
-def _panel_values(f: _EvalCounter, lo: float, hi: float, order: int
-                   ) -> tuple[float, float]:
-    """Embedded Gauss-Legendre pair on one panel: (value, error estimate)."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    xs_lo, ws_lo = _leggauss(order)
-    xs_hi, ws_hi = _leggauss(2 * order)
-    v_lo = half * math.fsum(w * f(mid + half * x) for x, w in zip(xs_lo, ws_lo))
-    v_hi = half * math.fsum(w * f(mid + half * x) for x, w in zip(xs_hi, ws_hi))
-    return v_hi, abs(v_hi - v_lo)
-
-
-def _integrate_adaptive(f: _EvalCounter, lo: float, hi: float,
-                        spec: QuadratureSpec, order: int = 12) -> EnergyResult:
-    """Globally adaptive bisection on a finite interval, deterministic order."""
-    v, e = _panel_values(f, lo, hi, order)
-    seq = 0
-    heap = [(-e, seq, lo, hi, v, e)]
-    while True:
-        total = math.fsum(item[4] for item in heap)
-        total_err = math.fsum(item[5] for item in heap)
-        if 2.0 * total_err <= _tolerance(spec, total):
-            break
-        worst = heapq.heappop(heap)
-        a, b = worst[2], worst[3]
-        if worst[5] < _EPS * abs(total) or (b - a) < 64 * _EPS * max(abs(a), abs(b), 1.0):
-            # worst panel is at rounding level: cannot do better
-            heapq.heappush(heap, worst)
-            break
-        m = 0.5 * (a + b)
-        for panel_lo, panel_hi in ((a, m), (m, b)):
-            seq += 1
-            pv, pe = _panel_values(f, panel_lo, panel_hi, order)
-            heapq.heappush(heap, (-pe, seq, panel_lo, panel_hi, pv, pe))
-    segments = sorted(heap, key=lambda item: item[2])
-    value = math.fsum(s[4] for s in segments)
-    err = max(2.0 * math.fsum(s[5] for s in segments),
-              4.0 * _EPS * math.fsum(abs(s[4]) for s in segments))
-    return EnergyResult(value, err, f.count)
 
 
 def integrate_semi_infinite(f: Callable[[float], float],
@@ -219,74 +177,68 @@ def integrate_semi_infinite(f: Callable[[float], float],
 
     ``f`` must be finite on (0, inf) and decay integrably; the origin itself
     is never evaluated.  Raises :class:`QuadratureError` when the evaluation
-    budget runs out or ``f`` returns NaN.
+    budget runs out or ``f`` returns NaN or an infinity.
     """
     spec = spec or QuadratureSpec()
-    return _integrate_exp_sinh(_EvalCounter(f, spec.max_evals), spec,
-                               spec.decay_scale or 1.0)
+    counter = _EvalCounter(f, spec.max_evals)
+    return _integrate_exp_sinh(counter, counter, spec, spec.decay_scale or 1.0)
 
 
 def integrate_interval(f: Callable[[float], float], lo: float, hi: float,
                        spec: QuadratureSpec | None = None) -> EnergyResult:
-    """Adaptive integration of ``f`` over the finite interval [lo, hi]."""
+    """Tanh-sinh integration of ``f`` over the finite interval [lo, hi].
+
+    The ladder on u in (0, inf) is mapped through w = lo + (hi-lo) u/(1+u).
+    Neither end point is evaluated: a node whose w rounds onto an end
+    carries a weight below rounding and contributes nothing.
+    """
     spec = spec or QuadratureSpec()
     if not hi > lo:
         raise ValueError("need hi > lo")
+    width = hi - lo
     counter = _EvalCounter(f, spec.max_evals)
-    return _integrate_adaptive(counter, lo, hi, spec)
+
+    def mapped(u: float) -> float:
+        v = 1.0 + u
+        w = lo + width * (u / v)
+        if not lo < w < hi:
+            return 0.0
+        return counter(w) * (width / (v * v))
+
+    return _integrate_exp_sinh(mapped, counter, spec, 1.0)
 
 
 def integrate_pv(f_regular: Callable[[float], float], pole: float,
-                 window: float | None = None,
                  spec: QuadratureSpec | None = None) -> EnergyResult:
     """Principal value of  integral_0^inf f_regular(w) / (pole^2 - w^2) dw.
 
-    The singularity at w = pole is removed by subtraction: over the window
-    [pole-window, pole+window] the integrand is replaced by
-    (f(w) - f(pole))/(pole^2 - w^2), which is finite, and the subtracted
-    piece is restored through the analytic principal value
-
-        PV int_{a-D}^{a+D} dw/(a^2 - w^2) = ln((2a+D)/(2a-D)) / (2a).
-
-    Outside the window the integrand is regular and integrated directly.
+    Since PV int_0^inf dw/(a^2 - w^2) = 0, the value equals the regular
+    integral of (f(w) - f(a))/(a^2 - w^2).  Each side is written in the
+    distance d = |w - a| > 0: int_0^a on the interval map, and int_a^inf
+    on the half line with ``spec.decay_scale`` (default: the pole) as its
+    scale.  A node whose w rounds onto the pole contributes nothing, so
+    ``f_regular`` is called there once; that call counts as one evaluation.
     """
     spec = spec or QuadratureSpec()
     a = pole
-    if a <= 0:
-        raise ValueError("pole must be positive")
-    delta = 0.5 * a if window is None else window
-    if not 0 < delta < a:
-        raise ValueError("window must satisfy 0 < window < pole")
+    if not 0 < a < math.inf:
+        raise ValueError("pole must be positive and finite")
+    f = _EvalCounter(f_regular, spec.max_evals)
+    f_a = f(a)
 
-    f_at_pole = f_regular(a)
-    results = []
+    def below(d: float) -> float:
+        w = a - d
+        return 0.0 if w == a else (f(w) - f_a) / (d * (a + w))
 
-    def whole(w: float) -> float:
-        return f_regular(w) / ((a - w) * (a + w))
+    def above(d: float) -> float:
+        w = a + d
+        return 0.0 if w == a else (f_a - f(w)) / (d * (a + w))
 
-    if a - delta > 0:
-        results.append(integrate_interval(whole, 0.0, a - delta, spec))
-
-    def subtracted(w: float) -> float:
-        return (f_regular(w) - f_at_pole) / ((a - w) * (a + w))
-
-    results.append(integrate_interval(subtracted, a - delta, a, spec))
-    results.append(integrate_interval(subtracted, a, a + delta, spec))
-
-    analytic = f_at_pole * math.log((2 * a + delta) / (2 * a - delta)) / (2 * a)
-
-    def tail(x: float) -> float:
-        return whole(a + delta + x)
-
-    tail_scale = spec.decay_scale or a
-    tail_spec = QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
-                               max_evals=spec.max_evals, decay_scale=tail_scale)
-    results.append(integrate_semi_infinite(tail, tail_spec))
-
-    value = math.fsum(r.value for r in results) + analytic
-    err = math.fsum(r.error_estimate for r in results) + 4.0 * _EPS * abs(analytic)
-    evals = sum(r.evaluations for r in results) + 1
-    return EnergyResult(value, err, evals)
+    lower = integrate_interval(below, 0.0, a, spec)
+    upper = integrate_semi_infinite(
+        above, replace(spec, decay_scale=spec.decay_scale or a))
+    return EnergyResult(lower.value + upper.value,
+                        lower.error_estimate + upper.error_estimate, f.count)
 
 
 # Matsubara terms evaluated per call of the integrand: enough to spread

@@ -1,6 +1,7 @@
 """Radiative shift checks: closed form vs quadrature, dielectric
 difference against the analytic principal value, scipy's Cauchy-weight
-quadrature and a 50-digit evaluation, thermal scaling laws."""
+quadrature and a 50-digit evaluation, thermal scaling laws, and thermal
+error estimates against scipy's Cauchy-weight quadrature and the T^4 law."""
 
 import decimal
 import math
@@ -249,6 +250,60 @@ def test_thermal_cold_limit_quartic_and_negative():
         * (math.pi**4 * temperature**4 / 15.0) / omega**2
     assert res.value < 0
     assert res.value == pytest.approx(expected, rel=0.1)
+
+
+def scipy_thermal(model, temperature):
+    # PV int_0^inf w^3/((e^{w/T} - 1)(a^2 - w^2)) dw per transition: Cauchy
+    # weight 1/(w - a) on [0, 2a], then the regular tail; returns the
+    # shift and the sum of scipy's error estimates
+    integrate = pytest.importorskip("scipy.integrate")
+    opts = dict(epsabs=0.0, epsrel=1e-12, limit=200)
+
+    def bose(w):
+        x = w / temperature
+        return w**3 / math.expm1(x) if 0.0 < x < 700.0 else 0.0
+
+    values, errors = [], []
+    for t in model.transitions:
+        a = t.omega_sg
+        near, near_err = integrate.quad(lambda w: -bose(w) / (a + w), 0.0,
+                                        2.0 * a, weight="cauchy", wvar=a,
+                                        **opts)
+        tail, tail_err = integrate.quad(
+            lambda w: bose(w) / ((a - w) * (a + w)), 2.0 * a, math.inf,
+            **opts)
+        values.append(t.d2 * a * (near + tail))
+        errors.append(t.d2 * a * (near_err + tail_err))
+    pref = 4.0 / (3.0 * math.pi * CUBIC)
+    return -pref * math.fsum(values), pref * math.fsum(errors)
+
+
+def quartic_law(model, temperature):
+    # cold limit: the Bose integral pi^4 T^4/15 against the static weight
+    # 1/omega^2, and twice the first correction (120 pi^2/63)(T/omega)^2
+    # as its error
+    law = -(4.0 / (3.0 * math.pi * CUBIC)) * math.fsum(
+        t.d2 * t.omega_sg * (math.pi**4 * temperature**4 / 15.0)
+        / t.omega_sg**2 for t in model.transitions)
+    omega_min = min(t.omega_sg for t in model.transitions)
+    ratio = (temperature / omega_min) ** 2
+    return law, 2.0 * (120.0 * math.pi**2 / 63.0) * ratio * abs(law)
+
+
+@pytest.mark.parametrize("temperature", [50.0, 5.0, 0.5, 0.05, 1e-2, 1e-3,
+                                         1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("model", [
+    single_resonance(0.5, 0.5),
+    KramersHeisenberg((Transition(0.375, 2.0), Transition(0.9, 0.5))),
+], ids=["single", "two_transitions"])
+def test_thermal_error_estimate_is_honest(model, temperature):
+    res = thermal_shift(model, temperature)
+    omega_min = min(t.omega_sg for t in model.transitions)
+    if temperature >= 0.01 * omega_min:
+        ref, ref_tol = scipy_thermal(model, temperature)
+    else:
+        ref, ref_tol = quartic_law(model, temperature)
+    assert res.error_estimate + ref_tol >= abs(res.value - ref)
 
 
 def test_thermal_validation_and_empty_model():

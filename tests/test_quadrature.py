@@ -41,8 +41,8 @@ SEMI_INFINITE_CASES = [
 CASE_INDICES = range(len(SEMI_INFINITE_CASES))
 
 
-def _adaptive_on_half_line(f, spec):
-    """[0, inf) through the adaptive interval engine: x = s t/(1-t), t in [0, 1)."""
+def _interval_map_on_half_line(f, spec):
+    """[0, inf) through integrate_interval: x = s t/(1-t), t in (0, 1)."""
     s = spec.decay_scale or 1.0
 
     def compact(t):
@@ -52,11 +52,13 @@ def _adaptive_on_half_line(f, spec):
     return integrate_interval(compact, 0.0, 1.0, spec)
 
 
-# the two engines that reach [0, inf): exp-sinh directly, and the adaptive
-# Gauss-Legendre subdivision of integrate_interval after compactification
+# the two routes to [0, inf): the exp-sinh ladder directly, and the same
+# ladder through the interval map of integrate_interval after
+# compactification.  One engine: the second key keeps its historical name,
+# so that the test ids stay stable.
 ENGINES = {
     "tanh_sinh": integrate_semi_infinite,
-    "adaptive_subdivision": _adaptive_on_half_line,
+    "adaptive_subdivision": _interval_map_on_half_line,
 }
 
 
@@ -133,6 +135,24 @@ def test_interval_rejects_bad_bounds():
         integrate_interval(lambda x: x, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("lo,hi", [(0.0, 137.035999084**2), (0.0, 1e-12),
+                                   (-3.0, 0.5), (1e6, 1e6 + 1.0)])
+def test_interval_never_evaluates_end_points(lo, hi):
+    # nodes that round onto an end are dropped, not evaluated there
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return math.exp(lo - x)
+
+    res = integrate_interval(f, lo, hi)
+    assert all(lo < x < hi for x in seen)
+    assert res.evaluations == len(seen)
+    exact = -math.expm1(lo - hi)
+    assert res.value == pytest.approx(exact, rel=1e-9)
+    assert res.error_estimate >= abs(res.value - exact)
+
+
 def test_budget_exhaustion_raises():
     spec = QuadratureSpec(max_evals=100, rel_tol=1e-13, abs_tol=1e-300)
     with pytest.raises(QuadratureError):
@@ -142,6 +162,59 @@ def test_budget_exhaustion_raises():
 def test_nan_integrand_raises():
     with pytest.raises(QuadratureError):
         integrate_semi_infinite(lambda x: float("nan"))
+
+
+def _x_named(excinfo):
+    return float(str(excinfo.value).rsplit("x=", 1)[1])
+
+
+def test_infinite_integrand_raises_naming_x_semi_infinite():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.inf if x > 5.0 else math.exp(-x)
+
+    with pytest.raises(QuadratureError, match=r"integrand is inf at x=") \
+            as excinfo:
+        integrate_semi_infinite(f)
+    assert _x_named(excinfo) == calls[-1] > 5.0
+    assert len(calls) < 100
+
+
+def test_infinite_integrand_raises_naming_x_interval():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return -math.inf if x < 1e-3 else math.log(x)
+
+    with pytest.raises(QuadratureError, match=r"integrand is -inf at x=") \
+            as excinfo:
+        integrate_interval(f, 0.0, 1.0)
+    assert 0.0 < _x_named(excinfo) == calls[-1] < 1e-3
+    assert len(calls) < 100
+
+
+def test_infinite_integrand_raises_naming_x_pv():
+    # x is the frequency handed to f_regular, on either side of the pole
+    for bad, side in ((lambda w: w < 0.25, 0.25), (lambda w: w > 4.0, 4.0)):
+        def f(w, bad=bad):
+            return math.inf if bad(w) else math.exp(-w)
+
+        with pytest.raises(QuadratureError, match=r"integrand is inf at x=") \
+                as excinfo:
+            integrate_pv(f, pole=1.0)
+        assert bad(_x_named(excinfo))
+    with pytest.raises(QuadratureError, match=r"at x=1\.0$"):
+        integrate_pv(lambda w: math.inf if w == 1.0 else 1.0, pole=1.0)
+
+
+def test_energy_result_rejects_nan_value_and_non_finite_error():
+    for value, err in ((math.nan, 0.0), (math.nan, math.nan), (1.0, math.nan),
+                       (1.0, math.inf), (1.0, -1e-300)):
+        with pytest.raises(ValueError):
+            EnergyResult(value, err, 1)
 
 
 def test_spec_validation():
@@ -160,12 +233,9 @@ def test_spec_validation():
 
 
 def test_pv_symmetric_window_of_constant_vanishes():
-    # PV over the full line of 1/(a^2-w^2) with f=1 picks up only the
-    # asymmetric pieces; with f constant and range [0, 2a] the window part
-    # must reproduce the analytic log exactly
-    a = 1.3
-    res = integrate_pv(lambda w: 1.0, pole=a, window=0.5 * a)
     # PV int_0^inf dw/(a^2-w^2) = 0 exactly: check the engine sees it
+    a = 1.3
+    res = integrate_pv(lambda w: 1.0, pole=a)
     assert abs(res.value) <= max(res.error_estimate, 1e-12)
 
 
@@ -184,26 +254,29 @@ def test_pv_frozen_exponential_oracle():
     closed = 0.5 * (math.exp(-1.0) * scipy_special.expi(1.0)
                     - math.e * scipy_special.exp1(1.0))
     assert closed == pytest.approx(0.05041376045593576, abs=1e-14)
-    res = integrate_pv(lambda w: w * math.exp(-w), pole=1.0, window=0.5)
+    res = integrate_pv(lambda w: w * math.exp(-w), pole=1.0)
     assert res.value == pytest.approx(closed, rel=1e-9)
     assert res.error_estimate >= abs(res.value - closed)
 
 
-def test_pv_window_independence():
-    f = lambda w: w * math.exp(-w)
-    base = integrate_pv(f, pole=1.0, window=0.5)
-    for window in (0.2, 0.35, 0.8):
-        other = integrate_pv(f, pole=1.0, window=window)
-        assert other.value == pytest.approx(base.value, rel=1e-8)
+@pytest.mark.parametrize("pole", [1.0, 1e-3, 7.3])
+def test_pv_calls_f_at_pole_once(pole):
+    seen = []
+
+    def f(w):
+        seen.append(w)
+        return w * math.exp(-w)
+
+    res = integrate_pv(f, pole=pole)
+    assert seen.count(pole) == 1
+    assert all(w > 0.0 for w in seen)
+    assert res.evaluations == len(seen)
 
 
 def test_pv_validation():
-    with pytest.raises(ValueError):
-        integrate_pv(lambda w: 1.0, pole=-1.0)
-    with pytest.raises(ValueError):
-        integrate_pv(lambda w: 1.0, pole=1.0, window=1.5)
-    with pytest.raises(ValueError):
-        integrate_pv(lambda w: 1.0, pole=1.0, window=0.0)
+    for pole in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            integrate_pv(lambda w: 1.0, pole=pole)
 
 
 # ---------------------------------------------------------------------------
