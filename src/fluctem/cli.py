@@ -15,9 +15,9 @@ The config is a single JSON object.  Top-level keys:
                on the z axis)
   temperature  optional scalar (manybody -> thermal sum, lamb -> thermal
                shift)
-  quadrature   optional {"rel_tol", "abs_tol", "max_evals"}; on a
-               manybody task with a temperature only rel_tol reaches the
-               thermal sum, and all three reach the second-order integral
+  quadrature   optional {"rel_tol", "max_evals"}; on a manybody task with
+               a temperature only rel_tol reaches the thermal sum, and
+               both reach the second-order integral
   cutoff       optional frequency cutoff (lamb)
   medium       optional {"number_density", "host": <model>} (lamb);
                density in inverse cubic length units
@@ -226,13 +226,12 @@ def _quad_spec(cfg: dict) -> QuadratureSpec | None:
         return None
     if not isinstance(obj, dict):
         raise ConfigError("quadrature must be an object")
-    unknown = set(obj) - {"rel_tol", "abs_tol", "max_evals"}
+    unknown = set(obj) - {"rel_tol", "max_evals"}
     if unknown:
         raise ConfigError(f"unknown quadrature keys: {sorted(unknown)}")
     kwargs = {}
-    for key in ("rel_tol", "abs_tol"):
-        if key in obj:
-            kwargs[key] = _number(obj[key], f"quadrature.{key}")
+    if "rel_tol" in obj:
+        kwargs["rel_tol"] = _number(obj["rel_tol"], "quadrature.rel_tol")
     if "max_evals" in obj:
         kwargs["max_evals"] = _integer(obj["max_evals"],
                                        "quadrature.max_evals")
@@ -387,6 +386,8 @@ def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
     mode = CavityMode(omega, polarization,
                       tuple(_number(a, "mode.amplitudes") for a in amplitudes))
     system = CavitySystem(parsed, positions, mode)
+    if not system.high_frequency:
+        raise ConfigError("mode.omega must be over 10x every atomic omega")
     n_max = _integer(cfg.get("photon_cutoff", 12), "photon_cutoff")
     if not _MIN_PHOTON_CUTOFF <= n_max <= _MAX_PHOTON_CUTOFF:
         raise ConfigError(

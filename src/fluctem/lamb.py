@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import SPEED_OF_LIGHT, EnergyResult
 from .polarizability import KramersHeisenberg
@@ -97,7 +97,6 @@ def bethe_shift_quadrature(model: KramersHeisenberg,
     Kept as an independent route so the closed form above stays checkable.
     """
     cutoff = cutoff or CutoffSpec()
-    quad = quad or QuadratureSpec()
     _check_cutoff(model, cutoff)
     if not model.transitions:
         return EnergyResult(0.0, 0.0, 0)
@@ -153,7 +152,6 @@ def thermal_shift(model: KramersHeisenberg, temperature: float,
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    quad = quad or QuadratureSpec()
     if not model.transitions:
         return EnergyResult(0.0, 0.0, 0)
 
@@ -166,9 +164,9 @@ def thermal_shift(model: KramersHeisenberg, temperature: float,
 
     values, errors, evals = [], [], 0
     for t in model.transitions:
-        spec = quad if quad.decay_scale is not None else replace(
-            quad, decay_scale=max(temperature, 0.05 * t.omega_sg))
-        pv = integrate_pv(bose_numerator, pole=t.omega_sg, spec=spec)
+        # the Bose factor puts the mass at w ~ T
+        pv = integrate_pv(bose_numerator, pole=t.omega_sg, spec=quad,
+                          scale=temperature)
         values.append(t.d2 * t.omega_sg * pv.value)
         errors.append(t.d2 * t.omega_sg * pv.error_estimate)
         evals += pv.evaluations

@@ -38,7 +38,6 @@ determinant route.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,6 +74,9 @@ __all__ = [
 
 # Gauss-Legendre nodes of the coupling-constant integral
 _PHF_NODES = 64
+# past this frequency every Green block is exactly zero (exp(-xi r/c)
+# underflows at any r above 1e-145 bohr), while xi^2 still fits a double
+_XI_CEILING = 1e150
 
 
 class StrongCouplingError(RuntimeError):
@@ -124,7 +126,7 @@ class SystemGeometry:
         self._pair_i, self._pair_j = np.triu_indices(self.n_sites, k=1)
         delta = self._positions[self._pair_i] - self._positions[self._pair_j]
         # the dot product core.separation uses: distances, and with them the
-        # quadrature decay scale set by min_separation, agree bitwise with
+        # quadrature node scale set by min_separation, agree bitwise with
         # the single-pair functions
         self._pair_r = np.sqrt((delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
         if np.any(self._pair_r == 0.0):
@@ -165,12 +167,6 @@ class SystemGeometry:
                                      float(r))))
             for i, j, r in zip(self._pair_i, self._pair_j, self._pair_r))
 
-    def lowest_transition(self) -> float:
-        """Smallest transition frequency present, or 1.0 if none."""
-        lows = [min(t.omega_sg for t in m.transitions)
-                for m in self._models if m.transitions]
-        return min(lows) if lows else 1.0
-
     def min_separation(self) -> float:
         return float(self._pair_r.min()) if self._pair_r.size else math.inf
 
@@ -209,13 +205,15 @@ class SystemGeometry:
 
 
 def _frequencies(xi) -> np.ndarray:
-    """``xi`` as a float array, refusing negative frequencies."""
+    """``xi`` as a float array clamped to _XI_CEILING; xi < 0 raises."""
     xi = np.asarray(xi, dtype=float)
-    # a Python min: far cheaper than a numpy reduction on one or a few
-    # entries, and every node of a quadrature passes here
-    if min(xi.ravel().tolist(), default=0.0) < 0:
+    # Python min and max: far cheaper than numpy reductions on one or a
+    # few entries, and every node of a quadrature passes here
+    values = xi.ravel().tolist()
+    if min(values, default=0.0) < 0:
         raise ValueError("imaginary-axis frequency must be >= 0")
-    return xi
+    return np.minimum(xi, _XI_CEILING) \
+        if max(values, default=0.0) > _XI_CEILING else xi
 
 
 def build_T(geom: SystemGeometry, xi) -> np.ndarray:
@@ -254,12 +252,22 @@ def _log1p_sums(xi, mu: np.ndarray):
     return np.array([math.fsum(row) for row in logs])
 
 
-def _decay_scale(geom: SystemGeometry, nonretarded: bool) -> float:
-    scale = geom.lowest_transition()
-    r_min = geom.min_separation()
-    if not nonretarded and math.isfinite(r_min):
-        scale = min(scale, SPEED_OF_LIGHT / r_min)
+def _node_scale(geom: SystemGeometry, nonretarded: bool) -> float:
+    # the lowest transition, or c over the closest pair (two sites or more)
+    scale = min((t.omega_sg for m in geom.models for t in m.transitions),
+                default=1.0)
+    if not nonretarded:
+        scale = min(scale, SPEED_OF_LIGHT / geom.min_separation())
     return scale
+
+
+def _logdet_floor(geom: SystemGeometry, scale: float) -> float:
+    """Absolute accuracy of int log det[1 + A T] d(xi) over ``scale``:
+    sum log1p(mu) cancels its first order, and the rounding of its 3N
+    eigenvalues (largest at xi = 0) is the same at every ladder level."""
+    s = np.sqrt(geom.alpha_values(0.0)).repeat(3)
+    norm = np.linalg.norm((s[:, None] * s[None, :]) * build_T(geom, 0.0))
+    return 4.0 * math.ulp(1.0) * math.sqrt(s.size) * float(norm) * scale
 
 
 def _logdet_function(geom: SystemGeometry, nonretarded: bool
@@ -279,11 +287,7 @@ def _logdet_function(geom: SystemGeometry, nonretarded: bool
     static_t = build_T(geom, 0.0) if nonretarded else None
 
     def g(xi):
-        alphas = geom.alpha_values(xi)
-        if alphas.min() < 0:
-            raise StrongCouplingError(
-                "negative polarizability is not supported")
-        s = np.sqrt(alphas).repeat(3, axis=-1)
+        s = np.sqrt(geom.alpha_values(xi)).repeat(3, axis=-1)
         t = static_t if nonretarded else build_T(geom, xi)
         mu = np.linalg.eigvalsh((s[..., :, None] * s[..., None, :]) * t)
         return _log1p_sums(xi, mu)
@@ -301,11 +305,9 @@ def free_energy_T0(geom: SystemGeometry, quad: QuadratureSpec | None = None,
     """
     if geom.n_sites < 2:
         return EnergyResult(0.0, 0.0, 0)
-    quad = quad or QuadratureSpec()
-    if quad.decay_scale is None:
-        quad = replace(quad, decay_scale=_decay_scale(geom, nonretarded))
-    g = _logdet_function(geom, nonretarded)
-    res = integrate_semi_infinite(g, quad)
+    scale = _node_scale(geom, nonretarded)
+    res = integrate_semi_infinite(_logdet_function(geom, nonretarded), quad,
+                                  scale, _logdet_floor(geom, scale))
     pref = 1.0 / (2.0 * math.pi)
     return EnergyResult(pref * res.value, pref * res.error_estimate,
                         res.evaluations)
@@ -323,8 +325,9 @@ def free_energy_finiteT(geom: SystemGeometry, temperature: float,
         if temperature <= 0:
             raise ValueError("temperature must be positive")
         return EnergyResult(0.0, 0.0, 0)
-    g = _logdet_function(geom, nonretarded)
-    return matsubara_sum(g, temperature, tail)
+    floor = _logdet_floor(geom, _node_scale(geom, nonretarded))
+    return matsubara_sum(_logdet_function(geom, nonretarded), temperature,
+                         tail, floor)
 
 
 def second_order_energy(geom: SystemGeometry,
@@ -337,9 +340,6 @@ def second_order_energy(geom: SystemGeometry,
     """
     if geom.n_sites < 2:
         return EnergyResult(0.0, 0.0, 0)
-    quad = quad or QuadratureSpec()
-    if quad.decay_scale is None:
-        quad = replace(quad, decay_scale=_decay_scale(geom, nonretarded=False))
     i, j = geom.pair_indices
 
     def integrand(xi: float) -> float:
@@ -350,7 +350,8 @@ def second_order_energy(geom: SystemGeometry,
         return math.fsum((2.0 * alphas[i] * alphas[j]
                           * np.sum(g * g, axis=(1, 2))).tolist())
 
-    res = integrate_semi_infinite(integrand, quad)
+    res = integrate_semi_infinite(integrand, quad,
+                                  _node_scale(geom, nonretarded=False))
     pref = 1.0 / (4.0 * math.pi)
     return EnergyResult(-pref * res.value, pref * res.error_estimate,
                         res.evaluations)

@@ -14,7 +14,7 @@ product; its long-distance limit is the r^-7 asymptote with coefficient
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import SPEED_OF_LIGHT, EnergyResult
 from .polarizability import KramersHeisenberg
@@ -62,16 +62,9 @@ def _lowest_transition(model: KramersHeisenberg, fallback: float = 1.0) -> float
     return min(t.omega_sg for t in model.transitions)
 
 
-def _with_scale(quad: QuadratureSpec, scale: float) -> QuadratureSpec:
-    if quad.decay_scale is not None:
-        return quad
-    return replace(quad, decay_scale=scale)
-
-
 def vdw_energy(pair: PairSpec, quad: QuadratureSpec | None = None
                ) -> EnergyResult:
     """Full retarded dispersion energy; negative at every separation."""
-    quad = quad or QuadratureSpec()
     a, b, r = pair.model_a, pair.model_b, pair.r
     c = SPEED_OF_LIGHT
 
@@ -82,7 +75,7 @@ def vdw_energy(pair: PairSpec, quad: QuadratureSpec | None = None
 
     # integrand mass sits at x ~ min(1, omega_low r/c)
     x_alpha = min(_lowest_transition(a), _lowest_transition(b)) * r / c
-    res = integrate_semi_infinite(integrand, _with_scale(quad, min(1.0, x_alpha)))
+    res = integrate_semi_infinite(integrand, quad, min(1.0, x_alpha))
     pref = c / (math.pi * r**7)
     return EnergyResult(-pref * res.value, pref * res.error_estimate,
                         res.evaluations)
@@ -91,14 +84,13 @@ def vdw_energy(pair: PairSpec, quad: QuadratureSpec | None = None
 def london_energy(pair: PairSpec, quad: QuadratureSpec | None = None
                   ) -> EnergyResult:
     """Nonretarded limit: -(3/pi r^6) int_0^inf alpha_a alpha_b d(xi)."""
-    quad = quad or QuadratureSpec()
     a, b, r = pair.model_a, pair.model_b, pair.r
 
     def integrand(xi: float) -> float:
         return a.alpha_imag(xi) * b.alpha_imag(xi)
 
     scale = min(_lowest_transition(a), _lowest_transition(b))
-    res = integrate_semi_infinite(integrand, _with_scale(quad, scale))
+    res = integrate_semi_infinite(integrand, quad, scale)
     pref = 3.0 / (math.pi * r**6)
     return EnergyResult(-pref * res.value, pref * res.error_estimate,
                         res.evaluations)

@@ -15,16 +15,19 @@ composed with the algebraic map x = s*t/(1-t) (Takahasi & Mori, Publ. RIMS
   both sides of it.
 
 Smooth integrands with exponential or algebraic tails converge at machine
-precision with a few hundred nodes.  The error estimate is the difference
-of the last two refinement levels inflated by a factor 2 (plus a
-machine-rounding floor), so reported errors stay on the safe side of the
-truth.
+precision with a few hundred nodes.  The error estimate is twice the
+difference of the last two refinement levels, and at least the rounding
+4 eps h sum|w f| of the sum.  From the second refinement on, the ladder
+stops once the estimate is at most max(rel_tol |value|, floor, rounding)
+and reports max(estimate, floor).  The caller passes the node scale and
+the floor (default 0), the absolute accuracy its integrand can reach or
+it needs; so an integral scaled by any constant stops at the same level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -55,26 +58,16 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget for one integration task.
-
-    ``decay_scale`` is a frequency hint: the [0, inf) map places half of
-    its nodes below it.  ``None`` lets the caller of each physics module
-    pick a scale from the model (falling back to 1.0).
-    """
+    """Relative tolerance and evaluation budget for one integration task."""
 
     rel_tol: float = 1e-9
-    abs_tol: float = 1e-14
     max_evals: int = 10**6
-    decay_scale: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be positive and finite")
         if self.max_evals < 100:
             raise ValueError("max_evals must be >= 100")
-        if self.decay_scale is not None \
-                and not 0 < self.decay_scale < math.inf:
-            raise ValueError("decay_scale must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -89,10 +82,6 @@ class MatsubaraSpec:
             raise ValueError("n_max must be >= 1")
         if not 0 < self.rel_tol < math.inf:
             raise ValueError("rel_tol must be positive and finite")
-
-
-def _tolerance(spec: QuadratureSpec, value: float) -> float:
-    return max(spec.abs_tol, spec.rel_tol * abs(value))
 
 
 class _EvalCounter:
@@ -149,9 +138,10 @@ def _exp_sinh_level(f: Callable[[float], float], scale: float, h: float,
 
 
 def _integrate_exp_sinh(g: Callable[[float], float], counter: _EvalCounter,
-                        spec: QuadratureSpec, scale: float) -> EnergyResult:
-    """int_0^inf g(u) du on the ladder; ``counter`` counts the calls of
-    the caller's integrand that ``g`` makes."""
+                        spec: QuadratureSpec, scale: float,
+                        floor: float = 0.0) -> EnergyResult:
+    """int_0^inf g(u) du on the ladder centred on ``scale``; ``counter``
+    counts the calls of the caller's integrand that ``g`` makes."""
     h = 0.5
     total, total_abs = _exp_sinh_level(g, scale, h, odd_only=False)
     value = h * total
@@ -161,10 +151,11 @@ def _integrate_exp_sinh(g: Callable[[float], float], counter: _EvalCounter,
         total += add
         total_abs += add_abs
         prev, value = value, h * total
-        diff = abs(value - prev)
-        err = max(2.0 * diff, 4.0 * _EPS * h * total_abs)
-        if level >= 2 and err <= _tolerance(spec, value):
-            return EnergyResult(value, err, counter.count)
+        rounding = 4.0 * _EPS * h * total_abs
+        err = max(2.0 * abs(value - prev), rounding)
+        if level >= 2 \
+                and err <= max(spec.rel_tol * abs(value), floor, rounding):
+            return EnergyResult(value, max(err, floor), counter.count)
     raise QuadratureError(
         f"tanh_sinh failed to reach tolerance within {counter.count} "
         "evaluations"
@@ -172,16 +163,22 @@ def _integrate_exp_sinh(g: Callable[[float], float], counter: _EvalCounter,
 
 
 def integrate_semi_infinite(f: Callable[[float], float],
-                            spec: QuadratureSpec | None = None) -> EnergyResult:
+                            spec: QuadratureSpec | None = None,
+                            scale: float = 1.0,
+                            floor: float = 0.0) -> EnergyResult:
     """Integrate ``f`` over [0, inf).
 
-    ``f`` must be finite on (0, inf) and decay integrably; the origin itself
-    is never evaluated.  Raises :class:`QuadratureError` when the evaluation
-    budget runs out or ``f`` returns NaN or an infinity.
+    Half of the nodes lie below ``scale``; ``floor`` is the absolute
+    accuracy ``f`` allows.  ``f`` must be finite on (0, inf) and decay
+    integrably; the origin itself is never evaluated.  Raises
+    :class:`QuadratureError` when the evaluation budget runs out or ``f``
+    returns NaN or an infinity.
     """
+    if not 0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
     spec = spec or QuadratureSpec()
     counter = _EvalCounter(f, spec.max_evals)
-    return _integrate_exp_sinh(counter, counter, spec, spec.decay_scale or 1.0)
+    return _integrate_exp_sinh(counter, counter, spec, scale, floor)
 
 
 def integrate_interval(f: Callable[[float], float], lo: float, hi: float,
@@ -192,9 +189,14 @@ def integrate_interval(f: Callable[[float], float], lo: float, hi: float,
     Neither end point is evaluated: a node whose w rounds onto an end
     carries a weight below rounding and contributes nothing.
     """
-    spec = spec or QuadratureSpec()
     if not hi > lo:
         raise ValueError("need hi > lo")
+    return _interval_map(f, lo, hi, spec or QuadratureSpec(), 1.0)
+
+
+def _interval_map(f: Callable[[float], float], lo: float, hi: float,
+                  spec: QuadratureSpec, scale: float) -> EnergyResult:
+    """The ladder on u centred on ``scale``, mapped to w in [lo, hi]."""
     width = hi - lo
     counter = _EvalCounter(f, spec.max_evals)
 
@@ -205,24 +207,26 @@ def integrate_interval(f: Callable[[float], float], lo: float, hi: float,
             return 0.0
         return counter(w) * (width / (v * v))
 
-    return _integrate_exp_sinh(mapped, counter, spec, 1.0)
+    return _integrate_exp_sinh(mapped, counter, spec, scale)
 
 
 def integrate_pv(f_regular: Callable[[float], float], pole: float,
-                 spec: QuadratureSpec | None = None) -> EnergyResult:
+                 spec: QuadratureSpec | None = None,
+                 scale: float | None = None) -> EnergyResult:
     """Principal value of  integral_0^inf f_regular(w) / (pole^2 - w^2) dw.
 
     Since PV int_0^inf dw/(a^2 - w^2) = 0, the value equals the regular
-    integral of (f(w) - f(a))/(a^2 - w^2).  Each side is written in the
-    distance d = |w - a| > 0: int_0^a on the interval map, and int_a^inf
-    on the half line with ``spec.decay_scale`` (default: the pole) as its
-    scale.  A node whose w rounds onto the pole contributes nothing, so
-    ``f_regular`` is called there once; that call counts as one evaluation.
+    integral of (f(w) - f(a))/(a^2 - w^2), written on each side in the
+    distance d = |w - a| > 0.  int_0^a runs on the interval map centred on
+    w = min(s, a/2), with s = ``scale`` (default: the pole); int_a^inf on
+    the half line with scale s, to rel_tol times the lower side.  A node
+    whose w rounds onto the pole contributes nothing, so ``f_regular`` is
+    called there once; that call counts as one evaluation.
     """
     spec = spec or QuadratureSpec()
-    a = pole
-    if not 0 < a < math.inf:
-        raise ValueError("pole must be positive and finite")
+    a, s = pole, pole if scale is None else scale
+    if not (0 < a < math.inf and 0 < s < math.inf):
+        raise ValueError("pole and scale must be positive and finite")
     f = _EvalCounter(f_regular, spec.max_evals)
     f_a = f(a)
 
@@ -234,9 +238,11 @@ def integrate_pv(f_regular: Callable[[float], float], pole: float,
         w = a + d
         return 0.0 if w == a else (f_a - f(w)) / (d * (a + w))
 
-    lower = integrate_interval(below, 0.0, a, spec)
-    upper = integrate_semi_infinite(
-        above, replace(spec, decay_scale=spec.decay_scale or a))
+    # d = a u/(1+u) puts u = (a-s)/s at w = s
+    lower = _interval_map(below, 0.0, a, spec,
+                          (a - s) / s if s < 0.5 * a else 1.0)
+    upper = integrate_semi_infinite(above, spec, s,
+                                    spec.rel_tol * abs(lower.value))
     return EnergyResult(lower.value + upper.value,
                         lower.error_estimate + upper.error_estimate, f.count)
 
@@ -267,22 +273,23 @@ def _matsubara_terms(g: Callable[[np.ndarray], np.ndarray], t_step: float,
 
 
 def matsubara_sum(g: Callable[[np.ndarray], np.ndarray], temperature: float,
-                  spec: MatsubaraSpec | None = None) -> EnergyResult:
+                  spec: MatsubaraSpec | None = None,
+                  floor: float = 0.0) -> EnergyResult:
     """Thermal sum  k_B T * [ g(0)/2 + sum_{n>=1} g(2 pi n k_B T) ].
 
     ``g`` maps a 1-D array of frequencies to the array of its values, and
     a single frequency to its value.  The sum calls it on blocks of up to
     32 successive xi_n; the tail integrals call it node by node.  Terms
     are accumulated one by one until three successive terms fall below
-    ``rel_tol`` times the running sum, or ``n_max`` is
-    reached.  The last block may run up to 31 terms past that stop; those
-    are discarded and not counted, so ``evaluations`` (summed terms, tail
-    nodes and one trapezoid end point) equals that of a term-by-term
-    evaluation.  A non-finite summed term raises :class:`QuadratureError`
-    naming its xi_n.  The remainder is restored by the midpoint integral
-    estimate (1/2pi) * int_{xi_(N+1/2)}^inf g(xi) dxi, whose own accuracy
-    is gauged against the trapezoidal association and reported in the
-    error.
+    ``rel_tol`` times the running sum, or ``n_max`` is reached.  The last
+    block may run up to 31 terms past that stop; those are discarded and
+    not counted, so ``evaluations`` (summed terms, tail nodes and one
+    trapezoid end point) equals that of a term-by-term evaluation.  A
+    non-finite summed term raises :class:`QuadratureError` naming its
+    xi_n.  The remainder is the midpoint integral estimate
+    (1/2pi) * int_{xi_(N+1/2)}^inf g(xi) dxi, gauged against the
+    trapezoidal association; both tail integrals take ``floor``, the
+    absolute accuracy of int g(xi) dxi that g allows.
     """
     spec = spec or MatsubaraSpec()
     if temperature <= 0:
@@ -304,13 +311,13 @@ def matsubara_sum(g: Callable[[np.ndarray], np.ndarray], temperature: float,
 
     xi_mid = (n + 0.5) * t_step
     xi_next = (n + 1.0) * t_step
-    tail_spec = QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=1e-300,
-                               decay_scale=max(xi_mid, t_step))
+    tail_spec = QuadratureSpec(rel_tol=spec.rel_tol)
+    scale = max(xi_mid, t_step)
     try:
         mid = integrate_semi_infinite(lambda x: float(g(xi_mid + x)),
-                                      tail_spec)
+                                      tail_spec, scale, floor)
         trap = integrate_semi_infinite(lambda x: float(g(xi_next + x)),
-                                       tail_spec)
+                                       tail_spec, scale, floor)
     except QuadratureError as exc:
         raise QuadratureError(
             f"matsubara tail did not converge after n_max={n}: {exc}") from exc

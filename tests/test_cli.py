@@ -289,6 +289,35 @@ def test_quadrature_method_is_an_unknown_key(tmp_path, capsys):
     assert "method" in config_error(tmp_path, capsys, cfg)
 
 
+def test_quadrature_abs_tol_is_an_unknown_key(tmp_path, capsys):
+    cfg = pairwise_config()
+    cfg["quadrature"] = {"rel_tol": 1e-9, "abs_tol": 1e-14}
+    assert "abs_tol" in config_error(tmp_path, capsys, cfg)
+
+
+def test_cavity_mode_outside_validity_is_named_before_any_build(
+        tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Hamiltonian was built")
+
+    monkeypatch.setattr("fluctem.cavity._hamiltonian", refuse)
+    cfg = cavity_config()
+    cfg["mode"]["omega"] = 5.0  # under 10x the atomic 1.1
+    assert "mode.omega" in config_error(tmp_path, capsys, cfg)
+
+
+def test_far_pair_at_low_temperature_runs_clean_under_strict(tmp_path,
+                                                            capsys):
+    # frequencies past ~1e154 once overflowed (xi/c)^2 into NaN blocks
+    atom = {"model": "single_resonance", "alpha_static": 2.0, "omega": 0.6}
+    cfg = {"task": "manybody", "temperature": 1e-3,
+           "atoms": [dict(atom, position=[0, 0, 0]),
+                     dict(atom, position=[0, 0, 3000.0])]}
+    path = write_config(tmp_path, cfg)
+    assert run(path, str(tmp_path / "out.csv"), strict=True) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_integer_keys_reject_fractions(tmp_path, capsys):
     path = write_config(tmp_path, cavity_config(photon_cutoff=12.7))
     assert run(path, str(tmp_path / "a.csv")) == 1

@@ -1,7 +1,8 @@
 """Radiative shift checks: closed form vs quadrature, dielectric
 difference against the analytic principal value, scipy's Cauchy-weight
 quadrature and a 50-digit evaluation, thermal scaling laws, and thermal
-error estimates against scipy's Cauchy-weight quadrature and the T^4 law."""
+error estimates against scipy's Cauchy-weight quadrature and the cold-side
+series."""
 
 import decimal
 import math
@@ -278,16 +279,31 @@ def scipy_thermal(model, temperature):
     return -pref * math.fsum(values), pref * math.fsum(errors)
 
 
-def quartic_law(model, temperature):
-    # cold limit: the Bose integral pi^4 T^4/15 against the static weight
-    # 1/omega^2, and twice the first correction (120 pi^2/63)(T/omega)^2
-    # as its error
-    law = -(4.0 / (3.0 * math.pi * CUBIC)) * math.fsum(
-        t.d2 * t.omega_sg * (math.pi**4 * temperature**4 / 15.0)
-        / t.omega_sg**2 for t in model.transitions)
-    omega_min = min(t.omega_sg for t in model.transitions)
-    ratio = (temperature / omega_min) ** 2
-    return law, 2.0 * (120.0 * math.pi**2 / 63.0) * ratio * abs(law)
+def zeta(s, n=1000):
+    """Riemann zeta: direct summation below n plus the Euler-Maclaurin
+    tail from n, whose error is about s^3 n^(-s-3) / 720."""
+    return math.fsum([k ** -s for k in range(1, n)]
+                     + [n ** (1 - s) / (s - 1), 0.5 * n ** -s,
+                        s * n ** (-s - 1) / 12.0])
+
+
+def cold_series(model, temperature):
+    # cold-side expansion of the thermal shift,
+    # -(4/(3 pi c^3)) sum_j d2_j w_j sum_k (2k+3)! zeta(2k+4) T^(2k+4)
+    # / w_j^(2k+2), asymptotic: each transition's series stops at its
+    # smallest term, and the smallest terms together are its error
+    sums, smallest = [], []
+    for t in model.transitions:
+        terms, k = [], 0
+        while len(terms) < 2 or 0.0 < terms[-1] < terms[-2]:
+            terms.append(math.factorial(2 * k + 3) * zeta(2 * k + 4)
+                         * temperature ** (2 * k + 4)
+                         / t.omega_sg ** (2 * k + 2))
+            k += 1
+        sums.append(t.d2 * t.omega_sg * math.fsum(terms[:-1]))
+        smallest.append(t.d2 * t.omega_sg * min(terms))
+    pref = 4.0 / (3.0 * math.pi * CUBIC)
+    return -pref * math.fsum(sums), pref * math.fsum(smallest)
 
 
 @pytest.mark.parametrize("temperature", [50.0, 5.0, 0.5, 0.05, 1e-2, 1e-3,
@@ -302,7 +318,8 @@ def test_thermal_error_estimate_is_honest(model, temperature):
     if temperature >= 0.01 * omega_min:
         ref, ref_tol = scipy_thermal(model, temperature)
     else:
-        ref, ref_tol = quartic_law(model, temperature)
+        ref, ref_tol = cold_series(model, temperature)
+        assert abs(res.value - ref) <= 1e-9 * abs(ref) + ref_tol
     assert res.error_estimate + ref_tol >= abs(res.value - ref)
 
 

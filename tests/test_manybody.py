@@ -4,6 +4,7 @@ integral identity."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from fluctem.manybody import (
     phf_lambda_integral,
     second_order_energy,
 )
-from fluctem.pairwise import PairSpec, vdw_energy
+from fluctem.pairwise import PairSpec, london_closed_form, vdw_energy
 from fluctem.polarizability import KramersHeisenberg, Transition, single_resonance
 from fluctem.quadrature import (
     MatsubaraSpec,
@@ -143,12 +144,12 @@ def test_second_order_matches_pair_loop_integrand(monkeypatch):
     geom = random_cluster(6, seed=5, min_distance=3.0)
     seen = []
 
-    def recording(integrand, spec):
+    def recording(integrand, spec, *args):
         def wrapped(xi):
             value = integrand(xi)
             seen.append((xi, value))
             return value
-        return integrate_semi_infinite(wrapped, spec)
+        return integrate_semi_infinite(wrapped, spec, *args)
 
     monkeypatch.setattr(manybody, "integrate_semi_infinite", recording)
     batched = second_order_energy(geom)
@@ -207,6 +208,18 @@ def test_build_T_rejects_negative_frequency_in_stack():
         build_T(random_cluster(3), np.array([0.1, -0.2]))
 
 
+def test_build_T_is_exactly_zero_past_the_frequency_ceiling():
+    # (xi/c)^2 overflows past xi ~ 1e154; every block is zero long before
+    geom = random_cluster(3)
+    huge = np.array([1e150, 1e160, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xi in huge:
+            assert not np.any(build_T(geom, xi))
+        assert not np.any(build_T(geom, huge))
+        assert np.all(np.isfinite(geom.alpha_values(huge)))
+
+
 def test_alpha_stack_equals_alpha_imag_bitwise():
     three = KramersHeisenberg((Transition(0.3, 1.0), Transition(0.7, 0.5),
                                Transition(1.9, 0.2)))
@@ -258,8 +271,9 @@ def term_by_term_log_det(geom, nonretarded):
     return g
 
 
-def term_by_term_matsubara(g, temperature, spec):
-    """The thermal sum with one g call per term, its n and evaluations."""
+def term_by_term_matsubara(g, temperature, spec, floor):
+    """The thermal sum with one g call per term, its n and evaluations;
+    ``floor`` is the tail integrals' absolute accuracy."""
     t_step = 2.0 * math.pi * temperature
     terms = [0.5 * g(0.0)]
     partial, small_run, n = terms[0], 0, 0
@@ -275,10 +289,12 @@ def term_by_term_matsubara(g, temperature, spec):
         else:
             small_run = 0
     xi_mid, xi_next = (n + 0.5) * t_step, (n + 1.0) * t_step
-    tail_spec = QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=1e-300,
-                               decay_scale=max(xi_mid, t_step))
-    mid = integrate_semi_infinite(lambda x: g(xi_mid + x), tail_spec)
-    trap = integrate_semi_infinite(lambda x: g(xi_next + x), tail_spec)
+    tail_spec = QuadratureSpec(rel_tol=spec.rel_tol)
+    scale = max(xi_mid, t_step)
+    mid = integrate_semi_infinite(lambda x: g(xi_mid + x), tail_spec, scale,
+                                  floor)
+    trap = integrate_semi_infinite(lambda x: g(xi_next + x), tail_spec, scale,
+                                   floor)
     g_next = g(xi_next)
     tail_mid = mid.value / (2.0 * math.pi)
     tail_trap = trap.value / (2.0 * math.pi) + 0.5 * temperature * g_next
@@ -301,18 +317,20 @@ def term_by_term_matsubara(g, temperature, spec):
 def test_blocked_thermal_sum_matches_term_by_term(case, monkeypatch):
     _, make, temperature, nonretarded, spec = case
     geom = make()
-    n_ref, reference = term_by_term_matsubara(
-        term_by_term_log_det(geom, nonretarded), temperature, spec)
-    # the tail integrals start at xi_(n + 1/2): their decay scale gives n
-    scales = []
+    # the tail integrals start at xi_(n + 1/2): their scale gives n; the
+    # mirror takes the floor they were given
+    scales, floors = [], []
 
-    def recording(f, tail_spec=None):
-        scales.append(tail_spec.decay_scale)
-        return integrate_semi_infinite(f, tail_spec)
+    def recording(f, tail_spec, scale, floor):
+        scales.append(scale)
+        floors.append(floor)
+        return integrate_semi_infinite(f, tail_spec, scale, floor)
 
     monkeypatch.setattr(quadrature, "integrate_semi_infinite", recording)
     blocked = free_energy_finiteT(geom, temperature, spec,
                                   nonretarded=nonretarded)
+    n_ref, reference = term_by_term_matsubara(
+        term_by_term_log_det(geom, nonretarded), temperature, spec, floors[0])
     t_step = 2.0 * math.pi * temperature
     assert scales[0] == max((n_ref + 0.5) * t_step, t_step)
     assert blocked.evaluations == reference.evaluations
@@ -349,6 +367,47 @@ def test_second_order_equals_pair_energy_for_two_atoms():
     cluster = second_order_energy(geom)
     pair = vdw_energy(PairSpec(model_a, model_b, r))
     assert cluster.value == pytest.approx(pair.value, rel=1e-8)
+
+
+FAR_PAIR_MODEL = single_resonance(2.0, 0.6)
+
+
+def far_pair(r):
+    return (SystemGeometry([(vec3(0, 0, 0), FAR_PAIR_MODEL),
+                            (vec3(0, 0, r), FAR_PAIR_MODEL)]),
+            PairSpec(FAR_PAIR_MODEL, FAR_PAIR_MODEL, r))
+
+
+@pytest.mark.parametrize("r", [6.0, 1e2, 1e3, 1e4, 1e5])
+def test_second_order_equals_pair_energy_at_extreme_separations(r):
+    # the integrals shrink as r^-6 to r^-7: a relative stopping rule keeps
+    # both routes at full accuracy however small they get
+    geom, pair = far_pair(r)
+    assert second_order_energy(geom).value \
+        == pytest.approx(vdw_energy(pair).value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("nonretarded", [False, True])
+@pytest.mark.parametrize("r", [1e2, 1e3, 3e3, 1e4, 1e5])
+def test_free_energy_error_is_honest_at_extreme_separations(r, nonretarded):
+    # log det cancels its first order, so its rounding grows relative to
+    # the value as r^3; the reported error must still cover the distance to
+    # the pair energy (the fourth order is below 1e-11 of it here)
+    geom, pair = far_pair(r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = free_energy_T0(geom, nonretarded=nonretarded)
+    ref = london_closed_form(pair) if nonretarded else vdw_energy(pair).value
+    assert abs(res.value - ref) <= res.error_estimate
+
+
+@pytest.mark.parametrize("r", [1e2, 3e3])
+def test_far_pair_thermal_sum_stops_at_its_rounding(r):
+    geom, _ = far_pair(r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = free_energy_finiteT(geom, 1e-3)
+    assert res.evaluations <= 2000
 
 
 def test_second_order_sums_pair_energies_collinear_triple():

@@ -41,9 +41,9 @@ SEMI_INFINITE_CASES = [
 CASE_INDICES = range(len(SEMI_INFINITE_CASES))
 
 
-def _interval_map_on_half_line(f, spec):
+def _interval_map_on_half_line(f, spec=None, scale=1.0):
     """[0, inf) through integrate_interval: x = s t/(1-t), t in (0, 1)."""
-    s = spec.decay_scale or 1.0
+    s = scale
 
     def compact(t):
         u = 1.0 - t
@@ -66,7 +66,7 @@ ENGINES = {
 @pytest.mark.parametrize("case", CASE_INDICES)
 def test_semi_infinite_oracles(engine, case):
     f, exact, scale = SEMI_INFINITE_CASES[case]
-    res = ENGINES[engine](f, QuadratureSpec(decay_scale=scale))
+    res = ENGINES[engine](f, scale=scale)
     assert isinstance(res, EnergyResult)
     assert res.value == pytest.approx(exact, rel=1e-9, abs=1e-13)
     assert res.evaluations > 0
@@ -76,29 +76,73 @@ def test_semi_infinite_oracles(engine, case):
 @pytest.mark.parametrize("case", CASE_INDICES)
 def test_error_estimates_are_honest(engine, case):
     f, exact, scale = SEMI_INFINITE_CASES[case]
-    res = ENGINES[engine](f, QuadratureSpec(decay_scale=scale))
+    res = ENGINES[engine](f, scale=scale)
     assert res.error_estimate >= abs(res.value - exact)
 
 
 def test_scale_robustness_without_hint():
-    # mass sits at x ~ 50 but the engine gets no decay_scale hint
+    # mass sits at x ~ 50 but the engine keeps its default scale 1
     res = integrate_semi_infinite(lambda x: math.exp(-x / 50.0))
     assert res.value == pytest.approx(50.0, rel=1e-9)
     assert res.error_estimate >= abs(res.value - 50.0)
 
 
-def test_tiny_magnitude_integral_keeps_relative_accuracy():
-    # scaled-down integrand must not be truncated by absolute cutoffs
-    amp = 1e-30
-    res = integrate_semi_infinite(lambda x: amp * math.exp(-x))
-    assert res.value == pytest.approx(amp, rel=1e-9)
+def bose_numerator(w, temperature=0.01):
+    x = w / temperature
+    return w**3 / math.expm1(x) if x < 700.0 else 0.0
+
+
+def zeta(s, n=1000):
+    """Riemann zeta: direct summation below n plus the Euler-Maclaurin
+    tail from n, whose error is about s^3 n^(-s-3) / 720."""
+    return math.fsum([k ** -s for k in range(1, n)]
+                     + [n ** (1 - s) / (s - 1), 0.5 * n ** -s,
+                        s * n ** (-s - 1) / 12.0])
+
+
+def bose_pv(pole, temperature=0.01):
+    """PV int_0^inf bose_numerator(w) / (pole^2 - w^2) dw for T << pole:
+    the asymptotic series sum_k (2k+3)! zeta(2k+4) T^(2k+4) / pole^(2k+2)
+    summed up to its smallest term."""
+    terms, k = [], 0
+    while len(terms) < 2 or 0.0 < terms[-1] < terms[-2]:
+        terms.append(math.factorial(2 * k + 3) * zeta(2 * k + 4)
+                     * temperature ** (2 * k + 4) / pole ** (2 * k + 2))
+        k += 1
+    return math.fsum(terms[:-1])
+
+
+# one case per entry point: x e^{-x} on [0, inf) and on [0, 1], and the
+# Bose principal value at T = 0.01 about the pole 1 with its nodes on the
+# thermal peak (the series' smallest term is ~ e^-100 of its value)
+SCALED_CASES = {
+    "semi_infinite": (integrate_semi_infinite, lambda x: x * math.exp(-x),
+                      lambda: 1.0),
+    "interval": (lambda f: integrate_interval(f, 0.0, 1.0),
+                 lambda x: x * math.exp(-x), lambda: 1.0 - 2.0 / math.e),
+    "pv": (lambda f: integrate_pv(f, pole=1.0, scale=0.01), bose_numerator,
+           lambda: bose_pv(1.0)),
+}
+
+
+@pytest.mark.parametrize("amp", [1e-30, 1e30])
+@pytest.mark.parametrize("entry", SCALED_CASES)
+def test_scaled_integrand_keeps_relative_accuracy(entry, amp):
+    # the stopping rule is relative: a constant factor moves no node and
+    # no stop, however small or large it is
+    integrate, f, exact = SCALED_CASES[entry]
+    base = integrate(f)
+    scaled = integrate(lambda x: amp * f(x))
+    assert scaled.value == pytest.approx(amp * base.value, rel=1e-12)
+    assert scaled.evaluations == base.evaluations
+    assert scaled.error_estimate >= abs(scaled.value - amp * exact())
 
 
 @given(rate=st.floats(min_value=0.05, max_value=40.0))
 @settings(max_examples=25, deadline=None)
 def test_exponential_moment_property(rate):
     res = integrate_semi_infinite(lambda x: x * math.exp(-rate * x),
-                                  QuadratureSpec(decay_scale=1.0 / rate))
+                                  scale=1.0 / rate)
     exact = rate**-2
     assert res.value == pytest.approx(exact, rel=1e-8)
     assert res.error_estimate >= abs(res.value - exact)
@@ -154,7 +198,7 @@ def test_interval_never_evaluates_end_points(lo, hi):
 
 
 def test_budget_exhaustion_raises():
-    spec = QuadratureSpec(max_evals=100, rel_tol=1e-13, abs_tol=1e-300)
+    spec = QuadratureSpec(max_evals=100, rel_tol=1e-13)
     with pytest.raises(QuadratureError):
         integrate_semi_infinite(lambda x: 1.0 / (1.0 + x**1.5), spec)
 
@@ -219,10 +263,14 @@ def test_energy_result_rejects_nan_value_and_non_finite_error():
 
 def test_spec_validation():
     for kwargs in ({"rel_tol": 0.0}, {"rel_tol": math.nan},
-                   {"abs_tol": math.nan}, {"max_evals": 10},
-                   {"decay_scale": -1.0}, {"decay_scale": math.nan}):
+                   {"max_evals": 10}):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
+    for scale in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="scale"):
+            integrate_semi_infinite(math.exp, scale=scale)
+        with pytest.raises(ValueError, match="scale"):
+            integrate_pv(math.exp, pole=1.0, scale=scale)
     for kwargs in ({"n_max": 0}, {"rel_tol": math.nan}):
         with pytest.raises(ValueError):
             MatsubaraSpec(**kwargs)
