@@ -218,8 +218,7 @@ def dipole_dipole_energy(d_a: Sequence[float], d_b: Sequence[float],
     return -bracket / r**3
 
 
-def perturbative_shift(system: CavitySystem,
-                       force: bool = False) -> PerturbativeShift:
+def perturbative_shift(system: CavitySystem) -> PerturbativeShift:
     """Second-order self shifts plus the distance-cubed pair term.
 
     self_n = -A_n^2 (d_n.e)^2 omega/(omega + omega_n); the interaction
@@ -228,15 +227,14 @@ def perturbative_shift(system: CavitySystem,
         -(A1 A2 / 2 r^3) (d1.e)(d2.e) [d1.d2 - 3(d1.rhat)(d2.rhat)]
             / (omega1 + omega2)
 
-    Requires two atoms and the high-frequency regime; ``force=True``
-    overrides the regime check.
+    Requires two atoms and the high-frequency regime.
     """
     if system.n_atoms != 2:
         raise ValueError("perturbative form is worked out for two atoms")
-    if not system.high_frequency and not force:
+    if not system.high_frequency:
         raise ValueError(
             "perturbative formula outside validity: mode frequency must "
-            "exceed every atomic frequency 10x over (force=True overrides)")
+            "exceed every atomic frequency 10x over")
     mode = system.mode
     selves = []
     for atom, amplitude in zip(system.atoms, mode.amplitudes):

@@ -321,7 +321,7 @@ def _run_lamb(cfg: dict) -> tuple[list[str], list[float]]:
         temp = _positive(units.temperature(cfg["temperature"], "temperature"),
                          "temperature")
         res = thermal_shift(model, temp, quad)
-        thermal, err = res.value, err + res.error_estimate
+        thermal, err = res.value, res.error_estimate
     if "medium" in cfg:
         spec = cfg["medium"]
         if not isinstance(spec, dict):
@@ -333,8 +333,7 @@ def _run_lamb(cfg: dict) -> tuple[list[str], list[float]]:
                 _model(spec.get("host"), units, "medium.host"))
         except ValueError as exc:
             raise ConfigError(f"medium: {exc}") from None
-        res = dielectric_shift_difference(model, medium)
-        dielectric, err = res.value, err + res.error_estimate
+        dielectric = dielectric_shift_difference(model, medium).value
     return (["bethe", "thermal", "dielectric", "err"],
             [bethe, thermal, dielectric, err])
 

@@ -233,12 +233,28 @@ def build_T(geom: SystemGeometry, xi) -> np.ndarray:
     return t.reshape(xi.shape + (dim, dim))
 
 
+def _log1pmx(mu: np.ndarray) -> np.ndarray:
+    """log1p(mu) - mu elementwise, to 128 ulp relative: for |mu| < 0.05
+    the series s (2s^2/3 + 2s^4/5 + 2s^6/7 + 2s^8/9 - mu) in
+    s = mu/(2 + mu), from log1p(mu) = 2 atanh(s) and 2s - mu = -s mu."""
+    s = mu / (2.0 + mu)
+    s2 = s * s
+    poly = 2.0 / 3.0 + s2 * (2.0 / 5.0 + s2 * (2.0 / 7.0 + s2 * (2.0 / 9.0)))
+    out = s * (s2 * poly - mu)
+    large = np.abs(mu) >= 0.05
+    if large.any():
+        out[large] = np.log1p(mu[large]) - mu[large]
+    return out
+
+
 def _log1p_sums(xi, mu: np.ndarray):
     """sum_k log1p(mu_k) over the last axis of ``mu``: a float for the
     modes of one xi, an array for the (K, 3N) modes of K.
 
-    A mode at or past mu = -1 leaves the coupled ground state unstable:
-    the first such xi is named in the error.
+    The mu_k are eigenvalues of a zero-diagonal matrix: their sum is 0,
+    so log1p(mu_k) - mu_k is summed, free of a first order that cancels
+    to rounding.  A mode at or past mu = -1 leaves the coupled ground
+    state unstable: the first such xi is named in the error.
     """
     if mu.min() <= -1.0:
         first = np.argmax(np.ravel(mu.min(axis=-1) <= -1.0))
@@ -246,7 +262,7 @@ def _log1p_sums(xi, mu: np.ndarray):
             "strong-coupling/overlap regime at "
             f"xi={float(np.ravel(xi)[first])!r}: "
             "an interaction mode crosses the stability boundary")
-    logs = np.log1p(mu).tolist()
+    logs = _log1pmx(mu).tolist()
     if mu.ndim == 1:
         return math.fsum(logs)
     return np.array([math.fsum(row) for row in logs])
@@ -261,15 +277,6 @@ def _node_scale(geom: SystemGeometry, nonretarded: bool) -> float:
     return scale
 
 
-def _logdet_floor(geom: SystemGeometry, scale: float) -> float:
-    """Absolute accuracy of int log det[1 + A T] d(xi) over ``scale``:
-    sum log1p(mu) cancels its first order, and the rounding of its 3N
-    eigenvalues (largest at xi = 0) is the same at every ladder level."""
-    s = np.sqrt(geom.alpha_values(0.0)).repeat(3)
-    norm = np.linalg.norm((s[:, None] * s[None, :]) * build_T(geom, 0.0))
-    return 4.0 * math.ulp(1.0) * math.sqrt(s.size) * float(norm) * scale
-
-
 def _logdet_function(geom: SystemGeometry, nonretarded: bool
                      ) -> Callable[..., float | np.ndarray]:
     """g(xi) = log det[1 + A T](i xi), the one log-det evaluation path.
@@ -279,7 +286,8 @@ def _logdet_function(geom: SystemGeometry, nonretarded: bool
     sqrt(A) T sqrt(A) of every frequency, all solved by one stacked
     eigensolve.  Identical scalar polarizabilities commute with the static
     T of the nonretarded limit: the eigenproblem then factorizes, is solved
-    once, and each frequency only scales its eigenvalues by alpha(i xi).
+    once, and each frequency only scales its eigenvalues by alpha(i xi),
+    which keeps their sum alpha Tr T = 0.
     """
     if nonretarded and all(m == geom.models[0] for m in geom.models):
         t_eigs = np.linalg.eigvalsh(build_T(geom, 0.0))
@@ -305,9 +313,8 @@ def free_energy_T0(geom: SystemGeometry, quad: QuadratureSpec | None = None,
     """
     if geom.n_sites < 2:
         return EnergyResult(0.0, 0.0, 0)
-    scale = _node_scale(geom, nonretarded)
     res = integrate_semi_infinite(_logdet_function(geom, nonretarded), quad,
-                                  scale, _logdet_floor(geom, scale))
+                                  _node_scale(geom, nonretarded))
     pref = 1.0 / (2.0 * math.pi)
     return EnergyResult(pref * res.value, pref * res.error_estimate,
                         res.evaluations)
@@ -325,9 +332,8 @@ def free_energy_finiteT(geom: SystemGeometry, temperature: float,
         if temperature <= 0:
             raise ValueError("temperature must be positive")
         return EnergyResult(0.0, 0.0, 0)
-    floor = _logdet_floor(geom, _node_scale(geom, nonretarded))
     return matsubara_sum(_logdet_function(geom, nonretarded), temperature,
-                         tail, floor)
+                         tail)
 
 
 def second_order_energy(geom: SystemGeometry,

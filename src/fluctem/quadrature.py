@@ -18,10 +18,11 @@ Smooth integrands with exponential or algebraic tails converge at machine
 precision with a few hundred nodes.  The error estimate is twice the
 difference of the last two refinement levels, and at least the rounding
 4 eps h sum|w f| of the sum.  From the second refinement on, the ladder
-stops once the estimate is at most max(rel_tol |value|, floor, rounding)
-and reports max(estimate, floor).  The caller passes the node scale and
-the floor (default 0), the absolute accuracy its integrand can reach or
-it needs; so an integral scaled by any constant stops at the same level.
+stops once the estimate is at most max(rel_tol |value|, rounding), and it
+reports that estimate.  The caller passes the node scale, so an integral
+scaled by any constant stops at the same level.  The one exception is the
+upper side of a principal value, which only needs rel_tol times the lower
+side: that target stops its ladder but is never reported as error.
 """
 
 from __future__ import annotations
@@ -139,9 +140,10 @@ def _exp_sinh_level(f: Callable[[float], float], scale: float, h: float,
 
 def _integrate_exp_sinh(g: Callable[[float], float], counter: _EvalCounter,
                         spec: QuadratureSpec, scale: float,
-                        floor: float = 0.0) -> EnergyResult:
+                        target: float = 0.0) -> EnergyResult:
     """int_0^inf g(u) du on the ladder centred on ``scale``; ``counter``
-    counts the calls of the caller's integrand that ``g`` makes."""
+    counts the calls of the caller's integrand that ``g`` makes.  An
+    estimate under ``target`` also stops the ladder."""
     h = 0.5
     total, total_abs = _exp_sinh_level(g, scale, h, odd_only=False)
     value = h * total
@@ -154,8 +156,8 @@ def _integrate_exp_sinh(g: Callable[[float], float], counter: _EvalCounter,
         rounding = 4.0 * _EPS * h * total_abs
         err = max(2.0 * abs(value - prev), rounding)
         if level >= 2 \
-                and err <= max(spec.rel_tol * abs(value), floor, rounding):
-            return EnergyResult(value, max(err, floor), counter.count)
+                and err <= max(spec.rel_tol * abs(value), target, rounding):
+            return EnergyResult(value, err, counter.count)
     raise QuadratureError(
         f"tanh_sinh failed to reach tolerance within {counter.count} "
         "evaluations"
@@ -164,13 +166,11 @@ def _integrate_exp_sinh(g: Callable[[float], float], counter: _EvalCounter,
 
 def integrate_semi_infinite(f: Callable[[float], float],
                             spec: QuadratureSpec | None = None,
-                            scale: float = 1.0,
-                            floor: float = 0.0) -> EnergyResult:
+                            scale: float = 1.0) -> EnergyResult:
     """Integrate ``f`` over [0, inf).
 
-    Half of the nodes lie below ``scale``; ``floor`` is the absolute
-    accuracy ``f`` allows.  ``f`` must be finite on (0, inf) and decay
-    integrably; the origin itself is never evaluated.  Raises
+    Half of the nodes lie below ``scale``.  ``f`` must be finite on
+    (0, inf) and decay integrably; the origin is never evaluated.  Raises
     :class:`QuadratureError` when the evaluation budget runs out or ``f``
     returns NaN or an infinity.
     """
@@ -178,7 +178,7 @@ def integrate_semi_infinite(f: Callable[[float], float],
         raise ValueError("scale must be positive and finite")
     spec = spec or QuadratureSpec()
     counter = _EvalCounter(f, spec.max_evals)
-    return _integrate_exp_sinh(counter, counter, spec, scale, floor)
+    return _integrate_exp_sinh(counter, counter, spec, scale)
 
 
 def integrate_interval(f: Callable[[float], float], lo: float, hi: float,
@@ -241,8 +241,9 @@ def integrate_pv(f_regular: Callable[[float], float], pole: float,
     # d = a u/(1+u) puts u = (a-s)/s at w = s
     lower = _interval_map(below, 0.0, a, spec,
                           (a - s) / s if s < 0.5 * a else 1.0)
-    upper = integrate_semi_infinite(above, spec, s,
-                                    spec.rel_tol * abs(lower.value))
+    above_counter = _EvalCounter(above, spec.max_evals)
+    upper = _integrate_exp_sinh(above_counter, above_counter, spec, s,
+                                spec.rel_tol * abs(lower.value))
     return EnergyResult(lower.value + upper.value,
                         lower.error_estimate + upper.error_estimate, f.count)
 
@@ -273,23 +274,22 @@ def _matsubara_terms(g: Callable[[np.ndarray], np.ndarray], t_step: float,
 
 
 def matsubara_sum(g: Callable[[np.ndarray], np.ndarray], temperature: float,
-                  spec: MatsubaraSpec | None = None,
-                  floor: float = 0.0) -> EnergyResult:
+                  spec: MatsubaraSpec | None = None) -> EnergyResult:
     """Thermal sum  k_B T * [ g(0)/2 + sum_{n>=1} g(2 pi n k_B T) ].
 
     ``g`` maps a 1-D array of frequencies to the array of its values, and
     a single frequency to its value.  The sum calls it on blocks of up to
-    32 successive xi_n; the tail integrals call it node by node.  Terms
+    32 successive xi_n; the tail integral calls it node by node.  Terms
     are accumulated one by one until three successive terms fall below
     ``rel_tol`` times the running sum, or ``n_max`` is reached.  The last
     block may run up to 31 terms past that stop; those are discarded and
-    not counted, so ``evaluations`` (summed terms, tail nodes and one
-    trapezoid end point) equals that of a term-by-term evaluation.  A
-    non-finite summed term raises :class:`QuadratureError` naming its
-    xi_n.  The remainder is the midpoint integral estimate
-    (1/2pi) * int_{xi_(N+1/2)}^inf g(xi) dxi, gauged against the
-    trapezoidal association; both tail integrals take ``floor``, the
-    absolute accuracy of int g(xi) dxi that g allows.
+    not counted, so ``evaluations`` (summed terms, tail nodes and three
+    gauge points) equals that of a term-by-term evaluation.  A non-finite
+    summed term raises :class:`QuadratureError` naming its xi_n.  The
+    remainder is the midpoint integral (1/2pi) int_{xi_(N+1/2)}^inf g.  Its
+    gauge, twice the distance to the trapezoidal association, is
+    (1/pi)|int_{xi_(N+1/2)}^{xi_(N+1)} g - pi T g(xi_(N+1))|, with that
+    integral by Simpson's rule.
     """
     spec = spec or MatsubaraSpec()
     if temperature <= 0:
@@ -310,23 +310,19 @@ def matsubara_sum(g: Callable[[np.ndarray], np.ndarray], temperature: float,
             small_run = 0
 
     xi_mid = (n + 0.5) * t_step
-    xi_next = (n + 1.0) * t_step
-    tail_spec = QuadratureSpec(rel_tol=spec.rel_tol)
-    scale = max(xi_mid, t_step)
     try:
         mid = integrate_semi_infinite(lambda x: float(g(xi_mid + x)),
-                                      tail_spec, scale, floor)
-        trap = integrate_semi_infinite(lambda x: float(g(xi_next + x)),
-                                       tail_spec, scale, floor)
+                                      QuadratureSpec(rel_tol=spec.rel_tol),
+                                      max(xi_mid, t_step))
     except QuadratureError as exc:
         raise QuadratureError(
             f"matsubara tail did not converge after n_max={n}: {exc}") from exc
-    g_next = float(g(xi_next))
-    tail_mid = mid.value / (2.0 * math.pi)
-    tail_trap = trap.value / (2.0 * math.pi) + 0.5 * temperature * g_next
-    value = temperature * math.fsum(terms) + tail_mid
-    err = (2.0 * abs(tail_mid - tail_trap)
-           + (mid.error_estimate + trap.error_estimate) / (2.0 * math.pi)
+    g0, g1, g2 = np.asarray(
+        g(np.array([xi_mid, (n + 0.75) * t_step, (n + 1.0) * t_step])),
+        dtype=float).tolist()
+    # (1/pi)[(h/12)(g0 + 4 g1 + g2) - (h/2) g2], Simpson on the half step
+    gauge = t_step / (12.0 * math.pi) * abs(g0 + 4.0 * g1 - 5.0 * g2)
+    value = temperature * math.fsum(terms) + mid.value / (2.0 * math.pi)
+    err = (gauge + mid.error_estimate / (2.0 * math.pi)
            + 4.0 * _EPS * temperature * math.fsum(abs(t) for t in terms))
-    evals = len(terms) + mid.evaluations + trap.evaluations + 1
-    return EnergyResult(value, err, evals)
+    return EnergyResult(value, err, len(terms) + mid.evaluations + 3)

@@ -91,12 +91,10 @@ def test_high_frequency_flag_threshold():
     assert not make_system(omega=10.0, omega_2=1.0).high_frequency
 
 
-def test_perturbative_regime_guard_and_force():
+def test_perturbative_regime_guard():
     low = make_system(omega=5.0)
     with pytest.raises(ValueError, match="outside validity"):
         perturbative_shift(low)
-    forced = perturbative_shift(low, force=True)
-    assert forced.self_1 < 0
 
 
 def test_perturbative_self_terms_closed_form():

@@ -15,8 +15,9 @@ import pytest
 
 import fluctem
 from fluctem.cli import run
+from fluctem.lamb import thermal_shift
 from fluctem.pairwise import PairSpec, london_closed_form, vdw_energy
-from fluctem.polarizability import single_resonance
+from fluctem.polarizability import KramersHeisenberg, Transition, single_resonance
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
@@ -445,6 +446,31 @@ def test_lamb_task_columns(tmp_path):
     assert row[0] < 0
     assert row[1] != 0.0 and row[2] != 0.0
     assert row[3] > 0
+
+
+def test_lamb_err_is_the_thermal_error_alone(tmp_path):
+    # the closed-form dielectric column carries no error, as E_london in
+    # pairwise: err is the thermal quadrature's estimate, or 0 without it
+    atom = {"model": "transitions",
+            "transitions": [{"omega": 0.375, "d2": 1.0}]}
+    medium = {"number_density": 1e-5,
+              "host": {"model": "single_resonance",
+                       "alpha_static": 2.0, "omega": 2.0}}
+    thermal = thermal_shift(KramersHeisenberg((Transition(0.375, 1.0),)),
+                            0.02)
+    cases = [({"temperature": 0.02, "medium": medium},
+              thermal.error_estimate),
+             ({"temperature": 0.02}, thermal.error_estimate),
+             ({"medium": medium}, 0.0)]
+    for k, (extra, expected) in enumerate(cases):
+        cfg = write_config(tmp_path, {"task": "lamb", "atom": atom, **extra},
+                           f"lamb{k}.json")
+        out = tmp_path / f"lamb{k}.csv"
+        assert run(cfg, str(out)) == 0
+        header, (row,) = read_table(out)
+        assert row[header.index("err")] == expected
+        if "medium" in extra:
+            assert row[header.index("dielectric")] != 0.0
 
 
 def test_length_units_convert_at_boundary(tmp_path):

@@ -2,6 +2,7 @@
 oracle, pairwise reduction, thermal limits, and the coupling-constant
 integral identity."""
 
+import decimal
 import itertools
 import math
 import warnings
@@ -23,7 +24,7 @@ from fluctem.manybody import (
     phf_lambda_integral,
     second_order_energy,
 )
-from fluctem.pairwise import PairSpec, london_closed_form, vdw_energy
+from fluctem.pairwise import PairSpec, vdw_energy
 from fluctem.polarizability import KramersHeisenberg, Transition, single_resonance
 from fluctem.quadrature import (
     MatsubaraSpec,
@@ -177,7 +178,7 @@ def test_evaluation_counts_pinned():
     thermal = free_energy_finiteT(geom, 0.1)
     second = second_order_energy(geom)
     assert (t0.evaluations, thermal.evaluations, second.evaluations) \
-        == (101, 298, 101)
+        == (101, 212, 101)
     assert t0.value == pytest.approx(-0.0012604643522799504, rel=1e-12)
     assert thermal.value == pytest.approx(-0.0014078704962657174, rel=1e-12)
     assert second.value == pytest.approx(-0.0012696444473952225, rel=1e-12)
@@ -252,6 +253,38 @@ def test_stacked_log_det_equals_single_calls(nonretarded, make):
         assert np.array_equal(stacked[k], g(xi))
 
 
+def log1pmx_decimal(mu):
+    """log(1 + mu) - mu to 60 digits: the alternating series
+    -mu^2/2 + mu^3/3 - ... for |mu| < 0.1, Decimal ln otherwise."""
+    ctx = decimal.Context(prec=60)
+    d = decimal.Decimal(mu)
+    if abs(mu) >= 0.1:
+        return ctx.subtract(ctx.ln(ctx.add(1, d)), d)
+    total, power = decimal.Decimal(0), d
+    for k in range(2, 80):
+        power = ctx.multiply(power, d)
+        term = ctx.divide(power, k)
+        total = ctx.add(total, term if k % 2 else -term)
+    return total
+
+
+def test_log1pmx_against_60_digits():
+    mus = np.concatenate([np.linspace(-1.0, 3.0, 2001)[1:],
+                          np.linspace(-0.06, 0.06, 601),
+                          np.geomspace(1e-150, 1.0, 751),
+                          -np.geomspace(1e-150, 1.0, 751)[:-1]])
+    worst = 0.0
+    for mu, value in zip(mus.tolist(), manybody._log1pmx(mus).tolist()):
+        exact = log1pmx_decimal(mu)
+        if exact == 0:
+            assert value == 0.0
+            continue
+        ulps = abs(decimal.Decimal(value) - exact) \
+            / decimal.Decimal(math.ulp(float(exact)))
+        worst = max(worst, float(ulps))
+    assert worst <= 128
+
+
 def term_by_term_log_det(geom, nonretarded):
     """log det[1 + A T](i xi) one frequency at a time, with per-site
     alpha_imag calls: the term-by-term route the stacked one replaces."""
@@ -266,14 +299,13 @@ def term_by_term_log_det(geom, nonretarded):
             s = np.repeat(np.sqrt(alphas), 3)
             t = static_t if nonretarded else build_T(geom, xi)
             mu = np.linalg.eigvalsh((s[:, None] * s[None, :]) * t)
-        return math.fsum(np.log1p(mu).tolist())
+        return math.fsum(manybody._log1pmx(mu).tolist())
 
     return g
 
 
-def term_by_term_matsubara(g, temperature, spec, floor):
-    """The thermal sum with one g call per term, its n and evaluations;
-    ``floor`` is the tail integrals' absolute accuracy."""
+def term_by_term_matsubara(g, temperature, spec):
+    """The thermal sum with one g call per term, its n and evaluations."""
     t_step = 2.0 * math.pi * temperature
     terms = [0.5 * g(0.0)]
     partial, small_run, n = terms[0], 0, 0
@@ -288,23 +320,19 @@ def term_by_term_matsubara(g, temperature, spec, floor):
                 break
         else:
             small_run = 0
-    xi_mid, xi_next = (n + 0.5) * t_step, (n + 1.0) * t_step
-    tail_spec = QuadratureSpec(rel_tol=spec.rel_tol)
-    scale = max(xi_mid, t_step)
-    mid = integrate_semi_infinite(lambda x: g(xi_mid + x), tail_spec, scale,
-                                  floor)
-    trap = integrate_semi_infinite(lambda x: g(xi_next + x), tail_spec, scale,
-                                   floor)
-    g_next = g(xi_next)
-    tail_mid = mid.value / (2.0 * math.pi)
-    tail_trap = trap.value / (2.0 * math.pi) + 0.5 * temperature * g_next
-    value = temperature * math.fsum(terms) + tail_mid
-    err = (2.0 * abs(tail_mid - tail_trap)
-           + (mid.error_estimate + trap.error_estimate) / (2.0 * math.pi)
+    xi_mid = (n + 0.5) * t_step
+    mid = integrate_semi_infinite(lambda x: g(xi_mid + x),
+                                  QuadratureSpec(rel_tol=spec.rel_tol),
+                                  max(xi_mid, t_step))
+    # twice the midpoint-trapezoid difference, its half-step integral by
+    # Simpson's rule
+    g0, g1, g2 = (g((n + q) * t_step) for q in (0.5, 0.75, 1.0))
+    gauge = t_step / (12.0 * math.pi) * abs(g0 + 4.0 * g1 - 5.0 * g2)
+    value = temperature * math.fsum(terms) + mid.value / (2.0 * math.pi)
+    err = (gauge + mid.error_estimate / (2.0 * math.pi)
            + 4.0 * np.finfo(float).eps * temperature
            * math.fsum(abs(t) for t in terms))
-    evals = len(terms) + mid.evaluations + trap.evaluations + 1
-    return n, EnergyResult(value, err, evals)
+    return n, EnergyResult(value, err, len(terms) + mid.evaluations + 3)
 
 
 @pytest.mark.parametrize("case", [
@@ -317,22 +345,20 @@ def term_by_term_matsubara(g, temperature, spec, floor):
 def test_blocked_thermal_sum_matches_term_by_term(case, monkeypatch):
     _, make, temperature, nonretarded, spec = case
     geom = make()
-    # the tail integrals start at xi_(n + 1/2): their scale gives n; the
-    # mirror takes the floor they were given
-    scales, floors = [], []
+    # the one tail integral starts at xi_(n + 1/2): its scale gives n
+    scales = []
 
-    def recording(f, tail_spec, scale, floor):
+    def recording(f, tail_spec, scale):
         scales.append(scale)
-        floors.append(floor)
-        return integrate_semi_infinite(f, tail_spec, scale, floor)
+        return integrate_semi_infinite(f, tail_spec, scale)
 
     monkeypatch.setattr(quadrature, "integrate_semi_infinite", recording)
     blocked = free_energy_finiteT(geom, temperature, spec,
                                   nonretarded=nonretarded)
     n_ref, reference = term_by_term_matsubara(
-        term_by_term_log_det(geom, nonretarded), temperature, spec, floors[0])
+        term_by_term_log_det(geom, nonretarded), temperature, spec)
     t_step = 2.0 * math.pi * temperature
-    assert scales[0] == max((n_ref + 0.5) * t_step, t_step)
+    assert scales == [max((n_ref + 0.5) * t_step, t_step)]
     assert blocked.evaluations == reference.evaluations
     assert blocked.value == reference.value
     assert blocked.error_estimate == reference.error_estimate
@@ -387,18 +413,47 @@ def test_second_order_equals_pair_energy_at_extreme_separations(r):
         == pytest.approx(vdw_energy(pair).value, rel=1e-12, abs=0.0)
 
 
+def exact_pair_free_energy(r, nonretarded):
+    """(1/2pi) int log det[1 + A T] d(xi) of two identical isotropic atoms:
+    log1p(-alpha^2 g_par^2) + 2 log1p(-alpha^2 g_perp^2) over the Green
+    eigenvalues along and across the axis, by scipy quad.  Returns the
+    value and quad's error estimate."""
+    integrate = pytest.importorskip("scipy.integrate")
+    c = SPEED_OF_LIGHT
+
+    def integrand(xi):
+        x = 0.0 if nonretarded else xi * r / c
+        decay = math.exp(-x) / r**3
+        g_par = 2.0 * (1.0 + x) * decay
+        g_perp = (x * x + 1.0 + x) * decay
+        a2 = FAR_PAIR_MODEL.alpha_imag(xi) ** 2
+        return math.log1p(-a2 * g_par**2) + 2.0 * math.log1p(-a2 * g_perp**2)
+
+    # the resonance and, retarded, the decay c/r set the two scales
+    omega = FAR_PAIR_MODEL.transitions[0].omega_sg
+    breaks = sorted({omega, omega if nonretarded else c / r})
+    edges = [0.0, *breaks, math.inf]
+    pieces = [integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13,
+                             limit=200)
+              for lo, hi in zip(edges[:-1], edges[1:])]
+    return (math.fsum(v for v, _ in pieces) / (2.0 * math.pi),
+            math.fsum(e for _, e in pieces) / (2.0 * math.pi))
+
+
 @pytest.mark.parametrize("nonretarded", [False, True])
 @pytest.mark.parametrize("r", [1e2, 1e3, 3e3, 1e4, 1e5])
 def test_free_energy_error_is_honest_at_extreme_separations(r, nonretarded):
-    # log det cancels its first order, so its rounding grows relative to
-    # the value as r^3; the reported error must still cover the distance to
-    # the pair energy (the fourth order is below 1e-11 of it here)
-    geom, pair = far_pair(r)
+    # the pair energy shrinks as r^-6 to r^-7 and the log det is summed
+    # without its vanishing first order, so the value keeps full relative
+    # accuracy and the error estimate stays tight and covers the distance
+    # to the exact pair determinant
+    geom, _ = far_pair(r)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = free_energy_T0(geom, nonretarded=nonretarded)
-    ref = london_closed_form(pair) if nonretarded else vdw_energy(pair).value
-    assert abs(res.value - ref) <= res.error_estimate
+    exact, ref_tol = exact_pair_free_energy(r, nonretarded)
+    assert abs(res.value - exact) <= res.error_estimate + ref_tol
+    assert res.error_estimate <= 1e-9 * abs(res.value)
 
 
 @pytest.mark.parametrize("r", [1e2, 3e3])
