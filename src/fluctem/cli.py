@@ -117,6 +117,11 @@ _TASK_KEYS = {
 }
 
 
+# the unit each units entry defaults to, and converts into
+_ATOMIC_UNITS = {"length": "bohr", "energy": "hartree",
+                 "temperature": "hartree_temperature"}
+
+
 class ConfigError(ValueError):
     """A config file that parses as JSON but violates the schema."""
 
@@ -128,25 +133,29 @@ class _Units:
         spec = cfg.get("units", {})
         if not isinstance(spec, dict):
             raise ConfigError("units must be an object")
-        unknown = set(spec) - {"length", "energy", "temperature"}
+        unknown = set(spec) - set(_ATOMIC_UNITS)
         if unknown:
             raise ConfigError(f"unknown units entries: {sorted(unknown)}")
-        self._length = spec.get("length", "bohr")
-        self._energy = spec.get("energy", "hartree")
-        self._temperature = spec.get("temperature", "hartree_temperature")
+        for entry, tag in spec.items():
+            try:
+                convert(1.0, tag, _ATOMIC_UNITS[entry])
+            except (TypeError, ValueError):
+                raise ConfigError(f"units.{entry} must be a {entry} unit "
+                                  f"tag, got {tag!r}") from None
+        self._tags = dict(_ATOMIC_UNITS, **spec)
 
     def length(self, value: float, label: str) -> float:
-        return convert(_number(value, label), self._length, "bohr")
+        return convert(_number(value, label), self._tags["length"], "bohr")
 
     def energy(self, value: float, label: str) -> float:
-        return convert(_number(value, label), self._energy, "hartree")
+        return convert(_number(value, label), self._tags["energy"], "hartree")
 
     def temperature(self, value: float, label: str) -> float:
-        return convert(_number(value, label), self._temperature,
+        return convert(_number(value, label), self._tags["temperature"],
                        "hartree_temperature")
 
     def inverse_volume(self, value: float, label: str) -> float:
-        scale = convert(1.0, self._length, "bohr")
+        scale = convert(1.0, self._tags["length"], "bohr")
         return _number(value, label) / scale**3
 
 
@@ -194,12 +203,15 @@ def _model(obj, units: _Units, label: str) -> KramersHeisenberg:
         raise ConfigError(f"{label} must be an object")
     kind = obj.get("model")
     if kind == "single_resonance":
-        return single_resonance(
-            _positive(_number(obj.get("alpha_static"),
-                              f"{label}.alpha_static"),
-                      f"{label}.alpha_static"),
-            _positive(units.energy(obj.get("omega"), f"{label}.omega"),
-                      f"{label}.omega"))
+        alpha_static = _positive(_number(obj.get("alpha_static"),
+                                         f"{label}.alpha_static"),
+                                 f"{label}.alpha_static")
+        omega = _positive(units.energy(obj.get("omega"), f"{label}.omega"),
+                          f"{label}.omega")
+        try:
+            return single_resonance(alpha_static, omega)
+        except ValueError as exc:
+            raise ConfigError(f"{label}: {exc}") from None
     if kind == "transitions":
         rows = obj.get("transitions")
         if not isinstance(rows, list) or not rows:

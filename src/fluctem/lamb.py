@@ -64,13 +64,11 @@ class DiluteMedium:
 
 
 def _check_cutoff(model: KramersHeisenberg, cutoff: CutoffSpec) -> None:
-    if model.transitions:
-        top = max(t.omega_sg for t in model.transitions)
-        if cutoff.omega_max < 100.0 * top:
-            warnings.warn(
-                "cutoff is within 100x of the highest transition frequency; "
-                "the subtracted shift is cutoff-sensitive here",
-                stacklevel=3)
+    if cutoff.omega_max < 100.0 * max(t.omega_sg for t in model.transitions):
+        warnings.warn(
+            "cutoff is within 100x of the highest transition frequency; "
+            "the subtracted shift is cutoff-sensitive here",
+            stacklevel=3)
 
 
 def bethe_shift(model: KramersHeisenberg,
@@ -98,8 +96,6 @@ def bethe_shift_quadrature(model: KramersHeisenberg,
     """
     cutoff = cutoff or CutoffSpec()
     _check_cutoff(model, cutoff)
-    if not model.transitions:
-        return EnergyResult(0.0, 0.0, 0)
     pref = -2.0 / (3.0 * math.pi * SPEED_OF_LIGHT**3)
     values, errors, evals = [], [], 0
     for t in model.transitions:
@@ -121,8 +117,7 @@ def dielectric_shift_difference(model: KramersHeisenberg,
     PV int_0^inf dw / ((a + w)(b^2 - w^2)) = ln(b/a) / (b^2 - a^2), which is
     1/(2a^2) at b = a.  The error estimate bounds the rounding.
     """
-    if medium.number_density == 0.0 \
-            or not model.transitions or not medium.host.transitions:
+    if medium.number_density == 0.0:
         return EnergyResult(0.0, 0.0, 0)
     terms = []
     for ts in model.transitions:
@@ -152,8 +147,6 @@ def thermal_shift(model: KramersHeisenberg, temperature: float,
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    if not model.transitions:
-        return EnergyResult(0.0, 0.0, 0)
 
     def bose_numerator(w: float) -> float:
         # integrate_pv calls it at w > 0 only

@@ -113,16 +113,6 @@ class SystemGeometry:
             [index.setdefault(m, len(index)) for m in self._models],
             dtype=int)
         self._distinct_models = tuple(index)
-        # sums of one or two transitions are evaluated on whole frequency
-        # arrays from their (omega_s d2_s, omega_s^2) pairs: one addition is
-        # the correctly rounded sum math.fsum returns, so the values equal
-        # alpha_imag bit for bit.  Models with no transitions or more than
-        # two (None here) are evaluated frequency by frequency.
-        self._alpha_terms = tuple(
-            tuple((t.omega_sg * t.d2, t.omega_sg * t.omega_sg)
-                  for t in m.transitions)
-            if 0 < len(m.transitions) <= 2 else None
-            for m in self._distinct_models)
         self._pair_i, self._pair_j = np.triu_indices(self.n_sites, k=1)
         delta = self._positions[self._pair_i] - self._positions[self._pair_j]
         # the dot product core.separation uses: distances, and with them the
@@ -185,16 +175,7 @@ class SystemGeometry:
         """
         xi = _frequencies(xi)
         x2 = xi * xi
-        alphas = []
-        for model, pairs in zip(self._distinct_models, self._alpha_terms):
-            if pairs is None:
-                alphas.append(np.reshape(
-                    [model.alpha_imag(x) for x in xi.ravel().tolist()],
-                    xi.shape))
-                continue
-            terms = [strength / (omega2 + x2) for strength, omega2 in pairs]
-            alphas.append((2.0 / 3.0) * sum(terms[1:], terms[0]))
-        return np.array(alphas).T
+        return np.array([m.sum_terms(x2) for m in self._distinct_models]).T
 
     def alpha_values(self, xi) -> np.ndarray:
         """alpha(i xi) of every site, each distinct model evaluated once.
@@ -270,8 +251,7 @@ def _log1p_sums(xi, mu: np.ndarray):
 
 def _node_scale(geom: SystemGeometry, nonretarded: bool) -> float:
     # the lowest transition, or c over the closest pair (two sites or more)
-    scale = min((t.omega_sg for m in geom.models for t in m.transitions),
-                default=1.0)
+    scale = min(t.omega_sg for m in geom.models for t in m.transitions)
     if not nonretarded:
         scale = min(scale, SPEED_OF_LIGHT / geom.min_separation())
     return scale
@@ -375,8 +355,7 @@ def _identical_single_resonance(geom: SystemGeometry) -> tuple[float, float]:
     return alpha_static, t.omega_sg
 
 
-def normal_mode_energy(geom: SystemGeometry, nonretarded: bool = True
-                       ) -> EnergyResult:
+def normal_mode_energy(geom: SystemGeometry) -> EnergyResult:
     """Sum of zero-point mode shifts of coupled identical dipoles.
 
     The electrostatic coupled-oscillator problem diagonalizes exactly:
@@ -384,10 +363,6 @@ def normal_mode_energy(geom: SystemGeometry, nonretarded: bool = True
     eigenvalues t_k of the static interaction matrix.  Returns
     (1/2) sum_s omega_s - (3N/2) omega0.
     """
-    if not nonretarded:
-        raise ValueError(
-            "only the electrostatic (nonretarded) normal-mode problem "
-            "diagonalizes in closed form")
     alpha_static, omega0 = _identical_single_resonance(geom)
     t_eigs = np.linalg.eigvalsh(build_T(geom, 0.0))
     if np.any(1.0 + alpha_static * t_eigs <= 0.0):

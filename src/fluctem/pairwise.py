@@ -56,12 +56,6 @@ class PairValidity:
     ratio: float
 
 
-def _lowest_transition(model: KramersHeisenberg, fallback: float = 1.0) -> float:
-    if not model.transitions:
-        return fallback
-    return min(t.omega_sg for t in model.transitions)
-
-
 def vdw_energy(pair: PairSpec, quad: QuadratureSpec | None = None
                ) -> EnergyResult:
     """Full retarded dispersion energy; negative at every separation."""
@@ -74,7 +68,7 @@ def vdw_energy(pair: PairSpec, quad: QuadratureSpec | None = None
         return a.alpha_imag(xi) * b.alpha_imag(xi) * poly * math.exp(-2.0 * x)
 
     # integrand mass sits at x ~ min(1, omega_low r/c)
-    x_alpha = min(_lowest_transition(a), _lowest_transition(b)) * r / c
+    x_alpha = min(t.omega_sg for t in a.transitions + b.transitions) * r / c
     res = integrate_semi_infinite(integrand, quad, min(1.0, x_alpha))
     pref = c / (math.pi * r**7)
     return EnergyResult(-pref * res.value, pref * res.error_estimate,
@@ -89,7 +83,7 @@ def london_energy(pair: PairSpec, quad: QuadratureSpec | None = None
     def integrand(xi: float) -> float:
         return a.alpha_imag(xi) * b.alpha_imag(xi)
 
-    scale = min(_lowest_transition(a), _lowest_transition(b))
+    scale = min(t.omega_sg for t in a.transitions + b.transitions)
     res = integrate_semi_infinite(integrand, quad, scale)
     pref = 3.0 / (math.pi * r**6)
     return EnergyResult(-pref * res.value, pref * res.error_estimate,

@@ -1,12 +1,10 @@
 """Ground-state atomic polarizability: the Kramers-Heisenberg sum.
 
-The model sums over the upward transitions of a ground-state atom and
-exposes one analytic function through three views: the positive imaginary
-axis (``alpha_imag``, real and positive), the real axis with an explicit
-regulator (``alpha_real``), and the full complex plane off the poles
-(``alpha_complex``).  Every energy in the package integrates or sums the
-imaginary-axis view; the other two are the independent route that checks
-it.
+The model sums over the upward transitions of a ground-state atom, and
+needs at least one.  Every energy in the package integrates or sums its
+value alpha(i xi) on the positive imaginary axis, real, positive and
+decreasing, through one summation, :meth:`KramersHeisenberg.sum_terms`,
+which takes one xi^2 or an array of them.
 
 Frequencies and dipole strengths are in Hartree atomic units; returned
 polarizabilities are volumes in atomic units.
@@ -15,7 +13,7 @@ polarizabilities are volumes in atomic units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "Transition",
@@ -48,43 +46,39 @@ class KramersHeisenberg:
 
         alpha(z) = (2/3) sum_s omega_s d2_s / (omega_s^2 - z^2),
 
-    evaluated as alpha_imag on z = i*xi (manifestly positive and decreasing)
-    and as alpha_real on z = omega + i*eta with a caller-supplied regulator.
+    evaluated on z = i*xi, where it is manifestly positive and decreasing.
+    ``terms`` holds the (omega_s d2_s, omega_s^2) pair of each transition;
+    equality and hashing see ``transitions`` only.
     """
 
     transitions: tuple[Transition, ...]
+    terms: tuple[tuple[float, float], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "transitions", tuple(self.transitions))
+        transitions = tuple(self.transitions)
+        if not transitions:
+            raise ValueError("a polarizability model needs a transition")
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "terms", tuple(
+            (t.omega_sg * t.d2, t.omega_sg * t.omega_sg)
+            for t in transitions))
 
-    def alpha_complex(self, z: complex) -> complex:
-        z2 = complex(z) * complex(z)
-        return (2.0 / 3.0) * sum(
-            (t.omega_sg * t.d2 / (t.omega_sg * t.omega_sg - z2)
-             for t in self.transitions),
-            start=complex(0.0),
-        )
+    def sum_terms(self, x2):
+        """alpha(i xi) at x2 = xi^2, a float or an array, unchecked; plain
+        additions in transition order (``sum`` compensates floats from
+        Python 3.12 on), so array elements equal float calls bit for bit."""
+        strength, omega2 = self.terms[0]
+        total = strength / (omega2 + x2)
+        for strength, omega2 in self.terms[1:]:
+            total = total + strength / (omega2 + x2)
+        return (2.0 / 3.0) * total
 
     def alpha_imag(self, xi: float) -> float:
         """Polarizability on the positive imaginary axis, alpha(i*xi)."""
         if xi < 0:
             raise ValueError("imaginary-axis frequency must be >= 0")
-        x2 = xi * xi
-        return (2.0 / 3.0) * math.fsum(
-            t.omega_sg * t.d2 / (t.omega_sg * t.omega_sg + x2)
-            for t in self.transitions)
-
-    def alpha_real(self, omega: float, eta: float) -> complex:
-        """Polarizability at omega + i*eta; eta > 0 keeps poles regulated."""
-        if eta <= 0:
-            raise ValueError("regulator eta must be positive")
-        return self.alpha_complex(complex(omega, eta))
-
-    def oscillator_strength_sum(self) -> float:
-        """Sum of oscillator strengths (2/3) omega d2; counts electrons when
-        the transition set saturates the sum rule."""
-        return math.fsum((2.0 / 3.0) * t.omega_sg * t.d2
-                         for t in self.transitions)
+        return self.sum_terms(xi * xi)
 
     def static_polarizability(self) -> float:
         return self.alpha_imag(0.0)

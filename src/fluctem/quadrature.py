@@ -187,7 +187,9 @@ def integrate_interval(f: Callable[[float], float], lo: float, hi: float,
 
     The ladder on u in (0, inf) is mapped through w = lo + (hi-lo) u/(1+u).
     Neither end point is evaluated: a node whose w rounds onto an end
-    carries a weight below rounding and contributes nothing.
+    carries a weight below rounding and contributes nothing.  The nodes
+    carry rounding of about eps |lo| / (hi - lo) relative to the width:
+    2e-10 on [1e6, 1e6 + 1], inside the error estimate.
     """
     if not hi > lo:
         raise ValueError("need hi > lo")

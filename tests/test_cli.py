@@ -243,6 +243,23 @@ def test_nonpositive_alpha_static_is_named(tmp_path, capsys):
     assert "atoms[1].alpha_static" in config_error(tmp_path, capsys, cfg)
 
 
+def test_overflowing_single_resonance_is_named(tmp_path, capsys):
+    # d2 = 1.5 alpha_static omega overflows to inf
+    cfg = pairwise_config()
+    cfg["atoms"][1] = dict(ATOM, alpha_static=4.0, omega=1.7e308)
+    assert "atoms[1]" in config_error(tmp_path, capsys, cfg)
+
+
+@pytest.mark.parametrize("units", [{"length": "eV"}, {"length": 5},
+                                   {"length": ["nm"]},
+                                   {"temperature": "bogus"}])
+def test_bad_unit_tags_are_named(tmp_path, capsys, units):
+    # the temperature tag is checked although no temperature is read
+    cfg = dict(pairwise_config(), units=units)
+    (entry,) = units
+    assert f"units.{entry}" in config_error(tmp_path, capsys, cfg)
+
+
 def test_nonpositive_separation_is_named(tmp_path, capsys):
     err = config_error(tmp_path, capsys, pairwise_config(separation=-2.0))
     assert "separation" in err

@@ -40,12 +40,6 @@ def test_bethe_single_transition_closed_form():
     assert bethe_shift(model, cut) < 0
 
 
-def test_bethe_empty_model_is_zero():
-    assert bethe_shift(KramersHeisenberg(())) == 0.0
-    res = bethe_shift_quadrature(KramersHeisenberg(()))
-    assert res.value == 0.0 and res.evaluations == 0
-
-
 def test_bethe_quadrature_route_agrees():
     model = KramersHeisenberg((Transition(0.375, 2.0), Transition(0.5, 1.0),
                                Transition(1.1, 0.25)))
@@ -323,8 +317,7 @@ def test_thermal_error_estimate_is_honest(model, temperature):
     assert res.error_estimate + ref_tol >= abs(res.value - ref)
 
 
-def test_thermal_validation_and_empty_model():
+def test_thermal_validation():
     model = KramersHeisenberg((Transition(0.5, 3.0),))
     with pytest.raises(ValueError):
         thermal_shift(model, 0.0)
-    assert thermal_shift(KramersHeisenberg(()), 1.0).value == 0.0

@@ -224,10 +224,13 @@ def test_build_T_is_exactly_zero_past_the_frequency_ceiling():
 def test_alpha_stack_equals_alpha_imag_bitwise():
     three = KramersHeisenberg((Transition(0.3, 1.0), Transition(0.7, 0.5),
                                Transition(1.9, 0.2)))
+    eight = KramersHeisenberg(tuple(
+        Transition(0.11 * 1.7**k, 0.3 + 0.9 * k) for k in range(8)))
     xis = np.array([0.0, 1e-3, 0.2, 0.37, 3.0, 50.0])
     for geom in (random_cluster(7, seed=3),
                  SystemGeometry([(vec3(0, 0, 0), three),
-                                 (vec3(0, 0, 4), single_resonance(1.0, 0.5))])):
+                                 (vec3(0, 0, 4), single_resonance(1.0, 0.5)),
+                                 (vec3(0, 4, 0), eight)])):
         stacked = geom.alpha_values(xis)
         assert stacked.shape == (len(xis), geom.n_sites)
         for k, xi in enumerate(xis.tolist()):
@@ -564,9 +567,6 @@ def test_normal_mode_requires_identical_single_resonance():
     ])
     with pytest.raises(ValueError, match="identical"):
         normal_mode_energy(geom)
-    good = chain_geometry(single_resonance(1.0, 0.5), 3.0, 2)
-    with pytest.raises(ValueError, match="nonretarded|electrostatic"):
-        normal_mode_energy(good, nonretarded=False)
 
 
 @pytest.mark.parametrize("n_atoms", [2, 3, 4])

@@ -55,14 +55,6 @@ def test_london_one_transition_each():
     assert res.value == pytest.approx(exact, rel=1e-8)
 
 
-def test_london_empty_model_gives_zero():
-    a = single_resonance(2.0, 0.5)
-    b = KramersHeisenberg(())
-    pair = PairSpec(a, b, 1.5)
-    assert london_closed_form(pair) == 0.0
-    assert london_energy(pair).value == 0.0
-
-
 def test_london_quadrature_matches_closed_form_multi_transition():
     a = KramersHeisenberg((Transition(0.375, 2.0), Transition(0.5, 1.0)))
     b = KramersHeisenberg((Transition(0.3, 0.7), Transition(1.4, 3.0)))
