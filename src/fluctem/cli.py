@@ -227,7 +227,10 @@ def _model(obj, units: _Units, label: str) -> KramersHeisenberg:
             transitions.append(Transition(
                 _positive(units.energy(row.get("omega"), f"{row_label}.omega"),
                           f"{row_label}.omega"), d2))
-        return KramersHeisenberg(tuple(transitions))
+        try:
+            return KramersHeisenberg(tuple(transitions))
+        except ValueError as exc:
+            raise ConfigError(f"{label}: {exc}") from None
     raise ConfigError(
         f"{label}.model must be 'single_resonance' or 'transitions'")
 
@@ -290,12 +293,18 @@ def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
                     for v in _vector(atom.get("position"), label))
         sites.append((pos, _model(atom, units, f"atoms[{k}]")))
     delta = np.array([pos for pos, _ in sites])
-    delta = delta[:, None, :] - delta[None, :, :]
+    with np.errstate(over="ignore"):
+        delta = delta[:, None, :] - delta[None, :, :]
+        r2 = np.sum(delta * delta, axis=-1)
     # a zero squared distance, as SystemGeometry finds it: equal positions,
-    # or separations so small that their square underflows
-    i, j = np.nonzero(np.triu(np.sum(delta * delta, axis=-1) == 0.0, k=1))
-    if i.size:
-        raise ConfigError(f"atoms[{i[0]}] and atoms[{j[0]}] coincide")
+    # or separations so small that their square underflows; an infinite
+    # one: separations so large that it overflows
+    for bad, verdict in ((r2 == 0.0, "coincide"),
+                         (~np.isfinite(r2), "are too far apart for a "
+                                            "finite distance")):
+        i, j = np.nonzero(np.triu(bad, k=1))
+        if i.size:
+            raise ConfigError(f"atoms[{i[0]}] and atoms[{j[0]}] {verdict}")
     geometry = SystemGeometry(sites)
     nonretarded = cfg.get("nonretarded", False)
     if not isinstance(nonretarded, bool):
@@ -327,7 +336,10 @@ def _run_lamb(cfg: dict) -> tuple[list[str], list[float]]:
             cutoff = CutoffSpec(units.energy(cfg["cutoff"], "cutoff"))
         except ValueError as exc:
             raise ConfigError(f"cutoff: {exc}") from None
-    bethe = bethe_shift(model, cutoff)
+    try:
+        bethe = bethe_shift(model, cutoff)
+    except OverflowError as exc:
+        raise ConfigError(f"atom: {exc}") from None
     thermal = dielectric = err = 0.0
     if "temperature" in cfg:
         temp = _positive(units.temperature(cfg["temperature"], "temperature"),

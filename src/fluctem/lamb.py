@@ -77,14 +77,30 @@ def bethe_shift(model: KramersHeisenberg,
 
     Closed form -(2/(3 pi c^3)) sum_s omega_s^2 d2_s ln((W + omega_s)/omega_s)
     with W the cutoff frequency.  Linear in each d2 at fixed frequency.
+    Where W/omega_s overflows, the log is ln W - ln omega_s
+    + log1p(omega_s/W).  Raises :class:`OverflowError` when the shift
+    itself exceeds the double range.
     """
     cutoff = cutoff or CutoffSpec()
     _check_cutoff(model, cutoff)
     w = cutoff.omega_max
-    total = math.fsum(
-        t.omega_sg**2 * t.d2 * math.log1p(w / t.omega_sg)
-        for t in model.transitions)
+    try:
+        total = math.fsum(
+            t.omega_sg**2 * t.d2 * _log_ratio(w, t.omega_sg)
+            for t in model.transitions)
+    except OverflowError:
+        total = math.inf
+    if math.isinf(total):
+        raise OverflowError("the bethe shift overflows a double")
     return -2.0 / (3.0 * math.pi * SPEED_OF_LIGHT**3) * total
+
+
+def _log_ratio(w: float, omega: float) -> float:
+    """ln((w + omega)/omega) for positive finite w and omega."""
+    ratio = w / omega
+    if math.isinf(ratio):
+        return math.log(w) - math.log(omega) + math.log1p(omega / w)
+    return math.log1p(ratio)
 
 
 def bethe_shift_quadrature(model: KramersHeisenberg,

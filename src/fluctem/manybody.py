@@ -23,10 +23,12 @@ Frobenius norms directly.  The log-det integrand has one evaluation path,
 which takes one frequency or a 1-D array of K: the Green blocks, alpha(i xi)
 of each distinct model and T(xi) are evaluated for the whole array, and
 one ``eigvalsh`` call solves the stacked (K, 3N, 3N) matrices.  The thermal
-sum hands it blocks of Matsubara frequencies; the tanh-sinh integrals (the
-T = 0 energy and the thermal tail) call it node by node.  Every stacked
-slice equals the single-frequency call bit for bit, so the blocking
-changes no result.
+sum hands it blocks of Matsubara frequencies, and the tanh-sinh integrals
+(the T = 0 energy, the second order and the thermal tail) stacks of their
+nodes, at most 2**16 matrix elements at T = 0: about 113 nodes at N = 8,
+9 at N = 27 and one at N = 64, where stacking measured no gain.  Every
+stacked slice equals the single-frequency call bit for bit, so the
+stacking changes no result.
 
 ``normal_mode_energy`` is the independent oracle for the electrostatic
 limit: identical single-resonance atoms give mode frequencies
@@ -74,6 +76,9 @@ __all__ = [
 
 # Gauss-Legendre nodes of the coupling-constant integral
 _PHF_NODES = 64
+# matrix elements stacked per integrand call of the tanh-sinh integrals:
+# (3N)^2 per node of the log det, about half that of the second order
+_STACK_ELEMENTS = 2**16
 # past this frequency every Green block is exactly zero (exp(-xi r/c)
 # underflows at any r above 1e-145 bohr), while xi^2 still fits a double
 _XI_CEILING = 1e150
@@ -114,13 +119,18 @@ class SystemGeometry:
             dtype=int)
         self._distinct_models = tuple(index)
         self._pair_i, self._pair_j = np.triu_indices(self.n_sites, k=1)
-        delta = self._positions[self._pair_i] - self._positions[self._pair_j]
-        # the dot product core.separation uses: distances, and with them the
-        # quadrature node scale set by min_separation, agree bitwise with
-        # the single-pair functions
-        self._pair_r = np.sqrt((delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
+        with np.errstate(over="ignore"):
+            delta = self._positions[self._pair_i] \
+                - self._positions[self._pair_j]
+            # the dot product core.separation uses: distances, and with
+            # them the quadrature node scale set by min_separation, agree
+            # bitwise with the single-pair functions
+            self._pair_r = np.sqrt(
+                (delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
         if np.any(self._pair_r == 0.0):
             raise ValueError("coincident points")
+        if not np.all(np.isfinite(self._pair_r)):
+            raise ValueError("points too far apart for a finite distance")
         self._transverse, self._static = pair_projectors(
             delta / self._pair_r[:, None])
         # flat places of every pair block in the 3N x 3N matrix: the upper
@@ -235,7 +245,10 @@ def _log1p_sums(xi, mu: np.ndarray):
     The mu_k are eigenvalues of a zero-diagonal matrix: their sum is 0,
     so log1p(mu_k) - mu_k is summed, free of a first order that cancels
     to rounding.  A mode at or past mu = -1 leaves the coupled ground
-    state unstable: the first such xi is named in the error.
+    state unstable: the first such xi is named in the error.  The
+    quadrature stacks can hold nodes past a direction's cut, whose values
+    are discarded unseen; such a node can still raise this error, which
+    then reports a real instability on (0, inf).
     """
     if mu.min() <= -1.0:
         first = np.argmax(np.ravel(mu.min(axis=-1) <= -1.0))
@@ -255,6 +268,11 @@ def _node_scale(geom: SystemGeometry, nonretarded: bool) -> float:
     if not nonretarded:
         scale = min(scale, SPEED_OF_LIGHT / geom.min_separation())
     return scale
+
+
+def _stack(geom: SystemGeometry) -> int:
+    """Nodes per integrand call: stacks of _STACK_ELEMENTS matrix elements."""
+    return max(1, _STACK_ELEMENTS // (3 * geom.n_sites) ** 2)
 
 
 def _logdet_function(geom: SystemGeometry, nonretarded: bool
@@ -294,7 +312,7 @@ def free_energy_T0(geom: SystemGeometry, quad: QuadratureSpec | None = None,
     if geom.n_sites < 2:
         return EnergyResult(0.0, 0.0, 0)
     res = integrate_semi_infinite(_logdet_function(geom, nonretarded), quad,
-                                  _node_scale(geom, nonretarded))
+                                  _node_scale(geom, nonretarded), _stack(geom))
     pref = 1.0 / (2.0 * math.pi)
     return EnergyResult(pref * res.value, pref * res.error_estimate,
                         res.evaluations)
@@ -328,16 +346,20 @@ def second_order_energy(geom: SystemGeometry,
         return EnergyResult(0.0, 0.0, 0)
     i, j = geom.pair_indices
 
-    def integrand(xi: float) -> float:
+    def integrand(xi):
         alphas = geom.alpha_values(xi)
         g = geom.pair_green(xi)
         # Tr[G_nm G_mn] = ||G_nm||_F^2; ordered pairs count each
         # unordered pair twice
-        return math.fsum((2.0 * alphas[i] * alphas[j]
-                          * np.sum(g * g, axis=(1, 2))).tolist())
+        pairs = (2.0 * alphas[..., i] * alphas[..., j]
+                 * np.sum(g * g, axis=(-2, -1))).tolist()
+        if np.ndim(xi) == 0:
+            return math.fsum(pairs)
+        return np.array([math.fsum(row) for row in pairs])
 
     res = integrate_semi_infinite(integrand, quad,
-                                  _node_scale(geom, nonretarded=False))
+                                  _node_scale(geom, nonretarded=False),
+                                  _stack(geom))
     pref = 1.0 / (4.0 * math.pi)
     return EnergyResult(-pref * res.value, pref * res.error_estimate,
                         res.evaluations)

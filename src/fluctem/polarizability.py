@@ -60,9 +60,12 @@ class KramersHeisenberg:
         if not transitions:
             raise ValueError("a polarizability model needs a transition")
         object.__setattr__(self, "transitions", transitions)
-        object.__setattr__(self, "terms", tuple(
-            (t.omega_sg * t.d2, t.omega_sg * t.omega_sg)
-            for t in transitions))
+        terms = tuple((t.omega_sg * t.d2, t.omega_sg * t.omega_sg)
+                      for t in transitions)
+        if not all(math.isfinite(a) and math.isfinite(b) for a, b in terms):
+            raise ValueError("a transition's omega*d2 or omega^2 overflows "
+                             "a double")
+        object.__setattr__(self, "terms", terms)
 
     def sum_terms(self, x2):
         """alpha(i xi) at x2 = xi^2, a float or an array, unchecked; plain

@@ -23,10 +23,19 @@ reports that estimate.  The caller passes the node scale, so an integral
 scaled by any constant stops at the same level.  The one exception is the
 upper side of a principal value, which only needs rel_tol times the lower
 side: that target stops its ladder but is never reported as error.
+
+An integrand whose nodes are costly, such as a log det with one
+eigensolve per frequency, can take a whole stack of nodes per call:
+``integrate_semi_infinite(..., stack=K)`` evaluates each direction of a
+refinement level in arrays of up to K nodes.  It keeps the nodes, values,
+cut, result and evaluation count of one float per call, and only the
+number of calls falls.  The Matsubara sum evaluates its terms, and its
+tail integral its nodes, in stacks of up to 32.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -51,6 +60,9 @@ _EPS = np.finfo(float).eps
 # x = s*exp(pi*sinh(kh)) inside double range.
 _DE_CUTOFF = 6.1
 _MAX_LEVELS = 13
+# nodes per stacked integrand call once a direction has passed the
+# previous level's reach: enough for the three terms that cut it
+_STEP = 4
 
 
 class QuadratureError(RuntimeError):
@@ -104,29 +116,89 @@ class _EvalCounter:
             raise QuadratureError(f"integrand is {y!r} at x={x!r}")
         return y
 
+    def check(self, x: float, y: float) -> float:
+        """Count y = f(x), evaluated in a stack, as :meth:`__call__` would."""
+        if self.count >= self.budget:
+            raise QuadratureError(
+                f"quadrature budget of {self.budget} evaluations exhausted"
+            )
+        self.count += 1
+        if not math.isfinite(y):
+            raise QuadratureError(f"integrand is {y!r} at x={x!r}")
+        return y
 
-def _exp_sinh_level(f: Callable[[float], float], scale: float, h: float,
-                    odd_only: bool) -> tuple[float, float]:
-    """One refinement level of the double-exponential ladder.
 
-    Returns (sum of w*f contributions without the h factor, sum of |w*f|).
-    """
-    terms: list[float] = []
+@functools.lru_cache(maxsize=None)
+def _level_nodes(h: float, odd_only: bool):
+    """(start k, [(exp(pi sinh kh), pi cosh kh), ...]) of one refinement
+    level, for the directions k > 0 and k < 0, each outward from the
+    centre.  The pairs are the math calls of a per-node evaluation, so
+    x = s exp(pi sinh kh) and w = (pi cosh kh) x are bitwise the same for
+    any scale s.  Level L holds about 12 * 2**L nodes."""
     k_max = int(_DE_CUTOFF / h)
-    peak = 0.0
+    step = 2 if odd_only else 1
+    ladder = []
     for direction in (1, -1):
         start = 1 if odd_only or direction < 0 else 0
-        step = 2 if odd_only else 1
-        dead = 0
+        nodes = []
         for k in range(start, k_max + 1, step):
             kh = direction * k * h
             z = 0.5 * math.pi * math.sinh(kh)
-            x = scale * math.exp(2.0 * z)
+            nodes.append((math.exp(2.0 * z), math.pi * math.cosh(kh)))
+        ladder.append((start, nodes))
+    return ladder
+
+
+def _stacked_values(f: _EvalCounter, scale: float, nodes):
+    """Iterator over f(x) for x = scale u of ``nodes``, up to the first x
+    that is 0 or inf, from one call of f on the array of them.  Nothing is
+    counted or checked here, and numpy warnings are off."""
+    xs = []
+    for u, _ in nodes:
+        x = scale * u
+        if x == 0.0 or math.isinf(x):
+            break
+        xs.append(x)
+    with np.errstate(all="ignore"):
+        return iter(np.asarray(f.f(np.array(xs)), dtype=float).tolist())
+
+
+def _exp_sinh_level(f: Callable[[float], float], scale: float, h: float,
+                    odd_only: bool, stack: int = 1,
+                    reach: tuple[int, int] = (0, 0)
+                    ) -> tuple[float, float, tuple[int, int]]:
+    """One refinement level of the double-exponential ladder.
+
+    Returns (sum of w*f contributions without the h factor, sum of |w*f|,
+    |k| of the last node above the cut in each direction).  Each direction
+    runs outward until three successive terms sit far under the peak.
+
+    ``stack`` = 1 calls ``f`` with one float per node.  Above 1, ``f`` is an
+    :class:`_EvalCounter` of an array integrand: each direction fetches
+    the nodes inside ``reach`` (the previous level's |k|) in one call,
+    then _STEP at a time, never more than ``stack``.  A value is counted
+    and checked when the walk takes it, so values past the cut stay unseen.
+    """
+    terms: list[float] = []
+    peak = 0.0
+    step = 2 if odd_only else 1
+    reached = []
+    for (start, nodes), first in zip(_level_nodes(h, odd_only), reach):
+        dead = count = live = fetched = 0
+        for u, c in nodes:
+            x = scale * u
             if x == 0.0 or math.isinf(x):
                 break
-            w = math.pi * math.cosh(kh) * x
-            t = w * f(x)
+            if stack == 1:
+                y = f(x)
+            else:
+                if count == fetched:
+                    fetched += min(stack, (count == 0 and first) or _STEP)
+                    values = _stacked_values(f, scale, nodes[count:fetched])
+                y = f.check(x, next(values))
+            t = c * x * y
             terms.append(t)
+            count += 1
             peak = max(peak, abs(t))
             # truncate a direction once its terms sit far under the peak
             if peak > 0.0 and abs(t) <= 1e-17 * peak:
@@ -135,21 +207,25 @@ def _exp_sinh_level(f: Callable[[float], float], scale: float, h: float,
                     break
             else:
                 dead = 0
-    return math.fsum(terms), math.fsum(abs(t) for t in terms)
+                live = count
+        reached.append(max(start + step * (live - 1), 0))
+    return math.fsum(terms), math.fsum(abs(t) for t in terms), tuple(reached)
 
 
 def _integrate_exp_sinh(g: Callable[[float], float], counter: _EvalCounter,
                         spec: QuadratureSpec, scale: float,
-                        target: float = 0.0) -> EnergyResult:
+                        target: float = 0.0, stack: int = 1) -> EnergyResult:
     """int_0^inf g(u) du on the ladder centred on ``scale``; ``counter``
     counts the calls of the caller's integrand that ``g`` makes.  An
-    estimate under ``target`` also stops the ladder."""
+    estimate under ``target`` also stops the ladder.  ``stack`` > 1 needs
+    ``g`` to be ``counter`` (see :func:`_exp_sinh_level`)."""
     h = 0.5
-    total, total_abs = _exp_sinh_level(g, scale, h, odd_only=False)
+    total, total_abs, reach = _exp_sinh_level(g, scale, h, False, stack)
     value = h * total
     for level in range(1, _MAX_LEVELS + 1):
         h *= 0.5
-        add, add_abs = _exp_sinh_level(g, scale, h, odd_only=True)
+        add, add_abs, reach = _exp_sinh_level(g, scale, h, True, stack,
+                                              reach)
         total += add
         total_abs += add_abs
         prev, value = value, h * total
@@ -166,19 +242,32 @@ def _integrate_exp_sinh(g: Callable[[float], float], counter: _EvalCounter,
 
 def integrate_semi_infinite(f: Callable[[float], float],
                             spec: QuadratureSpec | None = None,
-                            scale: float = 1.0) -> EnergyResult:
+                            scale: float = 1.0,
+                            stack: int = 1) -> EnergyResult:
     """Integrate ``f`` over [0, inf).
 
     Half of the nodes lie below ``scale``.  ``f`` must be finite on
     (0, inf) and decay integrably; the origin is never evaluated.  Raises
     :class:`QuadratureError` when the evaluation budget runs out or ``f``
     returns NaN or an infinity.
+
+    ``stack`` is the largest number of nodes per call of ``f``.  At 1,
+    ``f`` takes one float at a time.  Above 1, it takes a 1-D array of
+    nodes and returns the array of its values, and each direction of a
+    refinement level is evaluated in such stacks.  The values a stack
+    holds past a direction's cut are discarded unseen: they are not
+    counted, budgeted or checked, and numpy warnings are off while ``f``
+    runs.  Nodes, kept values, result and ``evaluations`` are those of
+    ``stack`` = 1 bit for bit, provided each array element equals the
+    float call.
     """
     if not 0 < scale < math.inf:
         raise ValueError("scale must be positive and finite")
+    if stack < 1:
+        raise ValueError("stack must be >= 1")
     spec = spec or QuadratureSpec()
     counter = _EvalCounter(f, spec.max_evals)
-    return _integrate_exp_sinh(counter, counter, spec, scale)
+    return _integrate_exp_sinh(counter, counter, spec, scale, stack=stack)
 
 
 def integrate_interval(f: Callable[[float], float], lo: float, hi: float,
@@ -279,9 +368,9 @@ def matsubara_sum(g: Callable[[np.ndarray], np.ndarray], temperature: float,
                   spec: MatsubaraSpec | None = None) -> EnergyResult:
     """Thermal sum  k_B T * [ g(0)/2 + sum_{n>=1} g(2 pi n k_B T) ].
 
-    ``g`` maps a 1-D array of frequencies to the array of its values, and
-    a single frequency to its value.  The sum calls it on blocks of up to
-    32 successive xi_n; the tail integral calls it node by node.  Terms
+    ``g`` maps a 1-D array of frequencies to the array of its values.  The
+    sum calls it on blocks of up to 32 successive xi_n, and the tail
+    integral on stacks of up to 32 of its nodes.  Terms
     are accumulated one by one until three successive terms fall below
     ``rel_tol`` times the running sum, or ``n_max`` is reached.  The last
     block may run up to 31 terms past that stop; those are discarded and
@@ -313,9 +402,9 @@ def matsubara_sum(g: Callable[[np.ndarray], np.ndarray], temperature: float,
 
     xi_mid = (n + 0.5) * t_step
     try:
-        mid = integrate_semi_infinite(lambda x: float(g(xi_mid + x)),
+        mid = integrate_semi_infinite(lambda x: g(xi_mid + x),
                                       QuadratureSpec(rel_tol=spec.rel_tol),
-                                      max(xi_mid, t_step))
+                                      max(xi_mid, t_step), _BLOCK)
     except QuadratureError as exc:
         raise QuadratureError(
             f"matsubara tail did not converge after n_max={n}: {exc}") from exc

@@ -5,12 +5,14 @@ import csv
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fluctem
@@ -248,6 +250,49 @@ def test_overflowing_single_resonance_is_named(tmp_path, capsys):
     cfg = pairwise_config()
     cfg["atoms"][1] = dict(ATOM, alpha_static=4.0, omega=1.7e308)
     assert "atoms[1]" in config_error(tmp_path, capsys, cfg)
+
+
+def test_overflowing_transition_models_are_named(tmp_path, capsys):
+    # omega*d2 overflows for the manybody atom, omega^2 for the lamb one
+    cfg = manybody_config()
+    cfg["atoms"][1]["omega"] = 1e300
+    assert "atoms[1]" in config_error(tmp_path, capsys, cfg)
+    cfg = {"task": "lamb",
+           "atom": {"model": "transitions",
+                    "transitions": [{"omega": 1e300, "d2": 1.0}]}}
+    assert "error: config: atom:" in config_error(tmp_path, capsys, cfg)
+
+
+def test_far_apart_manybody_atoms_name_both(tmp_path, capsys):
+    # the squared separation overflows; numpy must not even warn about it
+    cfg = manybody_config()
+    cfg["atoms"][0]["position"] = [-1e300, 0.0, 0.0]
+    cfg["atoms"][1]["position"] = [1e300, 0.0, 0.0]
+    with np.errstate(all="raise"):
+        err = config_error(tmp_path, capsys, cfg)
+    assert "atoms[0] and atoms[1] are too far apart" in err
+
+
+def test_bethe_at_the_largest_cutoff_is_finite(tmp_path):
+    # W/omega overflows, ln((W + omega)/omega) does not
+    cfg = {"task": "lamb", "atom": dict(ATOM), "cutoff": 1.7e308}
+    out = tmp_path / "out.csv"
+    assert run(write_config(tmp_path, cfg), str(out)) == 0
+    _, ((bethe, _, _, _),) = read_table(out)
+    omega, d2 = 0.5, 1.5 * 0.5 * 0.5
+    log_ratio = math.log(1.7e308) - math.log(omega)
+    c = 137.035999084
+    assert bethe == pytest.approx(
+        -2.0 / (3.0 * math.pi * c**3) * omega**2 * d2 * log_ratio,
+        rel=1e-14)
+
+
+def test_overflowing_bethe_is_named(tmp_path, capsys):
+    cfg = {"task": "lamb",
+           "atom": {"model": "transitions",
+                    "transitions": [{"omega": 0.5, "d2": 1.7e308}]}}
+    err = config_error(tmp_path, capsys, cfg)
+    assert err.startswith("error: config: atom: the bethe shift overflows")
 
 
 @pytest.mark.parametrize("units", [{"length": "eV"}, {"length": 5},

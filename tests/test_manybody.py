@@ -52,6 +52,12 @@ def test_geometry_validation():
     assert geom.min_separation() == pytest.approx(2.0)
 
 
+def test_geometry_rejects_an_infinite_pair_distance():
+    model = single_resonance(1.0, 0.5)
+    with pytest.raises(ValueError, match="too far apart"):
+        SystemGeometry([((-1e300, 0, 0), model), ((1e300, 0, 0), model)])
+
+
 def test_geometry_validity_reports():
     geom = chain_geometry(single_resonance(4.0, 0.5), 1.0, 2)
     ((i, j, verdict),) = geom.validity_reports()
@@ -145,16 +151,19 @@ def test_second_order_matches_pair_loop_integrand(monkeypatch):
     geom = random_cluster(6, seed=5, min_distance=3.0)
     seen = []
 
-    def recording(integrand, spec, *args):
+    def recording(integrand, spec, scale, stack):
         def wrapped(xi):
-            value = integrand(xi)
-            seen.append((xi, value))
-            return value
-        return integrate_semi_infinite(wrapped, spec, *args)
+            values = integrand(xi)
+            seen.extend(zip(np.ravel(xi).tolist(),
+                            np.ravel(values).tolist()))
+            return values
+        return integrate_semi_infinite(wrapped, spec, scale, stack)
 
     monkeypatch.setattr(manybody, "integrate_semi_infinite", recording)
     batched = second_order_energy(geom)
-    assert len(seen) == batched.evaluations > 0
+    # stacked calls also evaluate nodes past each direction's cut, which
+    # are discarded uncounted: every evaluated node is checked
+    assert len(seen) >= batched.evaluations > 0
     for xi, value in seen:
         reference = pair_loop_second_order_integrand(geom, xi)
         assert value == pytest.approx(reference, rel=1e-13, abs=0.0)
@@ -351,9 +360,9 @@ def test_blocked_thermal_sum_matches_term_by_term(case, monkeypatch):
     # the one tail integral starts at xi_(n + 1/2): its scale gives n
     scales = []
 
-    def recording(f, tail_spec, scale):
+    def recording(f, tail_spec, scale, stack):
         scales.append(scale)
-        return integrate_semi_infinite(f, tail_spec, scale)
+        return integrate_semi_infinite(f, tail_spec, scale, stack)
 
     monkeypatch.setattr(quadrature, "integrate_semi_infinite", recording)
     blocked = free_energy_finiteT(geom, temperature, spec,

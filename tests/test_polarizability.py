@@ -57,6 +57,14 @@ def test_a_model_needs_a_transition():
     assert "terms" not in repr(model)
 
 
+def test_overflowing_terms_are_rejected():
+    # omega*d2 = 7.5e319 and omega^2 = 1e320 overflow
+    with pytest.raises(ValueError, match="overflows"):
+        single_resonance(0.5, 1e160)
+    with pytest.raises(ValueError, match="overflows"):
+        KramersHeisenberg((Transition(0.5, 1.0), Transition(2e154, 0.0)))
+
+
 def test_single_resonance_static_limit():
     model = single_resonance(alpha_static=4.5, omega0=0.375)
     assert model.alpha_imag(0.0) == pytest.approx(4.5, rel=1e-14)

@@ -2,7 +2,8 @@
 
 Every expected value here is analytic: exponential moments, a Lorentzian
 moment, principal values with known closed forms, and geometric-series
-thermal sums.  The error-honesty block asserts the reported error estimate
+thermal sums.  The ladder fed stacks of nodes must equal the ladder fed
+one node at a time bit for bit.  The error-honesty block asserts the reported error estimate
 is never smaller than the actual deviation from the exact value.
 """
 
@@ -52,13 +53,24 @@ def _interval_map_on_half_line(f, spec=None, scale=1.0):
     return integrate_interval(compact, 0.0, 1.0, spec)
 
 
-# the two routes to [0, inf): the exp-sinh ladder directly, and the same
-# ladder through the interval map of integrate_interval after
-# compactification.  One engine: the second key keeps its historical name,
-# so that the test ids stay stable.
+def _stacked_on_half_line(f, spec=None, scale=1.0, stack=3):
+    """The exp-sinh ladder fed stacks of up to ``stack`` nodes, through an
+    array version of ``f`` that evaluates it element by element."""
+    def array_f(xs):
+        assert isinstance(xs, np.ndarray) and 1 <= xs.size <= stack
+        return np.array([f(x) for x in xs.tolist()])
+
+    return integrate_semi_infinite(array_f, spec, scale, stack)
+
+
+# the routes to [0, inf): the exp-sinh ladder directly, the same ladder
+# through the interval map of integrate_interval after compactification,
+# and the ladder on stacks of nodes.  One engine: the second key keeps its
+# historical name, so that the test ids stay stable.
 ENGINES = {
     "tanh_sinh": integrate_semi_infinite,
     "adaptive_subdivision": _interval_map_on_half_line,
+    "stacked": _stacked_on_half_line,
 }
 
 
@@ -78,6 +90,59 @@ def test_error_estimates_are_honest(engine, case):
     f, exact, scale = SEMI_INFINITE_CASES[case]
     res = ENGINES[engine](f, scale=scale)
     assert res.error_estimate >= abs(res.value - exact)
+
+
+@pytest.mark.parametrize("stack", [2, 3, 1000])
+@pytest.mark.parametrize("case", CASE_INDICES)
+def test_stacked_ladder_equals_one_node_ladder(case, stack):
+    # same nodes, same kept values, same cut: the same result bit for bit
+    f, _, scale = SEMI_INFINITE_CASES[case]
+    one = integrate_semi_infinite(f, scale=scale)
+    stacked = _stacked_on_half_line(f, scale=scale, stack=stack)
+    assert (stacked.value, stacked.error_estimate, stacked.evaluations) \
+        == (one.value, one.error_estimate, one.evaluations)
+
+
+SPOILERS = {
+    "nan": lambda xs: np.full(xs.shape, np.nan),
+    "inf": lambda xs: np.full(xs.shape, np.inf),
+    # overflows without a warning reaching the caller
+    "overflow": lambda xs: np.exp(710.0 + xs),
+}
+
+
+@pytest.mark.parametrize("spoil", SPOILERS)
+def test_stacked_values_past_the_cut_are_invisible(spoil):
+    f, _, scale = SEMI_INFINITE_CASES[1]
+    kept = []
+
+    def recorded(x):
+        kept.append(x)
+        return f(x)
+
+    clean = integrate_semi_infinite(recorded, scale=scale)
+    assert clean.evaluations == len(kept)
+
+    def run(bad):
+        seen = []
+
+        def array_f(xs):
+            seen.extend(xs.tolist())
+            values = np.array([f(x) for x in xs.tolist()])
+            return np.where(bad(xs), SPOILERS[spoil](xs), values)
+
+        return integrate_semi_infinite(array_f, scale=scale, stack=3), seen
+
+    # spoiled past every cut: nothing changes, not even the count
+    spoiled, seen = run(lambda xs: ~np.isin(xs, kept))
+    assert len(set(seen) - set(kept)) > 0
+    assert spoiled == clean
+    # spoiled at one node that is kept: it raises and names that node
+    victim = kept[len(kept) // 2]
+    with pytest.raises(QuadratureError, match=r"integrand is (nan|inf) at x=") \
+            as excinfo:
+        run(lambda xs: xs == victim)
+    assert _x_named(excinfo) == victim
 
 
 def test_scale_robustness_without_hint():
@@ -199,8 +264,13 @@ def test_interval_never_evaluates_end_points(lo, hi):
 
 def test_budget_exhaustion_raises():
     spec = QuadratureSpec(max_evals=100, rel_tol=1e-13)
-    with pytest.raises(QuadratureError):
-        integrate_semi_infinite(lambda x: 1.0 / (1.0 + x**1.5), spec)
+    # x sqrt(x), not x**1.5: a stack reaches nodes near 1e300 past the
+    # budget, where the float power raises OverflowError
+    f = lambda x: 1.0 / (1.0 + x * math.sqrt(x))
+    for integrate in (integrate_semi_infinite, _stacked_on_half_line):
+        with pytest.raises(QuadratureError,
+                           match="budget of 100 evaluations exhausted"):
+            integrate(f, spec)
 
 
 def test_nan_integrand_raises():
@@ -271,6 +341,8 @@ def test_spec_validation():
             integrate_semi_infinite(math.exp, scale=scale)
         with pytest.raises(ValueError, match="scale"):
             integrate_pv(math.exp, pole=1.0, scale=scale)
+    with pytest.raises(ValueError, match="stack"):
+        integrate_semi_infinite(math.exp, stack=0)
     for kwargs in ({"n_max": 0}, {"rel_tol": math.nan}):
         with pytest.raises(ValueError):
             MatsubaraSpec(**kwargs)
@@ -383,12 +455,19 @@ def test_matsubara_non_finite_term_names_its_frequency():
 
 def test_matsubara_blocks_past_the_stop_are_not_counted():
     # terms computed past the stop within a block neither count nor check:
-    # a NaN beyond the stop changes nothing
+    # a NaN on the Matsubara frequencies xi_20 .. xi_31 of the first block,
+    # past the stop near n = 8, changes nothing
+    t_step = 2 * math.pi * 0.7
+    past = np.arange(20, 32) * t_step
+    seen = []
+
+    def spoiled_g(x):
+        seen.extend(np.ravel(x).tolist())
+        return np.where(np.isin(x, past), np.nan, np.exp(-x))
+
     clean = matsubara_sum(lambda x: np.exp(-x), 0.7)
-    spoiled = matsubara_sum(
-        lambda x: np.where(x > 20 * 2 * math.pi * 0.7 - 1.0, np.nan,
-                           np.exp(-x)) if np.ndim(x) else math.exp(-x), 0.7)
-    assert spoiled == clean
+    assert matsubara_sum(spoiled_g, 0.7) == clean
+    assert set(past.tolist()) <= set(seen)
 
 
 def test_matsubara_validation():
