@@ -317,8 +317,13 @@ def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
         temp = _positive(units.temperature(cfg["temperature"], "temperature"),
                          "temperature")
         tail = MatsubaraSpec(rel_tol=quad.rel_tol) if quad else None
-        free = free_energy_finiteT(geometry, temp, tail,
-                                   nonretarded=nonretarded)
+        try:
+            free = free_energy_finiteT(geometry, temp, tail,
+                                       nonretarded=nonretarded)
+        except ValueError as exc:
+            # the one range error left: Matsubara frequencies that
+            # overflow, whose message names the temperature
+            raise ConfigError(str(exc)) from None
     else:
         free = free_energy_T0(geometry, quad, nonretarded=nonretarded)
     second = second_order_energy(geometry, quad)
@@ -350,11 +355,12 @@ def _run_lamb(cfg: dict) -> tuple[list[str], list[float]]:
         spec = cfg["medium"]
         if not isinstance(spec, dict):
             raise ConfigError("medium must be an object")
+        # these name their own keys; only the medium's checks need naming
+        density = units.inverse_volume(spec.get("number_density"),
+                                       "medium.number_density")
+        host = _model(spec.get("host"), units, "medium.host")
         try:
-            medium = DiluteMedium(
-                units.inverse_volume(spec.get("number_density"),
-                                     "medium.number_density"),
-                _model(spec.get("host"), units, "medium.host"))
+            medium = DiluteMedium(density, host)
         except ValueError as exc:
             raise ConfigError(f"medium: {exc}") from None
         dielectric = dielectric_shift_difference(model, medium).value

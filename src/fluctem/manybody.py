@@ -324,14 +324,15 @@ def free_energy_finiteT(geom: SystemGeometry, temperature: float,
     """Interaction free energy at temperature T (Hartree units).
 
     Thermal sum over xi_n = 2 pi n T with the n = 0 term half-weighted;
-    converges to :func:`free_energy_T0` as T -> 0.
+    converges to :func:`free_energy_T0` as T -> 0, because the integral
+    that takes the rest of the sum is centred on the same node scale.
     """
     if geom.n_sites < 2:
         if temperature <= 0:
             raise ValueError("temperature must be positive")
         return EnergyResult(0.0, 0.0, 0)
     return matsubara_sum(_logdet_function(geom, nonretarded), temperature,
-                         tail)
+                         tail, _node_scale(geom, nonretarded))
 
 
 def second_order_energy(geom: SystemGeometry,

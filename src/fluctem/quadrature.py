@@ -31,6 +31,15 @@ refinement level in arrays of up to K nodes.  It keeps the nodes, values,
 cut, result and evaluation count of one float per call, and only the
 number of calls falls.  The Matsubara sum evaluates its terms, and its
 tail integral its nodes, in stacks of up to 32.
+
+``matsubara_sum`` stops once g is smooth on the Matsubara step h, not
+once its terms are negligible, which for terms falling like xi^-4 took a
+count growing like 1/T.  It sums the terms up to a cut and takes the rest
+by the midpoint Euler-Maclaurin formula: the integral of g from the cut
+plus h^2 g' and h^4 g''' corrections from differences of the terms.  Its
+evaluations count the summed terms, the two differenced terms past the
+cut and the tail nodes; a few hundred suffice at any T below the scale
+of g.
 """
 
 from __future__ import annotations
@@ -91,8 +100,9 @@ class MatsubaraSpec:
     n_max: int = 10**5
 
     def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+        # the differences of the tail formula need g_0 .. g_3
+        if self.n_max < 3:
+            raise ValueError("n_max must be >= 3")
         if not 0 < self.rel_tol < math.inf:
             raise ValueError("rel_tol must be positive and finite")
 
@@ -187,7 +197,9 @@ def _exp_sinh_level(f: Callable[[float], float], scale: float, h: float,
         dead = count = live = fetched = 0
         for u, c in nodes:
             x = scale * u
-            if x == 0.0 or math.isinf(x):
+            w = c * x
+            # the ladder ends where x underflows or its weight overflows
+            if x == 0.0 or math.isinf(w):
                 break
             if stack == 1:
                 y = f(x)
@@ -196,7 +208,7 @@ def _exp_sinh_level(f: Callable[[float], float], scale: float, h: float,
                     fetched += min(stack, (count == 0 and first) or _STEP)
                     values = _stacked_values(f, scale, nodes[count:fetched])
                 y = f.check(x, next(values))
-            t = c * x * y
+            t = w * y
             terms.append(t)
             count += 1
             peak = max(peak, abs(t))
@@ -340,11 +352,19 @@ def integrate_pv(f_regular: Callable[[float], float], pole: float,
 
 
 # Matsubara terms evaluated per call of the integrand: enough to spread
-# the per-call overhead, few enough that the terms computed past the stop
+# the per-call overhead, few enough that the terms computed past a stop
 # (at most _BLOCK - 1) stay cheap and the stacked arrays stay small
 _BLOCK = 32
-# successive terms under rel_tol that end the sum
-_CONSECUTIVE_SMALL = 3
+# successive terms under rel_tol that end the sum: the four differenced
+# at its cut
+_CONSECUTIVE_SMALL = 4
+# Euler-Maclaurin weights, at a = xi_(N+1/2), of the differences that
+# stand for h^2 g'(a), h^4 g'''(a) and h^6 g^(5)(a): 1/24; 7/5760 plus
+# the 10/5760 that cancel the h^2 error of the first difference; and
+# 31/967680 plus the h^4 errors of both differences, 336/967680
+_EM2 = 1.0 / 24.0
+_EM4 = 17.0 / 5760.0
+_EM6 = 367.0 / 967680.0
 
 
 def _matsubara_terms(g: Callable[[np.ndarray], np.ndarray], t_step: float,
@@ -365,55 +385,95 @@ def _matsubara_terms(g: Callable[[np.ndarray], np.ndarray], t_step: float,
 
 
 def matsubara_sum(g: Callable[[np.ndarray], np.ndarray], temperature: float,
-                  spec: MatsubaraSpec | None = None) -> EnergyResult:
-    """Thermal sum  k_B T * [ g(0)/2 + sum_{n>=1} g(2 pi n k_B T) ].
+                  spec: MatsubaraSpec | None = None,
+                  scale: float = 1.0) -> EnergyResult:
+    """Thermal sum  k_B T * [ g(0)/2 + sum_{n>=1} g(n h) ],  h = 2 pi k_B T.
 
     ``g`` maps a 1-D array of frequencies to the array of its values.  The
-    sum calls it on blocks of up to 32 successive xi_n, and the tail
-    integral on stacks of up to 32 of its nodes.  Terms
-    are accumulated one by one until three successive terms fall below
-    ``rel_tol`` times the running sum, or ``n_max`` is reached.  The last
-    block may run up to 31 terms past that stop; those are discarded and
-    not counted, so ``evaluations`` (summed terms, tail nodes and three
-    gauge points) equals that of a term-by-term evaluation.  A non-finite
-    summed term raises :class:`QuadratureError` naming its xi_n.  The
-    remainder is the midpoint integral (1/2pi) int_{xi_(N+1/2)}^inf g.  Its
-    gauge, twice the distance to the trapezoidal association, is
-    (1/pi)|int_{xi_(N+1/2)}^{xi_(N+1)} g - pi T g(xi_(N+1))|, with that
-    integral by Simpson's rule.
+    sum calls it on blocks of 32 successive xi_n = n h.  The terms n <= N
+    are summed, and the rest is the midpoint Euler-Maclaurin formula at
+    a = xi_(N+1/2):
+
+        h sum_{n>N} g(nh) = int_a^inf g + (h^2/24) g'(a)
+                            - (7 h^4/5760) g'''(a) + O(h^6 g^(5)),
+
+    with the derivatives from differences of terms already computed,
+    c2 = (h/24)(g_(N+1) - g_N) and
+    c4 = (17/5760) h (g_(N+2) - 3 g_(N+1) + 3 g_N - g_(N-1)), whose 17
+    absorbs the h^2 error of the first difference.  The value is
+    T sum_{n<=N} + (int_a^inf g + c2 - c4)/2pi.  The tail integral runs
+    once, on stacks of up to 32 nodes centred on max(a, ``scale``), the
+    caller's node scale as in :func:`integrate_semi_infinite`.
+
+    The cut is N = n - 2 at the first term n that ends the sum:
+
+    * a block end n = 31, 63, ... where g is smooth on the step h:
+      |c4| + |c6| <= 2pi rel_tol T |running sum|, with
+      c6 = (367/967680) h (fifth difference of g_(N-3) .. g_(N+2)) the
+      size of the h^6 remainder.  |c4| + |c6| is the truncation error;
+      c6 keeps a cut on a zero of g''', where c4 vanishes while the
+      remainder does not, from passing for exact;
+    * the fourth successive term under rel_tol times the running sum:
+      the exit at high T, where h reaches the scale on which g varies
+      and the corrections are not trusted.  The truncation error is
+      h |g_N| + |c2| + |c4|, the first term bounding
+      |int_a^inf g - h sum_{n>N} g_n| where |g| falls monotonically;
+    * n = ``n_max``, with the same truncation error.
+
+    The error is the truncation error plus the tail integral's estimate,
+    over 2pi, plus the rounding 4 eps T sum|terms|.  ``evaluations``
+    counts the summed terms, the two terms past N and the tail nodes.
+    The terms the last block holds past n are discarded unseen: not
+    counted and not checked.  A counted non-finite term raises
+    :class:`QuadratureError` naming its xi_n.
     """
     spec = spec or MatsubaraSpec()
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError("temperature must be positive")
     t_step = 2.0 * math.pi * temperature
-    terms = []
+    if _BLOCK * t_step == math.inf:
+        raise ValueError("temperature too high: the frequencies of the "
+                         "first Matsubara block overflow a double")
+    if not 0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
+    values = []
     partial = 0.0
     small_run = 0
     for n, value in _matsubara_terms(g, t_step, spec.n_max):
-        term = value if n else 0.5 * value
-        terms.append(term)
-        partial += term
-        if n and abs(term) < spec.rel_tol * max(abs(partial), 1e-300):
-            small_run += 1
-            if small_run >= _CONSECUTIVE_SMALL:
+        values.append(value)
+        partial += value if n else 0.5 * value
+        bound = spec.rel_tol * max(abs(partial), 1e-300)
+        small_run = small_run + 1 if n and abs(value) < bound else 0
+        if n < 3:
+            continue
+        # the d's are the c's over h, so that no tiny T underflows them
+        g_before, g_cut, g_after, g_last = values[n - 3:]
+        d2 = _EM2 * (g_after - g_cut)
+        d4 = _EM4 * (g_last - 3.0 * g_after + 3.0 * g_cut - g_before)
+        if n % _BLOCK == _BLOCK - 1:
+            f0, f1, f2, f3, f4, f5 = values[n - 5:]
+            d6 = _EM6 * (f5 - 5.0 * f4 + 10.0 * f3 - 10.0 * f2 + 5.0 * f1
+                         - f0)
+            truncation = abs(d4) + abs(d6)
+            if truncation <= bound:
                 break
-        else:
-            small_run = 0
+        if n == spec.n_max or small_run >= _CONSECUTIVE_SMALL:
+            truncation = abs(g_cut) + abs(d2) + abs(d4)
+            break
 
-    xi_mid = (n + 0.5) * t_step
+    cut = n - 2
+    terms = [0.5 * values[0]] + values[1:cut + 1]
+    xi_mid = (cut + 0.5) * t_step
     try:
-        mid = integrate_semi_infinite(lambda x: g(xi_mid + x),
-                                      QuadratureSpec(rel_tol=spec.rel_tol),
-                                      max(xi_mid, t_step), _BLOCK)
+        tail = integrate_semi_infinite(lambda x: g(xi_mid + x),
+                                       QuadratureSpec(rel_tol=spec.rel_tol),
+                                       max(xi_mid, scale), _BLOCK)
     except QuadratureError as exc:
         raise QuadratureError(
-            f"matsubara tail did not converge after n_max={n}: {exc}") from exc
-    g0, g1, g2 = np.asarray(
-        g(np.array([xi_mid, (n + 0.75) * t_step, (n + 1.0) * t_step])),
-        dtype=float).tolist()
-    # (1/pi)[(h/12)(g0 + 4 g1 + g2) - (h/2) g2], Simpson on the half step
-    gauge = t_step / (12.0 * math.pi) * abs(g0 + 4.0 * g1 - 5.0 * g2)
-    value = temperature * math.fsum(terms) + mid.value / (2.0 * math.pi)
-    err = (gauge + mid.error_estimate / (2.0 * math.pi)
-           + 4.0 * _EPS * temperature * math.fsum(abs(t) for t in terms))
-    return EnergyResult(value, err, len(terms) + mid.evaluations + 3)
+            f"matsubara tail did not converge after n={n}: {exc}") from exc
+    value = (temperature * (math.fsum(terms) + d2 - d4)
+             + tail.value / (2.0 * math.pi))
+    err = (temperature * (truncation
+                          + 4.0 * _EPS * math.fsum(abs(t) for t in terms))
+           + tail.error_estimate / (2.0 * math.pi))
+    return EnergyResult(value, err, n + 1 + tail.evaluations)

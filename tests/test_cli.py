@@ -18,6 +18,7 @@ import pytest
 import fluctem
 from fluctem.cli import run
 from fluctem.lamb import thermal_shift
+from fluctem.manybody import SystemGeometry, free_energy_T0
 from fluctem.pairwise import PairSpec, london_closed_form, vdw_energy
 from fluctem.polarizability import KramersHeisenberg, Transition, single_resonance
 
@@ -261,6 +262,50 @@ def test_overflowing_transition_models_are_named(tmp_path, capsys):
            "atom": {"model": "transitions",
                     "transitions": [{"omega": 1e300, "d2": 1.0}]}}
     assert "error: config: atom:" in config_error(tmp_path, capsys, cfg)
+
+
+def test_overflowing_medium_host_is_named_once(tmp_path, capsys):
+    cfg = {"task": "lamb", "atom": dict(ATOM),
+           "medium": {"number_density": 1e-5,
+                      "host": dict(ATOM, omega=1e300)}}
+    assert config_error(tmp_path, capsys, cfg) == (
+        "error: config: medium.host: a transition's omega*d2 or omega^2 "
+        "overflows a double\n")
+
+
+def _pair_free_energy_limits(temperature):
+    """The T -> 0 energy of manybody_config() and the classical T g(0)/2
+    with its rounding.  The static modes of a pair at distance r are
+    1 + s alpha/r^3 for s = 1, 1, -1, -1, 2, -2."""
+    model = single_resonance(ATOM["alpha_static"], ATOM["omega"])
+    cold = free_energy_T0(SystemGeometry([((0.0, 0.0, 0.0), model),
+                                          ((0.0, 0.0, 4.0), model)]))
+    x = model.alpha_imag(0.0) / 4.0**3
+    classical = 0.5 * temperature * (2.0 * math.log1p(-x * x)
+                                     + math.log1p(-4.0 * x * x))
+    return cold, classical, 4 * np.finfo(float).eps * abs(classical)
+
+
+@pytest.mark.parametrize("temperature", [5e-324, 1e-300, 1e300])
+def test_extreme_temperatures_give_honest_values(tmp_path, capsys,
+                                                 temperature):
+    # the coldest reach the T = 0 integral, the hottest the classical
+    # zero-frequency term; neither warns
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, manybody_config(temperature=temperature))
+    assert run(cfg, str(out)) == 0
+    assert capsys.readouterr().err == ""
+    _, ((free, _, err),) = read_table(out)
+    cold, classical, rounding = _pair_free_energy_limits(temperature)
+    if temperature < 1.0:
+        assert abs(free - cold.value) <= err + cold.error_estimate
+    else:
+        assert abs(free - classical) <= err + rounding
+
+
+def test_temperature_past_the_double_range_is_named(tmp_path, capsys):
+    err = config_error(tmp_path, capsys, manybody_config(temperature=1.7e308))
+    assert err.startswith("error: config: temperature too high")
 
 
 def test_far_apart_manybody_atoms_name_both(tmp_path, capsys):

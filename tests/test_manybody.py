@@ -181,15 +181,18 @@ def pinned_cube():
 
 def test_evaluation_counts_pinned():
     # counts and values of the pair-by-pair Green assembly: batching the
-    # pairs makes each node cheaper and must leave the nodes as they were
+    # pairs makes each node cheaper and must leave the nodes as they were.
+    # The thermal sum is cut at its first block end, n = 31; the direct
+    # sum of all 100 001 terms to n_max lies 1.8e-16 from its value, well
+    # inside its error estimate of 2.2e-14
     geom = pinned_cube()
     t0 = free_energy_T0(geom)
     thermal = free_energy_finiteT(geom, 0.1)
     second = second_order_energy(geom)
     assert (t0.evaluations, thermal.evaluations, second.evaluations) \
-        == (101, 212, 101)
+        == (101, 125, 101)
     assert t0.value == pytest.approx(-0.0012604643522799504, rel=1e-12)
-    assert thermal.value == pytest.approx(-0.0014078704962657174, rel=1e-12)
+    assert thermal.value == pytest.approx(-0.0014078704962631392, rel=1e-12)
     assert second.value == pytest.approx(-0.0012696444473952225, rel=1e-12)
 
 
@@ -316,35 +319,48 @@ def term_by_term_log_det(geom, nonretarded):
     return g
 
 
-def term_by_term_matsubara(g, temperature, spec):
-    """The thermal sum with one g call per term, its n and evaluations."""
+def term_by_term_matsubara(g, temperature, spec, scale):
+    """The thermal sum with one g call per term: its cut N and result.
+
+    Terms are taken until a block end n = 31, 63, ... where the third and
+    fifth differences of the last terms are small, the fourth successive
+    small term, or n_max; the sum keeps n <= N = n - 2 and the
+    Euler-Maclaurin tail takes the rest."""
     t_step = 2.0 * math.pi * temperature
-    terms = [0.5 * g(0.0)]
-    partial, small_run, n = terms[0], 0, 0
-    while n < spec.n_max:
+    values, partial, small_run, n = [], 0.0, 0, -1
+    while True:
         n += 1
-        term = g(n * t_step)
-        terms.append(term)
-        partial += term
-        if abs(term) < spec.rel_tol * max(abs(partial), 1e-300):
-            small_run += 1
-            if small_run >= 3:
+        values.append(g(n * t_step))
+        partial += values[n] if n else 0.5 * values[n]
+        bound = spec.rel_tol * max(abs(partial), 1e-300)
+        small_run = small_run + 1 if n and abs(values[n]) < bound else 0
+        if n < 3:
+            continue
+        gm, g0, g1, g2 = values[n - 3:]
+        d2 = (1.0 / 24.0) * (g1 - g0)
+        d4 = (17.0 / 5760.0) * (g2 - 3.0 * g1 + 3.0 * g0 - gm)
+        if n % 32 == 31:
+            f = values[n - 5:]
+            d6 = (367.0 / 967680.0) * (f[5] - 5.0 * f[4] + 10.0 * f[3]
+                                       - 10.0 * f[2] + 5.0 * f[1] - f[0])
+            truncation = abs(d4) + abs(d6)
+            if truncation <= bound:
                 break
-        else:
-            small_run = 0
-    xi_mid = (n + 0.5) * t_step
-    mid = integrate_semi_infinite(lambda x: g(xi_mid + x),
-                                  QuadratureSpec(rel_tol=spec.rel_tol),
-                                  max(xi_mid, t_step))
-    # twice the midpoint-trapezoid difference, its half-step integral by
-    # Simpson's rule
-    g0, g1, g2 = (g((n + q) * t_step) for q in (0.5, 0.75, 1.0))
-    gauge = t_step / (12.0 * math.pi) * abs(g0 + 4.0 * g1 - 5.0 * g2)
-    value = temperature * math.fsum(terms) + mid.value / (2.0 * math.pi)
-    err = (gauge + mid.error_estimate / (2.0 * math.pi)
-           + 4.0 * np.finfo(float).eps * temperature
-           * math.fsum(abs(t) for t in terms))
-    return n, EnergyResult(value, err, len(terms) + mid.evaluations + 3)
+        if n == spec.n_max or small_run >= 4:
+            truncation = abs(g0) + abs(d2) + abs(d4)
+            break
+    cut = n - 2
+    terms = [0.5 * values[0]] + values[1:cut + 1]
+    xi_mid = (cut + 0.5) * t_step
+    tail = integrate_semi_infinite(lambda x: g(xi_mid + x),
+                                   QuadratureSpec(rel_tol=spec.rel_tol),
+                                   max(xi_mid, scale))
+    value = (temperature * (math.fsum(terms) + d2 - d4)
+             + tail.value / (2.0 * math.pi))
+    err = (temperature * (truncation + 4.0 * np.finfo(float).eps
+                          * math.fsum(abs(t) for t in terms))
+           + tail.error_estimate / (2.0 * math.pi))
+    return cut, EnergyResult(value, err, n + 1 + tail.evaluations)
 
 
 @pytest.mark.parametrize("case", [
@@ -352,12 +368,15 @@ def term_by_term_matsubara(g, temperature, spec):
     ("pinned cube, T=0.01", pinned_cube, 0.01, False, MatsubaraSpec()),
     ("identical nonretarded, T=1e-3", identical_cube, 1e-3, True,
      MatsubaraSpec()),
-    ("reaches n_max", pinned_cube, 1e-3, False, MatsubaraSpec(n_max=45)),
+    # four small terms before the first block end
+    ("pinned cube, T=2", pinned_cube, 2.0, False, MatsubaraSpec()),
+    # below the first block end and far above the small terms
+    ("reaches n_max", pinned_cube, 1e-3, False, MatsubaraSpec(n_max=20)),
 ], ids=lambda case: case[0])
 def test_blocked_thermal_sum_matches_term_by_term(case, monkeypatch):
     _, make, temperature, nonretarded, spec = case
     geom = make()
-    # the one tail integral starts at xi_(n + 1/2): its scale gives n
+    # the one tail integral starts at xi_(N + 1/2): its scale gives N
     scales = []
 
     def recording(f, tail_spec, scale, stack):
@@ -367,15 +386,19 @@ def test_blocked_thermal_sum_matches_term_by_term(case, monkeypatch):
     monkeypatch.setattr(quadrature, "integrate_semi_infinite", recording)
     blocked = free_energy_finiteT(geom, temperature, spec,
                                   nonretarded=nonretarded)
-    n_ref, reference = term_by_term_matsubara(
-        term_by_term_log_det(geom, nonretarded), temperature, spec)
+    node_scale = manybody._node_scale(geom, nonretarded)
+    cut, reference = term_by_term_matsubara(
+        term_by_term_log_det(geom, nonretarded), temperature, spec,
+        node_scale)
     t_step = 2.0 * math.pi * temperature
-    assert scales == [max((n_ref + 0.5) * t_step, t_step)]
+    assert scales == [max((cut + 0.5) * t_step, node_scale)]
     assert blocked.evaluations == reference.evaluations
     assert blocked.value == reference.value
     assert blocked.error_estimate == reference.error_estimate
-    if spec.n_max == 45:
-        assert n_ref == 45
+    if spec.n_max == 20:
+        assert cut == 18
+    if temperature == 2.0:
+        assert cut < 29
 
 
 def test_strong_coupling_raises_at_finite_temperature():
@@ -604,6 +627,45 @@ def test_finite_temperature_approaches_T0():
     cold = free_energy_finiteT(geom, 1e-6, nonretarded=True)
     reference = free_energy_T0(geom, nonretarded=True)
     assert cold.value == pytest.approx(reference.value, rel=1e-3)
+
+
+def normal_mode_free_energy(geom, temperature):
+    """Free energy of the coupled identical oscillators against the
+    uncoupled ones: sum_k T ln[sinh(W_k/2T)/sinh(w0/2T)] over the modes
+    W_k = w0 sqrt(1 + alpha_static t_k), written as the zero-point shift
+    plus T ln[(1 - e^(-W_k/T))/(1 - e^(-w0/T))]."""
+    alpha_static, omega0 = manybody._identical_single_resonance(geom)
+    parts = []
+    for t in np.linalg.eigvalsh(build_T(geom, 0.0)).tolist():
+        shift = omega0 * math.expm1(0.5 * math.log1p(alpha_static * t))
+        parts.append(0.5 * shift)
+        parts.append(temperature * (
+            math.log1p(-math.exp(-(omega0 + shift) / temperature))
+            - math.log1p(-math.exp(-omega0 / temperature))))
+    return math.fsum(parts)
+
+
+@pytest.mark.parametrize("temperature", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_thermal_sum_matches_normal_modes(temperature):
+    # the nonretarded Matsubara sum of identical resonances is the
+    # thermal free energy of their normal modes, at every temperature
+    geom = identical_cube()
+    res = free_energy_finiteT(geom, temperature, nonretarded=True)
+    exact = normal_mode_free_energy(geom, temperature)
+    assert abs(res.value - exact) <= res.error_estimate
+    assert res.error_estimate <= 1e-9 * abs(exact)
+    assert res.evaluations <= 300
+
+
+def test_criterion_08_pair_in_few_evaluations():
+    # the criterion-08 pair at T = 1e-6: the sum stops at a block end and
+    # the tail integral, on the pair's node scale, takes the T = 0 limit
+    model = single_resonance(2.0, 0.5)
+    geom = chain_geometry(model, 10.0, 2)
+    res = free_energy_finiteT(geom, 1e-6, nonretarded=True)
+    assert res.evaluations <= 1000
+    assert abs(res.value - normal_mode_free_energy(geom, 1e-6)) \
+        <= res.error_estimate
 
 
 def test_high_temperature_zero_term_dominates():

@@ -65,11 +65,10 @@ def _stacked_on_half_line(f, spec=None, scale=1.0, stack=3):
 
 # the routes to [0, inf): the exp-sinh ladder directly, the same ladder
 # through the interval map of integrate_interval after compactification,
-# and the ladder on stacks of nodes.  One engine: the second key keeps its
-# historical name, so that the test ids stay stable.
+# and the ladder on stacks of nodes
 ENGINES = {
     "tanh_sinh": integrate_semi_infinite,
-    "adaptive_subdivision": _interval_map_on_half_line,
+    "interval_map": _interval_map_on_half_line,
     "stacked": _stacked_on_half_line,
 }
 
@@ -143,6 +142,17 @@ def test_stacked_values_past_the_cut_are_invisible(spoil):
             as excinfo:
         run(lambda xs: xs == victim)
     assert _x_named(excinfo) == victim
+
+
+def test_huge_scale_stops_where_the_weights_overflow():
+    # near x = 1e308 the weight (pi cosh kh) x overflows before x does,
+    # and a zero value there would give 0 * inf = nan: the ladder ends
+    zero = integrate_semi_infinite(lambda x: 0.0, scale=1e300)
+    assert (zero.value, zero.error_estimate) == (0.0, 0.0)
+    res = integrate_semi_infinite(lambda x: math.exp(-x / 1e300),
+                                  scale=1e300)
+    assert res.value == pytest.approx(1e300, rel=1e-9)
+    assert res.error_estimate >= abs(res.value - 1e300)
 
 
 def test_scale_robustness_without_hint():
@@ -343,7 +353,7 @@ def test_spec_validation():
             integrate_pv(math.exp, pole=1.0, scale=scale)
     with pytest.raises(ValueError, match="stack"):
         integrate_semi_infinite(math.exp, stack=0)
-    for kwargs in ({"n_max": 0}, {"rel_tol": math.nan}):
+    for kwargs in ({"n_max": 0}, {"n_max": 2}, {"rel_tol": math.nan}):
         with pytest.raises(ValueError):
             MatsubaraSpec(**kwargs)
 
@@ -404,8 +414,60 @@ def test_pv_validation():
 
 
 def geometric_sum(temperature):
-    q = math.exp(-2.0 * math.pi * temperature)
-    return temperature * (0.5 + q / (1.0 - q))
+    """T [1/2 + sum_{n>=1} e^(-2 pi n T)], with q/(1 - q) = 1/expm1(2 pi T):
+    the 1 - q form loses 1e-12 relative at T = 1e-4."""
+    return temperature * (0.5 + 1.0 / math.expm1(2.0 * math.pi * temperature))
+
+
+def coth_sum(temperature):
+    """T [1/2 + sum_{n>=1} 1/(1 + (2 pi n T)^2)] = coth(1/(2T))/4."""
+    return 0.25 / math.tanh(0.5 / temperature)
+
+
+# (g, exact thermal sum): a tail that falls exponentially, and one that
+# falls as xi^-2
+CLOSED_SUMS = {
+    "geometric": (lambda x: np.exp(-x), geometric_sum),
+    "coth": (lambda x: 1.0 / (1.0 + x * x), coth_sum),
+}
+
+
+@pytest.mark.parametrize("temperature", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("name", CLOSED_SUMS)
+def test_matsubara_error_is_honest(name, temperature):
+    # the Euler-Maclaurin tail stops at a block end: a few hundred
+    # evaluations at any T, where the terms alone would need up to 1/T
+    g, exact = CLOSED_SUMS[name]
+    res = matsubara_sum(g, temperature)
+    assert abs(res.value - exact(temperature)) <= res.error_estimate
+    assert res.error_estimate <= 1e-9 * abs(res.value)
+    assert res.evaluations <= 250
+
+
+@pytest.mark.parametrize("zero_at", [29.5, 61.5])
+def test_matsubara_cut_on_a_zero_of_the_third_derivative(zero_at):
+    # the third derivative of 1/(1 + x^2) vanishes at x = 1.  With
+    # h = 1/zero_at the first (second) block end cuts at xi_(N+1/2) = 1,
+    # where c4 is zero to leading order and the h^6 remainder sets the
+    # error: the fifth difference must then carry the estimate
+    temperature = 1.0 / (2.0 * math.pi * zero_at)
+    t_step = 2.0 * math.pi * temperature
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return 1.0 / (1.0 + x * x)
+
+    res = matsubara_sum(g, temperature)
+
+    def fetched(block):
+        terms = np.arange(32 * block, 32 * block + 32) * t_step
+        return any(np.array_equal(x, terms) for x in calls)
+
+    # the sum stopped at that block end, n = zero_at + 1.5
+    last = int(zero_at + 1.5) // 32
+    assert fetched(last) and not fetched(last + 1)
+    assert abs(res.value - coth_sum(temperature)) <= res.error_estimate
 
 
 @pytest.mark.parametrize("temperature", [0.7, 0.05, 1e-3])
@@ -475,3 +537,8 @@ def test_matsubara_validation():
         matsubara_sum(lambda x: 1.0, 0.0)
     with pytest.raises(ValueError):
         matsubara_sum(lambda x: 1.0, -1.0)
+    with pytest.raises(ValueError, match="overflow"):
+        matsubara_sum(lambda x: 1.0, 1.7e308)
+    for scale in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="scale"):
+            matsubara_sum(lambda x: np.exp(-x), 0.1, scale=scale)
