@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -43,6 +43,7 @@ __all__ = [
     "CavityMode",
     "CavitySystem",
     "PerturbativeShift",
+    "PhotonCutoffError",
     "dipole_dipole_energy",
     "perturbative_shift",
     "exact_ground_energy",
@@ -54,12 +55,15 @@ __all__ = [
 _HIGH_FREQUENCY_RATIO = 10.0
 
 _MAX_ATOMS_EXACT = 4
-# the convergence check also solves at cutoff + 4; at 4 atoms and the
-# largest cutoff that dense matrix is 1680 x 1680
-_MIN_PHOTON_CUTOFF = 4
-_MAX_PHOTON_CUTOFF = 100
-_DEFAULT_PHOTON_CUTOFF = 12
+# the photon cutoff grows from the first to the largest in steps of 4; at
+# 4 atoms and the largest cutoff the even sector is 840 x 840
+_FIRST_PHOTON_CUTOFF = 12
+_MAX_PHOTON_CUTOFF = 104
 _CONVERGENCE_TOL = 1e-10
+
+
+class PhotonCutoffError(RuntimeError):
+    """Ground energy not settled to the tolerance by any photon cutoff."""
 
 
 class TwoStateAtom:
@@ -131,8 +135,8 @@ class CavitySystem:
 
     Positions are 3-vectors in bohr; coincident atoms are rejected.  The
     amplitude list of the mode must match the atom count.  A system keeps
-    the ground energy of each photon cutoff and pair setting it has
-    solved.
+    the dipole-dipole coefficient of each pair, and the ground energy of
+    each pair setting once it has solved them.
     """
 
     def __init__(self, atoms: Sequence[TwoStateAtom],
@@ -145,21 +149,17 @@ class CavitySystem:
             raise ValueError("positions must be one 3-vector per atom")
         if len(mode.amplitudes) != len(atoms):
             raise ValueError("mode amplitudes must match atom count")
+        self._pairs: dict[tuple[int, int], float] = {}
         for i, j in itertools.combinations(range(len(atoms)), 2):
-            separation(pos[i], pos[j])
-        pos.setflags(write=False)
+            r, rhat = separation(pos[i], pos[j])
+            self._pairs[i, j] = dipole_dipole_energy(
+                atoms[i].dipole, atoms[j].dipole, rhat, r)
         self._atoms = atoms
-        self._positions = pos
         self._mode = mode
-        self._grounds: dict[tuple[int, bool], float] = {}
 
     @property
     def atoms(self) -> tuple[TwoStateAtom, ...]:
         return self._atoms
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self._positions
 
     @property
     def mode(self) -> CavityMode:
@@ -183,9 +183,39 @@ class CavitySystem:
 
     def pair_coefficient(self, n: int, m: int) -> float:
         """Electrostatic dipole-dipole coefficient between atoms n and m."""
-        r, rhat = separation(self._positions[n], self._positions[m])
-        return dipole_dipole_energy(self._atoms[n].dipole,
-                                    self._atoms[m].dipole, rhat, r)
+        return self._pairs[min(n, m), max(n, m)]
+
+    @cached_property
+    def _ground_energies(self) -> dict[bool, float]:
+        # the ground energy of each pair setting, keyed by include_pair; a
+        # pair also solves without its pair term, at the same cutoff, so
+        # that the truncation errors cancel in interaction_extract
+        if self.n_atoms > _MAX_ATOMS_EXACT:
+            raise ValueError(
+                f"exact oracle limited to {_MAX_ATOMS_EXACT} atoms")
+        settings = (True, False) if self.n_atoms == 2 else (True,)
+
+        def grounds(n_max: int) -> list[float]:
+            spectra = [np.linalg.eigvalsh(_hamiltonian(self, n_max, p))
+                       for p in settings]
+            # a change below the rounding unit at |H|_2 proves nothing
+            rounding = math.ulp(max(max(-w[0], w[-1]) for w in spectra))
+            if not rounding < _CONVERGENCE_TOL:
+                raise PhotonCutoffError(
+                    f"ground energy not resolvable: the cutoff {n_max} "
+                    f"solve rounds at {rounding:.3e}")
+            return [float(w[0]) for w in spectra]
+
+        coarse = grounds(_FIRST_PHOTON_CUTOFF)
+        for n_max in range(_FIRST_PHOTON_CUTOFF, _MAX_PHOTON_CUTOFF, 4):
+            fine = grounds(n_max + 4)
+            change = max(abs(f - c) for f, c in zip(fine, coarse))
+            if change < _CONVERGENCE_TOL:
+                return dict(zip(settings, fine))
+            coarse = fine
+        raise PhotonCutoffError(
+            f"ground energy not converged in photon number: cutoff "
+            f"{n_max} vs {n_max + 4} differ by {change:.3e}")
 
 
 @dataclass(frozen=True)
@@ -221,8 +251,10 @@ def dipole_dipole_energy(d_a: Sequence[float], d_b: Sequence[float],
 def perturbative_shift(system: CavitySystem) -> PerturbativeShift:
     """Second-order self shifts plus the distance-cubed pair term.
 
-    self_n = -A_n^2 (d_n.e)^2 omega/(omega + omega_n); the interaction
-    carries the quarter weight of the charging integral:
+    With the mode couplings g_n and the pair coefficient v of the
+    Hamiltonian, self_n = -g_n^2/(omega + omega_n) and the interaction
+    g1 g2 v / (2 omega (omega1 + omega2)) carries the quarter weight of
+    the charging integral:
 
         -(A1 A2 / 2 r^3) (d1.e)(d2.e) [d1.d2 - 3(d1.rhat)(d2.rhat)]
             / (omega1 + omega2)
@@ -235,21 +267,13 @@ def perturbative_shift(system: CavitySystem) -> PerturbativeShift:
         raise ValueError(
             "perturbative formula outside validity: mode frequency must "
             "exceed every atomic frequency 10x over")
-    mode = system.mode
-    selves = []
-    for atom, amplitude in zip(system.atoms, mode.amplitudes):
-        projected = float(atom.dipole @ mode.polarization)
-        selves.append(-amplitude**2 * projected**2
-                      * mode.omega / (mode.omega + atom.omega))
-    a1, a2 = system.atoms
-    r, rhat = separation(system.positions[0], system.positions[1])
-    p1 = float(a1.dipole @ mode.polarization)
-    p2 = float(a2.dipole @ mode.polarization)
-    bracket = float(a1.dipole @ a2.dipole) \
-        - 3.0 * float(a1.dipole @ rhat) * float(a2.dipole @ rhat)
-    interaction = -(mode.amplitudes[0] * mode.amplitudes[1] / (2.0 * r**3)) \
-        * p1 * p2 * bracket / (a1.omega + a2.omega)
-    return PerturbativeShift(selves[0], selves[1], interaction)
+    omega = system.mode.omega
+    w1, w2 = (atom.omega for atom in system.atoms)
+    g1, g2 = system.coupling(0), system.coupling(1)
+    interaction = g1 * g2 * system.pair_coefficient(0, 1) \
+        / (2.0 * omega * (w1 + w2))
+    return PerturbativeShift(-g1**2 / (omega + w1), -g2**2 / (omega + w2),
+                             interaction)
 
 
 class _Layout(NamedTuple):
@@ -313,62 +337,39 @@ def _hamiltonian(system: CavitySystem, n_max: int,
     for n, index in enumerate(layout.coupling):
         h[index] += system.coupling(n) * layout.root
     if include_pair:
-        pairs = itertools.combinations(range(system.n_atoms), 2)
-        for (n, m), index in zip(pairs, layout.pairs):
-            h[index] += system.pair_coefficient(n, m)
+        for index, v in zip(layout.pairs, system._pairs.values()):
+            h[index] += v
     return h.reshape(dim, dim)
 
 
-def _ground_energy(system: CavitySystem, n_max: int,
-                   include_pair: bool) -> float:
-    if system.n_atoms > _MAX_ATOMS_EXACT:
-        raise ValueError(
-            f"exact oracle limited to {_MAX_ATOMS_EXACT} atoms")
-    if n_max < _MIN_PHOTON_CUTOFF:
-        raise ValueError(
-            f"photon cutoff must be at least {_MIN_PHOTON_CUTOFF}")
-    if n_max > _MAX_PHOTON_CUTOFF:
-        raise ValueError(
-            f"photon cutoff must be at most {_MAX_PHOTON_CUTOFF}")
-    key = (n_max, include_pair)
-    if key not in system._grounds:
-        coarse, fine = (float(np.linalg.eigvalsh(_hamiltonian(
-            system, n, include_pair))[0]) for n in (n_max, n_max + 4))
-        if abs(fine - coarse) >= _CONVERGENCE_TOL:
-            raise RuntimeError(
-                f"ground energy not converged in photon number: cutoff "
-                f"{n_max} vs {n_max + 4} differ by {abs(fine - coarse):.3e}")
-        system._grounds[key] = fine
-    return system._grounds[key]
-
-
-def exact_ground_energy(system: CavitySystem,
-                        n_max: int = _DEFAULT_PHOTON_CUTOFF) -> float:
+def exact_ground_energy(system: CavitySystem) -> float:
     """Coupled ground eigenvalue from dense diagonalization.
 
     The basis is the even-parity sector of atomic configurations and photon
-    numbers 0..n_max; the result must move by less than 1e-10 when the
-    cutoff grows by 4, else a ``RuntimeError`` reports the non-convergence.
-    The uncoupled ground energy is zero, so the result is the full shift.
+    numbers 0..n_max.  The cutoff n_max grows from 12 in steps of 4 until
+    the result moves by less than 1e-10, and the finer result is returned;
+    a ``PhotonCutoffError`` reports a result still moving at cutoff 104,
+    or a solve whose rounding unit at the norm of H reaches 1e-10.
+    A two-atom system takes one cutoff for both pair settings.  The
+    uncoupled ground energy is zero, so the result is the full shift.
     """
-    return _ground_energy(system, n_max, include_pair=True)
+    return system._ground_energies[True]
 
 
-def interaction_extract(system: CavitySystem,
-                        n_max: int = _DEFAULT_PHOTON_CUTOFF) -> float:
+def interaction_extract(system: CavitySystem) -> float:
     """Cavity-mediated pair energy, isolated by differencing.
 
     Subtracts from the full ground shift both the shift with the
-    electrostatic pair coupling removed and the second-order pure-pair
-    term -v^2/(omega1 + omega2).  What is left is the cross channel in
-    which one atom talks to the other through the mode and the
-    electrostatic coupling together; in the weak-coupling high-frequency
-    regime it falls off as the inverse cube of the separation.
+    electrostatic pair coupling removed, at the same photon cutoff, and
+    the second-order pure-pair term -v^2/(omega1 + omega2).  What is left
+    is the cross channel in which one atom talks to the other through the
+    mode and the electrostatic coupling together; in the weak-coupling
+    high-frequency regime it falls off as the inverse cube of the
+    separation.
     """
     if system.n_atoms != 2:
         raise ValueError("interaction extraction is defined for two atoms")
-    full = _ground_energy(system, n_max, include_pair=True)
-    no_pair = _ground_energy(system, n_max, include_pair=False)
+    grounds = system._ground_energies
     v = system.pair_coefficient(0, 1)
     second_order = -v * v / (system.atoms[0].omega + system.atoms[1].omega)
-    return full - no_pair - second_order
+    return grounds[True] - grounds[False] - second_order

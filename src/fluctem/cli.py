@@ -15,15 +15,14 @@ The config is a single JSON object.  Top-level keys:
                on the z axis)
   temperature  optional scalar (manybody -> thermal sum, lamb -> thermal
                shift)
-  quadrature   optional {"rel_tol", "max_evals"}; on a manybody task with
-               a temperature only rel_tol reaches the thermal sum, and
-               both reach the second-order integral
+  quadrature   optional {"rel_tol", "max_evals"} (pairwise, manybody,
+               lamb); with a manybody temperature only rel_tol reaches
+               the thermal sum, and both reach the second-order integral
   cutoff       optional frequency cutoff (lamb)
   medium       optional {"number_density", "host": <model>} (lamb);
                density in inverse cubic length units
-  mode         {"omega", "polarization", "amplitudes"} (cavity)
-  photon_cutoff optional photon-number cutoff for the cavity oracle,
-               an integer from 4 to 100 (default 12)
+  mode         {"omega", "polarization", "amplitudes"} (cavity); the
+               cavity oracle grows its own photon cutoff until converged
   nonretarded  optional bool (manybody)
   sweep        {"parameter": <dotted path>, "values": [...]}, scan only;
                the points run one after another
@@ -58,8 +57,6 @@ import numpy as np
 
 from . import __version__
 from .cavity import (
-    _MAX_PHOTON_CUTOFF,
-    _MIN_PHOTON_CUTOFF,
     CavityMode,
     CavitySystem,
     TwoStateAtom,
@@ -105,15 +102,12 @@ _SLOPE_COLUMN = {
     "cavity": "extracted",
 }
 
-_COMMON_KEYS = {"task", "description", "units", "quadrature"}
+_COMMON_KEYS = {"task", "description", "units"}
 _TASK_KEYS = {
-    "pairwise": {"atoms", "separation"},
-    "manybody": {"atoms", "temperature", "nonretarded"},
-    "lamb": {"atom", "temperature", "cutoff", "medium"},
-    "cavity": {"atoms", "separation", "mode", "photon_cutoff"},
-    "scan": {"subtask", "sweep", "atoms", "atom", "separation",
-             "temperature", "nonretarded", "cutoff", "medium", "mode",
-             "photon_cutoff"},
+    "pairwise": {"atoms", "separation", "quadrature"},
+    "manybody": {"atoms", "temperature", "nonretarded", "quadrature"},
+    "lamb": {"atom", "temperature", "cutoff", "medium", "quadrature"},
+    "cavity": {"atoms", "separation", "mode"},
 }
 
 
@@ -175,13 +169,6 @@ def _positive(value: float, label: str) -> float:
     if not value > 0:
         raise ConfigError(f"{label} must be positive")
     return value
-
-
-def _integer(value, label: str) -> int:
-    number = _number(value, label)
-    if not number.is_integer():
-        raise ConfigError(f"{label} must be an integer, got {value!r}")
-    return int(number)
 
 
 def _vector(value, label: str) -> tuple[float, ...]:
@@ -248,8 +235,11 @@ def _quad_spec(cfg: dict) -> QuadratureSpec | None:
     if "rel_tol" in obj:
         kwargs["rel_tol"] = _number(obj["rel_tol"], "quadrature.rel_tol")
     if "max_evals" in obj:
-        kwargs["max_evals"] = _integer(obj["max_evals"],
-                                       "quadrature.max_evals")
+        max_evals = _number(obj["max_evals"], "quadrature.max_evals")
+        if not max_evals.is_integer():
+            raise ConfigError(f"quadrature.max_evals must be an integer, "
+                              f"got {obj['max_evals']!r}")
+        kwargs["max_evals"] = int(max_evals)
     try:
         return QuadratureSpec(**kwargs)
     except ValueError as exc:
@@ -358,6 +348,8 @@ def _run_lamb(cfg: dict) -> tuple[list[str], list[float]]:
         # these name their own keys; only the medium's checks need naming
         density = units.inverse_volume(spec.get("number_density"),
                                        "medium.number_density")
+        if density < 0:
+            raise ConfigError("medium.number_density cannot be negative")
         host = _model(spec.get("host"), units, "medium.host")
         try:
             medium = DiluteMedium(density, host)
@@ -417,14 +409,9 @@ def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
     system = CavitySystem(parsed, positions, mode)
     if not system.high_frequency:
         raise ConfigError("mode.omega must be over 10x every atomic omega")
-    n_max = _integer(cfg.get("photon_cutoff", 12), "photon_cutoff")
-    if not _MIN_PHOTON_CUTOFF <= n_max <= _MAX_PHOTON_CUTOFF:
-        raise ConfigError(
-            f"photon_cutoff must be from {_MIN_PHOTON_CUTOFF} to "
-            f"{_MAX_PHOTON_CUTOFF}, got {n_max}")
     shift = perturbative_shift(system)
-    extracted = interaction_extract(system, n_max)
-    exact = exact_ground_energy(system, n_max)
+    extracted = interaction_extract(system)
+    exact = exact_ground_energy(system)
     return (["r", "self_1", "self_2", "interaction", "extracted",
              "exact_total"],
             [r, shift.self_1, shift.self_2, shift.interaction, extracted,
@@ -492,18 +479,14 @@ def _run_scan(cfg: dict,
     _check_keys(base, subtask)
     runner = _RUNNERS[subtask]
 
-    results = []
+    # every runner returns the same columns at every point
+    rows = []
     for value in values:
         local = copy.deepcopy(base)
         _set_path(local, parameter, value)
-        results.append(runner(local))
-
-    columns = [parameter] + results[0][0]
-    rows = []
-    for value, (cols, row) in zip(values, results):
-        if cols != results[0][0]:
-            raise ConfigError("sweep points produced mismatched columns")
+        columns, row = runner(local)
         rows.append([value] + row)
+    columns = [parameter] + columns
     if fit_slope:
         target = _SLOPE_COLUMN[subtask]
         idx = columns.index(target)
@@ -522,9 +505,10 @@ def _execute(cfg: dict,
     if task not in _TASKS:
         raise ConfigError(f"task must be one of {sorted(_TASKS)}, "
                           f"got {task!r}")
-    _check_keys(cfg, task)
     if task == "scan":
+        # a scan takes the keys of its subtask, which _run_scan checks
         return _run_scan(cfg, fit_slope)
+    _check_keys(cfg, task)
     if fit_slope:
         raise ConfigError("--fit-slope needs task=scan")
     columns, row = _RUNNERS[task](cfg)

@@ -4,14 +4,17 @@ of the mode-mediated pair term, and the scattered even-parity Hamiltonian
 against a Kronecker-product build of the full space."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from fluctem import cavity
 from fluctem.cavity import (
     CavityMode,
     CavitySystem,
+    PhotonCutoffError,
     TwoStateAtom,
     dipole_dipole_energy,
     exact_ground_energy,
@@ -19,7 +22,7 @@ from fluctem.cavity import (
     perturbative_shift,
 )
 from fluctem.cavity import _hamiltonian, _layout
-from fluctem.cli import _run_cavity
+from fluctem.cli import _run_cavity, run
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
@@ -208,19 +211,50 @@ def test_exact_monotone_in_photon_cutoff():
 
 
 def test_exact_nonconvergence_raises():
-    system = make_system(omega=1.0, omega_1=0.5, omega_2=0.5,
-                         a1=2.0, a2=2.0, d1=(0.5, 0, 0), d2=(0.5, 0, 0),
-                         r=50.0)
-    with pytest.raises(RuntimeError, match="not converged"):
-        exact_ground_energy(system, n_max=4)
+    # couplings 3.6 omega: still moving at the largest cutoff
+    system = make_system(a1=160.0, a2=160.0)
+    with pytest.raises(RuntimeError, match="not converged") as caught:
+        exact_ground_energy(system)
+    assert caught.type is PhotonCutoffError
+    assert "cutoff 100 vs 104 differ by" in str(caught.value)
+
+
+@pytest.mark.parametrize("omega", [1e6, 1e150])
+def test_exact_refuses_a_solve_that_rounds_above_the_tolerance(omega):
+    # past the rounding of the dense solve the ground energies of two
+    # cutoffs can agree by chance: at 1e150 two successive cutoffs agree
+    # exactly on energies that miss the pair terms
+    with pytest.raises(PhotonCutoffError, match="cutoff 12 solve rounds at"):
+        exact_ground_energy(make_system(omega=omega))
+
+
+def test_exact_grows_the_cutoff_past_the_first(tmp_path):
+    # amplitude 40 needs photon numbers far past 16, where a fixed cutoff
+    # of 12 stopped; the result agrees with a solve at the largest cutoff
+    cfg = {"task": "cavity",
+           "atoms": [{"omega": 0.9, "dipole": [0.1, 0, 0]},
+                     {"omega": 1.1, "dipole": [0.1, 0, 0]}],
+           "mode": {"omega": 20.0, "polarization": [1, 0, 0],
+                    "amplitudes": [40.0, 40.0]},
+           "separation": 10.0}
+    path = tmp_path / "cavity.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    assert run(str(path), str(out)) == 0
+    header, row = out.read_text().splitlines()[1:]
+    exact = float(row.split(",")[header.split(",").index("exact_total")])
+    system = make_system(a1=40.0, a2=40.0, r=10.0)
+    reference = float(np.linalg.eigvalsh(_hamiltonian(system, 104, True))[0])
+    assert exact == pytest.approx(reference, rel=1e-12)
 
 
 def test_exact_cutoff_validation_and_atom_limit():
+    # the photon cutoff is not a parameter: the oracle finds its own
     system = make_system()
-    with pytest.raises(ValueError, match="at least 4"):
-        exact_ground_energy(system, n_max=3)
-    with pytest.raises(ValueError, match="at most 100"):
-        exact_ground_energy(system, n_max=10**9)
+    with pytest.raises(TypeError):
+        exact_ground_energy(system, n_max=12)
+    with pytest.raises(TypeError):
+        interaction_extract(system, n_max=12)
     atom = TwoStateAtom(1.0, (0.05, 0, 0))
     mode = CavityMode(20.0, X, tuple([0.02] * 5))
     positions = tuple((0.0, 0.0, 4.0 * k) for k in range(5))
@@ -278,6 +312,35 @@ def test_interaction_extract_versus_printed_variants():
     extracted = interaction_extract(system)
     assert extracted / printed == pytest.approx(8.0, rel=5e-2)
     assert variant * extracted < 0
+
+
+def test_interaction_extract_takes_both_pair_settings_at_one_cutoff(
+        monkeypatch):
+    # alone, the full Hamiltonian converges from 16 to 20 photons and the
+    # one without the pair term already from 12 to 16
+    system = make_system(a1=18.235, a2=18.235, r=0.1)
+
+    def ground(n_max, include_pair):
+        return float(np.linalg.eigvalsh(
+            _hamiltonian(system, n_max, include_pair))[0])
+
+    assert abs(ground(16, True) - ground(12, True)) >= 1e-10
+    assert abs(ground(16, False) - ground(12, False)) < 1e-10
+    built = []
+    hamiltonian = cavity._hamiltonian
+
+    def recording(system, n_max, include_pair):
+        built.append((n_max, include_pair))
+        return hamiltonian(system, n_max, include_pair)
+
+    monkeypatch.setattr(cavity, "_hamiltonian", recording)
+    extracted = interaction_extract(system)
+    assert sorted(built) == [(n, p) for n in (12, 16, 20)
+                             for p in (False, True)]
+    v = system.pair_coefficient(0, 1)
+    second_order = -v * v / (0.9 + 1.1)
+    assert extracted == ground(20, True) - ground(20, False) - second_order
+    assert exact_ground_energy(system) == ground(20, True)
 
 
 def test_interaction_extract_needs_two_atoms():

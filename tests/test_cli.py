@@ -9,7 +9,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +272,17 @@ def test_overflowing_medium_host_is_named_once(tmp_path, capsys):
         "overflows a double\n")
 
 
+def test_medium_density_errors_are_named(tmp_path, capsys):
+    cfg = {"task": "lamb", "atom": dict(ATOM),
+           "medium": {"number_density": -1.0, "host": dict(ATOM)}}
+    assert config_error(tmp_path, capsys, cfg) == (
+        "error: config: medium.number_density cannot be negative\n")
+    # too dense to be dilute: a property of the whole medium
+    cfg["medium"]["number_density"] = 1.0
+    assert config_error(tmp_path, capsys, cfg).startswith(
+        "error: config: medium: medium is not dilute")
+
+
 def _pair_free_energy_limits(temperature):
     """The T -> 0 energy of manybody_config() and the classical T g(0)/2
     with its rounding.  The static modes of a pair at distance r are
@@ -403,6 +413,39 @@ def test_quadrature_abs_tol_is_an_unknown_key(tmp_path, capsys):
     assert "abs_tol" in config_error(tmp_path, capsys, cfg)
 
 
+@pytest.mark.parametrize("quadrature", [
+    {"rel_tol": "nonsense", "max_evals": -5}, [1, 2], {"rel_tol": 1e-9}])
+def test_cavity_takes_no_quadrature(tmp_path, capsys, quadrature):
+    # the cavity integrates nothing, so any quadrature is a stray key
+    expected = ("error: config: unknown config keys for task 'cavity': "
+                "['quadrature']\n")
+    cfg = cavity_config(quadrature=quadrature)
+    assert config_error(tmp_path, capsys, cfg) == expected
+    scan = dict(cfg, task="scan", subtask="cavity",
+                sweep={"parameter": "separation", "values": [8.0, 10.0]})
+    assert config_error(tmp_path, capsys, scan) == expected
+
+
+def test_scan_hands_quadrature_to_its_subtask(tmp_path, capsys):
+    cfg = {"task": "scan", "subtask": "pairwise",
+           "atoms": [dict(ATOM), dict(ATOM)], "separation": 3.0,
+           "quadrature": {"max_evals": 1000.5},
+           "sweep": {"parameter": "separation", "values": [3.0, 4.0]}}
+    assert "quadrature.max_evals" in config_error(tmp_path, capsys, cfg)
+    cfg["quadrature"] = {"max_evals": 1000}
+    assert run(write_config(tmp_path, cfg), str(tmp_path / "out.csv")) == 0
+
+
+def test_unconverged_cavity_names_its_error_type(tmp_path, capsys):
+    cfg = cavity_config()
+    cfg["mode"]["amplitudes"] = [160.0, 160.0]
+    assert run(write_config(tmp_path, cfg), str(tmp_path / "out.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error [fluctem.cavity.PhotonCutoffError]: ground energy not "
+        "converged in photon number: cutoff 100 vs 104 differ by ")
+
+
 def test_cavity_mode_outside_validity_is_named_before_any_build(
         tmp_path, capsys, monkeypatch):
     def refuse(*args):
@@ -427,44 +470,29 @@ def test_far_pair_at_low_temperature_runs_clean_under_strict(tmp_path,
 
 
 def test_integer_keys_reject_fractions(tmp_path, capsys):
-    path = write_config(tmp_path, cavity_config(photon_cutoff=12.7))
-    assert run(path, str(tmp_path / "a.csv")) == 1
-    err = capsys.readouterr().err
-    assert "error: config:" in err and "photon_cutoff" in err
     cfg = pairwise_config()
     cfg["quadrature"] = {"max_evals": 1000.5}
     assert run(write_config(tmp_path, cfg, "q.json")) == 1
     err = capsys.readouterr().err
     assert "error: config:" in err and "quadrature.max_evals" in err
     # an integral value written as a float is still an integer
-    path = write_config(tmp_path, cavity_config(photon_cutoff=12.0), "i.json")
+    cfg["quadrature"] = {"max_evals": 1000.0}
+    path = write_config(tmp_path, cfg, "i.json")
     assert run(path, str(tmp_path / "b.csv")) == 0
 
 
-def test_photon_cutoff_below_four_is_named(tmp_path, capsys):
-    for cutoff in (3, -2):
-        path = write_config(tmp_path, cavity_config(photon_cutoff=cutoff))
-        assert run(path, str(tmp_path / "a.csv")) == 1
-        err = capsys.readouterr().err
-        assert "error: config:" in err and "photon_cutoff" in err
-
-
-def test_huge_photon_cutoff_is_named_before_any_build(tmp_path, capsys,
-                                                       monkeypatch):
+def test_photon_cutoff_is_an_unknown_key(tmp_path, capsys, monkeypatch):
+    # the cavity oracle finds its own cutoff; no value is read, so even a
+    # huge one builds nothing
     def refuse(*args):
         raise AssertionError("a Hamiltonian was built")
 
     monkeypatch.setattr("fluctem.cavity._hamiltonian", refuse)
-    path = write_config(tmp_path, cavity_config(photon_cutoff=10**9))
-    tracemalloc.start()
-    try:
-        assert run(path, str(tmp_path / "a.csv")) == 1
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    err = capsys.readouterr().err
-    assert "error: config:" in err and "photon_cutoff" in err
-    assert peak < 1 << 20
+    for cutoff in (3, -2, 12, 12.7, 10**9):
+        cfg = cavity_config(photon_cutoff=cutoff)
+        assert config_error(tmp_path, capsys, cfg) == (
+            "error: config: unknown config keys for task 'cavity': "
+            "['photon_cutoff']\n")
 
 
 def test_scan_london_slope(tmp_path):
