@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -481,14 +482,36 @@ def test_integer_keys_reject_fractions(tmp_path, capsys):
     assert run(path, str(tmp_path / "b.csv")) == 0
 
 
-def test_photon_cutoff_is_an_unknown_key(tmp_path, capsys, monkeypatch):
-    # the cavity oracle finds its own cutoff; no value is read, so even a
-    # huge one builds nothing
+def test_photon_cutoff_below_four_is_named(tmp_path, capsys):
+    for cutoff in (3, -2):
+        path = write_config(tmp_path, cavity_config(photon_cutoff=cutoff))
+        assert run(path, str(tmp_path / "a.csv")) == 1
+        err = capsys.readouterr().err
+        assert "error: config:" in err and "photon_cutoff" in err
+
+
+def test_huge_photon_cutoff_is_named_before_any_build(tmp_path, capsys,
+                                                       monkeypatch):
     def refuse(*args):
         raise AssertionError("a Hamiltonian was built")
 
     monkeypatch.setattr("fluctem.cavity._hamiltonian", refuse)
-    for cutoff in (3, -2, 12, 12.7, 10**9):
+    path = write_config(tmp_path, cavity_config(photon_cutoff=10**9))
+    tracemalloc.start()
+    try:
+        assert run(path, str(tmp_path / "a.csv")) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert "error: config:" in err and "photon_cutoff" in err
+    assert peak < 1 << 20
+
+
+def test_photon_cutoff_is_an_unknown_key(tmp_path, capsys):
+    # the cavity oracle finds its own cutoff, so once-valid values are
+    # rejected too
+    for cutoff in (12, 12.7):
         cfg = cavity_config(photon_cutoff=cutoff)
         assert config_error(tmp_path, capsys, cfg) == (
             "error: config: unknown config keys for task 'cavity': "
