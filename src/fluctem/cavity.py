@@ -7,7 +7,7 @@ No rotating-wave truncation anywhere; the perturbative denominators
 omega/(omega + omega_n) exist only because the counter-rotating terms
 are kept.
 
-The Hamiltonian on {g, e}^N tensor Fock(n_max) is
+The Hamiltonian on {g, e}^N tensor Fock(cutoff) is
 
     H = sum_n omega_n |e_n><e_n|  +  omega a'a
       + sum_n c_n (sigma_n + sigma_n') (a + a')
@@ -21,7 +21,7 @@ is itself the shift.
 The parity (-1)^(photons + excitations) commutes with H: a coupling term
 moves one photon and one excitation, a pair term two excitations.  The
 uncoupled ground state is even, so the oracle diagonalizes the even sector,
-2^(N-1) (n_max + 1) states (the Z2 symmetry of the quantum Rabi model),
+2^(N-1) (cutoff + 1) states (the Z2 symmetry of the quantum Rabi model),
 whose lowest level continues the uncoupled ground; tests check it against
 the full space up to ultrastrong coupling.
 """
@@ -195,27 +195,27 @@ class CavitySystem:
                 f"exact oracle limited to {_MAX_ATOMS_EXACT} atoms")
         settings = (True, False) if self.n_atoms == 2 else (True,)
 
-        def grounds(n_max: int) -> list[float]:
-            spectra = [np.linalg.eigvalsh(_hamiltonian(self, n_max, p))
+        def grounds(cutoff: int) -> list[float]:
+            spectra = [np.linalg.eigvalsh(_hamiltonian(self, cutoff, p))
                        for p in settings]
             # a change below the rounding unit at |H|_2 proves nothing
             rounding = math.ulp(max(max(-w[0], w[-1]) for w in spectra))
             if not rounding < _CONVERGENCE_TOL:
                 raise PhotonCutoffError(
-                    f"ground energy not resolvable: the cutoff {n_max} "
+                    f"ground energy not resolvable: the cutoff {cutoff} "
                     f"solve rounds at {rounding:.3e}")
             return [float(w[0]) for w in spectra]
 
         coarse = grounds(_FIRST_PHOTON_CUTOFF)
-        for n_max in range(_FIRST_PHOTON_CUTOFF, _MAX_PHOTON_CUTOFF, 4):
-            fine = grounds(n_max + 4)
+        for cutoff in range(_FIRST_PHOTON_CUTOFF, _MAX_PHOTON_CUTOFF, 4):
+            fine = grounds(cutoff + 4)
             change = max(abs(f - c) for f, c in zip(fine, coarse))
             if change < _CONVERGENCE_TOL:
                 return dict(zip(settings, fine))
             coarse = fine
         raise PhotonCutoffError(
             f"ground energy not converged in photon number: cutoff "
-            f"{n_max} vs {n_max + 4} differ by {change:.3e}")
+            f"{cutoff} vs {cutoff + 4} differ by {change:.3e}")
 
 
 @dataclass(frozen=True)
@@ -279,7 +279,7 @@ def perturbative_shift(system: CavitySystem) -> PerturbativeShift:
 class _Layout(NamedTuple):
     """Index and value vectors placing each term in a flat dim x dim buffer.
 
-    States: the even ones of s = config * (n_max + 1) + photons, in order,
+    States: the even ones of s = config * (cutoff + 1) + photons, in order,
     atom 0 the most significant bit of config.  Every array is read-only.
     """
 
@@ -291,8 +291,8 @@ class _Layout(NamedTuple):
 
 
 @lru_cache(maxsize=8)
-def _layout(n_atoms: int, n_max: int) -> _Layout:
-    dim_field = n_max + 1
+def _layout(n_atoms: int, cutoff: int) -> _Layout:
+    dim_field = cutoff + 1
     config, photons = np.divmod(np.arange(2**n_atoms * dim_field), dim_field)
     bits = [1 << (n_atoms - 1 - n) for n in range(n_atoms)]
     # even states and their sector positions; every term keeps the parity
@@ -301,7 +301,7 @@ def _layout(n_atoms: int, n_max: int) -> _Layout:
     config, photons, dim = config[even], photons[even], int(even.sum())
     # each state that can take one more photon, and its partner with one
     # more photon and atom n flipped; both orders of the pair are stored
-    lower = np.flatnonzero(photons < n_max)
+    lower = np.flatnonzero(photons < cutoff)
     root = np.sqrt(photons[lower] + 1.0)
     coupling = []
     for bit in bits:
@@ -322,12 +322,12 @@ def _layout(n_atoms: int, n_max: int) -> _Layout:
     return layout
 
 
-def _hamiltonian(system: CavitySystem, n_max: int,
+def _hamiltonian(system: CavitySystem, cutoff: int,
                  include_pair: bool) -> np.ndarray:
     # terms sit on disjoint entries apart from the diagonal, which sums
     # the mode and then each atom in turn; adding into zeros keeps zero
     # entries +0.0 whatever the sign of a coefficient
-    layout = _layout(system.n_atoms, n_max)
+    layout = _layout(system.n_atoms, cutoff)
     dim = layout.photons.size
     diagonal = system.mode.omega * layout.photons
     for atom, excited in zip(system.atoms, layout.excited):
@@ -346,7 +346,7 @@ def exact_ground_energy(system: CavitySystem) -> float:
     """Coupled ground eigenvalue from dense diagonalization.
 
     The basis is the even-parity sector of atomic configurations and photon
-    numbers 0..n_max.  The cutoff n_max grows from 12 in steps of 4 until
+    numbers 0..cutoff.  The cutoff grows from 12 in steps of 4 until
     the result moves by less than 1e-10, and the finer result is returned;
     a ``PhotonCutoffError`` reports a result still moving at cutoff 104,
     or a solve whose rounding unit at the norm of H reaches 1e-10.

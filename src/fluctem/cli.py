@@ -16,8 +16,8 @@ The config is a single JSON object.  Top-level keys:
   temperature  optional scalar (manybody -> thermal sum, lamb -> thermal
                shift)
   quadrature   optional {"rel_tol", "max_evals"} (pairwise, manybody,
-               lamb); with a manybody temperature only rel_tol reaches
-               the thermal sum, and both reach the second-order integral
+               lamb); a manybody thermal sum spends one budget on its
+               terms and its tail integral
   cutoff       optional frequency cutoff (lamb)
   medium       optional {"number_density", "host": <model>} (lamb);
                density in inverse cubic length units
@@ -88,7 +88,7 @@ from .pairwise import (
     vdw_energy,
 )
 from .polarizability import KramersHeisenberg, Transition, single_resonance
-from .quadrature import MatsubaraSpec, QuadratureSpec
+from .quadrature import QuadratureSpec
 
 __all__ = ["ConfigError", "run", "main"]
 
@@ -177,6 +177,18 @@ def _vector(value, label: str) -> tuple[float, ...]:
     return tuple(_number(v, label) for v in value)
 
 
+def _check_distance(r: float, pair: str) -> None:
+    """Refuse the ``pair`` of atoms ``r`` bohr apart when they coincide or
+    lie outside 1e-40 .. 1e40 bohr: the pair energies divide by up to r^7,
+    which there stays within 1e-280 .. 1e280, room left for prefactors."""
+    if r == 0.0:
+        raise ConfigError(f"{pair} coincide")
+    if r < 1e-40:
+        raise ConfigError(f"{pair} are closer than 1e-40 bohr")
+    if not r <= 1e40:
+        raise ConfigError(f"{pair} are too far apart: over 1e40 bohr")
+
+
 def _check_keys(cfg: dict, task: str) -> None:
     allowed = _COMMON_KEYS | _TASK_KEYS[task]
     unknown = set(cfg) - allowed
@@ -256,6 +268,7 @@ def _run_pairwise(cfg: dict) -> tuple[list[str], list[float]]:
     model_b = _model(atoms[1], units, "atoms[1]")
     r = _positive(units.length(cfg.get("separation"), "separation"),
                   "separation")
+    _check_distance(r, "separation: atoms[0] and atoms[1]")
     pair = PairSpec(model_a, model_b, r)
     verdict = validity_check(pair)
     if not verdict.ok:
@@ -285,16 +298,15 @@ def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
     delta = np.array([pos for pos, _ in sites])
     with np.errstate(over="ignore"):
         delta = delta[:, None, :] - delta[None, :, :]
-        r2 = np.sum(delta * delta, axis=-1)
-    # a zero squared distance, as SystemGeometry finds it: equal positions,
-    # or separations so small that their square underflows; an infinite
-    # one: separations so large that it overflows
-    for bad, verdict in ((r2 == 0.0, "coincide"),
-                         (~np.isfinite(r2), "are too far apart for a "
-                                            "finite distance")):
-        i, j = np.nonzero(np.triu(bad, k=1))
-        if i.size:
-            raise ConfigError(f"atoms[{i[0]}] and atoms[{j[0]}] {verdict}")
+        r = np.sqrt(np.sum(delta * delta, axis=-1))
+    # a zero distance, as SystemGeometry finds it: equal positions, or
+    # separations so small that their square underflows; an infinite one:
+    # separations so large that it overflows.  Some pair is refused exactly
+    # when the closest or the farthest is
+    i, j = np.triu_indices(len(sites), k=1)
+    for k in (np.argmin(r[i, j]), np.argmax(r[i, j])):
+        _check_distance(float(r[i[k], j[k]]),
+                        f"atoms[{i[k]}] and atoms[{j[k]}]")
     geometry = SystemGeometry(sites)
     nonretarded = cfg.get("nonretarded", False)
     if not isinstance(nonretarded, bool):
@@ -306,9 +318,8 @@ def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
     if "temperature" in cfg:
         temp = _positive(units.temperature(cfg["temperature"], "temperature"),
                          "temperature")
-        tail = MatsubaraSpec(rel_tol=quad.rel_tol) if quad else None
         try:
-            free = free_energy_finiteT(geometry, temp, tail,
+            free = free_energy_finiteT(geometry, temp, quad,
                                        nonretarded=nonretarded)
         except ValueError as exc:
             # the one range error left: Matsubara frequencies that
@@ -376,6 +387,7 @@ def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
     if "separation" in cfg:
         r = _positive(units.length(cfg["separation"], "separation"),
                       "separation")
+        _check_distance(r, "separation: atoms[0] and atoms[1]")
         positions = ((0.0, 0.0, 0.0), (0.0, 0.0, r))
     else:
         positions = tuple(
@@ -385,9 +397,9 @@ def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
             for k, atom in enumerate(atoms))
     delta = np.asarray(positions[1], dtype=float) \
         - np.asarray(positions[0], dtype=float)
-    r = math.sqrt(float(delta @ delta))
-    if r == 0.0:
-        raise ConfigError("atoms[0] and atoms[1] coincide")
+    with np.errstate(over="ignore"):
+        r = math.sqrt(float(delta @ delta))
+    _check_distance(r, "atoms[0] and atoms[1]")
     spec = cfg.get("mode")
     if not isinstance(spec, dict):
         raise ConfigError("cavity needs a mode object")

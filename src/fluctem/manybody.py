@@ -56,7 +56,6 @@ from .green import (
 from .pairwise import PairSpec, PairValidity, validity_check
 from .polarizability import KramersHeisenberg
 from .quadrature import (
-    MatsubaraSpec,
     QuadratureSpec,
     integrate_semi_infinite,
     matsubara_sum,
@@ -319,20 +318,22 @@ def free_energy_T0(geom: SystemGeometry, quad: QuadratureSpec | None = None,
 
 
 def free_energy_finiteT(geom: SystemGeometry, temperature: float,
-                        tail: MatsubaraSpec | None = None,
+                        quad: QuadratureSpec | None = None,
                         nonretarded: bool = False) -> EnergyResult:
     """Interaction free energy at temperature T (Hartree units).
 
     Thermal sum over xi_n = 2 pi n T with the n = 0 term half-weighted;
     converges to :func:`free_energy_T0` as T -> 0, because the integral
     that takes the rest of the sum is centred on the same node scale.
+    ``quad`` is the spec :func:`free_energy_T0` takes; its ``max_evals``
+    bounds the Matsubara terms and the tail nodes together.
     """
     if geom.n_sites < 2:
         if temperature <= 0:
             raise ValueError("temperature must be positive")
         return EnergyResult(0.0, 0.0, 0)
     return matsubara_sum(_logdet_function(geom, nonretarded), temperature,
-                         tail, _node_scale(geom, nonretarded))
+                         quad, _node_scale(geom, nonretarded))
 
 
 def second_order_energy(geom: SystemGeometry,

@@ -34,12 +34,13 @@ tail integral its nodes, in stacks of up to 32.
 
 ``matsubara_sum`` stops once g is smooth on the Matsubara step h, not
 once its terms are negligible, which for terms falling like xi^-4 took a
-count growing like 1/T.  It sums the terms up to a cut and takes the rest
-by the midpoint Euler-Maclaurin formula: the integral of g from the cut
-plus h^2 g' and h^4 g''' corrections from differences of the terms.  Its
-evaluations count the summed terms, the two differenced terms past the
-cut and the tail nodes; a few hundred suffice at any T below the scale
-of g.
+count growing like 1/T.  It sums whole blocks of 32 terms, tries its one
+cut at each block end, and takes the rest by the midpoint Euler-Maclaurin
+formula: the integral of g from the cut plus h^2 g' and h^4 g'''
+corrections from differences of the terms.  The terms and the tail nodes
+draw on the ``max_evals`` budget of one ``QuadratureSpec``, as the nodes
+of every other integral do; a few hundred suffice at any T below the
+scale of g.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .core import EnergyResult
 
 __all__ = [
     "QuadratureSpec",
-    "MatsubaraSpec",
     "QuadratureError",
     "integrate_semi_infinite",
     "integrate_interval",
@@ -92,19 +92,9 @@ class QuadratureSpec:
             raise ValueError("max_evals must be >= 100")
 
 
-@dataclass(frozen=True)
-class MatsubaraSpec:
-    """Tail control for thermal sums over xi_n = 2*pi*n*k_B*T."""
-
-    rel_tol: float = 1e-9
-    n_max: int = 10**5
-
-    def __post_init__(self) -> None:
-        # the differences of the tail formula need g_0 .. g_3
-        if self.n_max < 3:
-            raise ValueError("n_max must be >= 3")
-        if not 0 < self.rel_tol < math.inf:
-            raise ValueError("rel_tol must be positive and finite")
+# thermal sums take a QuadratureSpec; the old name stays bound because
+# perfbench/run.py imports it for its provenance record
+MatsubaraSpec = QuadratureSpec
 
 
 class _EvalCounter:
@@ -116,18 +106,11 @@ class _EvalCounter:
         self.budget = budget
 
     def __call__(self, x: float) -> float:
-        if self.count >= self.budget:
-            raise QuadratureError(
-                f"quadrature budget of {self.budget} evaluations exhausted"
-            )
-        self.count += 1
-        y = self.f(x)
-        if not math.isfinite(y):
-            raise QuadratureError(f"integrand is {y!r} at x={x!r}")
-        return y
+        return self.check(x, self.f(x))
 
     def check(self, x: float, y: float) -> float:
-        """Count y = f(x), evaluated in a stack, as :meth:`__call__` would."""
+        """Count y = f(x), evaluated by the caller or in a stack: one more
+        evaluation of the budget, and a finite value."""
         if self.count >= self.budget:
             raise QuadratureError(
                 f"quadrature budget of {self.budget} evaluations exhausted"
@@ -351,13 +334,12 @@ def integrate_pv(f_regular: Callable[[float], float], pole: float,
                         lower.error_estimate + upper.error_estimate, f.count)
 
 
-# Matsubara terms evaluated per call of the integrand: enough to spread
-# the per-call overhead, few enough that the terms computed past a stop
-# (at most _BLOCK - 1) stay cheap and the stacked arrays stay small
+
+
+# Matsubara terms per call of the integrand, and the spacing of the block
+# ends where the sum may stop: enough to spread the per-call overhead, few
+# enough that a sum smooth early stops early
 _BLOCK = 32
-# successive terms under rel_tol that end the sum: the four differenced
-# at its cut
-_CONSECUTIVE_SMALL = 4
 # Euler-Maclaurin weights, at a = xi_(N+1/2), of the differences that
 # stand for h^2 g'(a), h^4 g'''(a) and h^6 g^(5)(a): 1/24; 7/5760 plus
 # the 10/5760 that cancel the h^2 error of the first difference; and
@@ -367,32 +349,15 @@ _EM4 = 17.0 / 5760.0
 _EM6 = 367.0 / 967680.0
 
 
-def _matsubara_terms(g: Callable[[np.ndarray], np.ndarray], t_step: float,
-                     n_max: int):
-    """(n, g(xi_n)) for n = 0 .. n_max, evaluated _BLOCK terms per call.
-
-    A non-finite value raises once it is reached, so values past the
-    caller's stop are never checked.
-    """
-    for start in range(0, n_max + 1, _BLOCK):
-        ns = np.arange(start, min(start + _BLOCK, n_max + 1))
-        values = np.asarray(g(ns * t_step), dtype=float)
-        for n, value in zip(ns.tolist(), values.tolist()):
-            if not math.isfinite(value):
-                raise QuadratureError(
-                    f"matsubara term is {value!r} at xi={n * t_step!r}")
-            yield n, value
-
-
 def matsubara_sum(g: Callable[[np.ndarray], np.ndarray], temperature: float,
-                  spec: MatsubaraSpec | None = None,
+                  spec: QuadratureSpec | None = None,
                   scale: float = 1.0) -> EnergyResult:
     """Thermal sum  k_B T * [ g(0)/2 + sum_{n>=1} g(n h) ],  h = 2 pi k_B T.
 
     ``g`` maps a 1-D array of frequencies to the array of its values.  The
-    sum calls it on blocks of 32 successive xi_n = n h.  The terms n <= N
-    are summed, and the rest is the midpoint Euler-Maclaurin formula at
-    a = xi_(N+1/2):
+    sum calls it on whole blocks of 32 successive xi_n = n h.  The terms
+    n <= N are summed, and the rest is the midpoint Euler-Maclaurin formula
+    at a = xi_(N+1/2):
 
         h sum_{n>N} g(nh) = int_a^inf g + (h^2/24) g'(a)
                             - (7 h^4/5760) g'''(a) + O(h^6 g^(5)),
@@ -405,29 +370,21 @@ def matsubara_sum(g: Callable[[np.ndarray], np.ndarray], temperature: float,
     once, on stacks of up to 32 nodes centred on max(a, ``scale``), the
     caller's node scale as in :func:`integrate_semi_infinite`.
 
-    The cut is N = n - 2 at the first term n that ends the sum:
-
-    * a block end n = 31, 63, ... where g is smooth on the step h:
-      |c4| + |c6| <= 2pi rel_tol T |running sum|, with
-      c6 = (367/967680) h (fifth difference of g_(N-3) .. g_(N+2)) the
-      size of the h^6 remainder.  |c4| + |c6| is the truncation error;
-      c6 keeps a cut on a zero of g''', where c4 vanishes while the
-      remainder does not, from passing for exact;
-    * the fourth successive term under rel_tol times the running sum:
-      the exit at high T, where h reaches the scale on which g varies
-      and the corrections are not trusted.  The truncation error is
-      h |g_N| + |c2| + |c4|, the first term bounding
-      |int_a^inf g - h sum_{n>N} g_n| where |g| falls monotonically;
-    * n = ``n_max``, with the same truncation error.
+    The sum stops at the first block end n = 31, 63, ... where g is smooth
+    on the step h, |c4| + |c6| <= 2pi rel_tol T |running sum|, and cuts at
+    N = n - 2.  Here c6 = (367/967680) h (fifth difference of
+    g_(N-3) .. g_(N+2)) is the size of the h^6 remainder, and
+    |c4| + |c6| the truncation error; c6 keeps a cut on a zero of g''',
+    where c4 vanishes while the remainder does not, from passing for exact.
 
     The error is the truncation error plus the tail integral's estimate,
     over 2pi, plus the rounding 4 eps T sum|terms|.  ``evaluations``
-    counts the summed terms, the two terms past N and the tail nodes.
-    The terms the last block holds past n are discarded unseen: not
-    counted and not checked.  A counted non-finite term raises
-    :class:`QuadratureError` naming its xi_n.
+    counts the terms, the two past N among them, and the tail nodes, which
+    all draw on the one budget ``spec.max_evals``.  A spent budget, a
+    non-finite term (named by its xi_n) or a tail that does not converge
+    raises :class:`QuadratureError`.
     """
-    spec = spec or MatsubaraSpec()
+    spec = spec or QuadratureSpec()
     if not temperature > 0:
         raise ValueError("temperature must be positive")
     t_step = 2.0 * math.pi * temperature
@@ -436,38 +393,36 @@ def matsubara_sum(g: Callable[[np.ndarray], np.ndarray], temperature: float,
                          "first Matsubara block overflow a double")
     if not 0 < scale < math.inf:
         raise ValueError("scale must be positive and finite")
-    values = []
+    counter = _EvalCounter(g, spec.max_evals)
+    values: list[float] = []
     partial = 0.0
-    small_run = 0
-    for n, value in _matsubara_terms(g, t_step, spec.n_max):
-        values.append(value)
-        partial += value if n else 0.5 * value
-        bound = spec.rel_tol * max(abs(partial), 1e-300)
-        small_run = small_run + 1 if n and abs(value) < bound else 0
-        if n < 3:
-            continue
+    while True:
+        xis = np.arange(len(values), len(values) + _BLOCK) * t_step
+        block = np.asarray(g(xis), dtype=float).tolist()
+        for xi, value in zip(xis.tolist(), block):
+            if not math.isfinite(value):
+                raise QuadratureError(
+                    f"matsubara term is {value!r} at xi={xi!r}")
+            partial += value if values else 0.5 * value
+            values.append(counter.check(xi, value))
         # the d's are the c's over h, so that no tiny T underflows them
-        g_before, g_cut, g_after, g_last = values[n - 3:]
-        d2 = _EM2 * (g_after - g_cut)
-        d4 = _EM4 * (g_last - 3.0 * g_after + 3.0 * g_cut - g_before)
-        if n % _BLOCK == _BLOCK - 1:
-            f0, f1, f2, f3, f4, f5 = values[n - 5:]
-            d6 = _EM6 * (f5 - 5.0 * f4 + 10.0 * f3 - 10.0 * f2 + 5.0 * f1
-                         - f0)
-            truncation = abs(d4) + abs(d6)
-            if truncation <= bound:
-                break
-        if n == spec.n_max or small_run >= _CONSECUTIVE_SMALL:
-            truncation = abs(g_cut) + abs(d2) + abs(d4)
+        f0, f1, f2, f3, f4, f5 = values[-6:]
+        d2 = _EM2 * (f4 - f3)
+        d4 = _EM4 * (f5 - 3.0 * f4 + 3.0 * f3 - f2)
+        d6 = _EM6 * (f5 - 5.0 * f4 + 10.0 * f3 - 10.0 * f2 + 5.0 * f1 - f0)
+        truncation = abs(d4) + abs(d6)
+        if truncation <= spec.rel_tol * max(abs(partial), 1e-300):
             break
 
+    n = len(values) - 1
     cut = n - 2
     terms = [0.5 * values[0]] + values[1:cut + 1]
     xi_mid = (cut + 0.5) * t_step
+    # the tail nodes are counted on from the terms, in the same budget
+    counter.f = lambda x: g(xi_mid + x)
     try:
-        tail = integrate_semi_infinite(lambda x: g(xi_mid + x),
-                                       QuadratureSpec(rel_tol=spec.rel_tol),
-                                       max(xi_mid, scale), _BLOCK)
+        tail = _integrate_exp_sinh(counter, counter, spec,
+                                   max(xi_mid, scale), stack=_BLOCK)
     except QuadratureError as exc:
         raise QuadratureError(
             f"matsubara tail did not converge after n={n}: {exc}") from exc
@@ -476,4 +431,4 @@ def matsubara_sum(g: Callable[[np.ndarray], np.ndarray], temperature: float,
     err = (temperature * (truncation
                           + 4.0 * _EPS * math.fsum(abs(t) for t in terms))
            + tail.error_estimate / (2.0 * math.pi))
-    return EnergyResult(value, err, n + 1 + tail.evaluations)
+    return EnergyResult(value, err, tail.evaluations)

@@ -1,6 +1,7 @@
 """CLI contract: schema validation, exit codes, deterministic output,
 and the slope checks on shipped example configs."""
 
+import ast
 import csv
 import importlib.util
 import io
@@ -85,6 +86,22 @@ def test_tracer_patch_points_resolve():
     for module, attr in points + tracer.QUADRATURE:
         assert callable(getattr(tracer._resolve(module), attr)), \
             f"{module}.{attr}"
+
+
+def test_perfbench_imports_resolve():
+    # every name perfbench imports from the package, read from its source
+    # without running it: a dropped name fails here, not in the benchmark
+    names = []
+    for path in sorted((REPO / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module \
+                    and node.module.split(".")[0] == "fluctem":
+                names += [(path.name, node.module, alias.name)
+                          for alias in node.names]
+    assert names
+    for source, module, name in names:
+        assert hasattr(importlib.import_module(module), name), \
+            f"{source}: from {module} import {name}"
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -327,6 +344,46 @@ def test_far_apart_manybody_atoms_name_both(tmp_path, capsys):
     with np.errstate(all="raise"):
         err = config_error(tmp_path, capsys, cfg)
     assert "atoms[0] and atoms[1] are too far apart" in err
+
+
+def far_pair_manybody_config(separation):
+    cfg = manybody_config()
+    cfg["atoms"][1]["position"] = [separation, 0.0, 0.0]
+    return cfg
+
+
+# configs of one pair at a given distance, and what their errors name
+FAR_PAIR_CONFIGS = {
+    "pairwise": (pairwise_config, "separation: atoms[0] and atoms[1]"),
+    "cavity": (lambda r: cavity_config(separation=r),
+               "separation: atoms[0] and atoms[1]"),
+    "manybody": (far_pair_manybody_config, "atoms[0] and atoms[1]"),
+}
+
+
+@pytest.mark.parametrize("task, separation", [
+    *(("pairwise", r) for r in (5e-324, 1e-300, 1e-150, 1e150, 1e300,
+                                1.7e308)),
+    *(("cavity", r) for r in (1e-150, 1e150, 1e300, 1.7e308)),
+    *(("manybody", r) for r in (1e-150, 1e150)),
+])
+@pytest.mark.parametrize("scan", [False, True], ids=["run", "scan"])
+def test_pair_distances_past_the_double_range_are_named(
+        tmp_path, capsys, task, separation, scan):
+    # the pair energies divide by up to r^7: a distance whose power leaves
+    # the double range is a config error, alone or as a scan point
+    make, named = FAR_PAIR_CONFIGS[task]
+    cfg = make(separation)
+    if scan:
+        parameter = "separation" if "separation" in cfg \
+            else "atoms.1.position.0"
+        cfg = dict(cfg, task="scan", subtask=task,
+                   sweep={"parameter": parameter,
+                          "values": [4.0, separation]})
+    with np.errstate(all="raise"):
+        err = config_error(tmp_path, capsys, cfg)
+    assert named in err
+    assert "closer than 1e-40 bohr" in err or "over 1e40 bohr" in err
 
 
 def test_bethe_at_the_largest_cutoff_is_finite(tmp_path):

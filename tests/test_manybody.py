@@ -4,6 +4,7 @@ integral identity."""
 
 import decimal
 import itertools
+import json
 import math
 import warnings
 
@@ -12,6 +13,7 @@ import pytest
 
 import fluctem.manybody as manybody
 import fluctem.quadrature as quadrature
+from fluctem.cli import run
 from fluctem.core import SPEED_OF_LIGHT, EnergyResult, vec3
 from fluctem.green import dyadic_green_imag, static_green
 from fluctem.manybody import (
@@ -27,7 +29,7 @@ from fluctem.manybody import (
 from fluctem.pairwise import PairSpec, vdw_energy
 from fluctem.polarizability import KramersHeisenberg, Transition, single_resonance
 from fluctem.quadrature import (
-    MatsubaraSpec,
+    QuadratureError,
     QuadratureSpec,
     integrate_semi_infinite,
 )
@@ -183,7 +185,7 @@ def test_evaluation_counts_pinned():
     # counts and values of the pair-by-pair Green assembly: batching the
     # pairs makes each node cheaper and must leave the nodes as they were.
     # The thermal sum is cut at its first block end, n = 31; the direct
-    # sum of all 100 001 terms to n_max lies 1.8e-16 from its value, well
+    # sum of its first 100 001 terms lies 1.8e-16 from its value, well
     # inside its error estimate of 2.2e-14
     geom = pinned_cube()
     t0 = free_energy_T0(geom)
@@ -323,31 +325,24 @@ def term_by_term_matsubara(g, temperature, spec, scale):
     """The thermal sum with one g call per term: its cut N and result.
 
     Terms are taken until a block end n = 31, 63, ... where the third and
-    fifth differences of the last terms are small, the fourth successive
-    small term, or n_max; the sum keeps n <= N = n - 2 and the
-    Euler-Maclaurin tail takes the rest."""
+    fifth differences of the last terms are small; the sum keeps
+    n <= N = n - 2 and the Euler-Maclaurin tail takes the rest."""
     t_step = 2.0 * math.pi * temperature
-    values, partial, small_run, n = [], 0.0, 0, -1
+    values, partial, n = [], 0.0, -1
     while True:
         n += 1
         values.append(g(n * t_step))
         partial += values[n] if n else 0.5 * values[n]
-        bound = spec.rel_tol * max(abs(partial), 1e-300)
-        small_run = small_run + 1 if n and abs(values[n]) < bound else 0
-        if n < 3:
+        if n % 32 != 31:
             continue
         gm, g0, g1, g2 = values[n - 3:]
         d2 = (1.0 / 24.0) * (g1 - g0)
         d4 = (17.0 / 5760.0) * (g2 - 3.0 * g1 + 3.0 * g0 - gm)
-        if n % 32 == 31:
-            f = values[n - 5:]
-            d6 = (367.0 / 967680.0) * (f[5] - 5.0 * f[4] + 10.0 * f[3]
-                                       - 10.0 * f[2] + 5.0 * f[1] - f[0])
-            truncation = abs(d4) + abs(d6)
-            if truncation <= bound:
-                break
-        if n == spec.n_max or small_run >= 4:
-            truncation = abs(g0) + abs(d2) + abs(d4)
+        f = values[n - 5:]
+        d6 = (367.0 / 967680.0) * (f[5] - 5.0 * f[4] + 10.0 * f[3]
+                                   - 10.0 * f[2] + 5.0 * f[1] - f[0])
+        truncation = abs(d4) + abs(d6)
+        if truncation <= spec.rel_tol * max(abs(partial), 1e-300):
             break
     cut = n - 2
     terms = [0.5 * values[0]] + values[1:cut + 1]
@@ -364,41 +359,38 @@ def term_by_term_matsubara(g, temperature, spec, scale):
 
 
 @pytest.mark.parametrize("case", [
-    ("pinned cube, T=0.1", pinned_cube, 0.1, False, MatsubaraSpec()),
-    ("pinned cube, T=0.01", pinned_cube, 0.01, False, MatsubaraSpec()),
+    ("pinned cube, T=0.1", pinned_cube, 0.1, False, QuadratureSpec()),
+    ("pinned cube, T=0.01", pinned_cube, 0.01, False, QuadratureSpec()),
     ("identical nonretarded, T=1e-3", identical_cube, 1e-3, True,
-     MatsubaraSpec()),
-    # four small terms before the first block end
-    ("pinned cube, T=2", pinned_cube, 2.0, False, MatsubaraSpec()),
-    # below the first block end and far above the small terms
-    ("reaches n_max", pinned_cube, 1e-3, False, MatsubaraSpec(n_max=20)),
+     QuadratureSpec()),
+    # the terms are negligible long before the first block end
+    ("pinned cube, T=2", pinned_cube, 2.0, False, QuadratureSpec()),
 ], ids=lambda case: case[0])
 def test_blocked_thermal_sum_matches_term_by_term(case, monkeypatch):
     _, make, temperature, nonretarded, spec = case
     geom = make()
     # the one tail integral starts at xi_(N + 1/2): its scale gives N
     scales = []
+    ladder = quadrature._integrate_exp_sinh
 
-    def recording(f, tail_spec, scale, stack):
+    def recording(g, counter, tail_spec, scale, target=0.0, stack=1):
         scales.append(scale)
-        return integrate_semi_infinite(f, tail_spec, scale, stack)
+        return ladder(g, counter, tail_spec, scale, target, stack)
 
-    monkeypatch.setattr(quadrature, "integrate_semi_infinite", recording)
+    monkeypatch.setattr(quadrature, "_integrate_exp_sinh", recording)
     blocked = free_energy_finiteT(geom, temperature, spec,
                                   nonretarded=nonretarded)
+    tail_scales = list(scales)
     node_scale = manybody._node_scale(geom, nonretarded)
     cut, reference = term_by_term_matsubara(
         term_by_term_log_det(geom, nonretarded), temperature, spec,
         node_scale)
     t_step = 2.0 * math.pi * temperature
-    assert scales == [max((cut + 0.5) * t_step, node_scale)]
+    assert tail_scales == [max((cut + 0.5) * t_step, node_scale)]
+    assert cut % 32 == 29
     assert blocked.evaluations == reference.evaluations
     assert blocked.value == reference.value
     assert blocked.error_estimate == reference.error_estimate
-    if spec.n_max == 20:
-        assert cut == 18
-    if temperature == 2.0:
-        assert cut < 29
 
 
 def test_strong_coupling_raises_at_finite_temperature():
@@ -629,23 +621,41 @@ def test_finite_temperature_approaches_T0():
     assert cold.value == pytest.approx(reference.value, rel=1e-3)
 
 
+# squared normal-mode frequencies at 40 digits, per static interaction
+# matrix and resonance: one 24 x 24 eigensolve takes about half a second
+_MODES = {}
+
+
 def normal_mode_free_energy(geom, temperature):
     """Free energy of the coupled identical oscillators against the
-    uncoupled ones: sum_k T ln[sinh(W_k/2T)/sinh(w0/2T)] over the modes
-    W_k = w0 sqrt(1 + alpha_static t_k), written as the zero-point shift
-    plus T ln[(1 - e^(-W_k/T))/(1 - e^(-w0/T))]."""
-    alpha_static, omega0 = manybody._identical_single_resonance(geom)
-    parts = []
-    for t in np.linalg.eigvalsh(build_T(geom, 0.0)).tolist():
-        shift = omega0 * math.expm1(0.5 * math.log1p(alpha_static * t))
-        parts.append(0.5 * shift)
-        parts.append(temperature * (
-            math.log1p(-math.exp(-(omega0 + shift) / temperature))
-            - math.log1p(-math.exp(-omega0 / temperature))))
-    return math.fsum(parts)
+    uncoupled ones, T sum_k ln[sinh(W_k/2T)/sinh(w0/2T)] over the modes
+    W_k^2 = w0^2 (1 + alpha_static t_k), at 40 digits: the t_k are the
+    eigenvalues of the static interaction matrix, whose trace is then 0
+    to those digits, and no logarithm cancels in double precision."""
+    mpmath = pytest.importorskip("mpmath")
+    manybody._identical_single_resonance(geom)
+    (transition,) = geom.models[0].transitions
+    static = build_T(geom, 0.0)
+    key = (static.tobytes(), transition)
+    with mpmath.workdps(40):
+        if key not in _MODES:
+            omega0 = mpmath.mpf(transition.omega_sg)
+            alpha_static = 2 * mpmath.mpf(transition.d2) / (3 * omega0)
+            t_eigs, _ = mpmath.eigsy(mpmath.matrix(static.tolist()))
+            _MODES[key] = (omega0, [omega0**2 * (1 + alpha_static * t)
+                                    for t in t_eigs])
+        omega0, squares = _MODES[key]
+        t = mpmath.mpf(temperature)
+        free = t * mpmath.fsum(
+            mpmath.log(mpmath.sinh(mpmath.sqrt(w2) / (2 * t))
+                       / mpmath.sinh(omega0 / (2 * t)))
+            for w2 in squares)
+        return float(free)
 
 
-@pytest.mark.parametrize("temperature", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("temperature", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1,
+                                         0.5, 1.0, 2.0, 10.0, 100.0, 1e3,
+                                         1e4])
 def test_thermal_sum_matches_normal_modes(temperature):
     # the nonretarded Matsubara sum of identical resonances is the
     # thermal free energy of their normal modes, at every temperature
@@ -653,8 +663,76 @@ def test_thermal_sum_matches_normal_modes(temperature):
     res = free_energy_finiteT(geom, temperature, nonretarded=True)
     exact = normal_mode_free_energy(geom, temperature)
     assert abs(res.value - exact) <= res.error_estimate
-    assert res.error_estimate <= 1e-9 * abs(exact)
+    assert res.error_estimate <= (1e-13 if temperature >= 1.0 else 1e-9) \
+        * abs(exact)
     assert res.evaluations <= 300
+
+
+def direct_matsubara_sum(g, temperature):
+    """T [g(0)/2 + sum_{n>=1} g(2 pi n T)], summed in blocks of 32 terms
+    until a whole block underflows to zero."""
+    t_step = 2.0 * math.pi * temperature
+    terms, start = [], 0
+    while True:
+        block = np.asarray(g(np.arange(start, start + 32) * t_step))
+        if start and not block.any():
+            break
+        terms.extend(block.tolist())
+        start += 32
+    terms[0] *= 0.5
+    return temperature * math.fsum(terms)
+
+
+@pytest.mark.parametrize("temperature", [0.5, 2.0, 10.0])
+def test_retarded_thermal_sum_matches_the_direct_sum(temperature):
+    # where h = 2 pi T passes the scale of g, the one block-end cut still
+    # lands on the sum of every term that does not underflow
+    geom = pinned_cube()
+    res = free_energy_finiteT(geom, temperature)
+    direct = direct_matsubara_sum(manybody._logdet_function(geom, False),
+                                  temperature)
+    assert abs(res.value - direct) <= res.error_estimate
+    assert res.error_estimate <= 1e-13 * abs(direct)
+
+
+def pinned_cube_config(temperature, max_evals):
+    """The CLI config of :func:`pinned_cube` at ``temperature``."""
+    models = [{"model": "single_resonance", "alpha_static": 1.5,
+               "omega": 0.5},
+              {"model": "transitions",
+               "transitions": [{"omega": 0.4, "d2": 1.2},
+                               {"omega": 1.1, "d2": 0.6}]}]
+    atoms = [dict(models[k % 2], position=position.tolist())
+             for k, position in enumerate(pinned_cube().positions)]
+    return {"task": "manybody", "atoms": atoms, "temperature": temperature,
+            "quadrature": {"max_evals": max_evals}}
+
+
+def test_thermal_budget_bounds_terms_and_tail(tmp_path, capsys):
+    # the pinned cube at T = 1e-3 takes 166 evaluations, its terms and its
+    # tail together: every smaller budget is a QuadratureError, in the
+    # library and through the CLI, never a ValueError or a config error
+    geom = pinned_cube()
+    needed = free_energy_finiteT(geom, 1e-3).evaluations
+    assert needed == 166
+    config = tmp_path / "config.json"
+    out = tmp_path / "out.csv"
+    for max_evals in range(100, needed + 1):
+        spec = QuadratureSpec(max_evals=max_evals)
+        config.write_text(json.dumps(pinned_cube_config(1e-3, max_evals)))
+        code = run(str(config), str(out))
+        err = capsys.readouterr().err
+        if max_evals == needed:
+            assert free_energy_finiteT(geom, 1e-3, spec).evaluations \
+                == needed
+            assert (code, err) == (0, "")
+            continue
+        with pytest.raises(QuadratureError,
+                           match=f"budget of {max_evals} evaluations"):
+            free_energy_finiteT(geom, 1e-3, spec)
+        assert code == 1
+        assert err.startswith("error [fluctem.quadrature.QuadratureError]:")
+        assert f"budget of {max_evals} evaluations exhausted" in err
 
 
 def test_criterion_08_pair_in_few_evaluations():

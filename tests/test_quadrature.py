@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from fluctem.core import EnergyResult
 from fluctem.quadrature import (
-    MatsubaraSpec,
     QuadratureError,
     QuadratureSpec,
     integrate_interval,
@@ -354,9 +353,6 @@ def test_spec_validation():
             integrate_pv(math.exp, pole=1.0, scale=scale)
     with pytest.raises(ValueError, match="stack"):
         integrate_semi_infinite(math.exp, stack=0)
-    for kwargs in ({"n_max": 0}, {"n_max": 2}, {"rel_tol": math.nan}):
-        with pytest.raises(ValueError):
-            MatsubaraSpec(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +489,12 @@ def test_matsubara_high_temperature_zero_term_dominates():
 
 
 def test_matsubara_deep_tail_beyond_n_max():
-    # decay scale ~ 1 but T so small the n_max cutoff lands mid-decay: the
-    # tail integral must carry the remainder.  The discrete sum has the
-    # closed form T(1/2 + sum 1/(1+(2 pi T n)^2)) = coth(1/(2T))/4.
+    # decay scale ~ 1 but T so small that the sum stops at its first block
+    # end, n = 31, far inside the decay: the tail integral must carry the
+    # remainder.  The discrete sum has the closed form
+    # T(1/2 + sum 1/(1+(2 pi T n)^2)) = coth(1/(2T))/4.
     t = 1e-6
-    spec = MatsubaraSpec(n_max=10**5)
-    res = matsubara_sum(lambda x: 1.0 / (1.0 + x * x), t, spec)
+    res = matsubara_sum(lambda x: 1.0 / (1.0 + x * x), t)
     exact = 0.25 / math.tanh(0.5 / t)
     assert res.value == pytest.approx(exact, rel=1e-9)
     assert res.error_estimate >= abs(res.value - exact)
@@ -506,7 +502,7 @@ def test_matsubara_deep_tail_beyond_n_max():
 
 def test_matsubara_non_finite_term_names_its_frequency():
     # xi_1 = 2 pi 0.1 falls in the NaN window; without the check the stop
-    # rule never fires and the sum runs to n_max
+    # rule never fires and the sum runs until its budget is spent
     def g(x):
         return np.where((0.5 < x) & (x < 0.7), np.nan, np.exp(-x))
 
@@ -516,21 +512,13 @@ def test_matsubara_non_finite_term_names_its_frequency():
         matsubara_sum(lambda x: np.where(x > 3.0, np.inf, np.exp(-x)), 0.1)
 
 
-def test_matsubara_blocks_past_the_stop_are_not_counted():
-    # terms computed past the stop within a block neither count nor check:
-    # a NaN on the Matsubara frequencies xi_20 .. xi_31 of the first block,
-    # past the stop near n = 8, changes nothing
-    t_step = 2 * math.pi * 0.7
-    past = np.arange(20, 32) * t_step
-    seen = []
-
-    def spoiled_g(x):
-        seen.extend(np.ravel(x).tolist())
-        return np.where(np.isin(x, past), np.nan, np.exp(-x))
-
-    clean = matsubara_sum(lambda x: np.exp(-x), 0.7)
-    assert matsubara_sum(spoiled_g, 0.7) == clean
-    assert set(past.tolist()) <= set(seen)
+def test_matsubara_budget_bounds_the_terms():
+    # a summand that never turns smooth on the step h spends the budget on
+    # its terms alone, and says so
+    spec = QuadratureSpec(max_evals=100)
+    with pytest.raises(QuadratureError,
+                       match="^quadrature budget of 100 evaluations"):
+        matsubara_sum(lambda x: 2.0 + np.cos(x), 0.1, spec)
 
 
 def test_matsubara_validation():
