@@ -1,37 +1,13 @@
 """Command-line frontend: JSON config in, machine-readable table out.
 
-The config is a single JSON object.  Top-level keys:
-
-  task         "pairwise" | "manybody" | "lamb" | "cavity" | "scan"
-  description  free text, ignored
-  units        {"length": "bohr"|"nm", "energy": "hartree"|"eV",
-               "temperature": "kelvin"|"hartree_temperature"}; omitted
-               entries default to atomic units.  Only positions and
-               separations use the length unit and only frequencies,
-               cutoffs, and temperatures are converted; polarizabilities,
-               dipole moments, and mode amplitudes are always atomic.
-  atoms        list of atom objects (see each task below)
-  separation   scalar distance (pairwise; cavity shorthand for two atoms
-               on the z axis)
-  temperature  optional scalar (manybody -> thermal sum, lamb -> thermal
-               shift)
-  quadrature   optional {"rel_tol", "max_evals"} (pairwise, manybody,
-               lamb); a manybody thermal sum spends one budget on its
-               terms and its tail integral
-  cutoff       optional frequency cutoff (lamb)
-  medium       optional {"number_density", "host": <model>} (lamb);
-               density in inverse cubic length units
-  mode         {"omega", "polarization", "amplitudes"} (cavity); the
-               cavity oracle grows its own photon cutoff until converged
-  nonretarded  optional bool (manybody)
-  sweep        {"parameter": <dotted path>, "values": [...]}, scan only;
-               the points run one after another
-  subtask      the task a scan wraps, scan only
-
-Polarizable-atom model objects: {"model": "single_resonance",
-"alpha_static": a0, "omega": w0} or {"model": "transitions",
-"transitions": [{"omega": w, "d2": s}, ...]}.  Cavity atoms instead
-carry {"omega": w, "dipole": [x, y, z], "position": [x, y, z]}.
+The config is one JSON object with a "task": "pairwise", "manybody",
+"lamb", "cavity", or "scan" over one of them.  ``_KEYS`` (and README's
+table) lists every key of each task, and each numeric key's dimension
+and range in atomic units.  One walk over a config rejects unknown keys,
+converts each number by its dimension from the config's "units" into
+atomic units, and checks its range, so the runners read checked numbers.
+A scan checks its base config once and every swept value before the
+first point runs.
 
 Results are always in Hartree atomic units.  CSV output starts with
 `# config_hash=<sha256> version=<semver>`, then a header row; numbers
@@ -43,15 +19,16 @@ files.  Exit codes: 0 success, 1 error, 2 validity warnings under
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import hashlib
 import io
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +50,7 @@ from .lamb import (
     thermal_shift,
 )
 from .manybody import (
+    PairDistanceError,
     SystemGeometry,
     free_energy_T0,
     free_energy_finiteT,
@@ -92,189 +70,221 @@ from .quadrature import QuadratureSpec
 
 __all__ = ["ConfigError", "run", "main"]
 
-_TASKS = ("pairwise", "manybody", "lamb", "cavity", "scan")
-
-# column whose log-log slope --fit-slope reports, per wrapped task
-_SLOPE_COLUMN = {
-    "pairwise": "E_vdw",
-    "manybody": "free_energy",
-    "lamb": "bethe",
-    "cavity": "extracted",
-}
-
-_COMMON_KEYS = {"task", "description", "units"}
-_TASK_KEYS = {
-    "pairwise": {"atoms", "separation", "quadrature"},
-    "manybody": {"atoms", "temperature", "nonretarded", "quadrature"},
-    "lamb": {"atom", "temperature", "cutoff", "medium", "quadrature"},
-    "cavity": {"atoms", "separation", "mode"},
-}
-
-
-# the unit each units entry defaults to, and converts into
-_ATOMIC_UNITS = {"length": "bohr", "energy": "hartree",
-                 "temperature": "hartree_temperature"}
-
 
 class ConfigError(ValueError):
     """A config file that parses as JSON but violates the schema."""
 
 
-class _Units:
-    """Boundary conversions from config units into atomic units."""
+class _Key(NamedTuple):
+    """A numeric key: its dimension and its range lo .. hi, both included,
+    in atomic units.  A "distance" is a length between two atoms, a
+    "density" is per cubic length, "atomic" is never converted and a
+    "count" is an integer."""
 
-    def __init__(self, cfg: dict):
-        spec = cfg.get("units", {})
-        if not isinstance(spec, dict):
-            raise ConfigError("units must be an object")
-        unknown = set(spec) - set(_ATOMIC_UNITS)
-        if unknown:
-            raise ConfigError(f"unknown units entries: {sorted(unknown)}")
-        for entry, tag in spec.items():
-            try:
-                convert(1.0, tag, _ATOMIC_UNITS[entry])
-            except (TypeError, ValueError):
-                raise ConfigError(f"units.{entry} must be a {entry} unit "
-                                  f"tag, got {tag!r}") from None
-        self._tags = dict(_ATOMIC_UNITS, **spec)
-
-    def length(self, value: float, label: str) -> float:
-        return convert(_number(value, label), self._tags["length"], "bohr")
-
-    def energy(self, value: float, label: str) -> float:
-        return convert(_number(value, label), self._tags["energy"], "hartree")
-
-    def temperature(self, value: float, label: str) -> float:
-        return convert(_number(value, label), self._tags["temperature"],
-                       "hartree_temperature")
-
-    def inverse_volume(self, value: float, label: str) -> float:
-        scale = convert(1.0, self._tags["length"], "bohr")
-        return _number(value, label) / scale**3
+    dimension: str
+    lo: float
+    hi: float
 
 
-def _number(value, label: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{label} must be a number")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{label} must be finite")
-    return number
+_MAX = sys.float_info.max
 
 
-def _positive(value: float, label: str) -> float:
-    if not value > 0:
-        raise ConfigError(f"{label} must be positive")
-    return value
+def _model_keys(prefix: str, omega: _Key, hi: float) -> dict:
+    """The keys of a model object at ``prefix``: frequencies in ``omega``,
+    strengths up to ``hi``; alpha*omega^2 stays normal from 1e-100 on."""
+    return {prefix + "model": None,
+            prefix + "alpha_static": _Key("atomic", 1e-100, hi),
+            prefix + "omega": omega,
+            prefix + "transitions[].omega": omega,
+            prefix + "transitions[].d2": _Key("atomic", 0.0, hi)}
 
 
-def _vector(value, label: str) -> tuple[float, ...]:
-    if not isinstance(value, list) or len(value) != 3:
-        raise ConfigError(f"{label} must be a 3-element list")
-    return tuple(_number(v, label) for v in value)
+_COMMON = {"task": None, "description": None, "units.length": None,
+           "units.energy": None, "units.temperature": None}
+# under 1e-14 the sums and ladders stop on rounding, not on rel_tol; a
+# spent budget is a QuadratureError that names the budget
+_QUADRATURE = {"quadrature.rel_tol": _Key("atomic", 1e-14, 1.0),
+               "quadrature.max_evals": _Key("count", 100.0, _MAX)}
+# the pair energies divide by up to r^7, which stays within 1e-280 ..
+# 1e280 here, room left for prefactors
+_SEPARATION = _Key("distance", 1e-40, 1e40)
+_POSITION = _Key("length", -_MAX, _MAX)
+# pair and cluster energies multiply two polarizabilities, so their
+# models stop at 1e100; their integrals centre on the lowest frequency
+# and resolve frequencies only up to about 1e17 above it
+_PAIR_MODEL = _model_keys("atoms[].", _Key("energy", 1e-15, 1e100), 1e100)
+# a lamb model's overflow is named by the model or by the shift it breaks
+_LAMB_OMEGA = _Key("energy", 1e-100, _MAX)
+
+# every key of each task: a _Key, or None for a key that holds no number
+_KEYS = {
+    "pairwise": {**_COMMON, "separation": _SEPARATION, **_PAIR_MODEL,
+                 **_QUADRATURE},
+    "manybody": {**_COMMON, "temperature": _Key("temperature", 5e-324, _MAX),
+                 "nonretarded": None, "atoms[].position[]": _POSITION,
+                 **_PAIR_MODEL, **_QUADRATURE},
+    # the thermal integrand takes w^3 up to w = 700 T
+    "lamb": {**_COMMON, "temperature": _Key("temperature", 5e-324, 1e99),
+             "cutoff": _LAMB_OMEGA,
+             "medium.number_density": _Key("density", 0.0, _MAX),
+             **_model_keys("atom.", _LAMB_OMEGA, _MAX),
+             **_model_keys("medium.host.", _LAMB_OMEGA, _MAX), **_QUADRATURE},
+    # couplings amplitude (dipole . polarization) sqrt(omega) stay under
+    # 1e150, so their squares and the Hamiltonian stay finite
+    "cavity": {**_COMMON, "separation": _SEPARATION,
+               "atoms[].omega": _Key("energy", 1e-100, 1e100),
+               "atoms[].dipole[]": _Key("atomic", -1e50, 1e50),
+               "atoms[].position[]": _POSITION,
+               "mode.omega": _Key("energy", 1e-100, 1e100),
+               "mode.polarization[]": _Key("atomic", -1.0, 1.0),
+               "mode.amplitudes[]": _Key("atomic", -1e50, 1e50)},
+}
+# every key and every object or list on the way to one, per task
+_PATHS = {task: {key[:k] for key in keys for k in range(1, len(key) + 1)
+                 if k == len(key) or key[k] in ".["}
+          for task, keys in _KEYS.items()}
+
+
+def _text(x: float) -> str:
+    return repr(float(x)).replace("e+", "e").removesuffix(".0")
+
+
+def _scales(units) -> dict[str, float]:
+    """One config unit of each dimension, in atomic units."""
+    if not isinstance(units, dict):
+        raise ConfigError("units must be an object")
+    scales = {}
+    # each entry defaults to the atomic unit, into which it converts
+    for entry, atomic in (("length", "bohr"), ("energy", "hartree"),
+                          ("temperature", "hartree_temperature")):
+        try:
+            scales[entry] = convert(1.0, units.get(entry, atomic), atomic)
+        except (TypeError, ValueError):
+            raise ConfigError(f"units.{entry} must be a {entry} unit tag, "
+                              f"got {units[entry]!r}") from None
+    return dict(scales, distance=scales["length"])
 
 
 def _check_distance(r: float, pair: str) -> None:
     """Refuse the ``pair`` of atoms ``r`` bohr apart when they coincide or
-    lie outside 1e-40 .. 1e40 bohr: the pair energies divide by up to r^7,
-    which there stays within 1e-280 .. 1e280, room left for prefactors."""
+    lie outside the range of a separation."""
     if r == 0.0:
         raise ConfigError(f"{pair} coincide")
-    if r < 1e-40:
-        raise ConfigError(f"{pair} are closer than 1e-40 bohr")
-    if not r <= 1e40:
-        raise ConfigError(f"{pair} are too far apart: over 1e40 bohr")
+    if r < _SEPARATION.lo:
+        raise ConfigError(f"{pair} are closer than {_text(_SEPARATION.lo)} "
+                          f"bohr")
+    if not r <= _SEPARATION.hi:
+        raise ConfigError(f"{pair} are too far apart: over "
+                          f"{_text(_SEPARATION.hi)} bohr")
 
 
-def _check_keys(cfg: dict, task: str) -> None:
-    allowed = _COMMON_KEYS | _TASK_KEYS[task]
-    unknown = set(cfg) - allowed
+def _check(value, key: _Key, name: str, scales: dict[str, float]):
+    """``value`` of the key ``name`` in atomic units, or a ConfigError
+    unless it is a finite number inside ``key``'s range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number")
+    if isinstance(value, int) and abs(value) > _MAX \
+            or not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite")
+    x = value / scales["length"]**3 if key.dimension == "density" \
+        else value * scales.get(key.dimension, 1.0)
+    if key.lo <= x <= key.hi:
+        if key.dimension != "count":
+            return x
+        if not x.is_integer():
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return int(x)
+    if x <= 0.0 < key.lo:
+        raise ConfigError(f"{name} must be positive")
+    if x < 0.0 and key.lo == 0.0:
+        raise ConfigError(f"{name} cannot be negative")
+    if key.dimension == "distance":
+        _check_distance(x, f"{name}: atoms[0] and atoms[1]")
+    raise ConfigError(f"{name} must be within {_text(key.lo)} .. "
+                      f"{_text(key.hi)} in atomic units")
+
+
+def _walk(node, pattern: str, name: str, task: str,
+          scales: dict[str, float]):
+    """``node``, the value of the key ``name`` that ``pattern`` matches,
+    with every number in it checked and in atomic units."""
+    if pattern in _KEYS[task]:
+        key = _KEYS[task][pattern]
+        return node if key is None else _check(node, key, name, scales)
+    if pattern + "[]" in _PATHS[task]:
+        if not isinstance(node, list):
+            raise ConfigError(f"{name} must be a list")
+        return [_walk(item, pattern + "[]", f"{name}[{k}]", task, scales)
+                for k, item in enumerate(node)]
+    if not isinstance(node, dict):
+        raise ConfigError(f"{name} must be an object")
+    dot = "." if pattern else ""
+    unknown = [name + dot + k for k in node
+               if pattern + dot + k not in _PATHS[task]]
     if unknown:
         raise ConfigError(
             f"unknown config keys for task {task!r}: {sorted(unknown)}")
+    return {k: _walk(v, pattern + dot + k, name + dot + k, task, scales)
+            for k, v in node.items()}
 
 
-def _model(obj, units: _Units, label: str) -> KramersHeisenberg:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{label} must be an object")
-    kind = obj.get("model")
-    if kind == "single_resonance":
-        alpha_static = _positive(_number(obj.get("alpha_static"),
-                                         f"{label}.alpha_static"),
-                                 f"{label}.alpha_static")
-        omega = _positive(units.energy(obj.get("omega"), f"{label}.omega"),
-                          f"{label}.omega")
-        try:
-            return single_resonance(alpha_static, omega)
-        except ValueError as exc:
-            raise ConfigError(f"{label}: {exc}") from None
-    if kind == "transitions":
-        rows = obj.get("transitions")
-        if not isinstance(rows, list) or not rows:
-            raise ConfigError(f"{label}.transitions must be a nonempty list")
-        transitions = []
-        for i, row in enumerate(rows):
-            row_label = f"{label}.transitions[{i}]"
-            if not isinstance(row, dict):
-                raise ConfigError(f"{row_label} must be an object")
-            d2 = _number(row.get("d2"), f"{row_label}.d2")
-            if d2 < 0:
-                raise ConfigError(f"{row_label}.d2 cannot be negative")
-            transitions.append(Transition(
-                _positive(units.energy(row.get("omega"), f"{row_label}.omega"),
-                          f"{row_label}.omega"), d2))
-        try:
-            return KramersHeisenberg(tuple(transitions))
-        except ValueError as exc:
-            raise ConfigError(f"{label}: {exc}") from None
-    raise ConfigError(
-        f"{label}.model must be 'single_resonance' or 'transitions'")
+def _need(obj: dict, name: str, length: int | None = None):
+    """The value of the required key ``name`` of ``obj``; a list of
+    ``length`` numbers if given."""
+    key = name.rsplit(".", 1)[-1]
+    if key not in obj:
+        raise ConfigError(f"{name} is missing")
+    if length is not None and len(obj[key]) != length:
+        raise ConfigError(f"{name} must be a list of {length} numbers")
+    return obj[key]
 
 
-def _quad_spec(cfg: dict) -> QuadratureSpec | None:
-    obj = cfg.get("quadrature")
-    if obj is None:
-        return None
-    if not isinstance(obj, dict):
-        raise ConfigError("quadrature must be an object")
-    unknown = set(obj) - {"rel_tol", "max_evals"}
-    if unknown:
-        raise ConfigError(f"unknown quadrature keys: {sorted(unknown)}")
-    kwargs = {}
-    if "rel_tol" in obj:
-        kwargs["rel_tol"] = _number(obj["rel_tol"], "quadrature.rel_tol")
-    if "max_evals" in obj:
-        max_evals = _number(obj["max_evals"], "quadrature.max_evals")
-        if not max_evals.is_integer():
-            raise ConfigError(f"quadrature.max_evals must be an integer, "
-                              f"got {obj['max_evals']!r}")
-        kwargs["max_evals"] = int(max_evals)
+def _named(name: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its range errors as a ConfigError
+    naming the key or object ``name`` (none: the message names it)."""
     try:
-        return QuadratureSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"quadrature: {exc}") from None
+        return build(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: {exc}" if name else str(exc)) from None
+
+
+# the keys of each model kind, which the other kind does not take
+_MODEL_KINDS = {"single_resonance": {"alpha_static", "omega"},
+                "transitions": {"transitions"}}
+
+
+def _model(obj: dict, name: str) -> KramersHeisenberg:
+    kind = obj.get("model")
+    if kind not in _MODEL_KINDS:
+        raise ConfigError(
+            f"{name}.model must be 'single_resonance' or 'transitions'")
+    stray = [f"{name}.{key}" for other, keys in _MODEL_KINDS.items()
+             if other != kind for key in sorted(keys & set(obj))]
+    if stray:
+        raise ConfigError(f"unknown keys for a {kind} model: {stray}")
+    if kind == "single_resonance":
+        return _named(name, single_resonance,
+                      _need(obj, f"{name}.alpha_static"),
+                      _need(obj, f"{name}.omega"))
+    rows = [Transition(_need(row, f"{name}.transitions[{i}].omega"),
+                       _need(row, f"{name}.transitions[{i}].d2"))
+            for i, row in enumerate(_need(obj, f"{name}.transitions"))]
+    return _named(name, KramersHeisenberg, tuple(rows))
 
 
 def _run_pairwise(cfg: dict) -> tuple[list[str], list[float]]:
-    units = _Units(cfg)
-    quad = _quad_spec(cfg)
     atoms = cfg.get("atoms")
     if not isinstance(atoms, list) or len(atoms) != 2:
         raise ConfigError("pairwise needs exactly two atoms")
-    model_a = _model(atoms[0], units, "atoms[0]")
-    model_b = _model(atoms[1], units, "atoms[1]")
-    r = _positive(units.length(cfg.get("separation"), "separation"),
-                  "separation")
-    _check_distance(r, "separation: atoms[0] and atoms[1]")
+    model_a = _model(atoms[0], "atoms[0]")
+    model_b = _model(atoms[1], "atoms[1]")
+    r = _need(cfg, "separation")
     pair = PairSpec(model_a, model_b, r)
     verdict = validity_check(pair)
     if not verdict.ok:
         warnings.warn(f"point-dipole picture strained: "
                       f"alpha_a0*alpha_b0/r^6 = {verdict.ratio:.3g} >= 1")
-    vdw = vdw_energy(pair, quad)
+    vdw = vdw_energy(pair, QuadratureSpec(**cfg.get("quadrature", {})))
     cp = casimir_polder_asymptote(model_a.static_polarizability(),
                                   model_b.static_polarizability(), r)
     return (["r", "E_vdw", "E_london", "E_cp", "err"],
@@ -282,32 +292,20 @@ def _run_pairwise(cfg: dict) -> tuple[list[str], list[float]]:
 
 
 def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
-    units = _Units(cfg)
-    quad = _quad_spec(cfg)
+    quad = QuadratureSpec(**cfg.get("quadrature", {}))
     atoms = cfg.get("atoms")
     if not isinstance(atoms, list) or len(atoms) < 2:
         raise ConfigError("manybody needs at least two atoms")
-    sites = []
-    for k, atom in enumerate(atoms):
-        if not isinstance(atom, dict):
-            raise ConfigError(f"atoms[{k}] must be an object")
-        label = f"atoms[{k}].position"
-        pos = tuple(units.length(v, label)
-                    for v in _vector(atom.get("position"), label))
-        sites.append((pos, _model(atom, units, f"atoms[{k}]")))
-    delta = np.array([pos for pos, _ in sites])
-    with np.errstate(over="ignore"):
-        delta = delta[:, None, :] - delta[None, :, :]
-        r = np.sqrt(np.sum(delta * delta, axis=-1))
-    # a zero distance, as SystemGeometry finds it: equal positions, or
-    # separations so small that their square underflows; an infinite one:
-    # separations so large that it overflows.  Some pair is refused exactly
-    # when the closest or the farthest is
-    i, j = np.triu_indices(len(sites), k=1)
-    for k in (np.argmin(r[i, j]), np.argmax(r[i, j])):
-        _check_distance(float(r[i[k], j[k]]),
-                        f"atoms[{i[k]}] and atoms[{j[k]}]")
-    geometry = SystemGeometry(sites)
+    sites = [(_need(atom, f"atoms[{k}].position", 3),
+              _model(atom, f"atoms[{k}]")) for k, atom in enumerate(atoms)]
+    try:
+        geometry = SystemGeometry(sites)
+        (i, j), r = geometry.pair_indices, geometry.pair_distances
+    except PairDistanceError as exc:
+        (i, j), r = ([exc.i], [exc.j]), [exc.distance]
+    # some pair is refused exactly when the closest or the farthest is
+    for k in (np.argmin(r), np.argmax(r)):
+        _check_distance(float(r[k]), f"atoms[{i[k]}] and atoms[{j[k]}]")
     nonretarded = cfg.get("nonretarded", False)
     if not isinstance(nonretarded, bool):
         raise ConfigError("nonretarded must be true or false")
@@ -316,15 +314,10 @@ def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
             warnings.warn(f"atoms {i} and {j} strain the point-dipole "
                           f"picture: ratio = {verdict.ratio:.3g} >= 1")
     if "temperature" in cfg:
-        temp = _positive(units.temperature(cfg["temperature"], "temperature"),
-                         "temperature")
-        try:
-            free = free_energy_finiteT(geometry, temp, quad,
-                                       nonretarded=nonretarded)
-        except ValueError as exc:
-            # the one range error left: Matsubara frequencies that
-            # overflow, whose message names the temperature
-            raise ConfigError(str(exc)) from None
+        # Matsubara frequencies that overflow: the message names the
+        # temperature
+        free = _named("", free_energy_finiteT, geometry, cfg["temperature"],
+                      quad, nonretarded=nonretarded)
     else:
         free = free_energy_T0(geometry, quad, nonretarded=nonretarded)
     second = second_order_energy(geometry, quad)
@@ -333,94 +326,55 @@ def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
 
 
 def _run_lamb(cfg: dict) -> tuple[list[str], list[float]]:
-    units = _Units(cfg)
-    quad = _quad_spec(cfg)
-    model = _model(cfg.get("atom"), units, "atom")
-    cutoff = None
-    if "cutoff" in cfg:
-        try:
-            cutoff = CutoffSpec(units.energy(cfg["cutoff"], "cutoff"))
-        except ValueError as exc:
-            raise ConfigError(f"cutoff: {exc}") from None
-    try:
-        bethe = bethe_shift(model, cutoff)
-    except OverflowError as exc:
-        raise ConfigError(f"atom: {exc}") from None
+    model = _model(_need(cfg, "atom"), "atom")
+    cutoff = CutoffSpec(cfg["cutoff"]) if "cutoff" in cfg else None
+    bethe = _named("atom", bethe_shift, model, cutoff)
     thermal = dielectric = err = 0.0
     if "temperature" in cfg:
-        temp = _positive(units.temperature(cfg["temperature"], "temperature"),
-                         "temperature")
-        res = thermal_shift(model, temp, quad)
+        res = _named("atom", thermal_shift, model, cfg["temperature"],
+                     QuadratureSpec(**cfg.get("quadrature", {})))
         thermal, err = res.value, res.error_estimate
     if "medium" in cfg:
-        spec = cfg["medium"]
-        if not isinstance(spec, dict):
-            raise ConfigError("medium must be an object")
-        # these name their own keys; only the medium's checks need naming
-        density = units.inverse_volume(spec.get("number_density"),
-                                       "medium.number_density")
-        if density < 0:
-            raise ConfigError("medium.number_density cannot be negative")
-        host = _model(spec.get("host"), units, "medium.host")
-        try:
-            medium = DiluteMedium(density, host)
-        except ValueError as exc:
-            raise ConfigError(f"medium: {exc}") from None
-        dielectric = dielectric_shift_difference(model, medium).value
+        host = _model(_need(cfg["medium"], "medium.host"), "medium.host")
+        medium = _named("medium", DiluteMedium,
+                        _need(cfg["medium"], "medium.number_density"), host)
+        dielectric = _named("atom and medium", dielectric_shift_difference,
+                            model, medium).value
     return (["bethe", "thermal", "dielectric", "err"],
             [bethe, thermal, dielectric, err])
 
 
 def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
-    units = _Units(cfg)
     atoms = cfg.get("atoms")
     if not isinstance(atoms, list) or len(atoms) != 2:
         raise ConfigError("cavity needs exactly two atoms")
-    parsed = []
-    for k, atom in enumerate(atoms):
-        if not isinstance(atom, dict):
-            raise ConfigError(f"atoms[{k}] must be an object")
-        parsed.append(TwoStateAtom(
-            _positive(units.energy(atom.get("omega"), f"atoms[{k}].omega"),
-                      f"atoms[{k}].omega"),
-            _vector(atom.get("dipole"), f"atoms[{k}].dipole")))
+    parsed = [TwoStateAtom(_need(atom, f"atoms[{k}].omega"),
+                           _need(atom, f"atoms[{k}].dipole", 3))
+              for k, atom in enumerate(atoms)]
+    placed = [f"atoms[{k}].position" for k, atom in enumerate(atoms)
+              if "position" in atom]
+    if "separation" in cfg and placed:
+        raise ConfigError(f"separation and {placed[0]} exclude each other")
     if "separation" in cfg:
-        r = _positive(units.length(cfg["separation"], "separation"),
-                      "separation")
-        _check_distance(r, "separation: atoms[0] and atoms[1]")
-        positions = ((0.0, 0.0, 0.0), (0.0, 0.0, r))
+        positions = ((0.0, 0.0, 0.0), (0.0, 0.0, cfg["separation"]))
     else:
-        positions = tuple(
-            tuple(units.length(v, f"atoms[{k}].position")
-                  for v in _vector(atom.get("position"),
-                                   f"atoms[{k}].position"))
-            for k, atom in enumerate(atoms))
-    delta = np.asarray(positions[1], dtype=float) \
-        - np.asarray(positions[0], dtype=float)
+        positions = [_need(atom, f"atoms[{k}].position", 3)
+                     for k, atom in enumerate(atoms)]
+    delta = np.subtract(positions[1], positions[0])
     with np.errstate(over="ignore"):
         r = math.sqrt(float(delta @ delta))
     _check_distance(r, "atoms[0] and atoms[1]")
     spec = cfg.get("mode")
     if not isinstance(spec, dict):
         raise ConfigError("cavity needs a mode object")
-    omega = _positive(units.energy(spec.get("omega"), "mode.omega"),
-                      "mode.omega")
-    polarization = np.array(
-        _vector(spec.get("polarization"), "mode.polarization"))
-    # CavityMode's own norm check, so that the two agree to the last bit
-    if not abs(math.sqrt(float(polarization @ polarization)) - 1.0) <= 1e-12:
-        raise ConfigError("mode.polarization must be a unit vector")
-    amplitudes = spec.get("amplitudes")
-    if not isinstance(amplitudes, list):
-        raise ConfigError("mode.amplitudes must be a list")
-    if len(amplitudes) != len(atoms):
-        raise ConfigError(f"mode.amplitudes needs one entry per atom "
-                          f"({len(atoms)}), got {len(amplitudes)}")
-    mode = CavityMode(omega, polarization,
-                      tuple(_number(a, "mode.amplitudes") for a in amplitudes))
+    # the ranges leave CavityMode one check: a unit polarization
+    mode = _named("mode.polarization", CavityMode, _need(spec, "mode.omega"),
+                  _need(spec, "mode.polarization", 3),
+                  _need(spec, "mode.amplitudes", len(atoms)))
     system = CavitySystem(parsed, positions, mode)
     if not system.high_frequency:
-        raise ConfigError("mode.omega must be over 10x every atomic omega")
+        k = int(np.argmax([atom.omega for atom in parsed]))
+        raise ConfigError(f"mode.omega must be over 10x atoms[{k}].omega")
     shift = perturbative_shift(system)
     extracted = interaction_extract(system)
     exact = exact_ground_energy(system)
@@ -430,30 +384,24 @@ def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
              exact])
 
 
+# each task's runner, and the column whose log-log slope --fit-slope
+# reports when a scan wraps it
 _RUNNERS = {
-    "pairwise": _run_pairwise,
-    "manybody": _run_manybody,
-    "lamb": _run_lamb,
-    "cavity": _run_cavity,
+    "pairwise": (_run_pairwise, "E_vdw"),
+    "manybody": (_run_manybody, "free_energy"),
+    "lamb": (_run_lamb, "bethe"),
+    "cavity": (_run_cavity, "extracted"),
 }
 
 
-def _set_path(cfg: dict, path: str, value: float) -> None:
-    node = cfg
-    parts = path.split(".")
-    try:
-        for part in parts[:-1]:
-            node = node[int(part)] if isinstance(node, list) else node[part]
-        last = parts[-1]
-        key = int(last) if isinstance(node, list) else last
-        current = node[key]
-    except (KeyError, IndexError, TypeError, ValueError):
-        raise ConfigError(
-            f"sweep parameter {path!r} not found in config") from None
-    if isinstance(current, bool) or not isinstance(current, (int, float)):
-        raise ConfigError(
-            f"sweep parameter {path!r} must resolve to a numeric field")
-    node[key] = value
+def _replace(node, path: list, value):
+    """``node`` with the leaf at ``path`` set to ``value``, copying only
+    the containers on the path."""
+    if not path:
+        return value
+    copied = list(node) if isinstance(node, list) else dict(node)
+    copied[path[0]] = _replace(node[path[0]], path[1:], value)
+    return copied
 
 
 def _fit_slope(xs: list[float], ys: list[float]) -> float:
@@ -473,36 +421,47 @@ def _run_scan(cfg: dict,
         raise ConfigError(
             f"scan subtask must be one of {sorted(_RUNNERS)}, got {subtask!r}")
     sweep = cfg.get("sweep")
-    if not isinstance(sweep, dict):
-        raise ConfigError("scan needs a sweep object")
-    unknown = set(sweep) - {"parameter", "values"}
-    if unknown:
-        raise ConfigError(f"unknown sweep keys: {sorted(unknown)}")
-    parameter = sweep.get("parameter")
-    if not isinstance(parameter, str) or not parameter:
-        raise ConfigError("sweep.parameter must be a nonempty string")
-    values = sweep.get("values")
-    if not isinstance(values, list) or not values:
-        raise ConfigError("sweep.values must be a nonempty list")
-    values = [_number(v, "sweep.values") for v in values]
-
+    if not isinstance(sweep, dict) or set(sweep) != {"parameter", "values"} \
+            or not isinstance(sweep["parameter"], str) \
+            or not isinstance(sweep["values"], list) or not sweep["values"]:
+        raise ConfigError('scan needs a sweep {"parameter": <dotted path>, '
+                          '"values": [<number>, ...]}')
+    parameter, values = sweep["parameter"], sweep["values"]
     base = {k: v for k, v in cfg.items() if k not in ("sweep", "subtask")}
-    base["task"] = subtask
-    _check_keys(base, subtask)
-    runner = _RUNNERS[subtask]
+    scales = _scales(base.get("units", {}))
+    base = _walk(dict(base, task=subtask), "", "", subtask, scales)
+    runner, slope_column = _RUNNERS[subtask]
+
+    # the swept leaf, its name and its table entry
+    path = [int(p) if p.isdigit() else p for p in parameter.split(".")]
+    node = base
+    try:
+        for part in path:
+            node = node[part]
+    except (KeyError, IndexError, TypeError):
+        raise ConfigError(
+            f"sweep parameter {parameter!r} not found in config") from None
+    name = re.sub(r"\.(\d+)", r"[\1]", parameter)
+    key = _KEYS[subtask].get(re.sub(r"\[\d+\]", "[]", name))
+    if key is None:
+        raise ConfigError(
+            f"sweep parameter {parameter!r} must resolve to a numeric field")
+    points = [_check(value, key, f"sweep.values[{k}]: {name}", scales)
+              for k, value in enumerate(values)]
 
     # every runner returns the same columns at every point
     rows = []
-    for value in values:
-        local = copy.deepcopy(base)
-        _set_path(local, parameter, value)
-        columns, row = runner(local)
-        rows.append([value] + row)
+    for k, (value, point) in enumerate(zip(values, points)):
+        try:
+            columns, row = runner(_replace(base, path, point))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep.values[{k}]: {exc}") from None
+        rows.append([float(value)] + row)
     columns = [parameter] + columns
     if fit_slope:
-        target = _SLOPE_COLUMN[subtask]
-        idx = columns.index(target)
-        slope = _fit_slope(values, [row[idx] for row in rows])
+        idx = columns.index(slope_column)
+        slope = _fit_slope([row[0] for row in rows],
+                           [row[idx] for row in rows])
         columns.append("loglog_slope")
         for row in rows:
             row.append(slope)
@@ -514,16 +473,15 @@ def _execute(cfg: dict,
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     task = cfg.get("task")
-    if task not in _TASKS:
-        raise ConfigError(f"task must be one of {sorted(_TASKS)}, "
-                          f"got {task!r}")
     if task == "scan":
-        # a scan takes the keys of its subtask, which _run_scan checks
         return _run_scan(cfg, fit_slope)
-    _check_keys(cfg, task)
+    if task not in _RUNNERS:
+        raise ConfigError(f"task must be one of "
+                          f"{sorted([*_RUNNERS, 'scan'])}, got {task!r}")
+    cfg = _walk(cfg, "", "", task, _scales(cfg.get("units", {})))
     if fit_slope:
         raise ConfigError("--fit-slope needs task=scan")
-    columns, row = _RUNNERS[task](cfg)
+    columns, row = _RUNNERS[task][0](cfg)
     return columns, [row]
 
 

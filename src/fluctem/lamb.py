@@ -84,15 +84,21 @@ def bethe_shift(model: KramersHeisenberg,
     cutoff = cutoff or CutoffSpec()
     _check_cutoff(model, cutoff)
     w = cutoff.omega_max
+    total = _finite_sum((t.omega_sg**2 * t.d2 * _log_ratio(w, t.omega_sg)
+                         for t in model.transitions), "bethe shift")
+    return -2.0 / (3.0 * math.pi * SPEED_OF_LIGHT**3) * total
+
+
+def _finite_sum(terms, shift: str) -> float:
+    """math.fsum of ``terms``, or OverflowError naming the ``shift`` they
+    make when the sum leaves the double range."""
     try:
-        total = math.fsum(
-            t.omega_sg**2 * t.d2 * _log_ratio(w, t.omega_sg)
-            for t in model.transitions)
+        total = math.fsum(terms)
     except OverflowError:
         total = math.inf
     if math.isinf(total):
-        raise OverflowError("the bethe shift overflows a double")
-    return -2.0 / (3.0 * math.pi * SPEED_OF_LIGHT**3) * total
+        raise OverflowError(f"the {shift} overflows a double")
+    return total
 
 
 def _log_ratio(w: float, omega: float) -> float:
@@ -131,7 +137,8 @@ def dielectric_shift_difference(model: KramersHeisenberg,
     -(2/(3 pi c^3)) sum_s omega_s^2 d2_s PV int_0^inf (n - 1)/(omega_s + w) dw
     in closed form: for atom transition a and host transition b,
     PV int_0^inf dw / ((a + w)(b^2 - w^2)) = ln(b/a) / (b^2 - a^2), which is
-    1/(2a^2) at b = a.  The error estimate bounds the rounding.
+    1/(2a^2) at b = a.  The error estimate bounds the rounding.  Raises
+    :class:`OverflowError` when the sum exceeds the double range.
     """
     if medium.number_density == 0.0:
         return EnergyResult(0.0, 0.0, 0)
@@ -146,7 +153,7 @@ def dielectric_shift_difference(model: KramersHeisenberg,
     # (2/3 pi c^3) * 2 pi N * (2/3): atom prefactor times n-1 coefficient
     pref = -(2.0 / (3.0 * math.pi * SPEED_OF_LIGHT**3)) \
         * 2.0 * math.pi * medium.number_density * (2.0 / 3.0)
-    value = pref * math.fsum(terms)
+    value = pref * _finite_sum(terms, "dielectric shift")
     # the terms share one sign; each and the prefactor carry ~10 roundings
     return EnergyResult(value, 16.0 * math.ulp(1.0) * abs(value), 0)
 
@@ -159,10 +166,18 @@ def thermal_shift(model: KramersHeisenberg, temperature: float,
         w^3 / [(exp(w/T) - 1)(omega_j^2 - w^2)] dw.
 
     Positive and growing as T^2 once the thermal energy exceeds every
-    transition; negative and of order T^4 in the cold limit.
+    transition; negative and of order T^4 in the cold limit.  Raises
+    ``ValueError`` for a transition over 1e9 T, where the principal value
+    no longer resolves the Bose factor.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
+    # the ladder misses the Bose factor's mass far under the pole: from
+    # 5.6e9 T on it stops converging
+    top = max(t.omega_sg for t in model.transitions)
+    if top > 1e9 * temperature:
+        raise ValueError(f"temperature {temperature:g} is under 1e-9 of "
+                         f"the transition frequency {top:g}")
 
     def bose_numerator(w: float) -> float:
         # integrate_pv calls it at w > 0 only

@@ -62,6 +62,7 @@ from .quadrature import (
 )
 
 __all__ = [
+    "PairDistanceError",
     "StrongCouplingError",
     "SystemGeometry",
     "build_T",
@@ -87,15 +88,23 @@ class StrongCouplingError(RuntimeError):
     """Coupling strong enough to destabilize the coupled ground state."""
 
 
+class PairDistanceError(ValueError):
+    """Sites ``i`` and ``j`` whose ``distance`` is zero or overflows."""
+
+    def __init__(self, message: str, i: int, j: int, distance: float):
+        super().__init__(message)
+        self.i, self.j, self.distance = i, j, distance
+
+
 class SystemGeometry:
     """Immutable collection of polarizable sites.
 
     ``sites`` is a sequence of (position, model) pairs; positions are
-    3-vectors in bohr.  Coincident sites are rejected outright; close
-    approaches that strain the point-dipole picture are reported by
-    :meth:`validity_reports` rather than rejected.  The pair data every
-    frequency node reuses (index pairs i < j, distances, projectors) is
-    computed here once.
+    3-vectors in bohr.  A pair whose distance is zero or overflows is
+    rejected with :class:`PairDistanceError`; close approaches that strain
+    the point-dipole picture are reported by :meth:`validity_reports`
+    rather than rejected.  The pair data every frequency node reuses
+    (index pairs i < j, distances, projectors) is computed here once.
     """
 
     def __init__(self, sites: Sequence[tuple[Sequence[float],
@@ -126,10 +135,15 @@ class SystemGeometry:
             # bitwise with the single-pair functions
             self._pair_r = np.sqrt(
                 (delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
-        if np.any(self._pair_r == 0.0):
-            raise ValueError("coincident points")
-        if not np.all(np.isfinite(self._pair_r)):
-            raise ValueError("points too far apart for a finite distance")
+        self._pair_r.setflags(write=False)
+        bad = (self._pair_r == 0.0) | np.isinf(self._pair_r)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            r = float(self._pair_r[k])
+            raise PairDistanceError(
+                "coincident points" if r == 0.0
+                else "points too far apart for a finite distance",
+                int(self._pair_i[k]), int(self._pair_j[k]), r)
         self._transverse, self._static = pair_projectors(
             delta / self._pair_r[:, None])
         # flat places of every pair block in the 3N x 3N matrix: the upper
@@ -157,6 +171,11 @@ class SystemGeometry:
     def pair_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Site indices (i, j) of every pair i < j, in row-major order."""
         return self._pair_i, self._pair_j
+
+    @property
+    def pair_distances(self) -> np.ndarray:
+        """Distance of every pair, in the order of :attr:`pair_indices`."""
+        return self._pair_r
 
     def validity_reports(self) -> tuple[tuple[int, int, PairValidity], ...]:
         """Point-dipole validity verdict for every pair."""

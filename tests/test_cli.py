@@ -2,21 +2,28 @@
 and the slope checks on shipped example configs."""
 
 import ast
+import contextlib
+import copy
 import csv
 import importlib.util
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fluctem
+from fluctem import cli
 from fluctem.cli import run
 from fluctem.lamb import thermal_shift
 from fluctem.manybody import SystemGeometry, free_energy_T0
@@ -717,3 +724,237 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
     assert out.exists()
+
+
+# --- the key table: unknown nested keys, sweep values, traffic, README, fuzz
+
+
+@pytest.mark.parametrize("case, named", [
+    # model objects, transition rows, medium, mode and cavity atoms
+    (lambda: dict(pairwise_config(),
+                  atoms=[dict(ATOM, omgea=0.4), dict(ATOM)]),
+     "atoms[0].omgea"),
+    (lambda: dict(pairwise_config(),
+                  atoms=[dict(ATOM), {"model": "transitions", "transitions": [
+                      {"omega": 0.5, "d2": 1.0, "d3": 2.0}]}]),
+     "atoms[1].transitions[0].d3"),
+    (lambda: {"task": "lamb", "atom": dict(ATOM),
+              "medium": {"number_density": 1e-5, "host": dict(ATOM),
+                         "densty": 1e-5}},
+     "medium.densty"),
+    (lambda: cavity_config(mode={"omega": 20.0, "omgea": 30.0,
+                                 "polarization": [1, 0, 0],
+                                 "amplitudes": [0.03, 0.04]}),
+     "mode.omgea"),
+    (lambda: cavity_config(atoms=[{"omega": 0.9, "dipole": [0.1, 0, 0],
+                                   "dipol": [0.2, 0, 0]},
+                                  {"omega": 1.1, "dipole": [0.1, 0, 0]}]),
+     "atoms[0].dipol"),
+    # a key of the other model kind
+    (lambda: dict(pairwise_config(), atoms=[dict(ATOM, transitions=[
+        {"omega": 0.5, "d2": 1.0}]), dict(ATOM)]),
+     "atoms[0].transitions"),
+], ids=["model", "transition_row", "medium", "mode", "cavity_atom",
+        "model_kind"])
+@pytest.mark.parametrize("scan", [False, True], ids=["run", "scan"])
+def test_unknown_nested_keys_are_named(tmp_path, capsys, case, named, scan):
+    cfg = case()
+    if scan:
+        cfg = dict(cfg, task="scan", subtask=cfg["task"],
+                   sweep={"parameter": "atoms.0.omega" if "atoms" in cfg
+                          else "atom.omega", "values": [0.9, 1.0]})
+    err = config_error(tmp_path, capsys, cfg)
+    assert "unknown" in err and named in err
+
+
+def test_cavity_separation_and_positions_exclude_each_other(tmp_path, capsys):
+    cfg = cavity_config(separation=5.0)
+    cfg["atoms"][0]["position"] = [0.0, 0.0, 0.0]
+    cfg["atoms"][1]["position"] = [0.0, 0.0, 99.0]
+    err = config_error(tmp_path, capsys, cfg)
+    assert "separation" in err and "atoms[0].position" in err
+
+
+@pytest.mark.parametrize("values, named", [
+    ([3.0, 4.0, 1e41], "sweep.values[2]: separation: atoms[0] and atoms[1]"),
+    ([3.0, float("nan")], "sweep.values[1]: separation must be finite"),
+    ([3.0, "far"], "sweep.values[1]: separation must be a number"),
+])
+def test_sweep_values_are_checked_before_any_point(tmp_path, capsys,
+                                                   monkeypatch, values,
+                                                   named):
+    def refuse(*args):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr("fluctem.cli.vdw_energy", refuse)
+    cfg = dict(pairwise_config(), task="scan", subtask="pairwise",
+               sweep={"parameter": "separation", "values": values})
+    assert named in config_error(tmp_path, capsys, cfg)
+
+
+def test_sweep_point_errors_name_their_value(tmp_path, capsys):
+    # a range that only the point's geometry can check
+    cfg = dict(manybody_config(), task="scan", subtask="manybody",
+               sweep={"parameter": "atoms.1.position.2",
+                      "values": [4.0, 0.0]})
+    err = config_error(tmp_path, capsys, cfg)
+    assert "sweep.values[1]: atoms[0] and atoms[1] coincide" in err
+
+
+def numeric_leaves(node, path=()):
+    """The paths (tuples of keys and indices) of every number in node."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from numeric_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from numeric_leaves(value, path + (index,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def key_name(path):
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                   for p in path)[1:]
+
+
+def table_entry(cfg, path):
+    """The key name of the leaf at path, and its entry in the key table."""
+    task = cfg.get("subtask", cfg["task"])
+    if path[:2] == ("sweep", "values"):
+        swept = re.sub(r"\.(\d+)", r"[\1]", cfg["sweep"]["parameter"])
+        pattern = re.sub(r"\[\d+\]", "[]", swept)
+    else:
+        pattern = re.sub(r"\[\d+\]", "[]", key_name(path))
+    return key_name(path), cli._KEYS[task][pattern]
+
+
+def test_every_number_the_configs_and_the_benchmark_feed_is_in_range():
+    # read-only, as test_tracer_patch_points_resolve loads tracer.py
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = [json.loads(path.read_text())
+               for path in sorted(CONFIG_DIR.glob("*.json"))]
+    configs += [cfg for generate in workloads.GENERATORS.values()
+                for seed in range(101, 106) for _, cfg in generate(seed)]
+    leaves = 0
+    for cfg in configs:
+        scales = cli._scales(cfg.get("units", {}))
+        for path in numeric_leaves(cfg):
+            name, entry = table_entry(cfg, path)
+            value = cfg
+            for part in path:
+                value = value[part]
+            cli._check(value, entry, name, scales)
+            leaves += 1
+    assert leaves > 4000
+
+
+def range_text(x):
+    return {cli._MAX: "max", -cli._MAX: "-max"}.get(x, cli._text(x))
+
+
+def test_readme_lists_every_key_with_its_range():
+    rows = [line for line in (REPO / "README.md").read_text().splitlines()
+            if line.startswith("| `")]
+    for task, keys in cli._KEYS.items():
+        for key, entry in keys.items():
+            cells = [f"`{key}`", task]
+            if entry is not None:
+                cells += [entry.dimension, f"{range_text(entry.lo)} … "
+                          f"{range_text(entry.hi)}"]
+            assert any(all(cell in row for cell in cells) for row in rows), \
+                f"{task}: {key}"
+
+
+# one valid config per task and a scan; the fuzz sets one numeric leaf at
+# a time to a value drawn from its table entry
+FUZZ_BASES = {
+    "pairwise": dict(pairwise_config(), quadrature={
+        "rel_tol": 1e-9, "max_evals": 10**6}, atoms=[dict(ATOM), {
+            "model": "transitions", "transitions": [
+                {"omega": 0.4, "d2": 1.0}, {"omega": 0.9, "d2": 0.5}]}]),
+    "manybody": manybody_config(temperature=0.05, quadrature={
+        "rel_tol": 1e-9, "max_evals": 10**6}),
+    "lamb": {"task": "lamb", "temperature": 0.02, "cutoff": 100.0,
+             "atom": {"model": "transitions",
+                      "transitions": [{"omega": 0.375, "d2": 1.0}]},
+             "medium": {"number_density": 1e-5,
+                        "host": dict(ATOM, alpha_static=2.0, omega=2.0)},
+             "quadrature": {"rel_tol": 1e-9, "max_evals": 10**6}},
+    "cavity": cavity_config(),
+    "scan": dict(pairwise_config(), task="scan", subtask="pairwise",
+                 sweep={"parameter": "separation", "values": [3.0, 4.0]}),
+}
+FUZZ_LEAVES = [(task, path) for task, cfg in FUZZ_BASES.items()
+               for path in numeric_leaves(cfg)]
+# the values of the config census that found the untyped errors
+CENSUS = [0.0, -1.0, 5e-324, 1e-300, 1e-150, 1e150, 1e300, 1.7e308]
+
+
+def fuzz_case(task, path, value):
+    cfg = copy.deepcopy(FUZZ_BASES[task])
+    node = cfg
+    for part in path[:-1]:
+        node = node[part]
+    node[path[-1]] = value
+    return cfg, table_entry(cfg, path)[0]
+
+
+def edges(entry):
+    """Each bound and the doubles just past it."""
+    return [entry.lo, entry.hi, math.nextafter(entry.lo, -math.inf),
+            math.nextafter(entry.hi, math.inf)]
+
+
+@st.composite
+def fuzz_cases(draw):
+    """A leaf, and a value inside its range or from the census."""
+    task, path = draw(st.sampled_from(FUZZ_LEAVES))
+    entry = table_entry(FUZZ_BASES[task], path)[1]
+    lo, hi = entry.lo, entry.hi
+    inside = st.floats(lo, hi)
+    if entry.dimension == "count":
+        inside = st.integers(int(lo), 10**9).map(float)
+    elif lo > 0:
+        inside |= st.floats(math.log10(lo), math.log10(hi)).map(
+            lambda e: min(max(10.0**e, lo), hi))
+    return fuzz_case(task, path, draw(inside | st.sampled_from(CENSUS)))
+
+
+def on_every_edge(test):
+    for task, path in FUZZ_LEAVES:
+        for value in edges(table_entry(FUZZ_BASES[task], path)[1]):
+            test = example(case=fuzz_case(task, path, value))(test)
+    return test
+
+
+@on_every_edge
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(case=fuzz_cases())
+def test_config_fuzz_runs_clean_or_names_its_key(case):
+    cfg, name = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "config.json", Path(tmp) / "out.csv"
+        config.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(str(config), str(out))
+        if code == 0:
+            _, rows = read_table(out)
+            assert all(map(math.isfinite, sum(rows, []))), cfg
+            return
+    message = err.getvalue().splitlines()[-1]
+    # the key itself, or an object that holds it
+    names = [name] + [name[:m.start()] for m in re.finditer(r"\.", name)]
+    typed = ("[fluctem.manybody.StrongCouplingError]",
+             "[fluctem.cavity.PhotonCutoffError]")
+    spent = name == "quadrature.max_evals" \
+        and "[fluctem.quadrature.QuadratureError]" in message \
+        and "evaluations exhausted" in message
+    assert code == 1 and (
+        message.startswith("error: config:")
+        and any(n in message for n in names)
+        or any(t in message for t in typed) or spent), (name, message)

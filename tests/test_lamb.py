@@ -321,3 +321,20 @@ def test_thermal_validation():
     model = KramersHeisenberg((Transition(0.5, 3.0),))
     with pytest.raises(ValueError):
         thermal_shift(model, 0.0)
+
+
+def test_thermal_refuses_a_transition_far_above_the_temperature():
+    # 1e9 T converges; past it the principal value stops resolving the
+    # Bose factor, so the shift is refused instead of a failed ladder
+    model = KramersHeisenberg((Transition(1e9 * 0.02, 1.0),))
+    assert thermal_shift(model, 0.02).value < 0
+    far = KramersHeisenberg((Transition(1e11 * 0.02, 1.0),))
+    with pytest.raises(ValueError, match="under 1e-9 of the transition"):
+        thermal_shift(far, 0.02)
+
+
+def test_dielectric_overflow_is_an_overflow_error():
+    model = KramersHeisenberg((Transition(0.375, 1.7e308),))
+    medium = DiluteMedium(1e-5, single_resonance(2.0, 2.0))
+    with pytest.raises(OverflowError, match="dielectric shift overflows"):
+        dielectric_shift_difference(model, medium)

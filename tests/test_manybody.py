@@ -17,6 +17,7 @@ from fluctem.cli import run
 from fluctem.core import SPEED_OF_LIGHT, EnergyResult, vec3
 from fluctem.green import dyadic_green_imag, static_green
 from fluctem.manybody import (
+    PairDistanceError,
     StrongCouplingError,
     SystemGeometry,
     build_T,
@@ -58,6 +59,23 @@ def test_geometry_rejects_an_infinite_pair_distance():
     model = single_resonance(1.0, 0.5)
     with pytest.raises(ValueError, match="too far apart"):
         SystemGeometry([((-1e300, 0, 0), model), ((1e300, 0, 0), model)])
+
+
+def test_geometry_names_the_refused_pair_and_keeps_its_distances():
+    model = single_resonance(1.0, 0.5)
+    sites = [((0.0, 0.0, 0.0), model), ((0.0, 0.0, 4.0), model),
+             ((0.0, 0.0, 4.0), model)]
+    with pytest.raises(PairDistanceError, match="coincident") as info:
+        SystemGeometry(sites)
+    assert (info.value.i, info.value.j, info.value.distance) == (1, 2, 0.0)
+    sites[2] = ((0.0, 3.0, 0.0), model)
+    geom = SystemGeometry(sites)
+    i, j = geom.pair_indices
+    r = geom.pair_distances
+    assert (list(i), list(j)) == ([0, 0, 1], [1, 2, 2])
+    assert list(r) == [4.0, 3.0, 5.0]
+    assert geom.min_separation() == 3.0
+    assert not r.flags.writeable
 
 
 def test_geometry_validity_reports():
