@@ -116,12 +116,13 @@ _PAIR_MODEL = _model_keys("atoms[].", _Key("energy", 1e-15, 1e100), 1e100)
 # a lamb model's overflow is named by the model or by the shift it breaks
 _LAMB_OMEGA = _Key("energy", 1e-100, _MAX)
 
-# every key of each task: a _Key, or None for a key that holds no number
+# every key of each task: a _Key for a number, bool for a flag, or None
+# for a key whose text its reader checks
 _KEYS = {
     "pairwise": {**_COMMON, "separation": _SEPARATION, **_PAIR_MODEL,
                  **_QUADRATURE},
     "manybody": {**_COMMON, "temperature": _Key("temperature", 5e-324, _MAX),
-                 "nonretarded": None, "atoms[].position[]": _POSITION,
+                 "nonretarded": bool, "atoms[].position[]": _POSITION,
                  **_PAIR_MODEL, **_QUADRATURE},
     # the thermal integrand takes w^3 up to w = 700 T
     "lamb": {**_COMMON, "temperature": _Key("temperature", 5e-324, 1e99),
@@ -210,7 +211,10 @@ def _walk(node, pattern: str, name: str, task: str,
     with every number in it checked and in atomic units."""
     if pattern in _KEYS[task]:
         key = _KEYS[task][pattern]
-        return node if key is None else _check(node, key, name, scales)
+        if key is bool and not isinstance(node, bool):
+            raise ConfigError(f"{name} must be true or false")
+        return _check(node, key, name, scales) if isinstance(key, _Key) \
+            else node
     if pattern + "[]" in _PATHS[task]:
         if not isinstance(node, list):
             raise ConfigError(f"{name} must be a list")
@@ -219,8 +223,9 @@ def _walk(node, pattern: str, name: str, task: str,
     if not isinstance(node, dict):
         raise ConfigError(f"{name} must be an object")
     dot = "." if pattern else ""
-    unknown = [name + dot + k for k in node
-               if pattern + dot + k not in _PATHS[task]]
+    # a dotted or bracketed key would pass for a path into a nested object
+    unknown = [name + dot + k for k in node if not k.isidentifier()
+               or pattern + dot + k not in _PATHS[task]]
     if unknown:
         raise ConfigError(
             f"unknown config keys for task {task!r}: {sorted(unknown)}")
@@ -255,7 +260,7 @@ _MODEL_KINDS = {"single_resonance": {"alpha_static", "omega"},
 
 def _model(obj: dict, name: str) -> KramersHeisenberg:
     kind = obj.get("model")
-    if kind not in _MODEL_KINDS:
+    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
         raise ConfigError(
             f"{name}.model must be 'single_resonance' or 'transitions'")
     stray = [f"{name}.{key}" for other, keys in _MODEL_KINDS.items()
@@ -273,8 +278,8 @@ def _model(obj: dict, name: str) -> KramersHeisenberg:
 
 
 def _run_pairwise(cfg: dict) -> tuple[list[str], list[float]]:
-    atoms = cfg.get("atoms")
-    if not isinstance(atoms, list) or len(atoms) != 2:
+    atoms = _need(cfg, "atoms")
+    if len(atoms) != 2:
         raise ConfigError("pairwise needs exactly two atoms")
     model_a = _model(atoms[0], "atoms[0]")
     model_b = _model(atoms[1], "atoms[1]")
@@ -293,8 +298,8 @@ def _run_pairwise(cfg: dict) -> tuple[list[str], list[float]]:
 
 def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
     quad = QuadratureSpec(**cfg.get("quadrature", {}))
-    atoms = cfg.get("atoms")
-    if not isinstance(atoms, list) or len(atoms) < 2:
+    atoms = _need(cfg, "atoms")
+    if len(atoms) < 2:
         raise ConfigError("manybody needs at least two atoms")
     sites = [(_need(atom, f"atoms[{k}].position", 3),
               _model(atom, f"atoms[{k}]")) for k, atom in enumerate(atoms)]
@@ -307,8 +312,6 @@ def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
     for k in (np.argmin(r), np.argmax(r)):
         _check_distance(float(r[k]), f"atoms[{i[k]}] and atoms[{j[k]}]")
     nonretarded = cfg.get("nonretarded", False)
-    if not isinstance(nonretarded, bool):
-        raise ConfigError("nonretarded must be true or false")
     for i, j, verdict in geometry.validity_reports():
         if not verdict.ok:
             warnings.warn(f"atoms {i} and {j} strain the point-dipole "
@@ -345,8 +348,8 @@ def _run_lamb(cfg: dict) -> tuple[list[str], list[float]]:
 
 
 def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
-    atoms = cfg.get("atoms")
-    if not isinstance(atoms, list) or len(atoms) != 2:
+    atoms = _need(cfg, "atoms")
+    if len(atoms) != 2:
         raise ConfigError("cavity needs exactly two atoms")
     parsed = [TwoStateAtom(_need(atom, f"atoms[{k}].omega"),
                            _need(atom, f"atoms[{k}].dipole", 3))
@@ -364,9 +367,7 @@ def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
     with np.errstate(over="ignore"):
         r = math.sqrt(float(delta @ delta))
     _check_distance(r, "atoms[0] and atoms[1]")
-    spec = cfg.get("mode")
-    if not isinstance(spec, dict):
-        raise ConfigError("cavity needs a mode object")
+    spec = _need(cfg, "mode")
     # the ranges leave CavityMode one check: a unit polarization
     mode = _named("mode.polarization", CavityMode, _need(spec, "mode.omega"),
                   _need(spec, "mode.polarization", 3),
@@ -417,7 +418,7 @@ def _fit_slope(xs: list[float], ys: list[float]) -> float:
 def _run_scan(cfg: dict,
               fit_slope: bool) -> tuple[list[str], list[list[float]]]:
     subtask = cfg.get("subtask")
-    if subtask not in _RUNNERS:
+    if not isinstance(subtask, str) or subtask not in _RUNNERS:
         raise ConfigError(
             f"scan subtask must be one of {sorted(_RUNNERS)}, got {subtask!r}")
     sweep = cfg.get("sweep")
@@ -429,25 +430,24 @@ def _run_scan(cfg: dict,
     parameter, values = sweep["parameter"], sweep["values"]
     base = {k: v for k, v in cfg.items() if k not in ("sweep", "subtask")}
     scales = _scales(base.get("units", {}))
-    base = _walk(dict(base, task=subtask), "", "", subtask, scales)
     runner, slope_column = _RUNNERS[subtask]
 
-    # the swept leaf, its name and its table entry
-    path = [int(p) if p.isdigit() else p for p in parameter.split(".")]
-    node = base
+    # the swept leaf, its name and its table entry; the base's own value
+    # of it is a placeholder, which the first swept value stands in for
+    path = [int(p) if p.isdecimal() else p for p in parameter.split(".")]
     try:
-        for part in path:
-            node = node[part]
-    except (KeyError, IndexError, TypeError):
+        base = _replace(base, path, values[0])
+    except (LookupError, TypeError, ValueError):
         raise ConfigError(
             f"sweep parameter {parameter!r} not found in config") from None
     name = re.sub(r"\.(\d+)", r"[\1]", parameter)
     key = _KEYS[subtask].get(re.sub(r"\[\d+\]", "[]", name))
-    if key is None:
+    if not isinstance(key, _Key):
         raise ConfigError(
             f"sweep parameter {parameter!r} must resolve to a numeric field")
     points = [_check(value, key, f"sweep.values[{k}]: {name}", scales)
               for k, value in enumerate(values)]
+    base = _walk(dict(base, task=subtask), "", "", subtask, scales)
 
     # every runner returns the same columns at every point
     rows = []
@@ -475,7 +475,7 @@ def _execute(cfg: dict,
     task = cfg.get("task")
     if task == "scan":
         return _run_scan(cfg, fit_slope)
-    if task not in _RUNNERS:
+    if not isinstance(task, str) or task not in _RUNNERS:
         raise ConfigError(f"task must be one of "
                           f"{sorted([*_RUNNERS, 'scan'])}, got {task!r}")
     cfg = _walk(cfg, "", "", task, _scales(cfg.get("units", {})))

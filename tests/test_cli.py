@@ -754,8 +754,18 @@ def test_console_entry_point(tmp_path):
     (lambda: dict(pairwise_config(), atoms=[dict(ATOM, transitions=[
         {"omega": 0.5, "d2": 1.0}]), dict(ATOM)]),
      "atoms[0].transitions"),
+    # a literal dotted key is not the nested key it spells
+    (lambda: dict(pairwise_config(), **{"quadrature.rel_tol": 1e-12}),
+     "quadrature.rel_tol"),
+    (lambda: {"task": "lamb", "atom": dict(ATOM),
+              "medium.number_density": 1e-3},
+     "medium.number_density"),
+    (lambda: {"task": "lamb", "atom": dict(ATOM),
+              "medium": {"number_density": 1e-5, "host": dict(ATOM),
+                         "host.omega": 2.0}},
+     "medium.host.omega"),
 ], ids=["model", "transition_row", "medium", "mode", "cavity_atom",
-        "model_kind"])
+        "model_kind", "flat_quadrature", "flat_medium", "flat_host"])
 @pytest.mark.parametrize("scan", [False, True], ids=["run", "scan"])
 def test_unknown_nested_keys_are_named(tmp_path, capsys, case, named, scan):
     cfg = case()
@@ -790,6 +800,27 @@ def test_sweep_values_are_checked_before_any_point(tmp_path, capsys,
     cfg = dict(pairwise_config(), task="scan", subtask="pairwise",
                sweep={"parameter": "separation", "values": values})
     assert named in config_error(tmp_path, capsys, cfg)
+
+
+@pytest.mark.parametrize("placeholder", [0, 1e41, None])
+def test_scan_base_value_of_the_swept_key_is_a_placeholder(tmp_path,
+                                                           placeholder):
+    cfg = dict(pairwise_config(separation=placeholder), task="scan",
+               subtask="pairwise",
+               sweep={"parameter": "separation", "values": [3.0, 4.0]})
+    out = tmp_path / "out.csv"
+    assert run(write_config(tmp_path, cfg), str(out)) == 0
+    _, rows = read_table(out)
+    assert [row[0] for row in rows] == [3.0, 4.0]
+
+
+@pytest.mark.parametrize("parameter", [
+    "atoms.\u00b2.omega", "separation.0", "atoms.0.model.0"])
+def test_sweep_parameters_off_the_config_are_not_found(tmp_path, capsys,
+                                                       parameter):
+    cfg = dict(pairwise_config(), task="scan", subtask="pairwise",
+               sweep={"parameter": parameter, "values": [3.0]})
+    assert "not found" in config_error(tmp_path, capsys, cfg)
 
 
 def test_sweep_point_errors_name_their_value(tmp_path, capsys):
@@ -862,7 +893,7 @@ def test_readme_lists_every_key_with_its_range():
     for task, keys in cli._KEYS.items():
         for key, entry in keys.items():
             cells = [f"`{key}`", task]
-            if entry is not None:
+            if isinstance(entry, cli._Key):
                 cells += [entry.dimension, f"{range_text(entry.lo)} … "
                           f"{range_text(entry.hi)}"]
             assert any(all(cell in row for cell in cells) for row in rows), \
@@ -958,3 +989,43 @@ def test_config_fuzz_runs_clean_or_names_its_key(case):
         message.startswith("error: config:")
         and any(n in message for n in names)
         or any(t in message for t in typed) or spent), (name, message)
+
+
+def other_paths(node, path=()):
+    """The paths of every object, list, string, flag and null in node."""
+    if path:
+        yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, value in items:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            yield from other_paths(value, path + (key,))
+
+
+@pytest.mark.parametrize("task", sorted(FUZZ_BASES))
+def test_odd_values_of_every_other_key_are_named(tmp_path, capsys, task):
+    # each key that holds no number, and each object and list, set in turn
+    # to a value of every other JSON type
+    base = dict(FUZZ_BASES[task], description="base", units={
+        "length": "bohr", "energy": "hartree",
+        "temperature": "hartree_temperature"})
+    if task == "manybody":
+        base["nonretarded"] = False
+    out = tmp_path / "out.csv"
+    for path in other_paths(base):
+        for value in [[], {}, "x", None, True]:
+            cfg = copy.deepcopy(base)
+            node = cfg
+            for part in path[:-1]:
+                node = node[part]
+            node[path[-1]] = value
+            name = key_name(path)
+            code = run(write_config(tmp_path, cfg), str(out))
+            message = capsys.readouterr().err.strip()
+            if code == 0:
+                assert all(map(math.isfinite, sum(read_table(out)[1], [])))
+                continue
+            names = [name] + [name[:m.start()]
+                              for m in re.finditer(r"[.[]", name)]
+            assert code == 1 and message.startswith("error: config:") \
+                and any(n in message for n in names), (name, value, message)
