@@ -36,7 +36,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import separation
+from .core import pair_separations
+from .green import imag_axis_green, pair_projectors
 
 __all__ = [
     "TwoStateAtom",
@@ -66,6 +67,7 @@ class PhotonCutoffError(RuntimeError):
     """Ground energy not settled to the tolerance by any photon cutoff."""
 
 
+@dataclass(frozen=True, eq=False)
 class TwoStateAtom:
     """A two-level emitter: transition frequency and transition dipole.
 
@@ -74,25 +76,21 @@ class TwoStateAtom:
     and the pair coupling.
     """
 
-    def __init__(self, omega: float, dipole: Sequence[float]):
-        if not 0 < omega < math.inf:
+    omega: float
+    dipole: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not 0 < self.omega < math.inf:
             raise ValueError("transition frequency must be positive and finite")
-        d = np.asarray(dipole, dtype=float)
+        d = np.asarray(self.dipole, dtype=float)
         if d.shape != (3,) or not np.all(np.isfinite(d)):
             raise ValueError("dipole must be a finite 3-vector")
         d.setflags(write=False)
-        self._omega = float(omega)
-        self._dipole = d
-
-    @property
-    def omega(self) -> float:
-        return self._omega
-
-    @property
-    def dipole(self) -> np.ndarray:
-        return self._dipole
+        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "dipole", d)
 
 
+@dataclass(frozen=True, eq=False)
 class CavityMode:
     """A single field mode: frequency, polarization, per-atom amplitude.
 
@@ -101,33 +99,25 @@ class CavityMode:
     n is amplitudes[n] * (dipole_n . polarization) * sqrt(omega).
     """
 
-    def __init__(self, omega: float, polarization: Sequence[float],
-                 amplitudes: Sequence[float]):
-        if not 0 < omega < math.inf:
+    omega: float
+    polarization: np.ndarray
+    amplitudes: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not 0 < self.omega < math.inf:
             raise ValueError("mode frequency must be positive and finite")
-        e = np.asarray(polarization, dtype=float)
+        e = np.asarray(self.polarization, dtype=float)
         if e.shape != (3,):
             raise ValueError("polarization must be a 3-vector")
         if not abs(math.sqrt(float(e @ e)) - 1.0) <= 1e-12:
             raise ValueError("polarization must be a unit vector")
         e.setflags(write=False)
-        self._omega = float(omega)
-        self._polarization = e
-        self._amplitudes = tuple(float(a) for a in amplitudes)
-        if not all(map(math.isfinite, self._amplitudes)):
+        amplitudes = tuple(float(a) for a in self.amplitudes)
+        if not all(map(math.isfinite, amplitudes)):
             raise ValueError("amplitudes must be finite")
-
-    @property
-    def omega(self) -> float:
-        return self._omega
-
-    @property
-    def polarization(self) -> np.ndarray:
-        return self._polarization
-
-    @property
-    def amplitudes(self) -> tuple[float, ...]:
-        return self._amplitudes
+        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "polarization", e)
+        object.__setattr__(self, "amplitudes", amplitudes)
 
 
 class CavitySystem:
@@ -135,8 +125,8 @@ class CavitySystem:
 
     Positions are 3-vectors in bohr; coincident atoms are rejected.  The
     amplitude list of the mode must match the atom count.  A system keeps
-    the dipole-dipole coefficient of each pair, and the ground energy of
-    each pair setting once it has solved them.
+    the distance and dipole-dipole coefficient of each pair, and the ground
+    energy of each pair setting once it has solved them.
     """
 
     def __init__(self, atoms: Sequence[TwoStateAtom],
@@ -145,15 +135,14 @@ class CavitySystem:
         if not atoms:
             raise ValueError("at least one atom required")
         pos = np.asarray(positions, dtype=float)
-        if pos.shape != (len(atoms), 3):
-            raise ValueError("positions must be one 3-vector per atom")
+        if pos.shape != (len(atoms), 3) or not np.isfinite(pos).all():
+            raise ValueError("positions must be one finite 3-vector per atom")
         if len(mode.amplitudes) != len(atoms):
             raise ValueError("mode amplitudes must match atom count")
-        self._pairs: dict[tuple[int, int], float] = {}
-        for i, j in itertools.combinations(range(len(atoms)), 2):
-            r, rhat = separation(pos[i], pos[j])
-            self._pairs[i, j] = dipole_dipole_energy(
-                atoms[i].dipole, atoms[j].dipole, rhat, r)
+        i, j, self._pair_r, rhat = pair_separations(pos)
+        d = np.array([atom.dipole for atom in atoms])
+        v = dipole_dipole_energy(d[i], d[j], rhat, self._pair_r)
+        self._pairs = dict(zip(zip(i.tolist(), j.tolist()), v.tolist()))
         self._atoms = atoms
         self._mode = mode
 
@@ -180,6 +169,11 @@ class CavitySystem:
         atom = self._atoms[n]
         projected = float(atom.dipole @ self._mode.polarization)
         return self._mode.amplitudes[n] * projected * math.sqrt(self._mode.omega)
+
+    @property
+    def pair_distances(self) -> np.ndarray:
+        """Distance of every pair i < j, in row-major order."""
+        return self._pair_r
 
     def pair_coefficient(self, n: int, m: int) -> float:
         """Electrostatic dipole-dipole coefficient between atoms n and m."""
@@ -231,21 +225,15 @@ class PerturbativeShift:
         return self.self_1 + self.self_2 + self.interaction
 
 
-def dipole_dipole_energy(d_a: Sequence[float], d_b: Sequence[float],
-                         rhat: Sequence[float], r: float) -> float:
-    """Electrostatic coupling -(1/r^3)[da.db - 3(da.rhat)(db.rhat)].
-
-    ``rhat`` must be a unit vector and ``r`` positive.
-    """
-    if r <= 0:
+def dipole_dipole_energy(d_a, d_b, rhat, r):
+    """Electrostatic coupling -(1/r^3)[da.db - 3(da.rhat)(db.rhat)] =
+    d_a . G0 . d_b, with G0 the static Green tensor, of one pair or of a
+    stack, whose pairs get the bits of their own calls.  ``rhat`` must be
+    a unit vector and ``r`` positive."""
+    if (np.asarray(r) <= 0).any():
         raise ValueError("separation must be positive")
-    da = np.asarray(d_a, dtype=float)
-    db = np.asarray(d_b, dtype=float)
-    n = np.asarray(rhat, dtype=float)
-    if abs(float(n @ n) - 1.0) > 1e-12:
-        raise ValueError("rhat must be a unit vector")
-    bracket = float(da @ db) - 3.0 * float(da @ n) * float(db @ n)
-    return -bracket / r**3
+    static = imag_axis_green(0.0, r, *pair_projectors(rhat))
+    return np.einsum("...a,...ab,...b->...", d_a, static, d_b)
 
 
 def perturbative_shift(system: CavitySystem) -> PerturbativeShift:

@@ -179,6 +179,20 @@ def _check_distance(r: float, pair: str) -> None:
                           f"{_text(_SEPARATION.hi)} bohr")
 
 
+def _placed(n_atoms: int, build, *args):
+    """``build(*args)``, a system of ``n_atoms`` placed atoms, once every
+    pair distance is inside the range of a separation: some pair is
+    refused exactly when the closest or the farthest is."""
+    try:
+        system = build(*args)
+        (i, j), r = np.triu_indices(n_atoms, 1), system.pair_distances
+    except PairDistanceError as exc:
+        (i, j), r = ([exc.i], [exc.j]), [exc.distance]
+    for k in (np.argmin(r), np.argmax(r)):
+        _check_distance(float(r[k]), f"atoms[{i[k]}] and atoms[{j[k]}]")
+    return system
+
+
 def _check(value, key: _Key, name: str, scales: dict[str, float]):
     """``value`` of the key ``name`` in atomic units, or a ConfigError
     unless it is a finite number inside ``key``'s range."""
@@ -289,11 +303,14 @@ def _run_pairwise(cfg: dict) -> tuple[list[str], list[float]]:
     if not verdict.ok:
         warnings.warn(f"point-dipole picture strained: "
                       f"alpha_a0*alpha_b0/r^6 = {verdict.ratio:.3g} >= 1")
-    vdw = vdw_energy(pair, QuadratureSpec(**cfg.get("quadrature", {})))
-    cp = casimir_polder_asymptote(model_a.static_polarizability(),
-                                  model_b.static_polarizability(), r)
+    quad = QuadratureSpec(**cfg.get("quadrature", {}))
+    # an energy past the double range: atoms too strong for the separation
+    vdw, london, cp = _named("atoms and separation", lambda: (
+        vdw_energy(pair, quad), london_closed_form(pair),
+        casimir_polder_asymptote(model_a.static_polarizability(),
+                                 model_b.static_polarizability(), r)))
     return (["r", "E_vdw", "E_london", "E_cp", "err"],
-            [r, vdw.value, london_closed_form(pair), cp, vdw.error_estimate])
+            [r, vdw.value, london, cp, vdw.error_estimate])
 
 
 def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
@@ -303,14 +320,7 @@ def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
         raise ConfigError("manybody needs at least two atoms")
     sites = [(_need(atom, f"atoms[{k}].position", 3),
               _model(atom, f"atoms[{k}]")) for k, atom in enumerate(atoms)]
-    try:
-        geometry = SystemGeometry(sites)
-        (i, j), r = geometry.pair_indices, geometry.pair_distances
-    except PairDistanceError as exc:
-        (i, j), r = ([exc.i], [exc.j]), [exc.distance]
-    # some pair is refused exactly when the closest or the farthest is
-    for k in (np.argmin(r), np.argmax(r)):
-        _check_distance(float(r[k]), f"atoms[{i[k]}] and atoms[{j[k]}]")
+    geometry = _placed(len(sites), SystemGeometry, sites)
     nonretarded = cfg.get("nonretarded", False)
     for i, j, verdict in geometry.validity_reports():
         if not verdict.ok:
@@ -323,6 +333,8 @@ def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
                       quad, nonretarded=nonretarded)
     else:
         free = free_energy_T0(geometry, quad, nonretarded=nonretarded)
+    # second_order is the retarded T = 0 pair sum on every row: the
+    # truncation of free_energy only on retarded rows without temperature
     second = second_order_energy(geometry, quad)
     return (["free_energy", "second_order", "err"],
             [free.value, second.value, free.error_estimate])
@@ -363,16 +375,12 @@ def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
     else:
         positions = [_need(atom, f"atoms[{k}].position", 3)
                      for k, atom in enumerate(atoms)]
-    delta = np.subtract(positions[1], positions[0])
-    with np.errstate(over="ignore"):
-        r = math.sqrt(float(delta @ delta))
-    _check_distance(r, "atoms[0] and atoms[1]")
     spec = _need(cfg, "mode")
     # the ranges leave CavityMode one check: a unit polarization
     mode = _named("mode.polarization", CavityMode, _need(spec, "mode.omega"),
                   _need(spec, "mode.polarization", 3),
                   _need(spec, "mode.amplitudes", len(atoms)))
-    system = CavitySystem(parsed, positions, mode)
+    system = _placed(2, CavitySystem, parsed, positions, mode)
     if not system.high_frequency:
         k = int(np.argmax([atom.omega for atom in parsed]))
         raise ConfigError(f"mode.omega must be over 10x atoms[{k}].omega")
@@ -381,8 +389,8 @@ def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
     exact = exact_ground_energy(system)
     return (["r", "self_1", "self_2", "interaction", "extracted",
              "exact_total"],
-            [r, shift.self_1, shift.self_2, shift.interaction, extracted,
-             exact])
+            [float(system.pair_distances[0]), shift.self_1, shift.self_2,
+             shift.interaction, extracted, exact])
 
 
 # each task's runner, and the column whose log-log slope --fit-slope

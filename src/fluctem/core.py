@@ -22,7 +22,8 @@ __all__ = [
     "EnergyResult",
     "convert",
     "vec3",
-    "separation",
+    "PairDistanceError",
+    "pair_separations",
 ]
 
 # CODATA 2018. c is the inverse fine-structure constant in atomic units.
@@ -56,14 +57,11 @@ def convert(value: float, from_unit: str, to_unit: str) -> float:
     ValueError
         If a tag is unknown or the two tags measure different dimensions.
     """
-    try:
-        dim_a, base_a = _UNIT_TABLE[from_unit]
-    except KeyError:
-        raise ValueError(f"unknown unit tag {from_unit!r}") from None
-    try:
-        dim_b, base_b = _UNIT_TABLE[to_unit]
-    except KeyError:
-        raise ValueError(f"unknown unit tag {to_unit!r}") from None
+    for tag in (from_unit, to_unit):
+        if tag not in _UNIT_TABLE:
+            raise ValueError(f"unknown unit tag {tag!r}")
+    dim_a, base_a = _UNIT_TABLE[from_unit]
+    dim_b, base_b = _UNIT_TABLE[to_unit]
     if dim_a != dim_b:
         raise ValueError(
             f"cannot convert {from_unit!r} ({dim_a}) to {to_unit!r} ({dim_b})"
@@ -78,7 +76,7 @@ class EnergyResult:
     Attributes
     ----------
     value : float
-        Energy in Hartree; never NaN.
+        Energy in Hartree; finite.
     error_estimate : float
         Finite, nonnegative estimate of the absolute error.
     evaluations : int
@@ -90,8 +88,8 @@ class EnergyResult:
     evaluations: int
 
     def __post_init__(self) -> None:
-        if math.isnan(self.value):
-            raise ValueError("value must not be NaN")
+        if not math.isfinite(self.value):
+            raise ValueError("value must be finite")
         if not 0 <= self.error_estimate < math.inf:
             raise ValueError("error_estimate must be finite and >= 0")
         if self.evaluations < 0:
@@ -103,13 +101,30 @@ def vec3(x: float, y: float, z: float) -> np.ndarray:
     return np.array([x, y, z], dtype=float)
 
 
-def separation(rn: np.ndarray, rm: np.ndarray) -> tuple[float, np.ndarray]:
-    """Distance and unit direction from ``rm`` to ``rn``.
+class PairDistanceError(ValueError):
+    """Points ``i`` and ``j`` whose ``distance`` has no normal square."""
 
-    Raises ``ValueError`` on coincident points.
-    """
-    d = np.asarray(rn, dtype=float) - np.asarray(rm, dtype=float)
-    r = math.sqrt(float(d @ d))
-    if r == 0.0:
-        raise ValueError("coincident points")
-    return r, d / r
+    def __init__(self, i: int, j: int, distance: float):
+        too = "far apart for a finite" if distance > 1 else "near for an exact"
+        super().__init__("coincident points" if distance == 0.0
+                         else f"points too {too} distance")
+        self.i, self.j, self.distance = i, j, distance
+
+
+def pair_separations(points) -> tuple[np.ndarray, ...]:
+    """Indices i < j, distances and unit directions from point j to point
+    i of every pair of ``points`` (N, 3), in row-major order; two points
+    give one pair, with the bits it has among any number of points.  The
+    first pair whose distance is zero, under 1.5e-154 or overflows raises:
+    the square of such a distance leaves the normal double range."""
+    points = np.asarray(points, dtype=float)
+    i, j = np.nonzero(np.tri(len(points), k=-1, dtype=bool).T)  # i < j
+    with np.errstate(over="ignore"):
+        delta = points[i] - points[j]
+        r = np.sqrt((delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
+    # a root of a subnormal square, and the direction from it, are inexact
+    bad = (r < 1.5e-154) | np.isinf(r)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise PairDistanceError(int(i[k]), int(j[k]), float(r[k]))
+    return i, j, r, delta / r[:, None]

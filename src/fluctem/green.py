@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SPEED_OF_LIGHT, separation
+from .core import SPEED_OF_LIGHT, pair_separations
 
 __all__ = [
     "f_tensor",
@@ -42,8 +42,11 @@ def pair_projectors(rhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Transverse I - p and static I - 3p projectors of unit vectors.
 
     ``rhat`` has shape (..., 3); both projectors have shape (..., 3, 3).
+    A vector whose squared length is off 1 by over 1e-12 raises.
     """
     rhat = np.asarray(rhat, dtype=float)
+    if (abs((rhat * rhat).sum(axis=-1) - 1.0) > 1e-12).any():
+        raise ValueError("rhat must be a unit vector")
     p = rhat[..., :, None] * rhat[..., None, :]
     return _IDENTITY - p, _IDENTITY - 3.0 * p
 
@@ -57,9 +60,6 @@ def f_tensor(x: float, rhat: np.ndarray) -> np.ndarray:
     """
     if x <= 0:
         raise ValueError("dimensionless distance x must be positive")
-    rhat = np.asarray(rhat, dtype=float)
-    if abs(np.dot(rhat, rhat) - 1.0) > 1e-12:
-        raise ValueError("rhat must be a unit vector")
     transverse, static = pair_projectors(rhat)
     sx, cx = np.sin(x), np.cos(x)
     return transverse * (sx / x) + static * (cx / x**2 - sx / x**3)
@@ -91,7 +91,7 @@ def dyadic_green(rn: np.ndarray, rm: np.ndarray, omega: float,
         raise ValueError("frequency must be positive")
     if n_index < 1.0:
         raise ValueError("refractive index must be >= 1")
-    r, rhat = separation(rn, rm)
+    _, _, (r,), (rhat,) = pair_separations((rn, rm))
     return _green_kernel(complex(omega), r, rhat, n_index)
 
 
@@ -119,9 +119,8 @@ def imag_axis_green(xi, r: np.ndarray, transverse: np.ndarray,
 
 
 def _single_pair(rn: np.ndarray, rm: np.ndarray, xi: float) -> np.ndarray:
-    r, rhat = separation(rn, rm)
-    transverse, static = pair_projectors(rhat)
-    return imag_axis_green(xi, r, transverse, static)
+    _, _, (r,), (rhat,) = pair_separations((rn, rm))
+    return imag_axis_green(xi, r, *pair_projectors(rhat))
 
 
 def dyadic_green_imag(rn: np.ndarray, rm: np.ndarray, xi: float) -> np.ndarray:

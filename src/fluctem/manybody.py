@@ -44,7 +44,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import EnergyResult, SPEED_OF_LIGHT
+# PairDistanceError stays importable from this module
+from .core import (
+    EnergyResult,
+    PairDistanceError,
+    SPEED_OF_LIGHT,
+    pair_separations,
+)
 # dyadic_green_imag and static_green are the single-pair views of
 # imag_axis_green; they stay importable from this module
 from .green import (
@@ -53,7 +59,7 @@ from .green import (
     pair_projectors,
     static_green,
 )
-from .pairwise import PairSpec, PairValidity, validity_check
+from .pairwise import PairValidity, validity_ratio
 from .polarizability import KramersHeisenberg
 from .quadrature import (
     QuadratureSpec,
@@ -88,19 +94,11 @@ class StrongCouplingError(RuntimeError):
     """Coupling strong enough to destabilize the coupled ground state."""
 
 
-class PairDistanceError(ValueError):
-    """Sites ``i`` and ``j`` whose ``distance`` is zero or overflows."""
-
-    def __init__(self, message: str, i: int, j: int, distance: float):
-        super().__init__(message)
-        self.i, self.j, self.distance = i, j, distance
-
-
 class SystemGeometry:
     """Immutable collection of polarizable sites.
 
     ``sites`` is a sequence of (position, model) pairs; positions are
-    3-vectors in bohr.  A pair whose distance is zero or overflows is
+    3-vectors in bohr.  A pair whose distance has no normal square is
     rejected with :class:`PairDistanceError`; close approaches that strain
     the point-dipole picture are reported by :meth:`validity_reports`
     rather than rejected.  The pair data every frequency node reuses
@@ -109,43 +107,23 @@ class SystemGeometry:
 
     def __init__(self, sites: Sequence[tuple[Sequence[float],
                                              KramersHeisenberg]]):
-        positions = []
-        models = []
-        for k, (position, model) in enumerate(sites):
-            p = np.asarray(position, dtype=float)
+        positions = [np.asarray(p, dtype=float) for p, _ in sites]
+        for k, p in enumerate(positions):
             if p.shape != (3,) or not np.all(np.isfinite(p)):
                 raise ValueError(f"site {k} needs a finite 3-vector position")
-            positions.append(p)
-            models.append(model)
-        self._positions = np.array(positions, dtype=float).reshape(-1, 3)
+        self._positions = np.array(positions).reshape(-1, 3)
         self._positions.setflags(write=False)
-        self._models = tuple(models)
+        self._models = tuple(model for _, model in sites)
         # alpha is evaluated once per distinct model and scattered to sites
         index: dict[KramersHeisenberg, int] = {}
         self._site_model = np.array(
             [index.setdefault(m, len(index)) for m in self._models],
             dtype=int)
         self._distinct_models = tuple(index)
-        self._pair_i, self._pair_j = np.triu_indices(self.n_sites, k=1)
-        with np.errstate(over="ignore"):
-            delta = self._positions[self._pair_i] \
-                - self._positions[self._pair_j]
-            # the dot product core.separation uses: distances, and with
-            # them the quadrature node scale set by min_separation, agree
-            # bitwise with the single-pair functions
-            self._pair_r = np.sqrt(
-                (delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
+        self._pair_i, self._pair_j, self._pair_r, rhat = pair_separations(
+            self._positions)
         self._pair_r.setflags(write=False)
-        bad = (self._pair_r == 0.0) | np.isinf(self._pair_r)
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            r = float(self._pair_r[k])
-            raise PairDistanceError(
-                "coincident points" if r == 0.0
-                else "points too far apart for a finite distance",
-                int(self._pair_i[k]), int(self._pair_j[k]), r)
-        self._transverse, self._static = pair_projectors(
-            delta / self._pair_r[:, None])
+        self._transverse, self._static = pair_projectors(rhat)
         # flat places of every pair block in the 3N x 3N matrix: the upper
         # copy at block (i, j), the lower one at (j, i)
         dim = 3 * self.n_sites
@@ -179,11 +157,11 @@ class SystemGeometry:
 
     def validity_reports(self) -> tuple[tuple[int, int, PairValidity], ...]:
         """Point-dipole validity verdict for every pair."""
-        return tuple(
-            (int(i), int(j),
-             validity_check(PairSpec(self._models[i], self._models[j],
-                                     float(r))))
-            for i, j, r in zip(self._pair_i, self._pair_j, self._pair_r))
+        alphas = self.alpha_values(0.0)
+        i, j = self._pair_i, self._pair_j
+        ratios = validity_ratio(alphas[i], alphas[j], self._pair_r)
+        return tuple(zip(i.tolist(), j.tolist(),
+                         map(PairValidity, ratios.tolist())))
 
     def min_separation(self) -> float:
         return float(self._pair_r.min()) if self._pair_r.size else math.inf
@@ -357,11 +335,11 @@ def free_energy_finiteT(geom: SystemGeometry, temperature: float,
 
 def second_order_energy(geom: SystemGeometry,
                         quad: QuadratureSpec | None = None) -> EnergyResult:
-    """Pairwise-additive truncation of the cluster energy.
+    """Retarded zero-temperature sum of pair energies.
 
     -(1/4 pi) int d(xi) sum over ordered pairs of alpha_n alpha_m
-    Tr[G_nm G_mn]; the full determinant differs from this at third order
-    in the polarizabilities.
+    Tr[G_nm G_mn]: the truncation of the retarded free_energy_T0 alone,
+    which differs from it at third order in the polarizabilities.
     """
     if geom.n_sites < 2:
         return EnergyResult(0.0, 0.0, 0)
@@ -387,15 +365,11 @@ def second_order_energy(geom: SystemGeometry,
 
 
 def _identical_single_resonance(geom: SystemGeometry) -> tuple[float, float]:
-    first = geom.models[0]
-    for model in geom.models:
-        if len(model.transitions) != 1 \
-                or model.transitions != first.transitions:
-            raise ValueError(
-                "normal-mode route needs identical single-resonance models")
-    (t,) = first.transitions
-    alpha_static = (2.0 / 3.0) * t.d2 / t.omega_sg
-    return alpha_static, t.omega_sg
+    if len(set(geom.models)) != 1 or len(geom.models[0].transitions) != 1:
+        raise ValueError(
+            "normal-mode route needs identical single-resonance models")
+    (t,) = geom.models[0].transitions
+    return (2.0 / 3.0) * t.d2 / t.omega_sg, t.omega_sg
 
 
 def normal_mode_energy(geom: SystemGeometry) -> EnergyResult:

@@ -27,8 +27,16 @@ __all__ = [
     "london_energy",
     "london_closed_form",
     "casimir_polder_asymptote",
+    "validity_ratio",
     "validity_check",
 ]
+
+
+def _finite(energy: float, name: str) -> float:
+    """``energy``, or OverflowError naming it past the double range."""
+    if math.isinf(energy):
+        raise OverflowError(f"the {name} overflows a double")
+    return energy
 
 
 @dataclass(frozen=True)
@@ -50,10 +58,14 @@ class PairSpec:
 
 @dataclass(frozen=True)
 class PairValidity:
-    """Point-dipole validity verdict: ok unless alpha_a0*alpha_b0/r^6 >= 1."""
+    """Point-dipole validity verdict: ok below a :func:`validity_ratio`
+    of 1; from 1 on wavefunction overlap corrections are material."""
 
-    ok: bool
     ratio: float
+
+    @property
+    def ok(self) -> bool:
+        return self.ratio < 1.0
 
 
 def vdw_energy(pair: PairSpec, quad: QuadratureSpec | None = None
@@ -71,6 +83,7 @@ def vdw_energy(pair: PairSpec, quad: QuadratureSpec | None = None
     x_alpha = min(t.omega_sg for t in a.transitions + b.transitions) * r / c
     res = integrate_semi_infinite(integrand, quad, min(1.0, x_alpha))
     pref = c / (math.pi * r**7)
+    _finite(pref * max(res.value, res.error_estimate), "van der Waals energy")
     return EnergyResult(-pref * res.value, pref * res.error_estimate,
                         res.evaluations)
 
@@ -100,7 +113,7 @@ def london_closed_form(pair: PairSpec) -> float:
         ta.d2 * tb.d2 / (ta.omega_sg + tb.omega_sg)
         for ta in pair.model_a.transitions
         for tb in pair.model_b.transitions)
-    return -(2.0 / 3.0) * total / pair.r**6
+    return _finite(-(2.0 / 3.0) * total / pair.r**6, "London energy")
 
 
 def casimir_polder_asymptote(alpha_a0: float, alpha_b0: float, r: float
@@ -110,15 +123,17 @@ def casimir_polder_asymptote(alpha_a0: float, alpha_b0: float, r: float
         raise ValueError("separation must be positive")
     if alpha_a0 < 0 or alpha_b0 < 0:
         raise ValueError("static polarizabilities cannot be negative")
-    return -23.0 * SPEED_OF_LIGHT * alpha_a0 * alpha_b0 / (4.0 * math.pi * r**7)
+    return _finite(-23.0 * SPEED_OF_LIGHT * alpha_a0 * alpha_b0
+                   / (4.0 * math.pi * r**7), "Casimir-Polder asymptote")
+
+
+def validity_ratio(alpha_a0, alpha_b0, r):
+    """alpha_a0 alpha_b0 / r^6, of floats or elementwise of arrays."""
+    return alpha_a0 * alpha_b0 / r**6
 
 
 def validity_check(pair: PairSpec) -> PairValidity:
-    """Flag separations where the point-dipole picture breaks down.
-
-    The boundary ratio 1 is flagged too: wavefunction overlap corrections
-    are already material there.
-    """
-    ratio = (pair.model_a.static_polarizability()
-             * pair.model_b.static_polarizability() / pair.r**6)
-    return PairValidity(ok=ratio < 1.0, ratio=ratio)
+    """Flag separations where the point-dipole picture breaks down."""
+    return PairValidity(validity_ratio(pair.model_a.static_polarizability(),
+                                       pair.model_b.static_polarizability(),
+                                       pair.r))

@@ -23,6 +23,7 @@ from fluctem.cavity import (
 )
 from fluctem.cavity import _hamiltonian, _layout
 from fluctem.cli import _run_cavity, run
+from fluctem.core import PairDistanceError, pair_separations
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
@@ -87,6 +88,53 @@ def test_type_validation():
             TwoStateAtom(1.0, (bad, 0.0, 0.0))
         with pytest.raises(ValueError, match="amplitudes"):
             CavityMode(20.0, X, (0.03, bad))
+
+
+@pytest.mark.parametrize("n_atoms, pair", [(3, (0, 2)), (4, (1, 3)),
+                                           (4, (2, 3))])
+def test_coincident_atoms_of_a_larger_system_name_their_pair(n_atoms, pair):
+    atoms = [TwoStateAtom(1.0 + 0.1 * n, X) for n in range(n_atoms)]
+    positions = [(0.0, 0.0, 4.0 * n) for n in range(n_atoms)]
+    positions[pair[1]] = positions[pair[0]]
+    mode = CavityMode(20.0, X, (0.03,) * n_atoms)
+    with pytest.raises(PairDistanceError, match="coincident") as info:
+        CavitySystem(atoms, positions, mode)
+    assert (info.value.i, info.value.j, info.value.distance) == (*pair, 0.0)
+
+
+def test_atoms_closer_than_an_exact_distance_are_refused():
+    atom = TwoStateAtom(1.0, X)
+    mode = CavityMode(20.0, X, (0.1, 0.1))
+    with pytest.raises(PairDistanceError, match="too near") as info:
+        CavitySystem((atom, atom), ((0, 0, 0), (1e-160, 3e-161, 0)), mode)
+    assert (info.value.i, info.value.j) == (0, 1)
+
+
+def test_non_finite_positions_are_refused():
+    atom = TwoStateAtom(1.0, X)
+    mode = CavityMode(20.0, X, (0.1, 0.1))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite 3-vector"):
+            CavitySystem((atom, atom), ((0, 0, 0), (0, bad, 5.0)), mode)
+
+
+def test_pair_coefficients_are_single_pair_views_of_the_static_tensor():
+    # four atoms, dipoles and positions off every axis
+    rng = np.random.default_rng(7)
+    dipoles = rng.normal(size=(4, 3))
+    positions = rng.normal(size=(4, 3)) * 5.0
+    atoms = [TwoStateAtom(1.0, d) for d in dipoles]
+    system = CavitySystem(atoms, positions, CavityMode(20.0, X, (0.03,) * 4))
+    for k, (n, m) in enumerate(zip(*np.triu_indices(4, 1))):
+        _, _, (r,), (rhat,) = pair_separations((positions[n], positions[m]))
+        assert system.pair_distances[k] == r
+        v = system.pair_coefficient(n, m)
+        assert v == system.pair_coefficient(m, n)
+        assert v == dipole_dipole_energy(dipoles[n], dipoles[m], rhat, r)
+        bracket = dipoles[n] @ dipoles[m] \
+            - 3.0 * (dipoles[n] @ rhat) * (dipoles[m] @ rhat)
+        scale = np.linalg.norm(dipoles[n]) * np.linalg.norm(dipoles[m])
+        assert abs(v + bracket / r**3) <= 1e-15 * scale / r**3
 
 
 def test_high_frequency_flag_threshold():

@@ -393,6 +393,41 @@ def test_pair_distances_past_the_double_range_are_named(
     assert "closer than 1e-40 bohr" in err or "over 1e40 bohr" in err
 
 
+@pytest.mark.parametrize("separation", [1e-34, 1e-35, 1e-40])
+@pytest.mark.parametrize("scan", [False, True], ids=["run", "scan"])
+def test_overflowing_pair_energies_are_named(tmp_path, capsys, separation,
+                                             scan):
+    # every key is inside its range; alpha^2/r^7 of the asymptote
+    # overflows from 1e-34 on, the London and retarded energies from 1e-35
+    strong = {"model": "single_resonance", "alpha_static": 1e50,
+              "omega": 0.5}
+    cfg = dict(pairwise_config(separation), atoms=[strong, dict(strong)])
+    if scan:
+        cfg = dict(cfg, task="scan", subtask="pairwise",
+                   sweep={"parameter": "separation",
+                          "values": [1e3, separation]})
+    err = config_error(tmp_path, capsys, cfg)
+    assert ("sweep.values[1]: " if scan else "error: config: atoms and "
+            "separation: ") in err
+    assert "atoms and separation: the " in err
+    assert "overflows a double" in err
+
+
+@pytest.mark.parametrize("task, values", [
+    ("pairwise", [1e-40, 0.1, 3.0000000000000004, 7.123456789, 1e40]),
+    ("cavity", [1.5, 3.0000000000000004, 7.123456789, 123.456, 1e6]),
+])
+def test_scan_r_column_is_each_swept_separation(tmp_path, task, values):
+    base = pairwise_config() if task == "pairwise" else cavity_config()
+    cfg = dict(base, task="scan", subtask=task,
+               sweep={"parameter": "separation", "values": values})
+    out = tmp_path / "out.csv"
+    assert run(write_config(tmp_path, cfg), str(out)) == 0
+    header, rows = read_table(out)
+    r = header.index("r")
+    assert [row[r] for row in rows] == [row[0] for row in rows] == values
+
+
 def test_bethe_at_the_largest_cutoff_is_finite(tmp_path):
     # W/omega overflows, ln((W + omega)/omega) does not
     cfg = {"task": "lamb", "atom": dict(ATOM), "cutoff": 1.7e308}
@@ -464,6 +499,20 @@ def test_coincident_cavity_atoms_name_both(tmp_path, capsys):
         atom["position"] = [0.0, 1.0, 2.0]
     err = config_error(tmp_path, capsys, cfg)
     assert "atoms[0]" in err and "atoms[1]" in err
+
+
+@pytest.mark.parametrize("task", ["manybody", "cavity"])
+@pytest.mark.parametrize("offset", [1e-160, 1e-50])
+def test_placed_atoms_closer_than_the_range_are_named(tmp_path, capsys, task,
+                                                      offset):
+    # the systems read their distances once built; the square of the
+    # first distance is subnormal
+    cfg = manybody_config() if task == "manybody" else cavity_config()
+    cfg.pop("separation", None)
+    for k, atom in enumerate(cfg["atoms"]):
+        atom["position"] = [k * offset, k * 0.3 * offset, 0.0]
+    err = config_error(tmp_path, capsys, cfg)
+    assert "atoms[0] and atoms[1] are closer than 1e-40 bohr" in err
 
 
 def test_quadrature_method_is_an_unknown_key(tmp_path, capsys):

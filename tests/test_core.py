@@ -1,0 +1,93 @@
+"""Shared types and geometry: the one path from positions to pair
+distances and directions, and the finite-energy contract of results."""
+
+import math
+
+import numpy as np
+import pytest
+
+import fluctem.manybody as manybody
+from fluctem.core import (
+    EnergyResult,
+    PairDistanceError,
+    pair_separations,
+)
+
+
+def one_pair(rn, rm):
+    """The single-pair call: two points, one pair."""
+    i, j, r, rhat = pair_separations((rn, rm))
+    assert (list(i), list(j), r.shape, rhat.shape) == ([0], [1], (1,), (1, 3))
+    return r[0], rhat[0]
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e-3, 1.0, 7.5, 1e40, 1e150])
+@pytest.mark.parametrize("origin", [0.0, 1e300])
+def test_stacked_separations_equal_single_pair_calls_bitwise(scale, origin):
+    rng = np.random.default_rng(int(math.log10(scale)) + 40)
+    points = rng.normal(size=(6, 3)) * scale
+    # at x = 1e300 every x offset rounds away
+    points[:, 0] += origin
+    i, j, r, rhat = pair_separations(points)
+    assert np.array_equal(np.stack([i, j]), np.triu_indices(6, 1))
+    for k in range(len(r)):
+        r1, rhat1 = one_pair(points[i[k]], points[j[k]])
+        assert r1 == r[k]
+        assert np.array_equal(rhat1, rhat[k])
+    # direction from point j to point i, of unit length
+    delta = points[i] - points[j]
+    assert np.allclose(rhat * r[:, None], delta, rtol=1e-15, atol=0.0)
+    assert np.allclose(np.sum(rhat * rhat, axis=1), 1.0, rtol=1e-15, atol=0)
+
+
+def test_points_1e300_apart_raise_alike_in_both_calls():
+    # the squared distance overflows: one typed error, and no warning
+    far = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1e300, 0.0, 0.0)]
+    with np.errstate(all="raise"):
+        with pytest.raises(PairDistanceError, match="too far apart") as info:
+            pair_separations(far)
+        assert (info.value.i, info.value.j) == (0, 2)
+        assert info.value.distance == math.inf
+        with pytest.raises(PairDistanceError, match="too far apart") as one:
+            one_pair(far[0], far[2])
+    assert (one.value.i, one.value.j, one.value.distance) == (0, 1, math.inf)
+
+
+def test_coincident_points_name_the_first_pair():
+    points = [(0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (4.0, 0.0, 0.0),
+              (1.0, 2.0, 3.0)]
+    with pytest.raises(PairDistanceError, match="coincident points") as info:
+        pair_separations(points)
+    assert (info.value.i, info.value.j, info.value.distance) == (1, 3, 0.0)
+    with pytest.raises(ValueError, match="coincident points"):
+        one_pair(points[1], points[3])
+
+
+@pytest.mark.parametrize("offset", [1e-160, 1e-155, 1e-158])
+def test_distances_with_subnormal_squares_are_refused(offset):
+    # sqrt of a subnormal square is inexact, and so is the direction
+    points = [(0.0, 0.0, 0.0), (offset, 0.3 * offset, 0.0)]
+    with pytest.raises(PairDistanceError, match="too near") as info:
+        pair_separations(points)
+    assert 0.0 < info.value.distance < 1.5e-154
+    # the least distance taken is exact, with a unit direction
+    _, _, r, rhat = pair_separations([(0.0, 0.0, 0.0), (0.0, 1.5e-154, 0)])
+    assert r[0] == 1.5e-154 and np.array_equal(rhat[0], [0.0, -1.0, 0.0])
+
+
+def test_pair_distance_error_is_one_type():
+    assert manybody.PairDistanceError is PairDistanceError
+    assert issubclass(PairDistanceError, ValueError)
+
+
+def test_fewer_than_two_points_have_no_pairs():
+    for points in (np.zeros((0, 3)), np.zeros((1, 3))):
+        i, j, r, rhat = pair_separations(points)
+        assert i.size == j.size == r.size == 0 and rhat.shape == (0, 3)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_energy_result_refuses_a_non_finite_value(value):
+    with pytest.raises(ValueError, match="value must be finite"):
+        EnergyResult(value, 0.0, 1)
+    EnergyResult(-1.7e308, 0.0, 1)

@@ -27,7 +27,7 @@ from fluctem.manybody import (
     phf_lambda_integral,
     second_order_energy,
 )
-from fluctem.pairwise import PairSpec, vdw_energy
+from fluctem.pairwise import PairSpec, validity_check, vdw_energy
 from fluctem.polarizability import KramersHeisenberg, Transition, single_resonance
 from fluctem.quadrature import (
     QuadratureError,
@@ -84,6 +84,30 @@ def test_geometry_validity_reports():
     assert (i, j) == (0, 1)
     assert not verdict.ok
     assert verdict.ratio == pytest.approx(16.0)
+
+
+def test_validity_reports_take_alpha0_once_per_model(monkeypatch):
+    # two models on a 3 x 3 x 3 cube: the ratio of each pair is the
+    # pairwise verdict's, bit for bit, from two static polarizabilities
+    models = [single_resonance(2.0, 0.6),
+              KramersHeisenberg((Transition(0.4, 1.0), Transition(0.9, 0.5)))]
+    sites = [((1.1 * a, 1.2 * b, 1.3 * c), models[(a + b + c) % 2])
+             for a in range(3) for b in range(3) for c in range(3)]
+    geom = SystemGeometry(sites)
+    calls = []
+    sum_terms = KramersHeisenberg.sum_terms
+    monkeypatch.setattr(KramersHeisenberg, "sum_terms",
+                        lambda self, x2: calls.append(self) or sum_terms(
+                            self, x2))
+    reports = geom.validity_reports()
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert len(reports) == 27 * 26 // 2
+    for (i, j, verdict), r in zip(reports, geom.pair_distances):
+        single = validity_check(PairSpec(sites[i][1], sites[j][1], float(r)))
+        assert verdict == single
+        assert verdict.ok == (verdict.ratio < 1.0)
+    assert not all(verdict.ok for _, _, verdict in reports)
 
 
 def test_build_T_single_site_is_zero():

@@ -126,6 +126,23 @@ def test_validity_check_boundaries():
     assert not edge.ok and edge.ratio == pytest.approx(1.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("r", [1e-34, 1e-35, 1e-40])
+def test_energies_past_the_double_range_raise_overflow(r):
+    # alpha^2/r^7 of the asymptote overflows first, then the London
+    # r^-6 and the integral; none returns -inf
+    pair = identical_pair(1e50, 0.5, r)
+    with pytest.raises(OverflowError, match="Casimir-Polder asymptote"):
+        casimir_polder_asymptote(1e50, 1e50, r)
+    if r < 1e-34:
+        with pytest.raises(OverflowError, match="London energy"):
+            london_closed_form(pair)
+        with pytest.raises(OverflowError, match="van der Waals energy"):
+            vdw_energy(pair)
+    else:
+        assert math.isfinite(london_closed_form(pair))
+        assert math.isfinite(vdw_energy(pair).value)
+
+
 @given(
     alpha=st.floats(min_value=0.5, max_value=8.0),
     omega0=st.floats(min_value=0.1, max_value=2.0),
