@@ -1,34 +1,33 @@
-"""Two-state atoms coupled to a single cavity mode.
+"""Two two-state atoms coupled to a single cavity mode.
 
 Ground-state energy shifts in two independent ways: a closed
-perturbative form, valid when the mode frequency dominates every atomic
-transition, and a dense-diagonalization oracle for the full Hamiltonian.
+perturbative form, valid when the mode frequency dominates both atomic
+transitions, and a dense-diagonalization oracle for the full Hamiltonian.
 No rotating-wave truncation anywhere; the perturbative denominators
 omega/(omega + omega_n) exist only because the counter-rotating terms
 are kept.
 
-The Hamiltonian on {g, e}^N tensor Fock(cutoff) is
+The Hamiltonian on {g, e}^2 tensor Fock(cutoff) is
 
     H = sum_n omega_n |e_n><e_n|  +  omega a'a
       + sum_n c_n (sigma_n + sigma_n') (a + a')
-      + sum_{n<m} v_nm (sigma_n + sigma_n') (sigma_m + sigma_m')
+      + v (sigma_1 + sigma_1') (sigma_2 + sigma_2')
 
-with c_n = A_n (d_n . polarization) sqrt(omega) and v_nm the
-electrostatic dipole-dipole coefficient for the pair.  The uncoupled
-ground energy is zero by construction, so the coupled ground eigenvalue
-is itself the shift.
+with c_n = A_n (d_n . polarization) sqrt(omega) and v the electrostatic
+dipole-dipole coefficient of the pair.  The uncoupled ground energy is
+zero by construction, so the coupled ground eigenvalue is itself the
+shift.
 
 The parity (-1)^(photons + excitations) commutes with H: a coupling term
-moves one photon and one excitation, a pair term two excitations.  The
+moves one photon and one excitation, the pair term two excitations.  The
 uncoupled ground state is even, so the oracle diagonalizes the even sector,
-2^(N-1) (cutoff + 1) states (the Z2 symmetry of the quantum Rabi model),
-whose lowest level continues the uncoupled ground; tests check it against
-the full space up to ultrastrong coupling.
+2 (cutoff + 1) states (the Z2 symmetry of the quantum Rabi model), whose
+lowest level continues the uncoupled ground; tests check it against the
+full space up to ultrastrong coupling.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -55,9 +54,8 @@ __all__ = [
 # the closed perturbative form is trusted
 _HIGH_FREQUENCY_RATIO = 10.0
 
-_MAX_ATOMS_EXACT = 4
 # the photon cutoff grows from the first to the largest in steps of 4; at
-# 4 atoms and the largest cutoff the even sector is 840 x 840
+# the largest cutoff the even sector is 210 x 210
 _FIRST_PHOTON_CUTOFF = 12
 _MAX_PHOTON_CUTOFF = 104
 _CONVERGENCE_TOL = 1e-10
@@ -121,77 +119,52 @@ class CavityMode:
 
 
 class CavitySystem:
-    """Atoms, their positions, and the mode they share.
+    """Two atoms, their positions, and the mode they share.
 
     Positions are 3-vectors in bohr; coincident atoms are rejected.  The
-    amplitude list of the mode must match the atom count.  A system keeps
-    the distance and dipole-dipole coefficient of each pair, and the ground
-    energy of each pair setting once it has solved them.
+    mode carries one amplitude per atom.  A system keeps its ``atoms``,
+    its ``mode``, the atoms' ``separation`` and their dipole-dipole
+    ``pair_coefficient`` (both floats), and the ground energies with and
+    without the pair term once it has solved them; none of these is meant
+    to change after the build.
     """
 
     def __init__(self, atoms: Sequence[TwoStateAtom],
                  positions: Sequence[Sequence[float]], mode: CavityMode):
         atoms = tuple(atoms)
-        if not atoms:
-            raise ValueError("at least one atom required")
+        if len(atoms) != 2:
+            raise ValueError("a cavity system takes exactly two atoms")
         pos = np.asarray(positions, dtype=float)
-        if pos.shape != (len(atoms), 3) or not np.isfinite(pos).all():
+        if pos.shape != (2, 3) or not np.isfinite(pos).all():
             raise ValueError("positions must be one finite 3-vector per atom")
-        if len(mode.amplitudes) != len(atoms):
+        if len(mode.amplitudes) != 2:
             raise ValueError("mode amplitudes must match atom count")
-        i, j, self._pair_r, rhat = pair_separations(pos)
-        d = np.array([atom.dipole for atom in atoms])
-        v = dipole_dipole_energy(d[i], d[j], rhat, self._pair_r)
-        self._pairs = dict(zip(zip(i.tolist(), j.tolist()), v.tolist()))
-        self._atoms = atoms
-        self._mode = mode
-
-    @property
-    def atoms(self) -> tuple[TwoStateAtom, ...]:
-        return self._atoms
-
-    @property
-    def mode(self) -> CavityMode:
-        return self._mode
-
-    @property
-    def n_atoms(self) -> int:
-        return len(self._atoms)
+        _, _, (r,), (rhat,) = pair_separations(pos)
+        self.separation = float(r)
+        self.pair_coefficient = float(dipole_dipole_energy(
+            atoms[0].dipole, atoms[1].dipole, rhat, r))
+        self.atoms = atoms
+        self.mode = mode
 
     @property
     def high_frequency(self) -> bool:
-        """True when the mode dominates every atomic frequency 10x over."""
-        top = max(atom.omega for atom in self._atoms)
-        return self._mode.omega / top > _HIGH_FREQUENCY_RATIO
+        """True when the mode dominates both atomic frequencies 10x over."""
+        top = max(atom.omega for atom in self.atoms)
+        return self.mode.omega / top > _HIGH_FREQUENCY_RATIO
 
     def coupling(self, n: int) -> float:
         """Mode coupling constant of atom ``n``."""
-        atom = self._atoms[n]
-        projected = float(atom.dipole @ self._mode.polarization)
-        return self._mode.amplitudes[n] * projected * math.sqrt(self._mode.omega)
-
-    @property
-    def pair_distances(self) -> np.ndarray:
-        """Distance of every pair i < j, in row-major order."""
-        return self._pair_r
-
-    def pair_coefficient(self, n: int, m: int) -> float:
-        """Electrostatic dipole-dipole coefficient between atoms n and m."""
-        return self._pairs[min(n, m), max(n, m)]
+        projected = float(self.atoms[n].dipole @ self.mode.polarization)
+        return self.mode.amplitudes[n] * projected * math.sqrt(self.mode.omega)
 
     @cached_property
-    def _ground_energies(self) -> dict[bool, float]:
-        # the ground energy of each pair setting, keyed by include_pair; a
-        # pair also solves without its pair term, at the same cutoff, so
-        # that the truncation errors cancel in interaction_extract
-        if self.n_atoms > _MAX_ATOMS_EXACT:
-            raise ValueError(
-                f"exact oracle limited to {_MAX_ATOMS_EXACT} atoms")
-        settings = (True, False) if self.n_atoms == 2 else (True,)
-
+    def _ground_energies(self) -> tuple[float, float]:
+        # the ground energies with and without the pair term, at one
+        # cutoff, so that the truncation errors cancel in
+        # interaction_extract
         def grounds(cutoff: int) -> list[float]:
             spectra = [np.linalg.eigvalsh(_hamiltonian(self, cutoff, p))
-                       for p in settings]
+                       for p in (True, False)]
             # a change below the rounding unit at |H|_2 proves nothing
             rounding = math.ulp(max(max(-w[0], w[-1]) for w in spectra))
             if not rounding < _CONVERGENCE_TOL:
@@ -205,7 +178,7 @@ class CavitySystem:
             fine = grounds(cutoff + 4)
             change = max(abs(f - c) for f, c in zip(fine, coarse))
             if change < _CONVERGENCE_TOL:
-                return dict(zip(settings, fine))
+                return tuple(fine)
             coarse = fine
         raise PhotonCutoffError(
             f"ground energy not converged in photon number: cutoff "
@@ -229,9 +202,9 @@ def dipole_dipole_energy(d_a, d_b, rhat, r):
     """Electrostatic coupling -(1/r^3)[da.db - 3(da.rhat)(db.rhat)] =
     d_a . G0 . d_b, with G0 the static Green tensor, of one pair or of a
     stack, whose pairs get the bits of their own calls.  ``rhat`` must be
-    a unit vector and ``r`` positive."""
-    if (np.asarray(r) <= 0).any():
-        raise ValueError("separation must be positive")
+    a unit vector and ``r`` positive and finite."""
+    if not (np.isfinite(r) & (np.asarray(r) > 0)).all():
+        raise ValueError("separation must be positive and finite")
     static = imag_axis_green(0.0, r, *pair_projectors(rhat))
     return np.einsum("...a,...ab,...b->...", d_a, static, d_b)
 
@@ -247,10 +220,8 @@ def perturbative_shift(system: CavitySystem) -> PerturbativeShift:
         -(A1 A2 / 2 r^3) (d1.e)(d2.e) [d1.d2 - 3(d1.rhat)(d2.rhat)]
             / (omega1 + omega2)
 
-    Requires two atoms and the high-frequency regime.
+    Requires the high-frequency regime.
     """
-    if system.n_atoms != 2:
-        raise ValueError("perturbative form is worked out for two atoms")
     if not system.high_frequency:
         raise ValueError(
             "perturbative formula outside validity: mode frequency must "
@@ -258,8 +229,7 @@ def perturbative_shift(system: CavitySystem) -> PerturbativeShift:
     omega = system.mode.omega
     w1, w2 = (atom.omega for atom in system.atoms)
     g1, g2 = system.coupling(0), system.coupling(1)
-    interaction = g1 * g2 * system.pair_coefficient(0, 1) \
-        / (2.0 * omega * (w1 + w2))
+    interaction = g1 * g2 * system.pair_coefficient / (2.0 * omega * (w1 + w2))
     return PerturbativeShift(-g1**2 / (omega + w1), -g2**2 / (omega + w2),
                              interaction)
 
@@ -268,43 +238,40 @@ class _Layout(NamedTuple):
     """Index and value vectors placing each term in a flat dim x dim buffer.
 
     States: the even ones of s = config * (cutoff + 1) + photons, in order,
-    atom 0 the most significant bit of config.  Every array is read-only.
+    atom 0 the more significant bit of config.  Every array is read-only.
     """
 
     photons: np.ndarray   # (dim,) photon number of each state
-    excited: np.ndarray   # (N, dim) 1.0 where atom n is excited
-    coupling: np.ndarray  # (N, M) positions of (sigma_n + sigma_n')(a + a')
+    excited: np.ndarray   # (2, dim) 1.0 where atom n is excited
+    coupling: np.ndarray  # (2, M) positions of (sigma_n + sigma_n')(a + a')
     root: np.ndarray      # (M,) sqrt(k + 1) at each of those positions
-    pairs: np.ndarray     # (N(N-1)/2, dim) positions of each pair term
+    pair: np.ndarray      # (dim,) positions of the pair term
 
 
 @lru_cache(maxsize=8)
-def _layout(n_atoms: int, cutoff: int) -> _Layout:
+def _layout(cutoff: int) -> _Layout:
     dim_field = cutoff + 1
-    config, photons = np.divmod(np.arange(2**n_atoms * dim_field), dim_field)
-    bits = [1 << (n_atoms - 1 - n) for n in range(n_atoms)]
+    config, photons = np.divmod(np.arange(4 * dim_field), dim_field)
+    excited = np.array([config >> 1, config & 1])
     # even states and their sector positions; every term keeps the parity
-    even = (photons + sum((config & bit) != 0 for bit in bits)) % 2 == 0
+    even = (photons + excited.sum(axis=0)) % 2 == 0
     place = np.cumsum(even) - 1
-    config, photons, dim = config[even], photons[even], int(even.sum())
+    config, photons, excited = config[even], photons[even], excited[:, even]
+    dim = photons.size
     # each state that can take one more photon, and its partner with one
     # more photon and atom n flipped; both orders of the pair are stored
     lower = np.flatnonzero(photons < cutoff)
     root = np.sqrt(photons[lower] + 1.0)
-    coupling = []
-    for bit in bits:
-        upper = place[(config[lower] ^ bit) * dim_field + photons[lower] + 1]
-        coupling.append(np.concatenate([lower * dim + upper,
-                                        upper * dim + lower]))
-    pairs = [np.arange(dim) * dim
-             + place[(config ^ bits[n] ^ bits[m]) * dim_field + photons]
-             for n, m in itertools.combinations(range(n_atoms), 2)]
+    uppers = [place[(config[lower] ^ bit) * dim_field + photons[lower] + 1]
+              for bit in (2, 1)]
+    coupling = [np.concatenate([lower * dim + upper, upper * dim + lower])
+                for upper in uppers]
     layout = _Layout(
         photons=photons.astype(float),
-        excited=np.array([(config & bit) != 0 for bit in bits], dtype=float),
+        excited=excited.astype(float),
         coupling=np.array(coupling),
         root=np.concatenate([root, root]),
-        pairs=np.array(pairs, dtype=np.intp).reshape(-1, dim))
+        pair=np.arange(dim) * dim + place[(config ^ 3) * dim_field + photons])
     for array in layout:
         array.setflags(write=False)
     return layout
@@ -315,7 +282,7 @@ def _hamiltonian(system: CavitySystem, cutoff: int,
     # terms sit on disjoint entries apart from the diagonal, which sums
     # the mode and then each atom in turn; adding into zeros keeps zero
     # entries +0.0 whatever the sign of a coefficient
-    layout = _layout(system.n_atoms, cutoff)
+    layout = _layout(cutoff)
     dim = layout.photons.size
     diagonal = system.mode.omega * layout.photons
     for atom, excited in zip(system.atoms, layout.excited):
@@ -325,8 +292,7 @@ def _hamiltonian(system: CavitySystem, cutoff: int,
     for n, index in enumerate(layout.coupling):
         h[index] += system.coupling(n) * layout.root
     if include_pair:
-        for index, v in zip(layout.pairs, system._pairs.values()):
-            h[index] += v
+        h[layout.pair] += system.pair_coefficient
     return h.reshape(dim, dim)
 
 
@@ -338,10 +304,10 @@ def exact_ground_energy(system: CavitySystem) -> float:
     the result moves by less than 1e-10, and the finer result is returned;
     a ``PhotonCutoffError`` reports a result still moving at cutoff 104,
     or a solve whose rounding unit at the norm of H reaches 1e-10.
-    A two-atom system takes one cutoff for both pair settings.  The
-    uncoupled ground energy is zero, so the result is the full shift.
+    One cutoff serves both pair settings.  The uncoupled ground energy is
+    zero, so the result is the full shift.
     """
-    return system._ground_energies[True]
+    return system._ground_energies[0]
 
 
 def interaction_extract(system: CavitySystem) -> float:
@@ -355,9 +321,7 @@ def interaction_extract(system: CavitySystem) -> float:
     high-frequency regime it falls off as the inverse cube of the
     separation.
     """
-    if system.n_atoms != 2:
-        raise ValueError("interaction extraction is defined for two atoms")
-    grounds = system._ground_energies
-    v = system.pair_coefficient(0, 1)
+    with_pair, without_pair = system._ground_energies
+    v = system.pair_coefficient
     second_order = -v * v / (system.atoms[0].omega + system.atoms[1].omega)
-    return grounds[True] - grounds[False] - second_order
+    return with_pair - without_pair - second_order

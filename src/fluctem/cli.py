@@ -179,18 +179,22 @@ def _check_distance(r: float, pair: str) -> None:
                           f"{_text(_SEPARATION.hi)} bohr")
 
 
-def _placed(n_atoms: int, build, *args):
-    """``build(*args)``, a system of ``n_atoms`` placed atoms, once every
-    pair distance is inside the range of a separation: some pair is
-    refused exactly when the closest or the farthest is."""
+def _placed(build, *args):
+    """``build(*args)``, a manybody or cavity system of placed atoms.  A
+    pair whose distance has no normal square is refused as outside the
+    range of a separation; the caller checks the distances of the system
+    it gets against that range."""
     try:
-        system = build(*args)
-        (i, j), r = np.triu_indices(n_atoms, 1), system.pair_distances
+        return build(*args)
     except PairDistanceError as exc:
-        (i, j), r = ([exc.i], [exc.j]), [exc.distance]
-    for k in (np.argmin(r), np.argmax(r)):
-        _check_distance(float(r[k]), f"atoms[{i[k]}] and atoms[{j[k]}]")
-    return system
+        _check_distance(exc.distance, f"atoms[{exc.i}] and atoms[{exc.j}]")
+        raise
+
+
+def _past_one(ratio: float) -> str:
+    """A validity ratio of 1 or more as a warning prints it; one past the
+    double range prints as such, not as inf."""
+    return f"= {ratio:.3g} >= 1" if ratio < math.inf else "> 1.8e308"
 
 
 def _check(value, key: _Key, name: str, scales: dict[str, float]):
@@ -302,7 +306,7 @@ def _run_pairwise(cfg: dict) -> tuple[list[str], list[float]]:
     verdict = validity_check(pair)
     if not verdict.ok:
         warnings.warn(f"point-dipole picture strained: "
-                      f"alpha_a0*alpha_b0/r^6 = {verdict.ratio:.3g} >= 1")
+                      f"alpha_a0*alpha_b0/r^6 {_past_one(verdict.ratio)}")
     quad = QuadratureSpec(**cfg.get("quadrature", {}))
     # an energy past the double range: atoms too strong for the separation
     vdw, london, cp = _named("atoms and separation", lambda: (
@@ -320,12 +324,16 @@ def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
         raise ConfigError("manybody needs at least two atoms")
     sites = [(_need(atom, f"atoms[{k}].position", 3),
               _model(atom, f"atoms[{k}]")) for k, atom in enumerate(atoms)]
-    geometry = _placed(len(sites), SystemGeometry, sites)
+    geometry = _placed(SystemGeometry, sites)
+    # some pair is out of range exactly when the closest or farthest is
+    (i, j), r = geometry.pair_indices, geometry.pair_distances
+    for k in (np.argmin(r), np.argmax(r)):
+        _check_distance(float(r[k]), f"atoms[{i[k]}] and atoms[{j[k]}]")
     nonretarded = cfg.get("nonretarded", False)
     for i, j, verdict in geometry.validity_reports():
         if not verdict.ok:
             warnings.warn(f"atoms {i} and {j} strain the point-dipole "
-                          f"picture: ratio = {verdict.ratio:.3g} >= 1")
+                          f"picture: ratio {_past_one(verdict.ratio)}")
     if "temperature" in cfg:
         # Matsubara frequencies that overflow: the message names the
         # temperature
@@ -380,7 +388,8 @@ def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
     mode = _named("mode.polarization", CavityMode, _need(spec, "mode.omega"),
                   _need(spec, "mode.polarization", 3),
                   _need(spec, "mode.amplitudes", len(atoms)))
-    system = _placed(2, CavitySystem, parsed, positions, mode)
+    system = _placed(CavitySystem, parsed, positions, mode)
+    _check_distance(system.separation, "atoms[0] and atoms[1]")
     if not system.high_frequency:
         k = int(np.argmax([atom.omega for atom in parsed]))
         raise ConfigError(f"mode.omega must be over 10x atoms[{k}].omega")
@@ -389,7 +398,7 @@ def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
     exact = exact_ground_energy(system)
     return (["r", "self_1", "self_2", "interaction", "extracted",
              "exact_total"],
-            [float(system.pair_distances[0]), shift.self_1, shift.self_2,
+            [system.separation, shift.self_1, shift.self_2,
              shift.interaction, extracted, exact])
 
 

@@ -114,10 +114,17 @@ class PairDistanceError(ValueError):
 def pair_separations(points) -> tuple[np.ndarray, ...]:
     """Indices i < j, distances and unit directions from point j to point
     i of every pair of ``points`` (N, 3), in row-major order; two points
-    give one pair, with the bits it has among any number of points.  The
-    first pair whose distance is zero, under 1.5e-154 or overflows raises:
-    the square of such a distance leaves the normal double range."""
+    give one pair, with the bits it has among any number of points.  Any
+    other shape, or a point that is not finite, raises ValueError; the
+    first pair whose distance is zero, under 1.5e-154 or overflows raises
+    PairDistanceError: the square of such a distance leaves the normal
+    double range."""
     points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"points must be an (N, 3) array, not {points.shape}")
+    if not np.isfinite(points).all():
+        k = int(np.argmin(np.isfinite(points).all(axis=1)))
+        raise ValueError(f"point {k} is not a finite 3-vector")
     i, j = np.nonzero(np.tri(len(points), k=-1, dtype=bool).T)  # i < j
     with np.errstate(over="ignore"):
         delta = points[i] - points[j]

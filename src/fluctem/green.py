@@ -45,7 +45,7 @@ def pair_projectors(rhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A vector whose squared length is off 1 by over 1e-12 raises.
     """
     rhat = np.asarray(rhat, dtype=float)
-    if (abs((rhat * rhat).sum(axis=-1) - 1.0) > 1e-12).any():
+    if not (abs((rhat * rhat).sum(axis=-1) - 1.0) <= 1e-12).all():
         raise ValueError("rhat must be a unit vector")
     p = rhat[..., :, None] * rhat[..., None, :]
     return _IDENTITY - p, _IDENTITY - 3.0 * p
@@ -58,8 +58,8 @@ def f_tensor(x: float, rhat: np.ndarray) -> np.ndarray:
     tends to (2/3) I as x -> 0 and to the transverse projector times
     sin(x)/x in the far zone.
     """
-    if x <= 0:
-        raise ValueError("dimensionless distance x must be positive")
+    if not 0 < x < np.inf:
+        raise ValueError("dimensionless x must be positive and finite")
     transverse, static = pair_projectors(rhat)
     sx, cx = np.sin(x), np.cos(x)
     return transverse * (sx / x) + static * (cx / x**2 - sx / x**3)
@@ -87,10 +87,10 @@ def dyadic_green(rn: np.ndarray, rm: np.ndarray, omega: float,
     The static limit (omega r/c -> 0) is (3 p - I)/(n^2 r^3); the far zone
     keeps only the transverse 1/(k r) term.
     """
-    if omega <= 0:
-        raise ValueError("frequency must be positive")
-    if n_index < 1.0:
-        raise ValueError("refractive index must be >= 1")
+    if not 0 < omega < np.inf:
+        raise ValueError("frequency must be positive and finite")
+    if not 1.0 <= n_index < np.inf:
+        raise ValueError("refractive index must be finite and >= 1")
     _, _, (r,), (rhat,) = pair_separations((rn, rm))
     return _green_kernel(complex(omega), r, rhat, n_index)
 
@@ -129,8 +129,8 @@ def dyadic_green_imag(rn: np.ndarray, rm: np.ndarray, xi: float) -> np.ndarray:
     Single-pair view of :func:`imag_axis_green`: every term is real and
     decays as exp(-x), x = xi r / c.
     """
-    if xi <= 0:
-        raise ValueError("imaginary-axis frequency must be positive")
+    if not 0 < xi < np.inf:
+        raise ValueError("frequency xi must be positive and finite")
     return _single_pair(rn, rm, xi)
 
 

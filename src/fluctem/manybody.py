@@ -159,7 +159,9 @@ class SystemGeometry:
         """Point-dipole validity verdict for every pair."""
         alphas = self.alpha_values(0.0)
         i, j = self._pair_i, self._pair_j
-        ratios = validity_ratio(alphas[i], alphas[j], self._pair_r)
+        # a ratio past the double range is inf, and its verdict not ok
+        with np.errstate(over="ignore", divide="ignore"):
+            ratios = validity_ratio(alphas[i], alphas[j], self._pair_r)
         return tuple(zip(i.tolist(), j.tolist(),
                          map(PairValidity, ratios.tolist())))
 

@@ -82,17 +82,52 @@ def test_pairwise_columns_are_closed_london_and_vdw_error(tmp_path):
     assert (e_vdw, err) == (vdw.value, vdw.error_estimate)
 
 
-def test_tracer_patch_points_resolve():
+def load_perfbench(name, monkeypatch):
+    """A perfbench module, loaded read-only from its source file; it is
+    registered while the test runs, as its dataclasses need."""
+    path = REPO / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_patch_points_resolve(monkeypatch):
     # perfbench/tracer.py wraps these names in place; a dropped import
     # would break its traced runs
-    path = REPO / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_perfbench("tracer", monkeypatch)
     points = [(module, attr) for module, attr, _ in tracer.SPANS]
     for module, attr in points + tracer.QUADRATURE:
         assert callable(getattr(tracer._resolve(module), attr)), \
             f"{module}.{attr}"
+
+
+@pytest.mark.parametrize("workload", ["clusters", "spectra-sweep"])
+def test_benchmark_outputs_pass_its_reference_checks(tmp_path, monkeypatch,
+                                                     workload):
+    # the benchmark's own correctness gate: each config of the workload at
+    # seed 101, shipped ones included, run through the CLI and checked
+    # against perfbench's independent references
+    pytest.importorskip("scipy")
+    workloads = load_perfbench("workloads", monkeypatch)
+    references = load_perfbench("references", monkeypatch)
+    entries = workloads.write_workload(workload, 101, REPO,
+                                       tmp_path / "configs")
+    checks = []
+    for entry in entries:
+        out = tmp_path / f"{entry['id']}.csv"
+        assert run(entry["path"], str(out)) == 0, entry["id"]
+        cfg = json.loads(Path(entry["path"]).read_text())
+        # perfbench splits the table on CRLF: no newline translation
+        text = out.read_bytes().decode("utf-8")
+        checks += references.check_config(entry["id"], cfg, text)
+    assert checks
+    # what fail_rate and bound_miss_rate count; a gate miss is a miss too,
+    # and the audits (gate=False) are left out, as perfbench leaves them
+    missed = [c.describe() for c in checks
+              if c.gate and (c.miss or c.bound_miss)]
+    assert not missed, missed
 
 
 def test_perfbench_imports_resolve():
@@ -166,6 +201,29 @@ def test_manybody_overlap_strict_exit(tmp_path):
     assert run(path, str(tmp_path / "o.csv"), strict=True) == 2
     # without --strict the unstable determinant is the reported failure
     assert run(path, str(tmp_path / "o2.csv")) == 1
+
+
+@pytest.mark.parametrize("alpha_static", [1e100, 1e60])
+@pytest.mark.parametrize("strict", [False, True])
+def test_overflowing_validity_ratio_warns_once(tmp_path, capsys,
+                                               alpha_static, strict):
+    # alpha^2/r^6 past the double range: one validity warning that says
+    # so, no numpy overflow warning, and the unstable determinant named
+    atom = {"model": "single_resonance", "alpha_static": alpha_static,
+            "omega": 0.5}
+    cfg = {"task": "manybody",
+           "atoms": [dict(atom, position=[0, 0, 0]),
+                     dict(atom, position=[0, 0, 1e-40])]}
+    path = write_config(tmp_path, cfg)
+    code = run(path, str(tmp_path / "o.csv"), strict=strict)
+    err = capsys.readouterr().err
+    assert code == (2 if strict else 1)
+    warned = [line for line in err.splitlines() if line.startswith("warning")]
+    assert warned == ["warning: atoms 0 and 1 strain the point-dipole "
+                      "picture: ratio > 1.8e308"]
+    assert "overflow encountered" not in err
+    if not strict:
+        assert "[fluctem.manybody.StrongCouplingError]" in err
 
 
 def test_cavity_node_writes_zero_interaction(tmp_path):

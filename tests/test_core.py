@@ -86,6 +86,19 @@ def test_fewer_than_two_points_have_no_pairs():
         assert i.size == j.size == r.size == 0 and rhat.shape == (0, 3)
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (3,), (2, 4), (2, 2, 3)])
+def test_points_must_be_an_n_by_3_array(shape):
+    with pytest.raises(ValueError, match=r"must be an \(N, 3\) array"):
+        pair_separations(np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_point_is_named(bad):
+    points = [(0.0, 0.0, 0.0), (0.0, 0.0, 2.0), (1.0, bad, 0.0)]
+    with pytest.raises(ValueError, match="point 2 is not a finite 3-vector"):
+        pair_separations(points)
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_energy_result_refuses_a_non_finite_value(value):
     with pytest.raises(ValueError, match="value must be finite"):

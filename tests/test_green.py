@@ -193,3 +193,28 @@ def test_domain_errors():
         dyadic_green_imag(p, p, xi=1.0)
     with pytest.raises(ValueError):
         dyadic_green_imag(p, vec3(0, 0, 0), xi=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            dyadic_green(p, vec3(0, 0, 0), omega=bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            dyadic_green_imag(p, vec3(0, 0, 0), xi=bad)
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            dyadic_green(p, vec3(0, 0, 0), omega=1.0, n_index=bad)
+
+
+@pytest.mark.parametrize("view", [
+    static_green,
+    lambda rn, rm: dyadic_green_imag(rn, rm, xi=0.5),
+    lambda rn, rm: dyadic_green(rn, rm, omega=0.5),
+], ids=["static_green", "dyadic_green_imag", "dyadic_green"])
+def test_a_nan_point_is_refused(view):
+    with pytest.raises(ValueError, match="point 1 is not a finite 3-vector"):
+        view(vec3(0.0, 0.0, 0.0), vec3(0.0, 0.0, math.nan))
+
+
+def test_f_tensor_refuses_non_finite_arguments():
+    with pytest.raises(ValueError, match="unit vector"):
+        f_tensor(1.0, vec3(math.nan, 0.0, 0.0))
+    for x in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            f_tensor(x, ZHAT)
