@@ -168,7 +168,10 @@ def thermal_shift(model: KramersHeisenberg, temperature: float,
     Positive and growing as T^2 once the thermal energy exceeds every
     transition; negative and of order T^4 in the cold limit.  Raises
     ``ValueError`` for a transition over 1e9 T, where the principal value
-    no longer resolves the Bose factor.
+    no longer resolves the Bose factor.  The error estimate under-covers
+    from a transition about 3e6 T up: there the value lies 1.9e-11
+    relative off the cold series against an estimate of 1.5e-13, and at
+    1e8 T 7.7e-10 off against 5.8e-11.  It holds at 1e5 T and 1e6 T.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")

@@ -15,19 +15,19 @@ branch explicit: any eigenvalue crossing -1 means the coupled ground state
 is unstable and the calculation refuses to continue.
 
 The pair data a frequency needs (index pairs, distances, transverse and
-static projectors) is computed once per :class:`SystemGeometry`, and the
-Green blocks of all pairs come from one broadcast through
-:func:`fluctem.green.imag_axis_green`: :func:`build_T` scatters them into
-the 3N x 3N matrix, and :func:`second_order_energy` sums their squared
-Frobenius norms directly.  The log-det integrand has one evaluation path,
+static projectors) is computed once per :class:`SystemGeometry`.
+:func:`build_T` scatters the Green blocks of all pairs, from one
+broadcast through :func:`fluctem.green.imag_axis_green`, into the 3N x 3N
+matrix; :func:`second_order_energy` sums their squared norms from the
+pair distances alone.  The log-det integrand has one evaluation path,
 which takes one frequency or a 1-D array of K: the Green blocks, alpha(i xi)
 of each distinct model and T(xi) are evaluated for the whole array, and
 one ``eigvalsh`` call solves the stacked (K, 3N, 3N) matrices.  The thermal
 sum hands it blocks of Matsubara frequencies, and the tanh-sinh integrals
 (the T = 0 energy, the second order and the thermal tail) stacks of their
 nodes, at most 2**16 matrix elements at T = 0: about 113 nodes at N = 8,
-9 at N = 27 and one at N = 64, where stacking measured no gain.  Every
-stacked slice equals the single-frequency call bit for bit, so the
+9 at N = 27 and one from N = 61 on, where stacking measured no gain.
+Every stacked slice equals the single-frequency call bit for bit, so the
 stacking changes no result.
 
 ``normal_mode_energy`` is the independent oracle for the electrostatic
@@ -59,7 +59,7 @@ from .green import (
     pair_projectors,
     static_green,
 )
-from .pairwise import PairValidity, validity_ratio
+from .pairwise import PairValidity, retarded_pair_polynomial, validity_ratio
 from .polarizability import KramersHeisenberg
 from .quadrature import (
     QuadratureSpec,
@@ -83,7 +83,7 @@ __all__ = [
 # Gauss-Legendre nodes of the coupling-constant integral
 _PHF_NODES = 64
 # matrix elements stacked per integrand call of the tanh-sinh integrals:
-# (3N)^2 per node of the log det, about half that of the second order
+# (3N)^2 per node of the log det; the second order takes the same stacks
 _STACK_ELEMENTS = 2**16
 # past this frequency every Green block is exactly zero (exp(-xi r/c)
 # underflows at any r above 1e-145 bohr), while xi^2 still fits a double
@@ -168,14 +168,6 @@ class SystemGeometry:
     def min_separation(self) -> float:
         return float(self._pair_r.min()) if self._pair_r.size else math.inf
 
-    def pair_green(self, xi) -> np.ndarray:
-        """Green tensors G(r_i, r_j, i xi) of all pairs i < j.
-
-        (P, 3, 3) for one frequency, (K, P, 3, 3) for K of them.
-        """
-        return imag_axis_green(xi, self._pair_r, self._transverse,
-                               self._static)
-
     def model_alphas(self, xi) -> np.ndarray:
         """alpha(i xi) of every distinct model, equal to ``alpha_imag``.
 
@@ -215,7 +207,8 @@ def build_T(geom: SystemGeometry, xi) -> np.ndarray:
     """
     xi = _frequencies(xi)
     dim = 3 * geom.n_sites
-    blocks = -geom.pair_green(xi)
+    blocks = -imag_axis_green(xi, geom._pair_r, geom._transverse,
+                              geom._static)
     t = np.zeros(xi.shape + (dim * dim,))
     t[..., geom._upper] = blocks
     t[..., geom._lower] = blocks
@@ -340,20 +333,25 @@ def second_order_energy(geom: SystemGeometry,
     """Retarded zero-temperature sum of pair energies.
 
     -(1/4 pi) int d(xi) sum over ordered pairs of alpha_n alpha_m
-    Tr[G_nm G_mn]: the truncation of the retarded free_energy_T0 alone,
-    which differs from it at third order in the polarizabilities.
+    ||G_nm||_F^2: the truncation of the retarded free_energy_T0 alone,
+    which differs from it at third order in the polarizabilities.  As
+    ||G(r, i xi)||_F^2 = 2 (exp(-x)/r^3)^2 P(x), x = xi r / c, with P of
+    :func:`fluctem.pairwise.retarded_pair_polynomial`, a pair i < j adds
+    4 alpha_i alpha_j P(x) (exp(-x)/r^3)^2 from its distance alone.
     """
     if geom.n_sites < 2:
         return EnergyResult(0.0, 0.0, 0)
-    i, j = geom.pair_indices
+    (i, j), r = geom.pair_indices, geom.pair_distances
 
     def integrand(xi):
         alphas = geom.alpha_values(xi)
-        g = geom.pair_green(xi)
-        # Tr[G_nm G_mn] = ||G_nm||_F^2; ordered pairs count each
-        # unordered pair twice
-        pairs = (2.0 * alphas[..., i] * alphas[..., j]
-                 * np.sum(g * g, axis=(-2, -1))).tolist()
+        # exp(-x) is 0 past x = 746, where the cap keeps P(x) finite
+        x = np.minimum(np.multiply.outer(np.divide(xi, SPEED_OF_LIGHT), r),
+                       1e3)
+        # squared after the division, it underflows no earlier than G does
+        decay = np.exp(-x) / r**3
+        pairs = (4.0 * alphas[..., i] * alphas[..., j]
+                 * (retarded_pair_polynomial(x) * decay * decay)).tolist()
         if np.ndim(xi) == 0:
             return math.fsum(pairs)
         return np.array([math.fsum(row) for row in pairs])

@@ -29,7 +29,30 @@ __all__ = [
     "casimir_polder_asymptote",
     "validity_ratio",
     "validity_check",
+    "retarded_pair_polynomial",
 ]
+
+
+def retarded_pair_polynomial(x):
+    """P(x) = x^4 + 2x^3 + 5x^2 + 6x + 3, of a float or an array: with
+    x = xi r / c, ||G(r, i xi)||_F^2 = 2 (exp(-x)/r^3)^2 P(x)."""
+    return (((x + 2.0) * x + 5.0) * x * x) + 6.0 * x + 3.0
+
+
+def _over_power(num, den, r, n):
+    """num / (den r**n), of floats or arrays.  Where a float den r**n is
+    no finite nonzero double (Python's float ** raises past the range),
+    num is divided n times by r, then by den: the quotient is rounded into
+    the range (0 or a subnormal), or overflows to an infinity."""
+    try:
+        scale = den * r**n
+    except OverflowError:
+        scale = math.inf
+    if not isinstance(scale, float) or 0.0 < scale < math.inf:
+        return num / scale
+    for _ in range(n):
+        num /= r
+    return num / den
 
 
 def _finite(energy: float, name: str) -> float:
@@ -76,13 +99,13 @@ def vdw_energy(pair: PairSpec, quad: QuadratureSpec | None = None
 
     def integrand(x: float) -> float:
         xi = c * x / r
-        poly = (((x + 2.0) * x + 5.0) * x * x) + 6.0 * x + 3.0
-        return a.alpha_imag(xi) * b.alpha_imag(xi) * poly * math.exp(-2.0 * x)
+        return (a.alpha_imag(xi) * b.alpha_imag(xi)
+                * retarded_pair_polynomial(x) * math.exp(-2.0 * x))
 
     # integrand mass sits at x ~ min(1, omega_low r/c)
     x_alpha = min(t.omega_sg for t in a.transitions + b.transitions) * r / c
     res = integrate_semi_infinite(integrand, quad, min(1.0, x_alpha))
-    pref = c / (math.pi * r**7)
+    pref = _over_power(c, math.pi, r, 7)
     _finite(pref * max(res.value, res.error_estimate), "van der Waals energy")
     return EnergyResult(-pref * res.value, pref * res.error_estimate,
                         res.evaluations)
@@ -98,7 +121,7 @@ def london_energy(pair: PairSpec, quad: QuadratureSpec | None = None
 
     scale = min(t.omega_sg for t in a.transitions + b.transitions)
     res = integrate_semi_infinite(integrand, quad, scale)
-    pref = 3.0 / (math.pi * r**6)
+    pref = _over_power(3.0, math.pi, r, 6)
     return EnergyResult(-pref * res.value, pref * res.error_estimate,
                         res.evaluations)
 
@@ -113,7 +136,8 @@ def london_closed_form(pair: PairSpec) -> float:
         ta.d2 * tb.d2 / (ta.omega_sg + tb.omega_sg)
         for ta in pair.model_a.transitions
         for tb in pair.model_b.transitions)
-    return _finite(-(2.0 / 3.0) * total / pair.r**6, "London energy")
+    return _finite(_over_power(-(2.0 / 3.0) * total, 1.0, pair.r, 6),
+                   "London energy")
 
 
 def casimir_polder_asymptote(alpha_a0: float, alpha_b0: float, r: float
@@ -123,13 +147,14 @@ def casimir_polder_asymptote(alpha_a0: float, alpha_b0: float, r: float
         raise ValueError("separation must be positive")
     if alpha_a0 < 0 or alpha_b0 < 0:
         raise ValueError("static polarizabilities cannot be negative")
-    return _finite(-23.0 * SPEED_OF_LIGHT * alpha_a0 * alpha_b0
-                   / (4.0 * math.pi * r**7), "Casimir-Polder asymptote")
+    return _finite(_over_power(-23.0 * SPEED_OF_LIGHT * alpha_a0 * alpha_b0,
+                               4.0 * math.pi, r, 7),
+                   "Casimir-Polder asymptote")
 
 
 def validity_ratio(alpha_a0, alpha_b0, r):
     """alpha_a0 alpha_b0 / r^6, of floats or elementwise of arrays."""
-    return alpha_a0 * alpha_b0 / r**6
+    return _over_power(alpha_a0 * alpha_b0, 1.0, r, 6)
 
 
 def validity_check(pair: PairSpec) -> PairValidity:

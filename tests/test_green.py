@@ -21,6 +21,7 @@ from fluctem.green import (
     pair_projectors,
     static_green,
 )
+from fluctem.pairwise import retarded_pair_polynomial
 
 C = SPEED_OF_LIGHT
 ZHAT = vec3(0.0, 0.0, 1.0)
@@ -125,6 +126,29 @@ def test_imag_axis_matches_independent_oracle():
         g = dyadic_green_imag(r * rhat, vec3(0, 0, 0), xi)
         assert np.allclose(g, imag_axis_oracle(r, rhat, xi), rtol=1e-13,
                            atol=0.0)
+
+
+def test_imag_axis_squared_norm_is_the_retarded_pair_polynomial():
+    # ||G(r, i xi)||_F^2 = 2 (exp(-x)/r^3)^2 P(x): the second order sums
+    # pair energies from it without building a tensor
+    rng = np.random.default_rng(19)
+    x_wanted = np.geomspace(1e-12, 700.0, 60)
+    checked = 0
+    for r in np.geomspace(1e-3, 1e6, 37):
+        d = rng.standard_normal(3)
+        transverse, static = pair_projectors(d / np.linalg.norm(d))
+        xi = x_wanted * C / r
+        norm = np.sum(imag_axis_green(xi, r, transverse, static) ** 2,
+                      axis=(-2, -1))
+        # x as the tensor evaluates it, not as wanted
+        x = np.divide(xi, C) * r
+        decay = np.exp(-x) / r**3
+        identity = 2.0 * (retarded_pair_polynomial(x) * decay * decay)
+        normal = norm >= np.finfo(float).tiny
+        assert np.all(np.abs(identity - norm)[normal]
+                      <= 2e-15 * norm[normal])
+        checked += normal.sum()
+    assert checked > 1000
 
 
 def test_imag_axis_entries_exactly_real():

@@ -192,25 +192,38 @@ def test_build_T_matches_pair_loop(n_atoms, xi_kind):
 
 
 def test_second_order_matches_pair_loop_integrand(monkeypatch):
-    geom = random_cluster(6, seed=5, min_distance=3.0)
-    seen = []
+    # the second geometry's lowest transition lies about 1e20 under the
+    # other, so the node walk reaches x = xi r/c of about 1e81, where P(x)
+    # overflows while exp(-x) is 0
+    far_walk = KramersHeisenberg((Transition(1.47e-20, 1e-30),
+                                  Transition(0.9, 0.5)))
+    for geom in (random_cluster(6, seed=5, min_distance=3.0),
+                 SystemGeometry([(vec3(0, 0, 0), single_resonance(0.5, 0.5)),
+                                 (vec3(0, 0, 3.0), far_walk)])):
+        seen, integrands = [], []
 
-    def recording(integrand, spec, scale, stack):
-        def wrapped(xi):
-            values = integrand(xi)
-            seen.extend(zip(np.ravel(xi).tolist(),
-                            np.ravel(values).tolist()))
-            return values
-        return integrate_semi_infinite(wrapped, spec, scale, stack)
+        def recording(integrand, spec, scale, stack):
+            integrands.append(integrand)
 
-    monkeypatch.setattr(manybody, "integrate_semi_infinite", recording)
-    batched = second_order_energy(geom)
-    # stacked calls also evaluate nodes past each direction's cut, which
-    # are discarded uncounted: every evaluated node is checked
-    assert len(seen) >= batched.evaluations > 0
-    for xi, value in seen:
-        reference = pair_loop_second_order_integrand(geom, xi)
-        assert value == pytest.approx(reference, rel=1e-13, abs=0.0)
+            def wrapped(xi):
+                values = integrand(xi)
+                seen.extend(zip(np.ravel(xi).tolist(),
+                                np.ravel(values).tolist()))
+                return values
+            return integrate_semi_infinite(wrapped, spec, scale, stack)
+
+        monkeypatch.setattr(manybody, "integrate_semi_infinite", recording)
+        batched = second_order_energy(geom)
+        assert batched.evaluations > 0 and manybody._stack(geom) > 1
+        # stacked calls also evaluate nodes past each direction's cut,
+        # which are discarded uncounted: every evaluated node is checked
+        assert len(seen) >= batched.evaluations
+        (integrand,) = integrands
+        for xi, value in seen:
+            reference = pair_loop_second_order_integrand(geom, xi)
+            assert value == pytest.approx(reference, rel=1e-13, abs=0.0)
+            # the stacked value is the one-float call, bit for bit
+            assert integrand(xi) == value
 
 
 def pinned_cube():

@@ -1,6 +1,7 @@
 """Two-atom dispersion energy checks against closed forms and limits."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -126,10 +127,11 @@ def test_validity_check_boundaries():
     assert not edge.ok and edge.ratio == pytest.approx(1.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("r", [1e-34, 1e-35, 1e-40])
+@pytest.mark.parametrize("r", [1e-34, 1e-35, 1e-40, 1e-50])
 def test_energies_past_the_double_range_raise_overflow(r):
     # alpha^2/r^7 of the asymptote overflows first, then the London
-    # r^-6 and the integral; none returns -inf
+    # r^-6 and the integral; none returns -inf.  At 1e-50, r^7 itself
+    # underflows to 0
     pair = identical_pair(1e50, 0.5, r)
     with pytest.raises(OverflowError, match="Casimir-Polder asymptote"):
         casimir_polder_asymptote(1e50, 1e50, r)
@@ -141,6 +143,39 @@ def test_energies_past_the_double_range_raise_overflow(r):
     else:
         assert math.isfinite(london_closed_form(pair))
         assert math.isfinite(vdw_energy(pair).value)
+
+
+def rounded(num, den, r, n):
+    """num / (den r^n) in exact arithmetic, rounded once to a double."""
+    return float(Fraction(num) / (Fraction(den) * Fraction(r) ** n))
+
+
+@pytest.mark.parametrize("r", [1.05e44, 1e45, 1e52, 1e60, 1e300])
+def test_energies_past_the_double_range_underflow(r):
+    # r^6 or r^7, or pi r^7, leaves the double range: each value is
+    # rounded into it (a subnormal or 0) instead of raising or reading 0
+    # where it is normal
+    pair = identical_pair(4.0, 0.5, r)
+    near = identical_pair(4.0, 0.5, 1.0)
+    tiny = {"rel": 1e-14, "abs": 1e-323}
+    verdict = validity_check(pair)
+    assert verdict.ok
+    assert verdict.ratio == pytest.approx(
+        rounded(validity_check(near).ratio, 1.0, r, 6), **tiny)
+    london = london_closed_form(pair)
+    assert london == pytest.approx(
+        rounded(london_closed_form(near), 1.0, r, 6), **tiny)
+    asymptote = casimir_polder_asymptote(4.0, 4.0, r)
+    assert asymptote == pytest.approx(
+        rounded(-23.0 * C * 4.0 * 4.0, 4.0 * math.pi, r, 7), **tiny)
+    # deep retarded: the integral is the asymptote; a subnormal prefactor
+    # keeps about 33 bits at 1e45
+    vdw = vdw_energy(pair).value
+    assert vdw == pytest.approx(asymptote, rel=1e-8, abs=1e-323)
+    assert london_energy(pair).value == pytest.approx(london, rel=1e-8,
+                                                      abs=1e-323)
+    if r >= 1e60:
+        assert verdict.ratio == london == asymptote == vdw == 0.0
 
 
 @given(
