@@ -9,10 +9,17 @@ energy at T = 0 is
 
 with A the block-diagonal polarizability matrix.  Finite temperature
 replaces the integral by the standard thermal frequency sum with a
-half-weighted zero term.  The determinant is evaluated through the
-symmetrized product sqrt(A) T sqrt(A), whose real eigenvalues make the log
-branch explicit: any eigenvalue crossing -1 means the coupled ground state
-is unstable and the calculation refuses to continue.
+half-weighted zero term.  The determinant is that of 1 + M, with the
+symmetrized M = sqrt(A) T sqrt(A).  M has a zero diagonal, so 1 + M has a
+unit diagonal, and its Cholesky factor L gives the log det as
+sum_i log1p(-s_i), s_i = sum_{k<i} L_ik^2.  Every term is <= 0, so the
+sum does not cancel, and each s_i is a sum of squares rounded relative to
+itself: there is no absolute floor of eps ||M|| per mode, which the
+eigenvalues mu of M carry.  Where the factorisation fails, those real mu
+make the log branch explicit: any mu at or past -1 means the coupled
+ground state is unstable and the calculation refuses to continue.
+Identical models in the nonretarded limit keep one eigensolve, whose mu
+only scale with alpha(i xi).
 
 The pair data a frequency needs (index pairs, distances, transverse and
 static projectors) is computed once per :class:`SystemGeometry`.
@@ -22,13 +29,13 @@ matrix; :func:`second_order_energy` sums their squared norms from the
 pair distances alone.  The log-det integrand has one evaluation path,
 which takes one frequency or a 1-D array of K: the Green blocks, alpha(i xi)
 of each distinct model and T(xi) are evaluated for the whole array, and
-one ``eigvalsh`` call solves the stacked (K, 3N, 3N) matrices.  The thermal
-sum hands it blocks of Matsubara frequencies, and the tanh-sinh integrals
-(the T = 0 energy, the second order and the thermal tail) stacks of their
-nodes, at most 2**16 matrix elements at T = 0: about 113 nodes at N = 8,
-9 at N = 27 and one from N = 61 on, where stacking measured no gain.
-Every stacked slice equals the single-frequency call bit for bit, so the
-stacking changes no result.
+one ``cholesky`` call factorises the stacked (K, 3N, 3N) matrices.  The
+thermal sum hands it blocks of Matsubara frequencies, and the tanh-sinh
+integrals (the T = 0 energy, the second order and the thermal tail)
+stacks of their nodes, at most 2**16 matrix elements at T = 0: about 113
+nodes at N = 8, 9 at N = 27 and one from N = 61 on.  Every stacked slice
+equals the single-frequency call bit for bit, so the stacking changes no
+result.
 
 ``normal_mode_energy`` is the independent oracle for the electrostatic
 limit: identical single-resonance atoms give mode frequencies
@@ -111,8 +118,6 @@ class SystemGeometry:
         for k, p in enumerate(positions):
             if p.shape != (3,) or not np.all(np.isfinite(p)):
                 raise ValueError(f"site {k} needs a finite 3-vector position")
-        self._positions = np.array(positions).reshape(-1, 3)
-        self._positions.setflags(write=False)
         self._models = tuple(model for _, model in sites)
         # alpha is evaluated once per distinct model and scattered to sites
         index: dict[KramersHeisenberg, int] = {}
@@ -121,7 +126,7 @@ class SystemGeometry:
             dtype=int)
         self._distinct_models = tuple(index)
         self._pair_i, self._pair_j, self._pair_r, rhat = pair_separations(
-            self._positions)
+            np.array(positions).reshape(-1, 3))
         self._pair_r.setflags(write=False)
         self._transverse, self._static = pair_projectors(rhat)
         # flat places of every pair block in the 3N x 3N matrix: the upper
@@ -136,10 +141,6 @@ class SystemGeometry:
     @property
     def n_sites(self) -> int:
         return len(self._models)
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self._positions
 
     @property
     def models(self) -> tuple[KramersHeisenberg, ...]:
@@ -266,17 +267,49 @@ def _stack(geom: SystemGeometry) -> int:
     return max(1, _STACK_ELEMENTS // (3 * geom.n_sites) ** 2)
 
 
+def _log_det_1p(xi, m: np.ndarray):
+    """log det(1 + m) of a symmetric, zero-diagonal m: a float for the
+    (3N, 3N) matrix of one xi, an array for the (K, 3N, 3N) stack of K.
+
+    1 + m has a unit diagonal, so its Cholesky factor L has
+    L_ii^2 = 1 - s_i with s_i = sum_{k<i} L_ik^2, and the log det is
+    sum_i log1p(-s_i).  Every term is <= 0, so the sum neither cancels
+    nor has an absolute rounding floor.  A stacked Cholesky fails as a
+    whole.  A failed pivot, or an s_i that rounds to 1 or past it behind
+    a pivot LAPACK passed, sends the stack to the eigenvalues of m and
+    :func:`_log1p_sums`: it names the xi of a mode at or past mu = -1,
+    and where no mode is there (rounding alone stopped the
+    factorisation) returns the eigenvalue sum.  ``m`` is overwritten.
+    """
+    diag = np.arange(m.shape[-1])
+    m[..., diag, diag] = 1.0
+    try:
+        low = np.linalg.cholesky(m)
+        low *= low
+        low[..., diag, diag] = 0.0
+        minus_s = (-low.sum(axis=-1)).tolist()
+        # math.log1p(-s_i) raises ValueError from s_i = 1 on
+        if m.ndim == 2:
+            return math.fsum(map(math.log1p, minus_s))
+        return np.array([math.fsum(map(math.log1p, row)) for row in minus_s])
+    except (np.linalg.LinAlgError, ValueError):
+        m[..., diag, diag] = 0.0
+        return _log1p_sums(xi, np.linalg.eigvalsh(m))
+
+
 def _logdet_function(geom: SystemGeometry, nonretarded: bool
                      ) -> Callable[..., float | np.ndarray]:
     """g(xi) = log det[1 + A T](i xi), the one log-det evaluation path.
 
     ``xi`` is one frequency, giving a float, or a 1-D array of K, giving K
-    values.  The determinant goes through the symmetrized
-    sqrt(A) T sqrt(A) of every frequency, all solved by one stacked
-    eigensolve.  Identical scalar polarizabilities commute with the static
-    T of the nonretarded limit: the eigenproblem then factorizes, is solved
-    once, and each frequency only scales its eigenvalues by alpha(i xi),
-    which keeps their sum alpha Tr T = 0.
+    values.  The determinant is that of 1 + M with the symmetrized
+    M = sqrt(A) T sqrt(A), whose diagonal is zero because T's self-blocks
+    are: one stacked Cholesky factorisation of the unit-diagonal 1 + M
+    serves every frequency (:func:`_log_det_1p`).  Identical scalar
+    polarizabilities commute with the static T of the nonretarded limit:
+    the eigenproblem then factorizes, is solved once, and each frequency
+    only scales its eigenvalues by alpha(i xi), which keeps their sum
+    alpha Tr T = 0.
     """
     if nonretarded and all(m == geom.models[0] for m in geom.models):
         t_eigs = np.linalg.eigvalsh(build_T(geom, 0.0))
@@ -285,9 +318,9 @@ def _logdet_function(geom: SystemGeometry, nonretarded: bool
 
     def g(xi):
         s = np.sqrt(geom.alpha_values(xi)).repeat(3, axis=-1)
-        t = static_t if nonretarded else build_T(geom, xi)
-        mu = np.linalg.eigvalsh((s[..., :, None] * s[..., None, :]) * t)
-        return _log1p_sums(xi, mu)
+        m = s[..., :, None] * s[..., None, :]
+        m *= static_t if nonretarded else build_T(geom, xi)
+        return _log_det_1p(xi, m)
 
     return g
 

@@ -98,6 +98,9 @@ def vdw_energy(pair: PairSpec, quad: QuadratureSpec | None = None
     c = SPEED_OF_LIGHT
 
     def integrand(x: float) -> float:
+        # exp(-2x) is 0 from x = 373 on, and P(x) overflows from 1e77
+        if x > 1e3:
+            return 0.0
         xi = c * x / r
         return (a.alpha_imag(xi) * b.alpha_imag(xi)
                 * retarded_pair_polynomial(x) * math.exp(-2.0 * x))

@@ -25,7 +25,7 @@ upper side of a principal value, which only needs rel_tol times the lower
 side: that target stops its ladder but is never reported as error.
 
 An integrand whose nodes are costly, such as a log det with one
-eigensolve per frequency, can take a whole stack of nodes per call:
+matrix factorisation per frequency, can take a whole stack of nodes per call:
 ``integrate_semi_infinite(..., stack=K)`` evaluates each direction of a
 refinement level in arrays of up to K nodes.  It keeps the nodes, values,
 cut, result and evaluation count of one float per call, and only the

@@ -137,26 +137,30 @@ def test_build_T_symmetric_at_finite_frequency():
     assert np.array_equal(t, t.T)
 
 
-def random_cluster(n, seed=27, min_distance=1.5):
+def random_sites(n, seed=27, min_distance=1.5):
+    """(position, model) of n random sites at least min_distance apart."""
     rng = np.random.default_rng(seed)
     models = (single_resonance(1.0, 0.5), single_resonance(2.0, 0.4),
               KramersHeisenberg((Transition(0.4, 1.2), Transition(1.1, 0.6))))
     while True:
         pts = rng.uniform(-6.0, 6.0, size=(n, 3))
-        geom = SystemGeometry([(p, models[k % 3])
-                               for k, p in enumerate(pts)])
-        if n < 2 or geom.min_separation() > min_distance:
-            return geom
+        sites = [(p, models[k % 3]) for k, p in enumerate(pts)]
+        if n < 2 or SystemGeometry(sites).min_separation() > min_distance:
+            return sites
 
 
-def pair_loop_T(geom, xi):
+def random_cluster(n, seed=27, min_distance=1.5):
+    return SystemGeometry(random_sites(n, seed, min_distance))
+
+
+def pair_loop_T(sites, xi):
     """Interaction matrix assembled block by block from the single-pair
     Green functions."""
-    n = geom.n_sites
+    n = len(sites)
     t = np.zeros((3 * n, 3 * n))
     for i in range(n):
         for j in range(i + 1, n):
-            ri, rj = geom.positions[i], geom.positions[j]
+            ri, rj = sites[i][0], sites[j][0]
             g = static_green(ri, rj) if xi == 0.0 \
                 else dyadic_green_imag(ri, rj, xi)
             t[3 * i:3 * i + 3, 3 * j:3 * j + 3] = -g
@@ -164,12 +168,12 @@ def pair_loop_T(geom, xi):
     return t
 
 
-def pair_loop_second_order_integrand(geom, xi):
-    alphas = [m.alpha_imag(xi) for m in geom.models]
+def pair_loop_second_order_integrand(sites, xi):
+    alphas = [m.alpha_imag(xi) for _, m in sites]
     terms = []
-    for i in range(geom.n_sites):
-        for j in range(i + 1, geom.n_sites):
-            ri, rj = geom.positions[i], geom.positions[j]
+    for i in range(len(sites)):
+        for j in range(i + 1, len(sites)):
+            ri, rj = sites[i][0], sites[j][0]
             g = static_green(ri, rj) if xi == 0.0 \
                 else dyadic_green_imag(ri, rj, xi)
             terms.append(2.0 * alphas[i] * alphas[j] * float(np.sum(g * g)))
@@ -179,12 +183,13 @@ def pair_loop_second_order_integrand(geom, xi):
 @pytest.mark.parametrize("n_atoms", [1, 2, 27])
 @pytest.mark.parametrize("xi_kind", ["static", "quasi_static", "0.37", "50"])
 def test_build_T_matches_pair_loop(n_atoms, xi_kind):
-    geom = random_cluster(n_atoms)
+    sites = random_sites(n_atoms)
+    geom = SystemGeometry(sites)
     r = geom.min_separation() if n_atoms > 1 else 1.0
     xi = {"static": 0.0, "quasi_static": 1e-5 * SPEED_OF_LIGHT / r,
           "0.37": 0.37, "50": 50.0}[xi_kind]
     batched = build_T(geom, xi)
-    reference = pair_loop_T(geom, xi)
+    reference = pair_loop_T(sites, xi)
     assert batched.shape == reference.shape == (3 * n_atoms, 3 * n_atoms)
     assert np.array_equal(batched, batched.T)
     assert np.abs(batched - reference).max() \
@@ -197,9 +202,10 @@ def test_second_order_matches_pair_loop_integrand(monkeypatch):
     # overflows while exp(-x) is 0
     far_walk = KramersHeisenberg((Transition(1.47e-20, 1e-30),
                                   Transition(0.9, 0.5)))
-    for geom in (random_cluster(6, seed=5, min_distance=3.0),
-                 SystemGeometry([(vec3(0, 0, 0), single_resonance(0.5, 0.5)),
-                                 (vec3(0, 0, 3.0), far_walk)])):
+    for sites in (random_sites(6, seed=5, min_distance=3.0),
+                  [(vec3(0, 0, 0), single_resonance(0.5, 0.5)),
+                   (vec3(0, 0, 3.0), far_walk)]):
+        geom = SystemGeometry(sites)
         seen, integrands = [], []
 
         def recording(integrand, spec, scale, stack):
@@ -220,20 +226,23 @@ def test_second_order_matches_pair_loop_integrand(monkeypatch):
         assert len(seen) >= batched.evaluations
         (integrand,) = integrands
         for xi, value in seen:
-            reference = pair_loop_second_order_integrand(geom, xi)
+            reference = pair_loop_second_order_integrand(sites, xi)
             assert value == pytest.approx(reference, rel=1e-13, abs=0.0)
             # the stacked value is the one-float call, bit for bit
             assert integrand(xi) == value
 
 
-def pinned_cube():
+def pinned_cube_sites():
     rng = np.random.default_rng(2024)
     models = (single_resonance(1.5, 0.5),
               KramersHeisenberg((Transition(0.4, 1.2), Transition(1.1, 0.6))))
     corners = itertools.product((0.0, 5.0), repeat=3)
-    return SystemGeometry([(np.array(c) + rng.uniform(-0.3, 0.3, 3),
-                            models[k % 2])
-                           for k, c in enumerate(corners)])
+    return [(np.array(c) + rng.uniform(-0.3, 0.3, 3), models[k % 2])
+            for k, c in enumerate(corners)]
+
+
+def pinned_cube():
+    return SystemGeometry(pinned_cube_sites())
 
 
 def test_evaluation_counts_pinned():
@@ -309,7 +318,7 @@ def test_alpha_stack_equals_alpha_imag_bitwise():
 
 def identical_cube():
     return SystemGeometry([(p, single_resonance(1.5, 0.5))
-                           for p in pinned_cube().positions])
+                           for p, _ in pinned_cube_sites()])
 
 
 @pytest.mark.parametrize("nonretarded", [False, True])
@@ -357,9 +366,98 @@ def test_log1pmx_against_60_digits():
     assert worst <= 128
 
 
+def interaction_matrix(geom, xi):
+    """The symmetrized M = sqrt(A) T sqrt(A) of the retarded log det."""
+    s = np.sqrt(geom.alpha_values(xi)).repeat(3)
+    return (s[:, None] * s[None, :]) * build_T(geom, xi)
+
+
+def log_det_40_digits(m):
+    """log det(1 + m) of the float matrix m, at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a = mpmath.matrix(m.tolist())
+        for i in range(a.rows):
+            a[i, i] += 1
+        return mpmath.log(mpmath.det(a))
+
+
+def zero_block_matrices():
+    """Random symmetric matrices with zero 3 x 3 diagonal blocks, their
+    lowest eigenvalue set from -1e-8 to -0.95."""
+    rng = np.random.default_rng(7)
+    for lowest in np.geomspace(1e-8, 0.95, 8).tolist():
+        n = 3 * int(rng.integers(2, 9))
+        a = rng.normal(size=(n, n))
+        a += a.T
+        for b in range(0, n, 3):
+            a[b:b + 3, b:b + 3] = 0.0
+        yield a * (lowest / -np.linalg.eigvalsh(a)[0])
+
+
+@pytest.mark.parametrize("case", [
+    ("pinned cube", 1.0, (0.0, 0.1, 0.5, 2.0, 30.0, 300.0)),
+    # positions scaled until min(1 + mu) at xi = 0 is about 0.05
+    ("near the boundary", 0.4232, (0.0, 0.05, 0.3)),
+    ("zero-block matrices", None, None),
+], ids=lambda case: case[0])
+def test_cholesky_log_det_against_40_digits_and_eigenvalues(case):
+    # the Cholesky sum against the log det of the same float matrix at 40
+    # digits, and the eigenvalue sum against both: Cholesky's worst seen
+    # is 1.9e-16 relative, the eigenvalue sum's 2.9e-15, at min(1 + mu)
+    # of 0.05
+    _, scale, xis = case
+    eps = np.finfo(float).eps
+    if scale is None:
+        matrices = [(0.0, m) for m in zero_block_matrices()]
+    else:
+        geom = SystemGeometry([(scale * p, model)
+                               for p, model in pinned_cube_sites()])
+        g = manybody._logdet_function(geom, nonretarded=False)
+        matrices = [(xi, interaction_matrix(geom, xi)) for xi in xis]
+    lowest = []
+    for xi, m in matrices:
+        mu = np.linalg.eigvalsh(m)
+        lowest.append(1.0 + mu.min())
+        value = manybody._log_det_1p(xi, m.copy())
+        if scale is not None:
+            assert g(xi) == value
+        exact = log_det_40_digits(m)
+        eigen = manybody._log1p_sums(xi, mu)
+        assert abs(value - exact) <= 4 * eps * abs(exact)
+        assert abs(eigen - exact) <= 32 * eps * abs(exact)
+    if scale == 0.4232:
+        assert 0.04 < min(lowest) < 0.06
+    if scale is None:
+        assert min(lowest) < 0.06 and max(lowest) > 1.0 - 1e-7
+
+
+def test_log_det_takes_eigenvalues_where_a_pivot_rounds_to_zero(
+        monkeypatch):
+    # LAPACK can pass a pivot whose recomputed s_i = sum_{k<i} L_ik^2
+    # still rounds to 1 or above: 4 of 3000 random zero-block matrices
+    # within 4e-16 of mu = -1 did.  A factor whose last row has s = 4
+    # stands in for such a stack
+    m = interaction_matrix(pinned_cube(), 0.3)
+    expected = manybody._log1p_sums(0.3, np.linalg.eigvalsh(m))
+    cholesky = np.linalg.cholesky
+
+    def past_one(a):
+        low = cholesky(a)
+        row = low[-1, :-1]
+        row *= 2.0 / np.sqrt(np.sum(row * row))
+        return low
+
+    monkeypatch.setattr(np.linalg, "cholesky", past_one)
+    assert manybody._log_det_1p(0.3, m.copy()) == expected
+
+
 def term_by_term_log_det(geom, nonretarded):
     """log det[1 + A T](i xi) one frequency at a time, with per-site
-    alpha_imag calls: the term-by-term route the stacked one replaces."""
+    alpha_imag calls: the term-by-term route the stacked one replaces.
+    Past the identical nonretarded case it is sum_i log1p(-s_i) over the
+    strictly lower row sums s_i of the squared Cholesky factor of the
+    unit-diagonal 1 + M, one matrix per call."""
     static_t = build_T(geom, 0.0)
     t_eigs = np.linalg.eigvalsh(static_t)
 
@@ -367,11 +465,13 @@ def term_by_term_log_det(geom, nonretarded):
         alphas = [m.alpha_imag(xi) for m in geom.models]
         if nonretarded and all(m == geom.models[0] for m in geom.models):
             mu = alphas[0] * t_eigs
-        else:
-            s = np.repeat(np.sqrt(alphas), 3)
-            t = static_t if nonretarded else build_T(geom, xi)
-            mu = np.linalg.eigvalsh((s[:, None] * s[None, :]) * t)
-        return math.fsum(manybody._log1pmx(mu).tolist())
+            return math.fsum(manybody._log1pmx(mu).tolist())
+        s = np.repeat(np.sqrt(alphas), 3)
+        t = static_t if nonretarded else build_T(geom, xi)
+        low = np.linalg.cholesky(np.eye(len(s))
+                                 + (s[:, None] * s[None, :]) * t)
+        rows = np.sum(np.tril(low, -1) ** 2, axis=1).tolist()
+        return math.fsum(math.log1p(-row) for row in rows)
 
     return g
 
@@ -662,10 +762,25 @@ def test_renne_equivalence_with_determinant_route(n_atoms):
     assert determinant.value == pytest.approx(modes.value, rel=1e-6)
 
 
-def test_free_energy_strong_coupling_raises():
+def test_free_energy_strong_coupling_raises(monkeypatch):
     geom = chain_geometry(single_resonance(8.0, 0.5), 1.0, 2)
-    with pytest.raises(StrongCouplingError):
+    with pytest.raises(StrongCouplingError, match="xi=0.5"):
         free_energy_T0(geom, nonretarded=True)
+    # retarded, the failed Cholesky stack goes to the eigenvalues
+    failed = []
+    cholesky = np.linalg.cholesky
+
+    def recording(m):
+        try:
+            return cholesky(m)
+        except np.linalg.LinAlgError:
+            failed.append(m.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    with pytest.raises(StrongCouplingError, match="xi=0.5"):
+        free_energy_T0(geom)
+    assert failed
 
 
 def test_finite_temperature_approaches_T0():
@@ -758,7 +873,7 @@ def pinned_cube_config(temperature, max_evals):
                "transitions": [{"omega": 0.4, "d2": 1.2},
                                {"omega": 1.1, "d2": 0.6}]}]
     atoms = [dict(models[k % 2], position=position.tolist())
-             for k, position in enumerate(pinned_cube().positions)]
+             for k, (position, _) in enumerate(pinned_cube_sites())]
     return {"task": "manybody", "atoms": atoms, "temperature": temperature,
             "quadrature": {"max_evals": max_evals}}
 

@@ -107,6 +107,36 @@ def test_vdw_error_estimate_below_tolerance():
     assert res.error_estimate <= max(1e-9 * abs(res.value), 1e-13)
 
 
+def test_vdw_far_node_walk_against_30_digits():
+    # the lowest transition lies about 1e20 under the other, so the node
+    # walk reaches x of about 1e79, where P(x) overflows while exp(-2x) is
+    # 0: the integrand is 0 there, not inf * 0
+    mpmath = pytest.importorskip("mpmath")
+    far_walk = KramersHeisenberg((Transition(1.47e-20, 1.0),
+                                  Transition(0.9, 0.5)))
+    pair = PairSpec(single_resonance(0.5, 0.5), far_walk, 3.0)
+    res = vdw_energy(pair)
+    with mpmath.workdps(30):
+        r = mpmath.mpf(pair.r)
+
+        def alpha(model, xi):
+            return mpmath.fsum(2 * mpmath.mpf(t.omega_sg) * t.d2
+                               / (3 * (mpmath.mpf(t.omega_sg) ** 2 + xi**2))
+                               for t in model.transitions)
+
+        def integrand(x):
+            xi = C * x / r
+            return (alpha(pair.model_a, xi) * alpha(pair.model_b, xi)
+                    * (x**4 + 2 * x**3 + 5 * x**2 + 6 * x + 3)
+                    * mpmath.exp(-2 * x))
+
+        low = 1.47e-20 * pair.r / C
+        exact = -C / (mpmath.pi * r**7) * mpmath.quad(
+            integrand, [0, low, 1e2 * low, 1e-10, 1e-5, 1e-2, 1, 10,
+                        mpmath.inf])
+    assert abs(res.value - float(exact)) <= res.error_estimate
+
+
 def test_casimir_polder_asymptote_values():
     assert casimir_polder_asymptote(1.0, 1.0, 1.0) == pytest.approx(
         -23.0 * C / (4.0 * math.pi), rel=1e-15)
