@@ -56,13 +56,15 @@ from .manybody import (
     free_energy_finiteT,
     second_order_energy,
 )
-# london_energy is unused here but stays bound: perfbench's tracer wraps it
+# london_energy and vdw_energy are unused here but stay bound: perfbench's
+# tracer wraps them
 from .pairwise import (
     PairSpec,
     casimir_polder_asymptote,
     london_closed_form,
     london_energy,
     validity_check,
+    vdw_energies,
     vdw_energy,
 )
 from .polarizability import KramersHeisenberg, Transition, single_resonance
@@ -295,26 +297,46 @@ def _model(obj: dict, name: str) -> KramersHeisenberg:
     return _named(name, KramersHeisenberg, tuple(rows))
 
 
+def _raised(result):
+    """``result``, or raise it where it is an error."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def _run_pairwise(cfg: dict) -> tuple[list[str], list[float]]:
+    return next(_pairwise_rows(cfg))
+
+
+def _pairwise_rows(cfg: dict, separations: list[float] | None = None):
+    """The columns and row of a pairwise config at each of ``separations``
+    (default: its own separation), one at a time.  The van der Waals
+    integrals of all points are the rows of one ladder, but each point
+    warns, and raises its own error, only when its turn comes: as if the
+    points ran one after another."""
     atoms = _need(cfg, "atoms")
     if len(atoms) != 2:
         raise ConfigError("pairwise needs exactly two atoms")
     model_a = _model(atoms[0], "atoms[0]")
     model_b = _model(atoms[1], "atoms[1]")
-    r = _need(cfg, "separation")
-    pair = PairSpec(model_a, model_b, r)
-    verdict = validity_check(pair)
-    if not verdict.ok:
-        warnings.warn(f"point-dipole picture strained: "
-                      f"alpha_a0*alpha_b0/r^6 {_past_one(verdict.ratio)}")
+    if separations is None:
+        separations = [_need(cfg, "separation")]
     quad = QuadratureSpec(**cfg.get("quadrature", {}))
-    # an energy past the double range: atoms too strong for the separation
-    vdw, london, cp = _named("atoms and separation", lambda: (
-        vdw_energy(pair, quad), london_closed_form(pair),
-        casimir_polder_asymptote(model_a.static_polarizability(),
-                                 model_b.static_polarizability(), r)))
-    return (["r", "E_vdw", "E_london", "E_cp", "err"],
-            [r, vdw.value, london, cp, vdw.error_estimate])
+    energies = vdw_energies(model_a, model_b, separations, quad)
+    for r, vdw in zip(separations, energies):
+        pair = PairSpec(model_a, model_b, r)
+        verdict = validity_check(pair)
+        if not verdict.ok:
+            warnings.warn(f"point-dipole picture strained: "
+                          f"alpha_a0*alpha_b0/r^6 {_past_one(verdict.ratio)}")
+        # an energy past the double range: atoms too strong for the
+        # separation
+        vdw, london, cp = _named("atoms and separation", lambda: (
+            _raised(vdw), london_closed_form(pair),
+            casimir_polder_asymptote(model_a.static_polarizability(),
+                                     model_b.static_polarizability(), r)))
+        yield (["r", "E_vdw", "E_london", "E_cp", "err"],
+               [r, vdw.value, london, cp, vdw.error_estimate])
 
 
 def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
@@ -466,13 +488,23 @@ def _run_scan(cfg: dict,
               for k, value in enumerate(values)]
     base = _walk(dict(base, task=subtask), "", "", subtask, scales)
 
-    # every runner returns the same columns at every point
+    # every runner returns the same columns at every point; a pairwise
+    # separation scan integrates its points as rows of one ladder
+    if subtask == "pairwise" and path == ["separation"]:
+        results = _pairwise_rows(base, points)
+    else:
+        results = (runner(_replace(base, path, point)) for point in points)
     rows = []
-    for k, (value, point) in enumerate(zip(values, points)):
+    for k, value in enumerate(values):
         try:
-            columns, row = runner(_replace(base, path, point))
+            columns, row = next(results)
         except ConfigError as exc:
             raise ConfigError(f"sweep.values[{k}]: {exc}") from None
+        except RuntimeError as exc:
+            # QuadratureError, StrongCouplingError and PhotonCutoffError:
+            # the type, and so the tag the error line prints, stays
+            exc.args = (f"sweep.values[{k}]: {exc}",)
+            raise
         rows.append([float(value)] + row)
     columns = [parameter] + columns
     if fit_slope:

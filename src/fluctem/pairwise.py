@@ -16,14 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import SPEED_OF_LIGHT, EnergyResult
 from .polarizability import KramersHeisenberg
-from .quadrature import QuadratureSpec, integrate_semi_infinite
+from .quadrature import QuadratureSpec, integrate_rows, integrate_semi_infinite
 
 __all__ = [
     "PairSpec",
     "PairValidity",
     "vdw_energy",
+    "vdw_energies",
     "london_energy",
     "london_closed_form",
     "casimir_polder_asymptote",
@@ -93,25 +96,58 @@ class PairValidity:
 
 def vdw_energy(pair: PairSpec, quad: QuadratureSpec | None = None
                ) -> EnergyResult:
-    """Full retarded dispersion energy; negative at every separation."""
-    a, b, r = pair.model_a, pair.model_b, pair.r
-    c = SPEED_OF_LIGHT
+    """Full retarded dispersion energy; negative at every separation.
 
-    def integrand(x: float) -> float:
+    The one-row view of :func:`vdw_energies`: it raises that row's
+    :class:`~fluctem.quadrature.QuadratureError` or OverflowError."""
+    (res,) = vdw_energies(pair.model_a, pair.model_b, [pair.r], quad)
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+def vdw_energies(model_a: KramersHeisenberg, model_b: KramersHeisenberg,
+                 separations, quad: QuadratureSpec | None = None
+                 ) -> list[EnergyResult | Exception]:
+    """:func:`vdw_energy` of the models at each separation, or its error.
+
+    The integrals are the rows of one :func:`integrate_rows` call, so a
+    scan takes one numpy evaluation per refinement level, not one per
+    node, and each row's value, estimate and ``evaluations`` equal those
+    of its one-row call bit for bit.  A row whose walk fails returns its
+    :class:`~fluctem.quadrature.QuadratureError`, and an energy past the
+    double range its OverflowError; neither is raised."""
+    r = [PairSpec(model_a, model_b, sep).r for sep in separations]
+    c = SPEED_OF_LIGHT
+    r_col = np.array(r)[:, None]
+
+    def integrand(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        xi = c * x / r_col[rows]
+        x2 = xi * xi
+        y = (model_a.sum_terms(x2) * model_b.sum_terms(x2)
+             * retarded_pair_polynomial(x) * np.exp(-2.0 * x))
         # exp(-2x) is 0 from x = 373 on, and P(x) overflows from 1e77
-        if x > 1e3:
-            return 0.0
-        xi = c * x / r
-        return (a.alpha_imag(xi) * b.alpha_imag(xi)
-                * retarded_pair_polynomial(x) * math.exp(-2.0 * x))
+        return np.where(x > 1e3, 0.0, y)
 
     # integrand mass sits at x ~ min(1, omega_low r/c)
-    x_alpha = min(t.omega_sg for t in a.transitions + b.transitions) * r / c
-    res = integrate_semi_infinite(integrand, quad, min(1.0, x_alpha))
-    pref = _over_power(c, math.pi, r, 7)
-    _finite(pref * max(res.value, res.error_estimate), "van der Waals energy")
-    return EnergyResult(-pref * res.value, pref * res.error_estimate,
-                        res.evaluations)
+    omega_low = min(t.omega_sg for t in model_a.transitions
+                    + model_b.transitions)
+    results = integrate_rows(
+        integrand, [min(1.0, omega_low * sep / c) for sep in r], quad)
+    energies: list[EnergyResult | Exception] = []
+    for sep, res in zip(r, results):
+        if isinstance(res, EnergyResult):
+            pref = _over_power(c, math.pi, sep, 7)
+            try:
+                _finite(pref * max(res.value, res.error_estimate),
+                        "van der Waals energy")
+            except OverflowError as exc:
+                res = exc
+            else:
+                res = EnergyResult(-pref * res.value,
+                                   pref * res.error_estimate, res.evaluations)
+        energies.append(res)
+    return energies
 
 
 def london_energy(pair: PairSpec, quad: QuadratureSpec | None = None

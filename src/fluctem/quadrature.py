@@ -7,7 +7,7 @@ composed with the algebraic map x = s*t/(1-t) (Takahasi & Mori, Publ. RIMS
 9, 721 (1974)), so
 
 * ``integrate_semi_infinite`` runs it on [0, inf) with the scale s as
-  given;
+  given, and ``integrate_rows`` runs R such integrals at once;
 * ``integrate_interval`` maps it onto [lo, hi] through
   w = lo + (hi-lo) u/(1+u), which is tanh-sinh on the interval;
 * ``integrate_pv`` subtracts f(pole), which removes the pole because
@@ -31,6 +31,14 @@ refinement level in arrays of up to K nodes.  It keeps the nodes, values,
 cut, result and evaluation count of one float per call, and only the
 number of calls falls.  The Matsubara sum evaluates its terms, and its
 tail integral its nodes, in stacks of up to 32.
+
+Integrals that differ only in their scale and a parameter, such as the
+points of a separation scan, are the rows of one ``integrate_rows`` call.
+Each refinement level evaluates both directions of every unconverged row
+as one (R, n) array, and each row keeps the cut, ladder end, stop, budget
+and finiteness check of its own walk, so its result is that of the scalar
+walk.  Whole levels pay only across rows: a single cheap integral walks
+faster node by node, and a costly one would evaluate nodes past its cut.
 
 ``matsubara_sum`` stops once g is smooth on the Matsubara step h, not
 once its terms are negligible, which for terms falling like xi^-4 took a
@@ -58,6 +66,7 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureError",
     "integrate_semi_infinite",
+    "integrate_rows",
     "integrate_interval",
     "integrate_pv",
     "matsubara_sum",
@@ -263,6 +272,123 @@ def integrate_semi_infinite(f: Callable[[float], float],
     spec = spec or QuadratureSpec()
     counter = _EvalCounter(f, spec.max_evals)
     return _integrate_exp_sinh(counter, counter, spec, scale, stack=stack)
+
+
+@functools.lru_cache(maxsize=None)
+def _level_arrays(h: float, odd_only: bool):
+    """The nodes of :func:`_level_nodes` as arrays u and c, direction
+    k > 0 first, and the index where direction k < 0 starts."""
+    (_, plus), (_, minus) = _level_nodes(h, odd_only)
+    u, c = np.array(plus + minus).T
+    return u, c, len(plus)
+
+
+def _kept(a: np.ndarray, end: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """Terms each row of one direction keeps, from the |w f| of its nodes
+    in ``a``: through the third of three successive terms <= 1e-17 of the
+    running peak, which starts at ``peak``, and no further than ``end``.
+    A NaN stops the peak, so no cut falls past it."""
+    peak = np.maximum(np.maximum.accumulate(a, axis=1), peak[:, None])
+    dead = (a <= 1e-17 * peak) & (peak > 0.0)
+    three = dead[:, 2:] & dead[:, 1:-1] & dead[:, :-2]
+    cut = np.where(three.any(axis=1), three.argmax(axis=1) + 3, a.shape[1])
+    return np.minimum(cut, end)
+
+
+def _first(mask: np.ndarray) -> np.ndarray:
+    """Per row, the index of the first true element, or the row length."""
+    return np.where(mask.any(axis=1), mask.argmax(axis=1), mask.shape[1])
+
+
+def integrate_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                   scales, spec: QuadratureSpec | None = None
+                   ) -> list[EnergyResult | QuadratureError]:
+    """Integrate R functions over [0, inf), row r on the ladder centred on
+    ``scales[r]``; the result, or the error, of each row.
+
+    ``f(x, rows)`` takes an (len(rows), n) array of nodes, whose row i
+    belongs to integral ``rows[i]``, and returns the array of its values.
+    Each refinement level evaluates both directions of every unconverged
+    row in one call.  Each row keeps the walk of
+    :func:`integrate_semi_infinite`: its own cut, from a peak that runs
+    across both directions, its own ladder end, its own stop and its own
+    ``max_evals`` budget.  Values past a row's cut are discarded unseen:
+    they are not counted, budgeted or checked, and numpy warnings are off
+    while ``f`` runs.  Nodes, kept values, results, ``evaluations`` and
+    errors are those of the scalar walk bit for bit, provided each array
+    element equals the float call; so no row depends on the others.  A
+    spent budget, a non-finite kept value or a row that does not converge
+    is returned as that row's :class:`QuadratureError`, not raised.
+    """
+    spec = spec or QuadratureSpec()
+    scales = np.asarray(scales, dtype=float)
+    if not np.all((scales > 0) & (scales < math.inf)):
+        raise ValueError("scales must be positive and finite")
+    n_rows = len(scales)
+    results: list[EnergyResult | QuadratureError | None] = [None] * n_rows
+    total, total_abs = [0.0] * n_rows, [0.0] * n_rows
+    value, count = [0.0] * n_rows, [0] * n_rows
+    active = np.arange(n_rows)
+    h = 1.0
+    for level in range(_MAX_LEVELS + 1):
+        if not active.size:
+            break
+        h *= 0.5
+        u, c, split = _level_arrays(h, level > 0)
+        x = scales[active, None] * u
+        w = c * x
+        with np.errstate(all="ignore"):
+            y = np.asarray(f(x, active), dtype=float)
+            t = w * y
+            a = np.abs(t)
+            # the ladder ends where x underflows or its weight overflows
+            ends = (x == 0.0) | np.isinf(w)
+            kept_plus = _kept(a[:, :split], _first(ends[:, :split]),
+                              np.zeros(len(active)))
+            peak = np.where(np.arange(split) < kept_plus[:, None],
+                            a[:, :split], 0.0).max(axis=1)
+            kept_minus = _kept(a[:, split:], _first(ends[:, split:]), peak)
+        # the walk takes its kept values in order, the k > 0 ones first
+        bad = ~np.isfinite(y)
+        bad_plus, bad_minus = _first(bad[:, :split]), _first(bad[:, split:])
+        bad_at = np.where(bad_plus < kept_plus, bad_plus,
+                          np.where(bad_minus < kept_minus,
+                                   kept_plus + bad_minus, x.shape[1]))
+        still = []
+        for i, row in enumerate(active.tolist()):
+            k_plus, k_minus = int(kept_plus[i]), int(kept_minus[i])
+            spent = spec.max_evals - count[row]
+            stop = min(spent, int(bad_at[i]))
+            if stop < k_plus + k_minus:
+                if spent <= stop:
+                    results[row] = QuadratureError(
+                        f"quadrature budget of {spec.max_evals} evaluations "
+                        "exhausted")
+                else:
+                    j = stop if stop < k_plus else split + stop - k_plus
+                    results[row] = QuadratureError(
+                        f"integrand is {float(y[i, j])!r} at "
+                        f"x={float(x[i, j])!r}")
+                continue
+            terms = (t[i, :k_plus].tolist()
+                     + t[i, split:split + k_minus].tolist())
+            count[row] += k_plus + k_minus
+            total[row] += math.fsum(terms)
+            total_abs[row] += math.fsum(map(abs, terms))
+            prev, value[row] = value[row], h * total[row]
+            rounding = 4.0 * _EPS * h * total_abs[row]
+            err = max(2.0 * abs(value[row] - prev), rounding)
+            if level >= 2 and err <= max(spec.rel_tol * abs(value[row]),
+                                         rounding):
+                results[row] = EnergyResult(value[row], err, count[row])
+            else:
+                still.append(row)
+        active = np.array(still, dtype=int)
+    for row in active.tolist():
+        results[row] = QuadratureError(
+            f"tanh_sinh failed to reach tolerance within {count[row]} "
+            "evaluations")
+    return results
 
 
 def integrate_interval(f: Callable[[float], float], lo: float, hi: float,

@@ -471,6 +471,68 @@ def test_overflowing_pair_energies_are_named(tmp_path, capsys, separation,
     assert "overflows a double" in err
 
 
+STRONG_ATOM = {"model": "single_resonance", "alpha_static": 1e50,
+               "omega": 0.5}
+# alpha_a0 alpha_b0 / r^6 = 16 at r = 1, 5.4 at 1.2; at r = 1 and 1.2 the
+# integral takes about 100 evaluations, at r = 100 170
+WARM_ATOM = {"model": "single_resonance", "alpha_static": 4.0, "omega": 0.5}
+WARNING_AT_1 = ("warning: point-dipole picture strained: "
+                "alpha_a0*alpha_b0/r^6 = 16 >= 1")
+SPENT_AT_1 = ("error [fluctem.quadrature.QuadratureError]: sweep.values[1]: "
+              "quadrature budget of 150 evaluations exhausted")
+
+
+@pytest.mark.parametrize("case, strict, code, lines", [
+    # a config error prints no warnings
+    ("overflow", False, 1, [
+        "error: config: sweep.values[1]: atoms and separation: the van der "
+        "Waals energy overflows a double"]),
+    ("spent", False, 1, [WARNING_AT_1, SPENT_AT_1]),
+    ("spent", True, 2, [WARNING_AT_1]),
+])
+def test_failing_scan_point_ends_the_scan_in_point_order(
+        tmp_path, capsys, case, strict, code, lines):
+    # the rows of a separation scan run at once, yet the output is that of
+    # points run one after another: the warnings of points 0 .. k, then
+    # point k's error, and nothing of the points after it
+    atom, values, extra = {
+        "overflow": (STRONG_ATOM, [1e3, 1e-35, 1e3], {}),
+        "spent": (WARM_ATOM, [1.0, 100.0, 1.2],
+                  {"quadrature": {"max_evals": 150}}),
+    }[case]
+    cfg = dict(pairwise_config(), task="scan", subtask="pairwise",
+               atoms=[atom, dict(atom)], **extra,
+               sweep={"parameter": "separation", "values": values})
+    out = tmp_path / "out.csv"
+    assert run(write_config(tmp_path, cfg), str(out), strict=strict) == code
+    assert capsys.readouterr().err.splitlines() == lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subtask, parameter, values, base, tag", [
+    ("pairwise", "separation", [1.0, 100.0],
+     dict(pairwise_config(), atoms=[WARM_ATOM, WARM_ATOM],
+          quadrature={"max_evals": 150}),
+     "fluctem.quadrature.QuadratureError"),
+    ("manybody", "atoms.1.position.2", [4.0, 1.0],
+     manybody_config(atoms=[
+         dict(ATOM, alpha_static=4.5, position=[0, 0, 0]),
+         dict(ATOM, alpha_static=4.5, position=[0, 0, 4.0])]),
+     "fluctem.manybody.StrongCouplingError"),
+    ("cavity", "mode.amplitudes.1", [0.04, 160.0],
+     cavity_config(mode={"omega": 20.0, "polarization": [1, 0, 0],
+                         "amplitudes": [160.0, 0.04]}),
+     "fluctem.cavity.PhotonCutoffError"),
+], ids=["quadrature", "strong coupling", "photon cutoff"])
+def test_scan_point_errors_of_every_type_name_their_value(
+        tmp_path, capsys, subtask, parameter, values, base, tag):
+    cfg = dict(base, task="scan", subtask=subtask,
+               sweep={"parameter": parameter, "values": values})
+    assert run(write_config(tmp_path, cfg), str(tmp_path / "out.csv")) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"error [{tag}]: sweep.values[1]: ")
+
+
 @pytest.mark.parametrize("task, values", [
     ("pairwise", [1e-40, 0.1, 3.0000000000000004, 7.123456789, 1e40]),
     ("cavity", [1.5, 3.0000000000000004, 7.123456789, 123.456, 1e6]),
@@ -903,7 +965,9 @@ def test_sweep_values_are_checked_before_any_point(tmp_path, capsys,
     def refuse(*args):
         raise AssertionError("a point ran")
 
+    # a pairwise separation scan runs its points through the row call
     monkeypatch.setattr("fluctem.cli.vdw_energy", refuse)
+    monkeypatch.setattr("fluctem.cli.vdw_energies", refuse)
     cfg = dict(pairwise_config(), task="scan", subtask="pairwise",
                sweep={"parameter": "separation", "values": values})
     assert named in config_error(tmp_path, capsys, cfg)

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,11 @@ from fluctem.pairwise import (
     london_closed_form,
     london_energy,
     validity_check,
+    vdw_energies,
     vdw_energy,
 )
 from fluctem.polarizability import KramersHeisenberg, Transition, single_resonance
+from fluctem.quadrature import QuadratureError, QuadratureSpec
 
 C = SPEED_OF_LIGHT
 
@@ -107,17 +110,12 @@ def test_vdw_error_estimate_below_tolerance():
     assert res.error_estimate <= max(1e-9 * abs(res.value), 1e-13)
 
 
-def test_vdw_far_node_walk_against_30_digits():
-    # the lowest transition lies about 1e20 under the other, so the node
-    # walk reaches x of about 1e79, where P(x) overflows while exp(-2x) is
-    # 0: the integrand is 0 there, not inf * 0
+def vdw_30_digits(model_a, model_b, r):
+    """The retarded pair energy from a 30-digit mpmath quadrature, split
+    at the lowest transition's x and around x = 1."""
     mpmath = pytest.importorskip("mpmath")
-    far_walk = KramersHeisenberg((Transition(1.47e-20, 1.0),
-                                  Transition(0.9, 0.5)))
-    pair = PairSpec(single_resonance(0.5, 0.5), far_walk, 3.0)
-    res = vdw_energy(pair)
     with mpmath.workdps(30):
-        r = mpmath.mpf(pair.r)
+        r_mp = mpmath.mpf(r)
 
         def alpha(model, xi):
             return mpmath.fsum(2 * mpmath.mpf(t.omega_sg) * t.d2
@@ -125,16 +123,72 @@ def test_vdw_far_node_walk_against_30_digits():
                                for t in model.transitions)
 
         def integrand(x):
-            xi = C * x / r
-            return (alpha(pair.model_a, xi) * alpha(pair.model_b, xi)
+            xi = C * x / r_mp
+            return (alpha(model_a, xi) * alpha(model_b, xi)
                     * (x**4 + 2 * x**3 + 5 * x**2 + 6 * x + 3)
                     * mpmath.exp(-2 * x))
 
-        low = 1.47e-20 * pair.r / C
-        exact = -C / (mpmath.pi * r**7) * mpmath.quad(
-            integrand, [0, low, 1e2 * low, 1e-10, 1e-5, 1e-2, 1, 10,
-                        mpmath.inf])
-    assert abs(res.value - float(exact)) <= res.error_estimate
+        low = min(t.omega_sg for t in model_a.transitions
+                  + model_b.transitions) * r / C
+        splits = sorted({low, 1e2 * low, 1e-10, 1e-5, 1e-2, 1.0, 10.0})
+        return float(-C / (mpmath.pi * r_mp**7) * mpmath.quad(
+            integrand, [0, *splits, mpmath.inf]))
+
+
+def test_vdw_far_node_walk_against_30_digits():
+    # the lowest transition lies about 1e20 under the other, so the node
+    # walk reaches x of about 1e79, where P(x) overflows while exp(-2x) is
+    # 0: the integrand is 0 there, not inf * 0
+    far_walk = KramersHeisenberg((Transition(1.47e-20, 1.0),
+                                  Transition(0.9, 0.5)))
+    pair = PairSpec(single_resonance(0.5, 0.5), far_walk, 3.0)
+    res = vdw_energy(pair)
+    exact = vdw_30_digits(pair.model_a, pair.model_b, pair.r)
+    assert abs(res.value - exact) <= res.error_estimate
+
+
+def random_model(rng, count):
+    return KramersHeisenberg(tuple(
+        Transition(float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.2, 3.0)))
+        for _ in range(count)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_vdw_scan_rows_equal_one_row_calls(seed):
+    # a scan of shuffled and repeated separations from 1 bohr to
+    # 1e3 c/omega_low: each row is its one-row call bit for bit, so no
+    # point depends on its neighbours, and lies within its estimate of a
+    # 30-digit quadrature
+    rng = np.random.default_rng([seed, 21])
+    a, b = random_model(rng, 1 + seed % 3), random_model(rng, 3 - seed % 3)
+    low = min(t.omega_sg for t in a.transitions + b.transitions)
+    r = np.geomspace(1.0, 1e3 * C / low, 8)
+    r = rng.permutation(np.concatenate([r, rng.choice(r, 4)])).tolist()
+    rows = vdw_energies(a, b, r)
+    for sep, row in zip(r, rows):
+        one = vdw_energy(PairSpec(a, b, sep))
+        assert (row.value, row.error_estimate, row.evaluations) \
+            == (one.value, one.error_estimate, one.evaluations)
+    for k in rng.choice(len(r), 2, replace=False).tolist():
+        exact = vdw_30_digits(a, b, r[k])
+        assert abs(rows[k].value - exact) <= rows[k].error_estimate
+
+
+def test_vdw_scan_rows_fail_alone():
+    # a spent budget and an overflow are returned as the rows' errors;
+    # the other rows keep their one-row results
+    model = single_resonance(1e50, 0.5)
+    rows = vdw_energies(model, model, [1e3, 1e-35, 1e3])
+    assert isinstance(rows[1], OverflowError)
+    assert "van der Waals energy" in str(rows[1])
+    assert rows[0] == rows[2] == vdw_energy(PairSpec(model, model, 1e3))
+    model = single_resonance(4.0, 0.5)
+    spec = QuadratureSpec(max_evals=150)
+    rows = vdw_energies(model, model, [1.0, 100.0, 1.2], spec)
+    assert isinstance(rows[1], QuadratureError)
+    with pytest.raises(QuadratureError, match=str(rows[1])):
+        vdw_energy(PairSpec(model, model, 100.0), spec)
+    assert rows[2] == vdw_energy(PairSpec(model, model, 1.2), spec)
 
 
 def test_casimir_polder_asymptote_values():

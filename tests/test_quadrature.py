@@ -2,9 +2,11 @@
 
 Every expected value here is analytic: exponential moments, a Lorentzian
 moment, principal values with known closed forms, and geometric-series
-thermal sums.  The ladder fed stacks of nodes must equal the ladder fed
-one node at a time bit for bit.  The error-honesty block asserts the reported error estimate
-is never smaller than the actual deviation from the exact value.
+thermal sums.  The ladder fed stacks of nodes, and each row of the
+ladder that integrates many rows at once, must equal the ladder fed one
+node at a time bit for bit.  The error-honesty block asserts the
+reported error estimate is never smaller than the actual deviation from
+the exact value.
 """
 
 import math
@@ -20,6 +22,7 @@ from fluctem.quadrature import (
     QuadratureSpec,
     integrate_interval,
     integrate_pv,
+    integrate_rows,
     integrate_semi_infinite,
     matsubara_sum,
 )
@@ -62,14 +65,38 @@ def _stacked_on_half_line(f, spec=None, scale=1.0, stack=3):
     return integrate_semi_infinite(array_f, spec, scale, stack)
 
 
+def _elementwise(f):
+    """The row integrand that calls ``f`` on each node.  A whole level
+    reaches nodes far past the cut, where a float power can raise
+    OverflowError: the value there is inf."""
+    def value(x):
+        try:
+            return f(x)
+        except OverflowError:
+            return math.inf
+
+    return lambda x, rows: np.array([[value(v) for v in row]
+                                     for row in x.tolist()]).reshape(x.shape)
+
+
+def _one_row_on_half_line(f, spec=None, scale=1.0):
+    """The exp-sinh ladder as the one row of :func:`integrate_rows`."""
+    (res,) = integrate_rows(_elementwise(f), [scale], spec)
+    if isinstance(res, QuadratureError):
+        raise res
+    return res
+
+
 # the routes to [0, inf): the exp-sinh ladder directly, the same ladder
 # through the interval map of integrate_interval after compactification,
-# and the ladder on stacks of nodes.  One engine: the second key keeps its
-# historical name, so that the test ids stay stable.
+# the ladder on stacks of nodes, and the ladder as one row.  One engine:
+# the second key keeps its historical name, so that the test ids stay
+# stable.
 ENGINES = {
     "tanh_sinh": integrate_semi_infinite,
     "adaptive_subdivision": _interval_map_on_half_line,
     "stacked": _stacked_on_half_line,
+    "rows": _one_row_on_half_line,
 }
 
 
@@ -142,6 +169,79 @@ def test_stacked_values_past_the_cut_are_invisible(spoil):
             as excinfo:
         run(lambda xs: xs == victim)
     assert _x_named(excinfo) == victim
+
+
+ROW_SCALES = [1.0, 1e-3, 0.5, 1.0, 40.0, 1e-3]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-2])
+@pytest.mark.parametrize("case", CASE_INDICES)
+def test_rows_equal_their_one_node_ladders(case, rel_tol):
+    # each row, on its own scale among repeated ones, is the scalar walk
+    # of that scale bit for bit; a loose tolerance stops at the first
+    # level allowed
+    f, _, _ = SEMI_INFINITE_CASES[case]
+    spec = QuadratureSpec(rel_tol=rel_tol)
+    rows = integrate_rows(_elementwise(f), ROW_SCALES, spec)
+    for scale, row in zip(ROW_SCALES, rows):
+        one = integrate_semi_infinite(f, spec, scale)
+        assert (row.value, row.error_estimate, row.evaluations) \
+            == (one.value, one.error_estimate, one.evaluations)
+
+
+@pytest.mark.parametrize("spoil", SPOILERS)
+def test_row_values_past_the_cut_are_invisible(spoil):
+    # values past a row's cut change nothing; a bad kept value fails its
+    # row alone, with the scalar walk's error
+    f, _, _ = SEMI_INFINITE_CASES[1]
+    kept = []
+
+    def recorded(x):
+        kept.append(x)
+        return f(x)
+
+    clean = integrate_semi_infinite(recorded, scale=0.5)
+
+    def run(bad):
+        def spoiled(x, rows):
+            values = _elementwise(f)(x, rows)
+            return np.where((rows[:, None] == 1) & bad(x),
+                            SPOILERS[spoil](x), values)
+
+        return integrate_rows(spoiled, [1.0, 0.5, 2.0])
+
+    rows = run(lambda x: ~np.isin(x, kept))
+    assert rows[1] == clean
+    victim = kept[len(kept) // 2]
+    rows = run(lambda x: x == victim)
+    assert isinstance(rows[1], QuadratureError)
+    assert str(rows[1]).startswith("integrand is ")
+    assert _x_named_by(rows[1]) == victim
+    for k, scale in ((0, 1.0), (2, 2.0)):
+        assert rows[k] == integrate_semi_infinite(f, scale=scale)
+
+
+def test_each_row_spends_its_own_budget():
+    # the rows of a slowly decaying integrand need more nodes the farther
+    # their scale lies from its mass at x ~ 1
+    f = lambda x: 1.0 / (1.0 + x * math.sqrt(x))
+    scales = [1.0, 1e-6, 1.0]
+    counts = [integrate_semi_infinite(f, scale=s).evaluations for s in scales]
+    spec = QuadratureSpec(max_evals=(counts[0] + counts[1]) // 2)
+    assert counts[0] < spec.max_evals < counts[1]
+    rows = integrate_rows(_elementwise(f), scales, spec)
+    with pytest.raises(QuadratureError) as excinfo:
+        integrate_semi_infinite(f, spec, scale=scales[1])
+    assert isinstance(rows[1], QuadratureError)
+    assert str(rows[1]) == str(excinfo.value)
+    assert rows[0] == rows[2] == integrate_semi_infinite(f, spec)
+
+
+def test_rows_validation():
+    for scales in ([1.0, 0.0], [math.inf], [-1.0]):
+        with pytest.raises(ValueError, match="scales"):
+            integrate_rows(_elementwise(math.exp), scales)
+    assert integrate_rows(_elementwise(math.exp), []) == []
 
 
 def test_huge_scale_stops_where_the_weights_overflow():
@@ -289,7 +389,11 @@ def test_nan_integrand_raises():
 
 
 def _x_named(excinfo):
-    return float(str(excinfo.value).rsplit("x=", 1)[1])
+    return _x_named_by(excinfo.value)
+
+
+def _x_named_by(error):
+    return float(str(error).rsplit("x=", 1)[1])
 
 
 def test_infinite_integrand_raises_naming_x_semi_infinite():
