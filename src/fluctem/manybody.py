@@ -422,7 +422,7 @@ def normal_mode_energy(geom: SystemGeometry) -> EnergyResult:
     # expm1(log1p(c)/2) = sqrt(1+c) - 1 without cancellation at small c
     value = 0.5 * omega0 * math.fsum(
         math.expm1(0.5 * math.log1p(alpha_static * t)) for t in t_eigs)
-    err = 8.0 * np.finfo(float).eps * 1.5 * geom.n_sites * omega0
+    err = 8.0 * math.ulp(1.0) * 1.5 * geom.n_sites * omega0
     return EnergyResult(value, err, 1)
 
 

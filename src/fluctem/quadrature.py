@@ -24,21 +24,30 @@ scaled by any constant stops at the same level.  The one exception is the
 upper side of a principal value, which only needs rel_tol times the lower
 side: that target stops its ladder but is never reported as error.
 
-An integrand whose nodes are costly, such as a log det with one
-matrix factorisation per frequency, can take a whole stack of nodes per call:
-``integrate_semi_infinite(..., stack=K)`` evaluates each direction of a
-refinement level in arrays of up to K nodes.  It keeps the nodes, values,
-cut, result and evaluation count of one float per call, and only the
-number of calls falls.  The Matsubara sum evaluates its terms, and its
-tail integral its nodes, in stacks of up to 32.
+One walk takes each direction of a level outward from the centre.  It
+ends the ladder where x underflows or its weight overflows, counts each
+value it takes against the ``max_evals`` budget, refuses a non-finite
+one, and cuts the direction after three successive terms under 1e-17 of
+the level's peak.  Values it does not take are never counted, budgeted or
+checked.  It takes them in node order from one of three sources, each the
+fastest measured on its integrands:
 
-Integrals that differ only in their scale and a parameter, such as the
-points of a separation scan, are the rows of one ``integrate_rows`` call.
-Each refinement level evaluates both directions of every unconverged row
-as one (R, n) array, and each row keeps the cut, ladder end, stop, budget
-and finiteness check of its own walk, so its result is that of the scalar
-walk.  Whole levels pay only across rows: a single cheap integral walks
-faster node by node, and a costly one would evaluate nodes past its cut.
+* a float integrand is called once per node, as the walk reaches it.
+  Lamb's integrands cost about a microsecond per node; fetched in chunks
+  they ran 25 % slower, and as arrays three times slower.
+* ``integrate_semi_infinite(..., stack=K)`` calls an array integrand on
+  stacks of nodes: first those inside the previous level's reach, then
+  four at a time, never more than K.  A log-det node costs a matrix
+  factorisation, so a stack saves calls and computes few nodes past the
+  cut; whole levels or reach-sized windows computed more nodes and ran
+  slower.  The Matsubara tail takes stacks of up to 32.
+* ``integrate_rows`` evaluates each level of every unconverged row as one
+  (R, n) array, and the walk takes each row's values from its slice.
+  Whole levels pay only across rows, such as the points of a separation
+  scan.
+Every source gives the nodes, kept values, result and count of the float
+walk bit for bit, provided each array element equals the float call.  One
+level loop applies the stop rule to a single integral and to each row.
 
 ``matsubara_sum`` stops once g is smooth on the Matsubara step h, not
 once its terms are negligible, which for terms falling like xi^-4 took a
@@ -72,7 +81,7 @@ __all__ = [
     "matsubara_sum",
 ]
 
-_EPS = np.finfo(float).eps
+_EPS = math.ulp(1.0)
 
 # |k*h| cap for the double-exponential node ladder: pi*sinh(6.1) ~ 700 keeps
 # x = s*exp(pi*sinh(kh)) inside double range.
@@ -106,28 +115,13 @@ class QuadratureSpec:
 MatsubaraSpec = QuadratureSpec
 
 
-class _EvalCounter:
-    __slots__ = ("f", "count", "budget")
-
-    def __init__(self, f: Callable[[float], float], budget: int):
-        self.f = f
-        self.count = 0
-        self.budget = budget
-
-    def __call__(self, x: float) -> float:
-        return self.check(x, self.f(x))
-
-    def check(self, x: float, y: float) -> float:
-        """Count y = f(x), evaluated by the caller or in a stack: one more
-        evaluation of the budget, and a finite value."""
-        if self.count >= self.budget:
-            raise QuadratureError(
-                f"quadrature budget of {self.budget} evaluations exhausted"
-            )
-        self.count += 1
-        if not math.isfinite(y):
-            raise QuadratureError(f"integrand is {y!r} at x={x!r}")
-        return y
+def _fault(count: int, budget: float, x: float, y: float) -> QuadratureError:
+    """The error of taking y = f(x) as value ``count`` + 1: a spent budget
+    if ``count`` has reached it, else a non-finite y."""
+    if count >= budget:
+        return QuadratureError(
+            f"quadrature budget of {budget} evaluations exhausted")
+    return QuadratureError(f"integrand is {y!r} at x={x!r}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -151,97 +145,150 @@ def _level_nodes(h: float, odd_only: bool):
     return ladder
 
 
-def _stacked_values(f: _EvalCounter, scale: float, nodes):
-    """Iterator over f(x) for x = scale u of ``nodes``, up to the first x
-    that is 0 or inf, from one call of f on the array of them.  Nothing is
-    counted or checked here, and numpy warnings are off."""
-    xs = []
-    for u, _ in nodes:
-        x = scale * u
-        if x == 0.0 or math.isinf(x):
-            break
-        xs.append(x)
-    with np.errstate(all="ignore"):
-        return iter(np.asarray(f.f(np.array(xs)), dtype=float).tolist())
+# A source gives the walk its values: source(scale, ladder, reach) returns,
+# for each direction (start, nodes) of the level's ladder, an iterator
+# over f at x = scale u of its nodes in order, which the walk draws on no
+# further than it takes values.  ``reach`` is the previous level's |k| per
+# direction.
+
+def _floats(f: Callable[[float], float]):
+    """The source of a float integrand: one call of ``f`` per node."""
+    return lambda scale, ladder, reach: [
+        map(f, (scale * u for u, _ in nodes)) for _, nodes in ladder]
 
 
-def _exp_sinh_level(f: Callable[[float], float], scale: float, h: float,
-                    odd_only: bool, stack: int = 1,
-                    reach: tuple[int, int] = (0, 0)
-                    ) -> tuple[float, float, tuple[int, int]]:
-    """One refinement level of the double-exponential ladder.
+def _stacks(f: Callable[[np.ndarray], np.ndarray], stack: int):
+    """The source of an array integrand: calls of ``f`` on up to ``stack``
+    nodes, first those inside the reach, then _STEP at a time, each
+    stopped before an x that is 0 or inf.  numpy warnings are off while
+    ``f`` runs."""
+    def direction(scale, nodes, first):
+        fetched, size = 0, min(stack, first or _STEP)
+        while True:
+            xs = []
+            for u, _ in nodes[fetched:fetched + size]:
+                x = scale * u
+                if x == 0.0 or math.isinf(x):
+                    break
+                xs.append(x)
+            fetched, size = fetched + size, min(stack, _STEP)
+            with np.errstate(all="ignore"):
+                values = np.asarray(f(np.array(xs)), dtype=float).tolist()
+            yield from values
+
+    return lambda scale, ladder, reach: [
+        direction(scale, nodes, first)
+        for (_, nodes), first in zip(ladder, reach)]
+
+
+def _walk(source, scale: float, h: float, odd_only: bool,
+          reach: tuple[int, int], count: int, budget: float
+          ) -> tuple[float, float, tuple[int, int], int]:
+    """One refinement level of the double-exponential ladder, its values
+    taken from ``source``.
 
     Returns (sum of w*f contributions without the h factor, sum of |w*f|,
-    |k| of the last node above the cut in each direction).  Each direction
-    runs outward until three successive terms sit far under the peak.
-
-    ``stack`` = 1 calls ``f`` with one float per node.  Above 1, ``f`` is an
-    :class:`_EvalCounter` of an array integrand: each direction fetches
-    the nodes inside ``reach`` (the previous level's |k|) in one call,
-    then _STEP at a time, never more than ``stack``.  A value is counted
-    and checked when the walk takes it, so values past the cut stay unseen.
+    |k| of the last node above the cut in each direction, ``count`` plus
+    the values taken).  Each direction runs outward until three
+    successive terms sit far under the peak, which runs across both.
     """
+    ladder = _level_nodes(h, odd_only)
     terms: list[float] = []
+    inf = math.inf
     peak = 0.0
     step = 2 if odd_only else 1
     reached = []
-    for (start, nodes), first in zip(_level_nodes(h, odd_only), reach):
-        dead = count = live = fetched = 0
+    for (start, nodes), values in zip(ladder, source(scale, ladder, reach)):
+        room = budget - count
+        dead = kept = live = 0
         for u, c in nodes:
             x = scale * u
             w = c * x
             # the ladder ends where x underflows or its weight overflows
-            if x == 0.0 or math.isinf(w):
+            if x == 0.0 or w == inf:
                 break
-            if stack == 1:
-                y = f(x)
-            else:
-                if count == fetched:
-                    fetched += min(stack, (count == 0 and first) or _STEP)
-                    values = _stacked_values(f, scale, nodes[count:fetched])
-                y = f.check(x, next(values))
+            y = next(values)
+            # -inf < y < inf is false for a NaN too
+            if kept >= room or not -inf < y < inf:
+                raise _fault(count + kept, budget, x, y)
             t = w * y
             terms.append(t)
-            count += 1
-            peak = max(peak, abs(t))
+            kept += 1
+            a = abs(t)
+            if a > peak:
+                peak = a
             # truncate a direction once its terms sit far under the peak
-            if peak > 0.0 and abs(t) <= 1e-17 * peak:
+            if peak > 0.0 and a <= 1e-17 * peak:
                 dead += 1
                 if dead >= 3:
                     break
             else:
                 dead = 0
-                live = count
+                live = kept
+        count += kept
         reached.append(max(start + step * (live - 1), 0))
-    return math.fsum(terms), math.fsum(abs(t) for t in terms), tuple(reached)
+    return (math.fsum(terms), math.fsum(map(abs, terms)), tuple(reached),
+            count)
 
 
-def _integrate_exp_sinh(g: Callable[[float], float], counter: _EvalCounter,
-                        spec: QuadratureSpec, scale: float,
-                        target: float = 0.0, stack: int = 1) -> EnergyResult:
-    """int_0^inf g(u) du on the ladder centred on ``scale``; ``counter``
-    counts the calls of the caller's integrand that ``g`` makes.  An
-    estimate under ``target`` also stops the ladder.  ``stack`` > 1 needs
-    ``g`` to be ``counter`` (see :func:`_exp_sinh_level`)."""
-    h = 0.5
-    total, total_abs, reach = _exp_sinh_level(g, scale, h, False, stack)
-    value = h * total
-    for level in range(1, _MAX_LEVELS + 1):
+def _ladders(sources, scales, spec: QuadratureSpec, target: float = 0.0,
+             count: int = 0, budget: float | None = None
+             ) -> list[EnergyResult | QuadratureError]:
+    """The level loop of one ladder per scale, run side by side: the result
+    of each, or its error.
+
+    ``sources(h, odd_only, rows)`` gives the source of each row in ``rows``
+    (the unconverged ones, in order) for one level.  Each row walks on its
+    own scale from ``count`` evaluations against ``budget`` (default
+    ``spec.max_evals``) and stops by itself; an estimate under ``target``
+    also stops it.  A spent budget, a non-finite value or a row that does
+    not converge is that row's :class:`QuadratureError`.
+    """
+    budget = spec.max_evals if budget is None else budget
+    results: dict[int, EnergyResult | QuadratureError] = {}
+    # per unconverged row: sum, sum of |terms|, value, count, reach
+    state = {row: (0.0, 0.0, 0.0, count, (0, 0))
+             for row in range(len(scales))}
+    h = 1.0
+    for level in range(_MAX_LEVELS + 1):
+        if not state:
+            break
         h *= 0.5
-        add, add_abs, reach = _exp_sinh_level(g, scale, h, True, stack,
-                                              reach)
-        total += add
-        total_abs += add_abs
-        prev, value = value, h * total
-        rounding = 4.0 * _EPS * h * total_abs
-        err = max(2.0 * abs(value - prev), rounding)
-        if level >= 2 \
-                and err <= max(spec.rel_tol * abs(value), target, rounding):
-            return EnergyResult(value, err, counter.count)
-    raise QuadratureError(
-        f"tanh_sinh failed to reach tolerance within {counter.count} "
-        "evaluations"
-    )
+        rows = list(state)
+        for row, source in zip(rows, sources(h, level > 0, rows)):
+            total, total_abs, value, n, reach = state.pop(row)
+            try:
+                add, add_abs, reach, n = _walk(source, scales[row], h,
+                                               level > 0, reach, n, budget)
+            except QuadratureError as exc:
+                results[row] = exc
+                continue
+            total += add
+            total_abs += add_abs
+            prev, value = value, h * total
+            rounding = 4.0 * _EPS * h * total_abs
+            err = max(2.0 * abs(value - prev), rounding)
+            if level >= 2 \
+                    and err <= max(spec.rel_tol * abs(value), target, rounding):
+                results[row] = EnergyResult(value, err, n)
+            else:
+                state[row] = (total, total_abs, value, n, reach)
+    for row, (*_, n, _) in state.items():
+        results[row] = QuadratureError(
+            f"tanh_sinh failed to reach tolerance within {n} evaluations")
+    return [results[row] for row in range(len(scales))]
+
+
+def _integrate(source, spec: QuadratureSpec, scale: float,
+               target: float = 0.0, count: int = 0,
+               budget: float | None = None) -> EnergyResult:
+    """The one ladder of ``source`` centred on ``scale`` (see
+    :func:`_ladders`); raises its :class:`QuadratureError`."""
+    (res,) = _ladders(lambda *_: [source], [scale], spec, target, count,
+                      budget)
+    if isinstance(res, QuadratureError):
+        raise res
+    return res
 
 
 def integrate_semi_infinite(f: Callable[[float], float],
@@ -269,35 +316,16 @@ def integrate_semi_infinite(f: Callable[[float], float],
         raise ValueError("scale must be positive and finite")
     if stack < 1:
         raise ValueError("stack must be >= 1")
-    spec = spec or QuadratureSpec()
-    counter = _EvalCounter(f, spec.max_evals)
-    return _integrate_exp_sinh(counter, counter, spec, scale, stack=stack)
+    source = _floats(f) if stack == 1 else _stacks(f, stack)
+    return _integrate(source, spec or QuadratureSpec(), scale)
 
 
 @functools.lru_cache(maxsize=None)
-def _level_arrays(h: float, odd_only: bool):
-    """The nodes of :func:`_level_nodes` as arrays u and c, direction
-    k > 0 first, and the index where direction k < 0 starts."""
+def _level_arrays(h: float, odd_only: bool) -> tuple[np.ndarray, int]:
+    """The u of :func:`_level_nodes` as one array, direction k > 0 first,
+    and the index where direction k < 0 starts."""
     (_, plus), (_, minus) = _level_nodes(h, odd_only)
-    u, c = np.array(plus + minus).T
-    return u, c, len(plus)
-
-
-def _kept(a: np.ndarray, end: np.ndarray, peak: np.ndarray) -> np.ndarray:
-    """Terms each row of one direction keeps, from the |w f| of its nodes
-    in ``a``: through the third of three successive terms <= 1e-17 of the
-    running peak, which starts at ``peak``, and no further than ``end``.
-    A NaN stops the peak, so no cut falls past it."""
-    peak = np.maximum(np.maximum.accumulate(a, axis=1), peak[:, None])
-    dead = (a <= 1e-17 * peak) & (peak > 0.0)
-    three = dead[:, 2:] & dead[:, 1:-1] & dead[:, :-2]
-    cut = np.where(three.any(axis=1), three.argmax(axis=1) + 3, a.shape[1])
-    return np.minimum(cut, end)
-
-
-def _first(mask: np.ndarray) -> np.ndarray:
-    """Per row, the index of the first true element, or the row length."""
-    return np.where(mask.any(axis=1), mask.argmax(axis=1), mask.shape[1])
+    return np.array([u for u, _ in plus + minus]), len(plus)
 
 
 def integrate_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -309,86 +337,30 @@ def integrate_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ``f(x, rows)`` takes an (len(rows), n) array of nodes, whose row i
     belongs to integral ``rows[i]``, and returns the array of its values.
     Each refinement level evaluates both directions of every unconverged
-    row in one call.  Each row keeps the walk of
-    :func:`integrate_semi_infinite`: its own cut, from a peak that runs
-    across both directions, its own ladder end, its own stop and its own
+    row in one call, and the walk of :func:`integrate_semi_infinite` takes
+    each row's values from its slice: its own cut, ladder end, stop and
     ``max_evals`` budget.  Values past a row's cut are discarded unseen:
     they are not counted, budgeted or checked, and numpy warnings are off
-    while ``f`` runs.  Nodes, kept values, results, ``evaluations`` and
-    errors are those of the scalar walk bit for bit, provided each array
-    element equals the float call; so no row depends on the others.  A
-    spent budget, a non-finite kept value or a row that does not converge
-    is returned as that row's :class:`QuadratureError`, not raised.
+    while the nodes are formed and ``f`` runs.  Nodes, kept values,
+    results, ``evaluations`` and errors are those of the scalar walk bit
+    for bit, provided each array element equals the float call; so no row
+    depends on the others.  A spent budget, a non-finite kept value or a
+    row that does not converge is returned as that row's
+    :class:`QuadratureError`, not raised.
     """
-    spec = spec or QuadratureSpec()
     scales = np.asarray(scales, dtype=float)
     if not np.all((scales > 0) & (scales < math.inf)):
         raise ValueError("scales must be positive and finite")
-    n_rows = len(scales)
-    results: list[EnergyResult | QuadratureError | None] = [None] * n_rows
-    total, total_abs = [0.0] * n_rows, [0.0] * n_rows
-    value, count = [0.0] * n_rows, [0] * n_rows
-    active = np.arange(n_rows)
-    h = 1.0
-    for level in range(_MAX_LEVELS + 1):
-        if not active.size:
-            break
-        h *= 0.5
-        u, c, split = _level_arrays(h, level > 0)
-        x = scales[active, None] * u
-        w = c * x
+
+    def sources(h, odd_only, rows):
+        u, split = _level_arrays(h, odd_only)
+        rows = np.array(rows, dtype=int)
         with np.errstate(all="ignore"):
-            y = np.asarray(f(x, active), dtype=float)
-            t = w * y
-            a = np.abs(t)
-            # the ladder ends where x underflows or its weight overflows
-            ends = (x == 0.0) | np.isinf(w)
-            kept_plus = _kept(a[:, :split], _first(ends[:, :split]),
-                              np.zeros(len(active)))
-            peak = np.where(np.arange(split) < kept_plus[:, None],
-                            a[:, :split], 0.0).max(axis=1)
-            kept_minus = _kept(a[:, split:], _first(ends[:, split:]), peak)
-        # the walk takes its kept values in order, the k > 0 ones first
-        bad = ~np.isfinite(y)
-        bad_plus, bad_minus = _first(bad[:, :split]), _first(bad[:, split:])
-        bad_at = np.where(bad_plus < kept_plus, bad_plus,
-                          np.where(bad_minus < kept_minus,
-                                   kept_plus + bad_minus, x.shape[1]))
-        still = []
-        for i, row in enumerate(active.tolist()):
-            k_plus, k_minus = int(kept_plus[i]), int(kept_minus[i])
-            spent = spec.max_evals - count[row]
-            stop = min(spent, int(bad_at[i]))
-            if stop < k_plus + k_minus:
-                if spent <= stop:
-                    results[row] = QuadratureError(
-                        f"quadrature budget of {spec.max_evals} evaluations "
-                        "exhausted")
-                else:
-                    j = stop if stop < k_plus else split + stop - k_plus
-                    results[row] = QuadratureError(
-                        f"integrand is {float(y[i, j])!r} at "
-                        f"x={float(x[i, j])!r}")
-                continue
-            terms = (t[i, :k_plus].tolist()
-                     + t[i, split:split + k_minus].tolist())
-            count[row] += k_plus + k_minus
-            total[row] += math.fsum(terms)
-            total_abs[row] += math.fsum(map(abs, terms))
-            prev, value[row] = value[row], h * total[row]
-            rounding = 4.0 * _EPS * h * total_abs[row]
-            err = max(2.0 * abs(value[row] - prev), rounding)
-            if level >= 2 and err <= max(spec.rel_tol * abs(value[row]),
-                                         rounding):
-                results[row] = EnergyResult(value[row], err, count[row])
-            else:
-                still.append(row)
-        active = np.array(still, dtype=int)
-    for row in active.tolist():
-        results[row] = QuadratureError(
-            f"tanh_sinh failed to reach tolerance within {count[row]} "
-            "evaluations")
-    return results
+            y = np.asarray(f(scales[rows, None] * u, rows), dtype=float)
+        return [lambda *_, v=v: (iter(v[:split]), iter(v[split:]))
+                for v in y.tolist()]
+
+    return _ladders(sources, scales.tolist(), spec or QuadratureSpec())
 
 
 def integrate_interval(f: Callable[[float], float], lo: float, hi: float,
@@ -408,18 +380,27 @@ def integrate_interval(f: Callable[[float], float], lo: float, hi: float,
 
 def _interval_map(f: Callable[[float], float], lo: float, hi: float,
                   spec: QuadratureSpec, scale: float) -> EnergyResult:
-    """The ladder on u centred on ``scale``, mapped to w in [lo, hi]."""
+    """The ladder on u centred on ``scale``, mapped to w in [lo, hi].  A
+    node whose w rounds onto an end is a zero that calls nothing, so the
+    calls of ``f`` are counted and checked here, and ``evaluations``
+    counts them; the walk's own count of values has no budget."""
     width = hi - lo
-    counter = _EvalCounter(f, spec.max_evals)
+    calls = 0
 
     def mapped(u: float) -> float:
+        nonlocal calls
         v = 1.0 + u
         w = lo + width * (u / v)
         if not lo < w < hi:
             return 0.0
-        return counter(w) * (width / (v * v))
+        y = f(w)
+        if calls >= spec.max_evals or not math.isfinite(y):
+            raise _fault(calls, spec.max_evals, w, y)
+        calls += 1
+        return y * (width / (v * v))
 
-    return _integrate_exp_sinh(mapped, counter, spec, scale)
+    res = _integrate(_floats(mapped), spec, scale, budget=math.inf)
+    return EnergyResult(res.value, res.error_estimate, calls)
 
 
 def integrate_pv(f_regular: Callable[[float], float], pole: float,
@@ -439,7 +420,16 @@ def integrate_pv(f_regular: Callable[[float], float], pole: float,
     a, s = pole, pole if scale is None else scale
     if not (0 < a < math.inf and 0 < s < math.inf):
         raise ValueError("pole and scale must be positive and finite")
-    f = _EvalCounter(f_regular, spec.max_evals)
+    calls = 0
+
+    def f(w: float) -> float:
+        nonlocal calls
+        y = f_regular(w)
+        if calls >= spec.max_evals or not math.isfinite(y):
+            raise _fault(calls, spec.max_evals, w, y)
+        calls += 1
+        return y
+
     f_a = f(a)
 
     def below(d: float) -> float:
@@ -453,13 +443,10 @@ def integrate_pv(f_regular: Callable[[float], float], pole: float,
     # d = a u/(1+u) puts u = (a-s)/s at w = s
     lower = _interval_map(below, 0.0, a, spec,
                           (a - s) / s if s < 0.5 * a else 1.0)
-    above_counter = _EvalCounter(above, spec.max_evals)
-    upper = _integrate_exp_sinh(above_counter, above_counter, spec, s,
-                                spec.rel_tol * abs(lower.value))
+    upper = _integrate(_floats(above), spec, s,
+                       spec.rel_tol * abs(lower.value))
     return EnergyResult(lower.value + upper.value,
-                        lower.error_estimate + upper.error_estimate, f.count)
-
-
+                        lower.error_estimate + upper.error_estimate, calls)
 
 
 # Matsubara terms per call of the integrand, and the spacing of the block
@@ -519,7 +506,6 @@ def matsubara_sum(g: Callable[[np.ndarray], np.ndarray], temperature: float,
                          "first Matsubara block overflow a double")
     if not 0 < scale < math.inf:
         raise ValueError("scale must be positive and finite")
-    counter = _EvalCounter(g, spec.max_evals)
     values: list[float] = []
     partial = 0.0
     while True:
@@ -530,7 +516,9 @@ def matsubara_sum(g: Callable[[np.ndarray], np.ndarray], temperature: float,
                 raise QuadratureError(
                     f"matsubara term is {value!r} at xi={xi!r}")
             partial += value if values else 0.5 * value
-            values.append(counter.check(xi, value))
+            if len(values) >= spec.max_evals:
+                raise _fault(len(values), spec.max_evals, xi, value)
+            values.append(value)
         # the d's are the c's over h, so that no tiny T underflows them
         f0, f1, f2, f3, f4, f5 = values[-6:]
         d2 = _EM2 * (f4 - f3)
@@ -544,11 +532,10 @@ def matsubara_sum(g: Callable[[np.ndarray], np.ndarray], temperature: float,
     cut = n - 2
     terms = [0.5 * values[0]] + values[1:cut + 1]
     xi_mid = (cut + 0.5) * t_step
-    # the tail nodes are counted on from the terms, in the same budget
-    counter.f = lambda x: g(xi_mid + x)
     try:
-        tail = _integrate_exp_sinh(counter, counter, spec,
-                                   max(xi_mid, scale), stack=_BLOCK)
+        # the tail nodes are counted on from the terms, in the same budget
+        tail = _integrate(_stacks(lambda x: g(xi_mid + x), _BLOCK), spec,
+                          max(xi_mid, scale), count=len(values))
     except QuadratureError as exc:
         raise QuadratureError(
             f"matsubara tail did not converge after n={n}: {exc}") from exc

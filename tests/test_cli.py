@@ -103,12 +103,21 @@ def test_tracer_patch_points_resolve(monkeypatch):
             f"{module}.{attr}"
 
 
+# the warnings the package itself gives: validity ratios and the Lamb cutoff
+OWN_WARNING = re.compile(
+    r"warning: (point-dipole picture strained: "
+    r"|atoms \d+ and \d+ strain the point-dipole picture: "
+    r"|cutoff is within 100x of the highest transition frequency; )")
+
+
 @pytest.mark.parametrize("workload", ["clusters", "spectra-sweep"])
 def test_benchmark_outputs_pass_its_reference_checks(tmp_path, monkeypatch,
-                                                     workload):
+                                                     capsys, workload):
     # the benchmark's own correctness gate: each config of the workload at
     # seed 101, shipped ones included, run through the CLI and checked
-    # against perfbench's independent references
+    # against perfbench's independent references.  The CLI prints every
+    # warning a run records, so a numpy RuntimeWarning would show here as
+    # a line that is none of the package's own
     pytest.importorskip("scipy")
     workloads = load_perfbench("workloads", monkeypatch)
     references = load_perfbench("references", monkeypatch)
@@ -118,6 +127,8 @@ def test_benchmark_outputs_pass_its_reference_checks(tmp_path, monkeypatch,
     for entry in entries:
         out = tmp_path / f"{entry['id']}.csv"
         assert run(entry["path"], str(out)) == 0, entry["id"]
+        for line in capsys.readouterr().err.splitlines():
+            assert OWN_WARNING.match(line), (entry["id"], line)
         cfg = json.loads(Path(entry["path"]).read_text())
         # perfbench splits the table on CRLF: no newline translation
         text = out.read_bytes().decode("utf-8")

@@ -104,3 +104,49 @@ def test_energy_result_refuses_a_non_finite_value(value):
     with pytest.raises(ValueError, match="value must be finite"):
         EnergyResult(value, 0.0, 1)
     EnergyResult(-1.7e308, 0.0, 1)
+
+
+def _public_producers():
+    """Every public function that returns an EnergyResult, on a small
+    input of its own."""
+    from fluctem import lamb, pairwise, quadrature
+    from fluctem.core import vec3
+    from fluctem.polarizability import single_resonance
+
+    model = single_resonance(1.5, 0.5)
+    pair = pairwise.PairSpec(model, single_resonance(0.8, 0.3), 4.0)
+    geom = manybody.SystemGeometry([(vec3(0.0, 0.0, 5.0 * k), model)
+                                    for k in range(3)])
+    medium = lamb.DiluteMedium(1e-3, model)
+    return {
+        "integrate_semi_infinite": lambda: quadrature.integrate_semi_infinite(
+            lambda x: math.exp(-x)),
+        "integrate_rows": lambda: quadrature.integrate_rows(
+            lambda x, rows: np.exp(-x), [1.0])[0],
+        "integrate_interval": lambda: quadrature.integrate_interval(
+            math.sin, 0.0, 1.0),
+        "integrate_pv": lambda: quadrature.integrate_pv(
+            lambda w: math.exp(-w), 1.0),
+        "matsubara_sum": lambda: quadrature.matsubara_sum(
+            lambda x: np.exp(-x), 0.05),
+        "vdw_energy": lambda: pairwise.vdw_energy(pair),
+        "london_energy": lambda: pairwise.london_energy(pair),
+        "bethe_shift_quadrature": lambda: lamb.bethe_shift_quadrature(model),
+        "dielectric_shift_difference":
+            lambda: lamb.dielectric_shift_difference(model, medium),
+        "thermal_shift": lambda: lamb.thermal_shift(model, 0.1),
+        "free_energy_T0": lambda: manybody.free_energy_T0(geom),
+        "free_energy_finiteT": lambda: manybody.free_energy_finiteT(geom,
+                                                                    0.05),
+        "second_order_energy": lambda: manybody.second_order_energy(geom),
+        "normal_mode_energy": lambda: manybody.normal_mode_energy(geom),
+    }
+
+
+@pytest.mark.parametrize("producer", list(_public_producers()))
+def test_energy_results_hold_python_numbers(producer):
+    # a numpy scalar in a result would leak into every caller's arithmetic
+    res = _public_producers()[producer]()
+    assert type(res.value) is float
+    assert type(res.error_estimate) is float
+    assert type(res.evaluations) is int

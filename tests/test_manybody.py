@@ -526,13 +526,13 @@ def test_blocked_thermal_sum_matches_term_by_term(case, monkeypatch):
     geom = make()
     # the one tail integral starts at xi_(N + 1/2): its scale gives N
     scales = []
-    ladder = quadrature._integrate_exp_sinh
+    ladder = quadrature._integrate
 
-    def recording(g, counter, tail_spec, scale, target=0.0, stack=1):
+    def recording(source, tail_spec, scale, *args, **kwargs):
         scales.append(scale)
-        return ladder(g, counter, tail_spec, scale, target, stack)
+        return ladder(source, tail_spec, scale, *args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "_integrate_exp_sinh", recording)
+    monkeypatch.setattr(quadrature, "_integrate", recording)
     blocked = free_energy_finiteT(geom, temperature, spec,
                                   nonretarded=nonretarded)
     tail_scales = list(scales)

@@ -237,6 +237,58 @@ def test_each_row_spends_its_own_budget():
     assert rows[0] == rows[2] == integrate_semi_infinite(f, spec)
 
 
+# the walk's three sources of values: one float call per node, stacks of
+# nodes, and a row's slice of a whole level; each returns its error
+def _returned(integrate):
+    def run(f, spec, scale):
+        try:
+            return integrate(f, spec, scale)
+        except QuadratureError as exc:
+            return exc
+
+    return run
+
+
+SOURCES = {
+    "float": _returned(integrate_semi_infinite),
+    "stacked": _returned(_stacked_on_half_line),
+    "row": lambda f, spec, scale: integrate_rows(_elementwise(f), [scale],
+                                                 spec)[0],
+}
+
+
+@pytest.mark.parametrize("room", [-20, 0, 20])
+def test_every_source_reports_the_first_fault_in_walk_order(room):
+    # a NaN as value 151 of the walk, and a budget of 150 + room values:
+    # short of it the budget runs out first (at room 0 the NaN is the
+    # first value past the budget), past it the NaN is named
+    f = lambda x: 1.0 / (1.0 + x * math.sqrt(x))
+    kept = []
+
+    def recorded(x):
+        kept.append(x)
+        return f(x)
+
+    integrate_semi_infinite(recorded, scale=1e-3)
+    victim = kept[150]
+    spoiled = lambda x: math.nan if x == victim else f(x)
+    spec = QuadratureSpec(max_evals=150 + room)
+    errors = [str(run(spoiled, spec, 1e-3)) for run in SOURCES.values()]
+    expected = f"integrand is nan at x={victim!r}" if room > 0 \
+        else f"quadrature budget of {150 + room} evaluations exhausted"
+    assert errors == [expected] * len(SOURCES)
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e200])
+def test_rows_at_huge_scales_equal_their_scalar_walks(scale):
+    # a whole level's nodes s*u overflow far out on the ladder; forming
+    # them raises no numpy warning, which this suite turns into an error
+    (row,) = integrate_rows(lambda x, rows: np.exp(-x / scale), [scale])
+    assert row == integrate_semi_infinite(lambda x: math.exp(-x / scale),
+                                          scale=scale)
+    assert row.value == pytest.approx(scale, rel=1e-9)
+
+
 def test_rows_validation():
     for scales in ([1.0, 0.0], [math.inf], [-1.0]):
         with pytest.raises(ValueError, match="scales"):
