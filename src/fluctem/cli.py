@@ -41,7 +41,7 @@ from .cavity import (
     interaction_extract,
     perturbative_shift,
 )
-from .core import convert
+from .core import convert, unwrap
 from .lamb import (
     CutoffSpec,
     DiluteMedium,
@@ -297,13 +297,6 @@ def _model(obj: dict, name: str) -> KramersHeisenberg:
     return _named(name, KramersHeisenberg, tuple(rows))
 
 
-def _raised(result):
-    """``result``, or raise it where it is an error."""
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def _run_pairwise(cfg: dict) -> tuple[list[str], list[float]]:
     return next(_pairwise_rows(cfg))
 
@@ -332,7 +325,7 @@ def _pairwise_rows(cfg: dict, separations: list[float] | None = None):
         # an energy past the double range: atoms too strong for the
         # separation
         vdw, london, cp = _named("atoms and separation", lambda: (
-            _raised(vdw), london_closed_form(pair),
+            unwrap(vdw), london_closed_form(pair),
             casimir_polder_asymptote(model_a.static_polarizability(),
                                      model_b.static_polarizability(), r)))
         yield (["r", "E_vdw", "E_london", "E_cp", "err"],

@@ -4,6 +4,14 @@ Everything inside the package works in Hartree atomic units:
 hbar = e = m_e = k_B = 1 and c = 1/alpha_fs = 137.035999084.
 Temperatures are energies (Hartree); lengths are bohr.  Conversions to
 laboratory units happen only at the CLI boundary through :func:`convert`.
+
+Every energy is a prefactor times an integral or a sum of such terms, so
+results combine by one set of rules: :meth:`EnergyResult.scaled` scales
+a value and its error by a factor and keeps the count, and
+:meth:`EnergyResult.total` sums values and errors by ``math.fsum`` and
+adds the counts.  :func:`finite_sum` names a quantity whose sum leaves
+the double range, and :func:`unwrap` raises an error that a call
+returned in place of a result.
 """
 
 from __future__ import annotations
@@ -20,6 +28,8 @@ __all__ = [
     "BOHR_NM",
     "KELVIN_HARTREE",
     "EnergyResult",
+    "finite_sum",
+    "unwrap",
     "convert",
     "vec3",
     "PairDistanceError",
@@ -94,6 +104,42 @@ class EnergyResult:
             raise ValueError("error_estimate must be finite and >= 0")
         if self.evaluations < 0:
             raise ValueError("evaluations must be >= 0")
+
+    def scaled(self, factor: float) -> EnergyResult:
+        """The result times ``factor``: the error scales by |factor|, and
+        the count stays."""
+        return EnergyResult(self.value * factor,
+                            self.error_estimate * abs(factor),
+                            self.evaluations)
+
+    @staticmethod
+    def total(results) -> EnergyResult:
+        """The sum of ``results``: values and errors each summed by
+        ``math.fsum``, and their counts added."""
+        results = list(results)
+        return EnergyResult(math.fsum(r.value for r in results),
+                            math.fsum(r.error_estimate for r in results),
+                            sum(r.evaluations for r in results))
+
+
+def finite_sum(terms, name: str) -> float:
+    """``math.fsum`` of ``terms``, or OverflowError naming the ``name`` they
+    make when the sum, or one of its partial sums, leaves the double
+    range."""
+    try:
+        total = math.fsum(terms)
+    except OverflowError:
+        total = math.inf
+    if math.isinf(total):
+        raise OverflowError(f"the {name} overflows a double")
+    return total
+
+
+def unwrap(result: EnergyResult | Exception) -> EnergyResult:
+    """``result``, or raise it where it is an error returned as a value."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def vec3(x: float, y: float, z: float) -> np.ndarray:

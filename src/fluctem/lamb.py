@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .core import SPEED_OF_LIGHT, EnergyResult
+from .core import SPEED_OF_LIGHT, EnergyResult, finite_sum
 from .polarizability import KramersHeisenberg
 from .quadrature import QuadratureSpec, integrate_interval, integrate_pv
 
@@ -84,21 +84,9 @@ def bethe_shift(model: KramersHeisenberg,
     cutoff = cutoff or CutoffSpec()
     _check_cutoff(model, cutoff)
     w = cutoff.omega_max
-    total = _finite_sum((t.omega_sg**2 * t.d2 * _log_ratio(w, t.omega_sg)
-                         for t in model.transitions), "bethe shift")
+    total = finite_sum((t.omega_sg**2 * t.d2 * _log_ratio(w, t.omega_sg)
+                        for t in model.transitions), "bethe shift")
     return -2.0 / (3.0 * math.pi * SPEED_OF_LIGHT**3) * total
-
-
-def _finite_sum(terms, shift: str) -> float:
-    """math.fsum of ``terms``, or OverflowError naming the ``shift`` they
-    make when the sum leaves the double range."""
-    try:
-        total = math.fsum(terms)
-    except OverflowError:
-        total = math.inf
-    if math.isinf(total):
-        raise OverflowError(f"the {shift} overflows a double")
-    return total
 
 
 def _log_ratio(w: float, omega: float) -> float:
@@ -118,16 +106,12 @@ def bethe_shift_quadrature(model: KramersHeisenberg,
     """
     cutoff = cutoff or CutoffSpec()
     _check_cutoff(model, cutoff)
-    pref = -2.0 / (3.0 * math.pi * SPEED_OF_LIGHT**3)
-    values, errors, evals = [], [], 0
-    for t in model.transitions:
-        res = integrate_interval(lambda w, om=t.omega_sg: 1.0 / (w + om),
-                                 0.0, cutoff.omega_max, quad)
-        values.append(t.omega_sg**2 * t.d2 * res.value)
-        errors.append(t.omega_sg**2 * t.d2 * res.error_estimate)
-        evals += res.evaluations
-    return EnergyResult(pref * math.fsum(values),
-                        abs(pref) * math.fsum(errors), evals)
+    return EnergyResult.total(
+        integrate_interval(lambda w, om=t.omega_sg: 1.0 / (w + om),
+                           0.0, cutoff.omega_max, quad
+                           ).scaled(t.omega_sg**2 * t.d2)
+        for t in model.transitions
+    ).scaled(-2.0 / (3.0 * math.pi * SPEED_OF_LIGHT**3))
 
 
 def dielectric_shift_difference(model: KramersHeisenberg,
@@ -153,7 +137,7 @@ def dielectric_shift_difference(model: KramersHeisenberg,
     # (2/3 pi c^3) * 2 pi N * (2/3): atom prefactor times n-1 coefficient
     pref = -(2.0 / (3.0 * math.pi * SPEED_OF_LIGHT**3)) \
         * 2.0 * math.pi * medium.number_density * (2.0 / 3.0)
-    value = pref * _finite_sum(terms, "dielectric shift")
+    value = pref * finite_sum(terms, "dielectric shift")
     # the terms share one sign; each and the prefactor carry ~10 roundings
     return EnergyResult(value, 16.0 * math.ulp(1.0) * abs(value), 0)
 
@@ -189,14 +173,9 @@ def thermal_shift(model: KramersHeisenberg, temperature: float,
             return 0.0
         return w**3 / math.expm1(grow)
 
-    values, errors, evals = [], [], 0
-    for t in model.transitions:
-        # the Bose factor puts the mass at w ~ T
-        pv = integrate_pv(bose_numerator, pole=t.omega_sg, spec=quad,
-                          scale=temperature)
-        values.append(t.d2 * t.omega_sg * pv.value)
-        errors.append(t.d2 * t.omega_sg * pv.error_estimate)
-        evals += pv.evaluations
-    pref = -4.0 / (3.0 * math.pi * SPEED_OF_LIGHT**3)
-    return EnergyResult(pref * math.fsum(values),
-                        abs(pref) * math.fsum(errors), evals)
+    # the Bose factor puts the mass at w ~ T
+    return EnergyResult.total(
+        integrate_pv(bose_numerator, pole=t.omega_sg, spec=quad,
+                     scale=temperature).scaled(t.d2 * t.omega_sg)
+        for t in model.transitions
+    ).scaled(-4.0 / (3.0 * math.pi * SPEED_OF_LIGHT**3))

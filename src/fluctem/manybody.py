@@ -26,16 +26,16 @@ static projectors) is computed once per :class:`SystemGeometry`.
 :func:`build_T` scatters the Green blocks of all pairs, from one
 broadcast through :func:`fluctem.green.imag_axis_green`, into the 3N x 3N
 matrix; :func:`second_order_energy` sums their squared norms from the
-pair distances alone.  The log-det integrand has one evaluation path,
-which takes one frequency or a 1-D array of K: the Green blocks, alpha(i xi)
-of each distinct model and T(xi) are evaluated for the whole array, and
-one ``cholesky`` call factorises the stacked (K, 3N, 3N) matrices.  The
-thermal sum hands it blocks of Matsubara frequencies, and the tanh-sinh
-integrals (the T = 0 energy, the second order and the thermal tail)
-stacks of their nodes, at most 2**16 matrix elements at T = 0: about 113
-nodes at N = 8, 9 at N = 27 and one from N = 61 on.  Every stacked slice
-equals the single-frequency call bit for bit, so the stacking changes no
-result.
+pair distances alone.  The log-det and second-order integrands take a
+1-D array of K frequencies at every N, and have no float branch: the
+Green blocks, alpha(i xi) of each distinct model and T(xi) are evaluated
+for the whole array, and one ``cholesky`` call factorises the stacked
+(K, 3N, 3N) matrices.  The thermal sum hands them blocks of Matsubara
+frequencies, and the tanh-sinh integrals (the T = 0 energy, the second
+order and the thermal tail) stacks of their nodes, at most 2**16 matrix
+elements at T = 0: about 113 nodes at N = 8, 9 at N = 27 and one from
+N = 61 on.  Every slice of a stack equals the one-node stack of its
+frequency bit for bit, so the stacking changes no result.
 
 ``normal_mode_energy`` is the independent oracle for the electrostatic
 limit: identical single-resonance atoms give mode frequencies
@@ -231,8 +231,8 @@ def _log1pmx(mu: np.ndarray) -> np.ndarray:
 
 
 def _log1p_sums(xi, mu: np.ndarray):
-    """sum_k log1p(mu_k) over the last axis of ``mu``: a float for the
-    modes of one xi, an array for the (K, 3N) modes of K.
+    """sum_k log1p(mu_k) over the last axis of the (K, 3N) modes ``mu`` of
+    K frequencies ``xi``: an array of K sums.
 
     The mu_k are eigenvalues of a zero-diagonal matrix: their sum is 0,
     so log1p(mu_k) - mu_k is summed, free of a first order that cancels
@@ -248,10 +248,7 @@ def _log1p_sums(xi, mu: np.ndarray):
             "strong-coupling/overlap regime at "
             f"xi={float(np.ravel(xi)[first])!r}: "
             "an interaction mode crosses the stability boundary")
-    logs = _log1pmx(mu).tolist()
-    if mu.ndim == 1:
-        return math.fsum(logs)
-    return np.array([math.fsum(row) for row in logs])
+    return np.array([math.fsum(row) for row in _log1pmx(mu).tolist()])
 
 
 def _node_scale(geom: SystemGeometry, nonretarded: bool) -> float:
@@ -268,8 +265,8 @@ def _stack(geom: SystemGeometry) -> int:
 
 
 def _log_det_1p(xi, m: np.ndarray):
-    """log det(1 + m) of a symmetric, zero-diagonal m: a float for the
-    (3N, 3N) matrix of one xi, an array for the (K, 3N, 3N) stack of K.
+    """log det(1 + m) of each symmetric, zero-diagonal matrix of the
+    (K, 3N, 3N) stack ``m`` of K frequencies ``xi``: an array of K values.
 
     1 + m has a unit diagonal, so its Cholesky factor L has
     L_ii^2 = 1 - s_i with s_i = sum_{k<i} L_ik^2, and the log det is
@@ -289,8 +286,6 @@ def _log_det_1p(xi, m: np.ndarray):
         low[..., diag, diag] = 0.0
         minus_s = (-low.sum(axis=-1)).tolist()
         # math.log1p(-s_i) raises ValueError from s_i = 1 on
-        if m.ndim == 2:
-            return math.fsum(map(math.log1p, minus_s))
         return np.array([math.fsum(map(math.log1p, row)) for row in minus_s])
     except (np.linalg.LinAlgError, ValueError):
         m[..., diag, diag] = 0.0
@@ -298,11 +293,11 @@ def _log_det_1p(xi, m: np.ndarray):
 
 
 def _logdet_function(geom: SystemGeometry, nonretarded: bool
-                     ) -> Callable[..., float | np.ndarray]:
+                     ) -> Callable[[np.ndarray], np.ndarray]:
     """g(xi) = log det[1 + A T](i xi), the one log-det evaluation path.
 
-    ``xi`` is one frequency, giving a float, or a 1-D array of K, giving K
-    values.  The determinant is that of 1 + M with the symmetrized
+    ``xi`` is a 1-D array of K frequencies, giving K values.  The
+    determinant is that of 1 + M with the symmetrized
     M = sqrt(A) T sqrt(A), whose diagonal is zero because T's self-blocks
     are: one stacked Cholesky factorisation of the unit-diagonal 1 + M
     serves every frequency (:func:`_log_det_1p`).  Identical scalar
@@ -337,9 +332,7 @@ def free_energy_T0(geom: SystemGeometry, quad: QuadratureSpec | None = None,
         return EnergyResult(0.0, 0.0, 0)
     res = integrate_semi_infinite(_logdet_function(geom, nonretarded), quad,
                                   _node_scale(geom, nonretarded), _stack(geom))
-    pref = 1.0 / (2.0 * math.pi)
-    return EnergyResult(pref * res.value, pref * res.error_estimate,
-                        res.evaluations)
+    return res.scaled(1.0 / (2.0 * math.pi))
 
 
 def free_energy_finiteT(geom: SystemGeometry, temperature: float,
@@ -385,16 +378,12 @@ def second_order_energy(geom: SystemGeometry,
         decay = np.exp(-x) / r**3
         pairs = (4.0 * alphas[..., i] * alphas[..., j]
                  * (retarded_pair_polynomial(x) * decay * decay)).tolist()
-        if np.ndim(xi) == 0:
-            return math.fsum(pairs)
         return np.array([math.fsum(row) for row in pairs])
 
     res = integrate_semi_infinite(integrand, quad,
                                   _node_scale(geom, nonretarded=False),
                                   _stack(geom))
-    pref = 1.0 / (4.0 * math.pi)
-    return EnergyResult(-pref * res.value, pref * res.error_estimate,
-                        res.evaluations)
+    return res.scaled(-1.0 / (4.0 * math.pi))
 
 
 def _identical_single_resonance(geom: SystemGeometry) -> tuple[float, float]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SPEED_OF_LIGHT, EnergyResult
+from .core import SPEED_OF_LIGHT, EnergyResult, finite_sum, unwrap
 from .polarizability import KramersHeisenberg
 from .quadrature import QuadratureSpec, integrate_rows, integrate_semi_infinite
 
@@ -58,13 +58,6 @@ def _over_power(num, den, r, n):
     return num / den
 
 
-def _finite(energy: float, name: str) -> float:
-    """``energy``, or OverflowError naming it past the double range."""
-    if math.isinf(energy):
-        raise OverflowError(f"the {name} overflows a double")
-    return energy
-
-
 @dataclass(frozen=True)
 class PairSpec:
     """Two polarizability models a distance r apart (bohr)."""
@@ -101,9 +94,7 @@ def vdw_energy(pair: PairSpec, quad: QuadratureSpec | None = None
     The one-row view of :func:`vdw_energies`: it raises that row's
     :class:`~fluctem.quadrature.QuadratureError` or OverflowError."""
     (res,) = vdw_energies(pair.model_a, pair.model_b, [pair.r], quad)
-    if isinstance(res, Exception):
-        raise res
-    return res
+    return unwrap(res)
 
 
 def vdw_energies(model_a: KramersHeisenberg, model_b: KramersHeisenberg,
@@ -139,13 +130,11 @@ def vdw_energies(model_a: KramersHeisenberg, model_b: KramersHeisenberg,
         if isinstance(res, EnergyResult):
             pref = _over_power(c, math.pi, sep, 7)
             try:
-                _finite(pref * max(res.value, res.error_estimate),
-                        "van der Waals energy")
+                finite_sum([pref * max(res.value, res.error_estimate)],
+                           "van der Waals energy")
+                res = res.scaled(-pref)
             except OverflowError as exc:
                 res = exc
-            else:
-                res = EnergyResult(-pref * res.value,
-                                   pref * res.error_estimate, res.evaluations)
         energies.append(res)
     return energies
 
@@ -160,9 +149,7 @@ def london_energy(pair: PairSpec, quad: QuadratureSpec | None = None
 
     scale = min(t.omega_sg for t in a.transitions + b.transitions)
     res = integrate_semi_infinite(integrand, quad, scale)
-    pref = _over_power(3.0, math.pi, r, 6)
-    return EnergyResult(-pref * res.value, pref * res.error_estimate,
-                        res.evaluations)
+    return res.scaled(-_over_power(3.0, math.pi, r, 6))
 
 
 def london_closed_form(pair: PairSpec) -> float:
@@ -175,8 +162,8 @@ def london_closed_form(pair: PairSpec) -> float:
         ta.d2 * tb.d2 / (ta.omega_sg + tb.omega_sg)
         for ta in pair.model_a.transitions
         for tb in pair.model_b.transitions)
-    return _finite(_over_power(-(2.0 / 3.0) * total, 1.0, pair.r, 6),
-                   "London energy")
+    return finite_sum([_over_power(-(2.0 / 3.0) * total, 1.0, pair.r, 6)],
+                      "London energy")
 
 
 def casimir_polder_asymptote(alpha_a0: float, alpha_b0: float, r: float
@@ -186,9 +173,9 @@ def casimir_polder_asymptote(alpha_a0: float, alpha_b0: float, r: float
         raise ValueError("separation must be positive")
     if alpha_a0 < 0 or alpha_b0 < 0:
         raise ValueError("static polarizabilities cannot be negative")
-    return _finite(_over_power(-23.0 * SPEED_OF_LIGHT * alpha_a0 * alpha_b0,
-                               4.0 * math.pi, r, 7),
-                   "Casimir-Polder asymptote")
+    return finite_sum([_over_power(-23.0 * SPEED_OF_LIGHT * alpha_a0
+                                   * alpha_b0, 4.0 * math.pi, r, 7)],
+                      "Casimir-Polder asymptote")
 
 
 def validity_ratio(alpha_a0, alpha_b0, r):

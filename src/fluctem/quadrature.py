@@ -32,15 +32,16 @@ the level's peak.  Values it does not take are never counted, budgeted or
 checked.  It takes them in node order from one of three sources, each the
 fastest measured on its integrands:
 
-* a float integrand is called once per node, as the walk reaches it.
+* a float integrand, passed without a ``stack``, is called once per
+  node, as the walk reaches it.
   Lamb's integrands cost about a microsecond per node; fetched in chunks
   they ran 25 % slower, and as arrays three times slower.
-* ``integrate_semi_infinite(..., stack=K)`` calls an array integrand on
-  stacks of nodes: first those inside the previous level's reach, then
-  four at a time, never more than K.  A log-det node costs a matrix
-  factorisation, so a stack saves calls and computes few nodes past the
-  cut; whole levels or reach-sized windows computed more nodes and ran
-  slower.  The Matsubara tail takes stacks of up to 32.
+* ``integrate_semi_infinite(..., stack=K)``, K >= 1, calls an array
+  integrand on stacks of nodes: first those inside the previous level's
+  reach, then four at a time, never more than K.  A log-det node costs a
+  matrix factorisation, so a stack saves calls and computes few nodes
+  past the cut; whole levels or reach-sized windows computed more nodes
+  and ran slower.  The Matsubara tail takes stacks of up to 32.
 * ``integrate_rows`` evaluates each level of every unconverged row as one
   (R, n) array, and the walk takes each row's values from its slice.
   Whole levels pay only across rows, such as the points of a separation
@@ -69,7 +70,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EnergyResult
+from .core import EnergyResult, unwrap
 
 __all__ = [
     "QuadratureSpec",
@@ -286,15 +287,13 @@ def _integrate(source, spec: QuadratureSpec, scale: float,
     :func:`_ladders`); raises its :class:`QuadratureError`."""
     (res,) = _ladders(lambda *_: [source], [scale], spec, target, count,
                       budget)
-    if isinstance(res, QuadratureError):
-        raise res
-    return res
+    return unwrap(res)
 
 
 def integrate_semi_infinite(f: Callable[[float], float],
                             spec: QuadratureSpec | None = None,
                             scale: float = 1.0,
-                            stack: int = 1) -> EnergyResult:
+                            stack: int | None = None) -> EnergyResult:
     """Integrate ``f`` over [0, inf).
 
     Half of the nodes lie below ``scale``.  ``f`` must be finite on
@@ -302,21 +301,20 @@ def integrate_semi_infinite(f: Callable[[float], float],
     :class:`QuadratureError` when the evaluation budget runs out or ``f``
     returns NaN or an infinity.
 
-    ``stack`` is the largest number of nodes per call of ``f``.  At 1,
-    ``f`` takes one float at a time.  Above 1, it takes a 1-D array of
-    nodes and returns the array of its values, and each direction of a
-    refinement level is evaluated in such stacks.  The values a stack
-    holds past a direction's cut are discarded unseen: they are not
-    counted, budgeted or checked, and numpy warnings are off while ``f``
-    runs.  Nodes, kept values, result and ``evaluations`` are those of
-    ``stack`` = 1 bit for bit, provided each array element equals the
-    float call.
+    Without ``stack``, ``f`` takes one float at a time.  A ``stack`` of
+    K >= 1 makes ``f`` take a 1-D array of at most K nodes and return the
+    array of its values, and each direction of a refinement level is
+    evaluated in such stacks.  The values a stack holds past a
+    direction's cut are discarded unseen: they are not counted, budgeted
+    or checked, and numpy warnings are off while ``f`` runs.  Nodes, kept
+    values, result and ``evaluations`` are those of the float calls bit
+    for bit, provided each array element equals the float call.
     """
     if not 0 < scale < math.inf:
         raise ValueError("scale must be positive and finite")
-    if stack < 1:
+    if stack is not None and stack < 1:
         raise ValueError("stack must be >= 1")
-    source = _floats(f) if stack == 1 else _stacks(f, stack)
+    source = _floats(f) if stack is None else _stacks(f, stack)
     return _integrate(source, spec or QuadratureSpec(), scale)
 
 

@@ -103,6 +103,45 @@ def test_tracer_patch_points_resolve(monkeypatch):
             f"{module}.{attr}"
 
 
+
+def test_traced_pass_gives_the_untraced_bytes(tmp_path, monkeypatch, capsys):
+    # perfbench times a pass with its tracer's wrappers around the
+    # package's entry points and integrands: the seed-101 configs of both
+    # workloads give the same tables and messages with and without them
+    tracer_module = load_perfbench("tracer", monkeypatch)
+    workloads = load_perfbench("workloads", monkeypatch)
+    entries = [entry for name in ("clusters", "spectra-sweep")
+               for entry in workloads.write_workload(name, 101, REPO,
+                                                     tmp_path / name)]
+    points = [(module, attr) for module, attr, _ in tracer_module.SPANS]
+    points += tracer_module.QUADRATURE + [("fluctem.cli", "run")]
+
+    def bound():
+        return [vars(tracer_module._resolve(module))[attr]
+                for module, attr in points]
+
+    def outputs():
+        texts = []
+        for entry in entries:
+            out = tmp_path / f"{entry['id']}.csv"
+            code = cli.run(entry["path"], str(out))
+            texts.append((entry["id"], code, out.read_bytes(),
+                          capsys.readouterr().err))
+        return texts
+
+    untraced, originals = outputs(), bound()
+    tracer = tracer_module.Tracer()
+    tracer.install(cli)
+    try:
+        traced = outputs()
+    finally:
+        tracer.remove()
+    assert traced == untraced
+    names = {tracer.names[k] for k in tracer.drain()["name"].tolist()}
+    assert {"quadrature.integrate_semi_infinite", "quadrature.matsubara_sum",
+            "quadrature.integrate_pv", "manybody.integrand"} <= names, names
+    assert all(a is b for a, b in zip(bound(), originals))
+
 # the warnings the package itself gives: validity ratios and the Lamb cutoff
 OWN_WARNING = re.compile(
     r"warning: (point-dipole picture strained: "
@@ -1172,6 +1211,38 @@ def test_config_fuzz_runs_clean_or_names_its_key(case):
         and any(n in message for n in names)
         or any(t in message for t in typed) or spent), (name, message)
 
+
+@st.composite
+def edge_pairs(draw):
+    """Two numeric leaves of one task, each at a bound or the double just
+    past it, and the names of both keys."""
+    task = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    leaves = [path for t, path in FUZZ_LEAVES if t == task]
+    cfg = copy.deepcopy(FUZZ_BASES[task])
+    names = []
+    for path in draw(st.lists(st.sampled_from(leaves), min_size=2,
+                              max_size=2, unique=True)):
+        name, entry = table_entry(cfg, path)
+        node = cfg
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = draw(st.sampled_from(edges(entry)))
+        names.append(name)
+    return cfg, names
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=edge_pairs())
+def test_config_fuzz_of_two_keys_at_their_ends_names_either(case):
+    # the assertion of the one-key fuzz, which passes when it holds with
+    # the name of either key
+    cfg, names = case
+    one_key = test_config_fuzz_runs_clean_or_names_its_key.hypothesis \
+        .inner_test
+    try:
+        one_key(case=(cfg, names[0]))
+    except AssertionError:
+        one_key(case=(cfg, names[1]))
 
 def other_paths(node, path=()):
     """The paths of every object, list, string, flag and null in node."""

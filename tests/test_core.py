@@ -1,5 +1,6 @@
 """Shared types and geometry: the one path from positions to pair
-distances and directions, and the finite-energy contract of results."""
+distances and directions, the finite-energy contract of results, and the
+rules by which results combine."""
 
 import math
 
@@ -10,7 +11,9 @@ import fluctem.manybody as manybody
 from fluctem.core import (
     EnergyResult,
     PairDistanceError,
+    finite_sum,
     pair_separations,
+    unwrap,
 )
 
 
@@ -140,6 +143,8 @@ def _public_producers():
                                                                     0.05),
         "second_order_energy": lambda: manybody.second_order_energy(geom),
         "normal_mode_energy": lambda: manybody.normal_mode_energy(geom),
+        "scaled": lambda: EnergyResult(1.5, 0.25, 3).scaled(-2),
+        "total": lambda: EnergyResult.total([]),
     }
 
 
@@ -150,3 +155,33 @@ def test_energy_results_hold_python_numbers(producer):
     assert type(res.value) is float
     assert type(res.error_estimate) is float
     assert type(res.evaluations) is int
+
+
+def test_scaled_error_takes_the_size_of_a_negative_factor():
+    res = EnergyResult(1.5, 0.25, 7).scaled(-2.0)
+    assert (res.value, res.error_estimate, res.evaluations) == (-3.0, 0.5, 7)
+
+
+def test_total_sums_exactly_and_adds_the_counts():
+    parts = (EnergyResult(v, e, n) for v, e, n in
+             [(1e16, 0.5, 1), (1.0, 0.25, 2), (-1e16, 0.125, 3)])
+    res = EnergyResult.total(parts)
+    assert (res.value, res.error_estimate, res.evaluations) == (1.0, 0.875, 6)
+    assert finite_sum([1e16, 1.0, -1e16], "energy") == 1.0
+
+
+@pytest.mark.parametrize("terms", [[1.0, math.inf], [1e308, 1e308, -1e308]],
+                         ids=["infinite", "intermediate"])
+def test_finite_sum_names_the_quantity_that_overflows(terms):
+    with pytest.raises(OverflowError,
+                       match="^the London energy overflows a double$"):
+        finite_sum(terms, "London energy")
+
+
+def test_unwrap_raises_an_error_and_returns_a_result():
+    res = EnergyResult(-1.0, 0.5, 4)
+    assert unwrap(res) is res
+    error = OverflowError("the van der Waals energy overflows a double")
+    with pytest.raises(OverflowError) as info:
+        unwrap(error)
+    assert info.value is error
