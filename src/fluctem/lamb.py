@@ -157,7 +157,7 @@ def thermal_shift(model: KramersHeisenberg, temperature: float,
     relative off the cold series against an estimate of 1.5e-13, and at
     1e8 T 7.7e-10 off against 5.8e-11.  It holds at 1e5 T and 1e6 T.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError("temperature must be positive")
     # the ladder misses the Bose factor's mass far under the pole: from
     # 5.6e9 T on it stops converging

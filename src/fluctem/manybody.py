@@ -32,9 +32,11 @@ Green blocks, alpha(i xi) of each distinct model and T(xi) are evaluated
 for the whole array, and one ``cholesky`` call factorises the stacked
 (K, 3N, 3N) matrices.  The thermal sum hands them blocks of Matsubara
 frequencies, and the tanh-sinh integrals (the T = 0 energy, the second
-order and the thermal tail) stacks of their nodes, at most 2**16 matrix
-elements at T = 0: about 113 nodes at N = 8, 9 at N = 27 and one from
-N = 61 on.  Every slice of a stack equals the one-node stack of its
+order and the thermal tail) stacks of their nodes.  At T = 0 a stack
+holds at most 2**16 array elements: (3N)^2 matrix elements per node of
+the log det, about 113 nodes at N = 8, 9 at N = 27 and one from N = 61
+on, and N(N - 1)/2 pair terms per node of the second order, 32 nodes at
+N = 64.  Every slice of a stack equals the one-node stack of its
 frequency bit for bit, so the stacking changes no result.
 
 ``normal_mode_energy`` is the independent oracle for the electrostatic
@@ -89,8 +91,8 @@ __all__ = [
 
 # Gauss-Legendre nodes of the coupling-constant integral
 _PHF_NODES = 64
-# matrix elements stacked per integrand call of the tanh-sinh integrals:
-# (3N)^2 per node of the log det; the second order takes the same stacks
+# array elements stacked per integrand call of the tanh-sinh integrals:
+# (3N)^2 per node of the log det, N(N - 1)/2 pair terms of the second order
 _STACK_ELEMENTS = 2**16
 # past this frequency every Green block is exactly zero (exp(-xi r/c)
 # underflows at any r above 1e-145 bohr), while xi^2 still fits a double
@@ -187,12 +189,14 @@ class SystemGeometry:
 
 
 def _frequencies(xi) -> np.ndarray:
-    """``xi`` as a float array clamped to _XI_CEILING; xi < 0 raises."""
+    """``xi`` as a float array clamped to _XI_CEILING; a negative or NaN
+    xi raises."""
     xi = np.asarray(xi, dtype=float)
-    # Python min and max: far cheaper than numpy reductions on one or a
-    # few entries, and every node of a quadrature passes here
+    # Python min, max and sum: far cheaper than numpy reductions on one or
+    # a few entries, and every node of a quadrature passes here; min can
+    # miss a NaN, the sum cannot
     values = xi.ravel().tolist()
-    if min(values, default=0.0) < 0:
+    if min(values, default=0.0) < 0 or math.isnan(sum(values)):
         raise ValueError("imaginary-axis frequency must be >= 0")
     return np.minimum(xi, _XI_CEILING) \
         if max(values, default=0.0) > _XI_CEILING else xi
@@ -259,9 +263,10 @@ def _node_scale(geom: SystemGeometry, nonretarded: bool) -> float:
     return scale
 
 
-def _stack(geom: SystemGeometry) -> int:
-    """Nodes per integrand call: stacks of _STACK_ELEMENTS matrix elements."""
-    return max(1, _STACK_ELEMENTS // (3 * geom.n_sites) ** 2)
+def _stack(node_elements: int) -> int:
+    """Nodes per integrand call whose arrays hold ``node_elements`` per
+    node: stacks of _STACK_ELEMENTS elements, or one node."""
+    return max(1, _STACK_ELEMENTS // node_elements)
 
 
 def _log_det_1p(xi, m: np.ndarray):
@@ -331,7 +336,8 @@ def free_energy_T0(geom: SystemGeometry, quad: QuadratureSpec | None = None,
     if geom.n_sites < 2:
         return EnergyResult(0.0, 0.0, 0)
     res = integrate_semi_infinite(_logdet_function(geom, nonretarded), quad,
-                                  _node_scale(geom, nonretarded), _stack(geom))
+                                  _node_scale(geom, nonretarded),
+                                  _stack((3 * geom.n_sites) ** 2))
     return res.scaled(1.0 / (2.0 * math.pi))
 
 
@@ -347,7 +353,7 @@ def free_energy_finiteT(geom: SystemGeometry, temperature: float,
     bounds the Matsubara terms and the tail nodes together.
     """
     if geom.n_sites < 2:
-        if temperature <= 0:
+        if not temperature > 0:
             raise ValueError("temperature must be positive")
         return EnergyResult(0.0, 0.0, 0)
     return matsubara_sum(_logdet_function(geom, nonretarded), temperature,
@@ -382,7 +388,7 @@ def second_order_energy(geom: SystemGeometry,
 
     res = integrate_semi_infinite(integrand, quad,
                                   _node_scale(geom, nonretarded=False),
-                                  _stack(geom))
+                                  _stack(r.size))
     return res.scaled(-1.0 / (4.0 * math.pi))
 
 
@@ -430,7 +436,7 @@ def phf_lambda_integral(x) -> float:
         if x.ndim != 2 or x.shape[0] != x.shape[1]:
             raise ValueError("x must be a scalar or a square matrix")
         radius = float(np.max(np.abs(np.linalg.eigvals(x))))
-    if radius >= 1.0:
+    if not radius < 1.0:
         raise ValueError("spectral radius must be < 1")
     glx, glw = np.polynomial.legendre.leggauss(_PHF_NODES)
     lam = 0.5 * (glx + 1.0)

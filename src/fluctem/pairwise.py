@@ -60,15 +60,18 @@ def _over_power(num, den, r, n):
 
 @dataclass(frozen=True)
 class PairSpec:
-    """Two polarizability models a distance r apart (bohr)."""
+    """Two polarizability models a distance r apart (bohr).
+
+    A separation that is not positive and finite raises ValueError, a
+    model without a sum over states TypeError."""
 
     model_a: KramersHeisenberg
     model_b: KramersHeisenberg
     r: float
 
     def __post_init__(self) -> None:
-        if not self.r > 0:
-            raise ValueError("separation must be positive")
+        if not 0 < self.r < math.inf:
+            raise ValueError("separation must be positive and finite")
         for model in (self.model_a, self.model_b):
             if not isinstance(model, KramersHeisenberg):
                 raise TypeError(
@@ -168,11 +171,14 @@ def london_closed_form(pair: PairSpec) -> float:
 
 def casimir_polder_asymptote(alpha_a0: float, alpha_b0: float, r: float
                              ) -> float:
-    """Fully retarded long-distance limit -23 c alpha_a0 alpha_b0/(4 pi r^7)."""
-    if r <= 0:
-        raise ValueError("separation must be positive")
-    if alpha_a0 < 0 or alpha_b0 < 0:
-        raise ValueError("static polarizabilities cannot be negative")
+    """Fully retarded long-distance limit -23 c alpha_a0 alpha_b0/(4 pi r^7).
+
+    Raises ValueError for a separation that is not positive and finite,
+    and for a static polarizability that is negative or not finite."""
+    if not 0 < r < math.inf:
+        raise ValueError("separation must be positive and finite")
+    if not (0 <= alpha_a0 < math.inf and 0 <= alpha_b0 < math.inf):
+        raise ValueError("static polarizabilities must be finite and >= 0")
     return finite_sum([_over_power(-23.0 * SPEED_OF_LIGHT * alpha_a0
                                    * alpha_b0, 4.0 * math.pi, r, 7)],
                       "Casimir-Polder asymptote")

@@ -78,8 +78,10 @@ class KramersHeisenberg:
         return (2.0 / 3.0) * total
 
     def alpha_imag(self, xi: float) -> float:
-        """Polarizability on the positive imaginary axis, alpha(i*xi)."""
-        if xi < 0:
+        """Polarizability on the positive imaginary axis, alpha(i*xi).
+
+        A frequency that is negative or NaN raises ValueError."""
+        if not xi >= 0:
             raise ValueError("imaginary-axis frequency must be >= 0")
         return self.sum_terms(xi * xi)
 

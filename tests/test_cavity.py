@@ -20,7 +20,7 @@ from fluctem.cavity import (
     interaction_extract,
     perturbative_shift,
 )
-from fluctem.cavity import _hamiltonian, _layout
+from fluctem.cavity import _hamiltonian, _operators
 from fluctem.cli import _run_cavity, run
 from fluctem.core import PairDistanceError, pair_separations
 
@@ -455,7 +455,7 @@ def random_system(seed):
     make_system(d1=(0.1, 0, 0), d2=(0, 0.1, 0)),
 ], ids=["N2", "zero-pair"])
 def test_hamiltonian_equals_kron_build(system):
-    for n_max in (4, 12, 16):
+    for n_max in (4, 12, 16, 28):
         even = even_states(n_max)
         for include_pair in (False, True):
             h = _hamiltonian(system, n_max, include_pair)
@@ -495,9 +495,9 @@ def test_even_sector_ground_equals_full_space_ground():
 
 
 def test_layout_arrays_are_read_only():
-    layout = _layout(12)
-    assert layout is _layout(12)
-    for array in layout:
+    operators = _operators(12)
+    assert operators is _operators(12)
+    for array in operators:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array.flat[0] = 1

@@ -321,6 +321,8 @@ def test_thermal_validation():
     model = KramersHeisenberg((Transition(0.5, 3.0),))
     with pytest.raises(ValueError):
         thermal_shift(model, 0.0)
+    with pytest.raises(ValueError, match="temperature must be positive"):
+        thermal_shift(model, math.nan)
 
 
 def test_thermal_refuses_a_transition_far_above_the_temperature():

@@ -220,7 +220,8 @@ def test_second_order_matches_pair_loop_integrand(monkeypatch):
 
         monkeypatch.setattr(manybody, "integrate_semi_infinite", recording)
         batched = second_order_energy(geom)
-        assert batched.evaluations > 0 and manybody._stack(geom) > 1
+        assert batched.evaluations > 0
+        assert manybody._stack(geom.pair_distances.size) > 1
         # stacked calls also evaluate nodes past each direction's cut,
         # which are discarded uncounted: every evaluated node is checked
         assert len(seen) >= batched.evaluations
@@ -283,8 +284,15 @@ def test_build_T_stack_slices_equal_scalar_calls(n_atoms):
 
 
 def test_build_T_rejects_negative_frequency_in_stack():
+    geom = random_cluster(3)
     with pytest.raises(ValueError):
-        build_T(random_cluster(3), np.array([0.1, -0.2]))
+        build_T(geom, np.array([0.1, -0.2]))
+    # min passes over a NaN that is not the first entry
+    for xi in (math.nan, np.array([0.1, math.nan]), np.array([math.nan, 0.1])):
+        with pytest.raises(ValueError, match="frequency"):
+            build_T(geom, xi)
+        with pytest.raises(ValueError, match="frequency"):
+            geom.alpha_values(xi)
 
 
 def test_build_T_is_exactly_zero_past_the_frequency_ceiling():
@@ -559,6 +567,15 @@ def test_free_energy_single_atom_is_zero():
     geom = SystemGeometry([(vec3(0, 0, 0), single_resonance(1.0, 0.5))])
     assert free_energy_T0(geom).value == 0.0
     assert free_energy_finiteT(geom, 0.01).value == 0.0
+
+
+def test_free_energy_finiteT_rejects_a_nan_temperature():
+    one = SystemGeometry([(vec3(0, 0, 0), single_resonance(1.0, 0.5))])
+    two = chain_geometry(single_resonance(1.0, 0.5), 3.0, 2)
+    for geom in (one, two):
+        for temperature in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="temperature"):
+                free_energy_finiteT(geom, temperature)
 
 
 def test_second_order_single_atom_is_zero():
@@ -952,6 +969,8 @@ def test_phf_lambda_integral_matrix_identity():
 def test_phf_lambda_integral_radius_validation():
     with pytest.raises(ValueError):
         phf_lambda_integral(1.0)
+    with pytest.raises(ValueError):
+        phf_lambda_integral(math.nan)
     with pytest.raises(ValueError):
         phf_lambda_integral(np.eye(3) * 1.2)
     with pytest.raises(ValueError):

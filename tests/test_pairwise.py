@@ -31,8 +31,9 @@ def identical_pair(alpha_static, omega0, r):
 
 def test_pair_spec_validation():
     model = single_resonance(1.0, 0.5)
-    with pytest.raises(ValueError):
-        PairSpec(model, model, 0.0)
+    for r in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            PairSpec(model, model, r)
     with pytest.raises(TypeError):
         PairSpec(model, object(), 1.0)
 
@@ -200,6 +201,12 @@ def test_casimir_polder_asymptote_values():
     assert casimir_polder_asymptote(0.0, 1.0, 1.0) == 0.0
     with pytest.raises(ValueError):
         casimir_polder_asymptote(1.0, 1.0, 0.0)
+    for r in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="separation"):
+            casimir_polder_asymptote(1.0, 1.0, r)
+    for alphas in ((math.nan, 1.0), (1.0, math.inf), (-1.0, 1.0)):
+        with pytest.raises(ValueError, match="polarizabilities"):
+            casimir_polder_asymptote(*alphas, 3.0)
 
 
 def test_validity_check_boundaries():

@@ -158,3 +158,5 @@ def test_alpha_imag_rejects_negative_frequency():
     model = single_resonance(1.0, 1.0)
     with pytest.raises(ValueError):
         model.alpha_imag(-0.1)
+    with pytest.raises(ValueError):
+        model.alpha_imag(math.nan)

@@ -682,6 +682,8 @@ def test_matsubara_validation():
         matsubara_sum(lambda x: 1.0, 0.0)
     with pytest.raises(ValueError):
         matsubara_sum(lambda x: 1.0, -1.0)
+    with pytest.raises(ValueError, match="temperature"):
+        matsubara_sum(lambda x: 1.0, math.nan)
     with pytest.raises(ValueError, match="overflow"):
         matsubara_sum(lambda x: 1.0, 1.7e308)
     for scale in (0.0, math.nan, math.inf):
