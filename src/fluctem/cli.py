@@ -126,12 +126,13 @@ _KEYS = {
     "manybody": {**_COMMON, "temperature": _Key("temperature", 5e-324, _MAX),
                  "nonretarded": bool, "atoms[].position[]": _POSITION,
                  **_PAIR_MODEL, **_QUADRATURE},
-    # the thermal integrand takes w^3 up to w = 700 T
+    # the thermal shift's hot end is pi^2 T^2/6 per transition, which
+    # stays finite up to 1e99
     "lamb": {**_COMMON, "temperature": _Key("temperature", 5e-324, 1e99),
              "cutoff": _LAMB_OMEGA,
              "medium.number_density": _Key("density", 0.0, _MAX),
              **_model_keys("atom.", _LAMB_OMEGA, _MAX),
-             **_model_keys("medium.host.", _LAMB_OMEGA, _MAX), **_QUADRATURE},
+             **_model_keys("medium.host.", _LAMB_OMEGA, _MAX)},
     # couplings amplitude (dipole . polarization) sqrt(omega) stay under
     # 1e150, so their squares and the Hamiltonian stay finite
     "cavity": {**_COMMON, "separation": _SEPARATION,
@@ -369,8 +370,7 @@ def _run_lamb(cfg: dict) -> tuple[list[str], list[float]]:
     bethe = _named("atom", bethe_shift, model, cutoff)
     thermal = dielectric = err = 0.0
     if "temperature" in cfg:
-        res = _named("atom", thermal_shift, model, cfg["temperature"],
-                     QuadratureSpec(**cfg.get("quadrature", {})))
+        res = _named("atom", thermal_shift, model, cfg["temperature"])
         thermal, err = res.value, res.error_estimate
     if "medium" in cfg:
         host = _model(_need(cfg["medium"], "medium.host"), "medium.host")

@@ -34,8 +34,9 @@ fastest measured on its integrands:
 
 * a float integrand, passed without a ``stack``, is called once per
   node, as the walk reaches it.
-  Lamb's integrands cost about a microsecond per node; fetched in chunks
-  they ran 25 % slower, and as arrays three times slower.
+  Such integrands cost about a microsecond per node: the thermal shift's
+  principal values, before its closed form, ran 25 % slower fetched in
+  chunks, and three times slower as arrays.
 * ``integrate_semi_infinite(..., stack=K)``, K >= 1, calls an array
   integrand on stacks of nodes: first those inside the previous level's
   reach, then four at a time, never more than K.  A log-det node costs a

@@ -139,7 +139,7 @@ def test_traced_pass_gives_the_untraced_bytes(tmp_path, monkeypatch, capsys):
     assert traced == untraced
     names = {tracer.names[k] for k in tracer.drain()["name"].tolist()}
     assert {"quadrature.integrate_semi_infinite", "quadrature.matsubara_sum",
-            "quadrature.integrate_pv", "manybody.integrand"} <= names, names
+            "manybody.integrand"} <= names, names
     assert all(a is b for a, b in zip(bound(), originals))
 
 # the warnings the package itself gives: validity ratios and the Lamb cutoff
@@ -710,6 +710,18 @@ def test_cavity_takes_no_quadrature(tmp_path, capsys, quadrature):
     assert config_error(tmp_path, capsys, scan) == expected
 
 
+def test_lamb_takes_no_quadrature(tmp_path, capsys):
+    # every lamb column is a closed form, so a quadrature is a stray key
+    expected = ("error: config: unknown config keys for task 'lamb': "
+                "['quadrature']\n")
+    cfg = {"task": "lamb", "atom": dict(ATOM), "temperature": 0.02,
+           "quadrature": {"rel_tol": 1e-9}}
+    assert config_error(tmp_path, capsys, cfg) == expected
+    scan = dict(cfg, task="scan", subtask="lamb",
+                sweep={"parameter": "temperature", "values": [0.02, 0.2]})
+    assert config_error(tmp_path, capsys, scan) == expected
+
+
 def test_scan_hands_quadrature_to_its_subtask(tmp_path, capsys):
     cfg = {"task": "scan", "subtask": "pairwise",
            "atoms": [dict(ATOM), dict(ATOM)], "separation": 3.0,
@@ -891,7 +903,7 @@ def test_lamb_task_columns(tmp_path):
 
 def test_lamb_err_is_the_thermal_error_alone(tmp_path):
     # the closed-form dielectric column carries no error, as E_london in
-    # pairwise: err is the thermal quadrature's estimate, or 0 without it
+    # pairwise: err is the thermal shift's estimate, or 0 without it
     atom = {"model": "transitions",
             "transitions": [{"omega": 0.375, "d2": 1.0}]}
     medium = {"number_density": 1e-5,
@@ -1134,8 +1146,7 @@ FUZZ_BASES = {
              "atom": {"model": "transitions",
                       "transitions": [{"omega": 0.375, "d2": 1.0}]},
              "medium": {"number_density": 1e-5,
-                        "host": dict(ATOM, alpha_static=2.0, omega=2.0)},
-             "quadrature": {"rel_tol": 1e-9, "max_evals": 10**6}},
+                        "host": dict(ATOM, alpha_static=2.0, omega=2.0)}},
     "cavity": cavity_config(),
     "scan": dict(pairwise_config(), task="scan", subtask="pairwise",
                  sweep={"parameter": "separation", "values": [3.0, 4.0]}),

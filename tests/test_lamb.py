@@ -1,8 +1,8 @@
 """Radiative shift checks: closed form vs quadrature, dielectric
 difference against the analytic principal value, scipy's Cauchy-weight
-quadrature and a 50-digit evaluation, thermal scaling laws, and thermal
-error estimates against scipy's Cauchy-weight quadrature and the cold-side
-series."""
+quadrature and a 50-digit evaluation, thermal scaling laws, and the
+thermal shift and its error estimate against scipy's Cauchy-weight
+quadrature, the cold-side series and a 50-digit digamma evaluation."""
 
 import decimal
 import math
@@ -325,14 +325,84 @@ def test_thermal_validation():
         thermal_shift(model, math.nan)
 
 
-def test_thermal_refuses_a_transition_far_above_the_temperature():
-    # 1e9 T converges; past it the principal value stops resolving the
-    # Bose factor, so the shift is refused instead of a failed ladder
-    model = KramersHeisenberg((Transition(1e9 * 0.02, 1.0),))
-    assert thermal_shift(model, 0.02).value < 0
-    far = KramersHeisenberg((Transition(1e11 * 0.02, 1.0),))
-    with pytest.raises(ValueError, match="under 1e-9 of the transition"):
-        thermal_shift(far, 0.02)
+@pytest.mark.parametrize("ratio", [1e9, 1e11, 1e50])
+def test_thermal_far_above_the_temperature_matches_the_cold_series(ratio):
+    # the closed form takes any omega/T: no transition is refused
+    model = single_resonance(0.5, 0.5)
+    res = thermal_shift(model, 0.5 / ratio)
+    ref, ref_tol = cold_series(model, 0.5 / ratio)
+    assert res.value < 0
+    assert abs(res.value - ref) <= res.error_estimate + ref_tol
+
+
+# the zero of R(y) = Re psi(iy) - ln y - 1/(12 y^2), where the pieces of
+# the shift cancel
+R_ZERO = 0.41638
+
+
+def digamma_thermal(omega, temperature):
+    """The shift of one transition of unit d2 from 50-digit mpmath:
+    -(4/(3 pi c^3)) omega (omega^2/2) R(omega / (2 pi T))."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a, t = mpmath.mpf(omega), mpmath.mpf(temperature)
+        y = a / (2 * mpmath.pi * t)
+        r = mpmath.re(mpmath.digamma(1j * y)) - mpmath.log(y) \
+            - 1 / (12 * y * y)
+        return float(-4 / (3 * mpmath.pi * mpmath.mpf(C) ** 3)
+                     * a * a * a / 2 * r)
+
+
+def test_thermal_matches_the_digamma_route():
+    # 201 log-spaced y = omega/(2 pi T) over the hot end, the zero of R,
+    # both branches and the cold end, and points closing in on the zero
+    omega = 0.7
+    model = KramersHeisenberg((Transition(omega, 1.0),))
+    grid = [10.0 ** (-3 + 0.04 * k) for k in range(201)]
+    near = [R_ZERO * (1.0 + s * d) for s in (-1.0, 1.0)
+            for d in (1e-2, 1e-4, 1e-6, 1e-8)]
+    for y in grid + near:
+        temperature = omega / (2.0 * math.pi * y)
+        res = thermal_shift(model, temperature)
+        ref = digamma_thermal(omega, temperature)
+        diff = abs(res.value - ref)
+        assert diff <= res.error_estimate, y
+        if y in grid:
+            assert diff <= 1e-13 * abs(ref), y
+
+
+@pytest.mark.parametrize("temperature, omega, strong", [
+    (1e99, 1e-100, 1e300), (1e99, 1e154, 1e150), (5e-324, 1e-100, 1e300),
+    (5e-324, 1e154, 1e150)])
+def test_thermal_at_the_ends_of_the_key_ranges_is_finite(temperature, omega,
+                                                         strong):
+    # the principal value is -pi^2 T^2/6 at the hot end and
+    # pi^4 T^4/(15 omega^2) at the cold end: with d2 = 1 the shift stays
+    # finite or underflows to 0, and with d2 = strong it underflows too or
+    # is the named OverflowError.  An omega over about 1.3e154 has no
+    # finite square, which the model refuses
+    res = thermal_shift(KramersHeisenberg((Transition(omega, 1.0),)),
+                        temperature)
+    if temperature > omega:
+        law = 2.0 * math.pi * omega * temperature**2 / (9.0 * CUBIC)
+    else:
+        law = -4.0 * math.pi**3 / (45.0 * CUBIC) \
+            * (temperature**2 / omega) * temperature**2
+    assert res.value == pytest.approx(law, rel=1e-14)
+    assert math.isfinite(res.error_estimate)
+    model = KramersHeisenberg((Transition(omega, strong),))
+    if law == 0.0:
+        assert thermal_shift(model, temperature).value == 0.0
+    else:
+        with pytest.raises(OverflowError, match="thermal shift overflows"):
+            thermal_shift(model, temperature)
+
+
+def test_thermal_where_omega_over_t_underflows_is_the_hot_law():
+    # omega/(2 pi T) rounds to 0: the shift is the T^2 law, not ln 0
+    res = thermal_shift(KramersHeisenberg((Transition(1e-300, 1.0),)), 1e30)
+    law = 2.0 * math.pi * 1e-300 * 1e30**2 / (9.0 * CUBIC)
+    assert res.value == pytest.approx(law, rel=1e-14)
 
 
 def test_dielectric_overflow_is_an_overflow_error():
