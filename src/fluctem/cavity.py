@@ -25,11 +25,16 @@ uncoupled ground state is even, so the oracle diagonalizes the even sector,
 lowest level continues the uncoupled ground; tests check it against the
 full space up to ultrastrong coupling.
 
-H is the sum of six read-only even-sector matrices, one per term above:
+The oracle writes H(lambda) = H0 + lambda V: V = v (sigma_1 + sigma_1')
+(sigma_2 + sigma_2') is the pair term, H0 the other five, and H = H(1).
+Each is a sum of read-only even-sector matrices, one per term above:
 a'a, |e_1><e_1|, |e_2><e_2|, (sigma_1 + sigma_1')(a + a'),
 (sigma_2 + sigma_2')(a + a') and (sigma_1 + sigma_1')(sigma_2 + sigma_2'),
-each times its coefficient.  The matrices of the last two cutoffs are
-cached, which covers the cutoffs 12 and 16 that a converging point uses.
+each times its coefficient.  Each photon cutoff builds H0 once and solves
+lambda = 1 and lambda = 0; the cavity-mediated pair energy is
+E(1) - E(0) + v^2/(omega_1 + omega_2).  The matrices of the last two
+cutoffs are cached, which covers the cutoffs 12 and 16 that a converging
+point uses.
 At cutoff 104 the six take 2.1 MB, and a walk to that cutoff peaks at
 about 37 MB resident in a fresh Python process.
 """
@@ -132,9 +137,10 @@ class CavitySystem:
     Positions are 3-vectors in bohr; coincident atoms are rejected.  The
     mode carries one amplitude per atom.  A system keeps its ``atoms``,
     its ``mode``, the atoms' ``separation`` and their dipole-dipole
-    ``pair_coefficient`` (both floats), and the ground energies with and
-    without the pair term once it has solved them; none of these is meant
-    to change after the build.
+    ``pair_coefficient`` v (both floats), and, once it has solved them,
+    the ground energies E(1) and E(0) of H(lambda) = H0 + lambda V, with
+    V the pair term, both from one H0 per photon cutoff; none of these is
+    meant to change after the build.
     """
 
     def __init__(self, atoms: Sequence[TwoStateAtom],
@@ -167,12 +173,12 @@ class CavitySystem:
 
     @cached_property
     def _ground_energies(self) -> tuple[float, float]:
-        # the ground energies with and without the pair term, at one
-        # cutoff, so that the truncation errors cancel in
+        # the ground energies of H0 + lambda V at lambda = 1 and 0, from
+        # one H0 per cutoff, so that the truncation errors cancel in
         # interaction_extract
         def grounds(cutoff: int) -> list[float]:
-            spectra = [np.linalg.eigvalsh(_hamiltonian(self, cutoff, p))
-                       for p in (True, False)]
+            h, v = _hamiltonian(self, cutoff)
+            spectra = [np.linalg.eigvalsh(m) for m in (h + v, h)]
             # a change below the rounding unit at |H|_2 proves nothing
             rounding = math.ulp(max(max(-w[0], w[-1]) for w in spectra))
             if not rounding < _CONVERGENCE_TOL:
@@ -276,18 +282,17 @@ def _operators(cutoff: int) -> tuple[np.ndarray, ...]:
     return operators
 
 
-def _hamiltonian(system: CavitySystem, cutoff: int,
-                 include_pair: bool) -> np.ndarray:
-    # the terms in the order _operators gives them; zero entries stay +0.0
+def _hamiltonian(system: CavitySystem,
+                 cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    # H0 and V of H(lambda) = H0 + lambda V, the terms summed in the order
+    # _operators gives them; zero entries of H0 and H0 + V stay +0.0
     # whatever the sign of a coefficient, as the mode term's are +0.0 and
     # adding a signed zero to +0.0 gives +0.0
     number, e1, e2, c1, c2, pair = _operators(cutoff)
     w1, w2 = (atom.omega for atom in system.atoms)
     h = (system.mode.omega * number + w1 * e1 + w2 * e2
          + system.coupling(0) * c1 + system.coupling(1) * c2)
-    if include_pair:
-        h += system.pair_coefficient * pair
-    return h
+    return h, system.pair_coefficient * pair
 
 
 def exact_ground_energy(system: CavitySystem) -> float:
@@ -298,8 +303,9 @@ def exact_ground_energy(system: CavitySystem) -> float:
     the result moves by less than 1e-10, and the finer result is returned;
     a ``PhotonCutoffError`` reports a result still moving at cutoff 104,
     or a solve whose rounding unit at the norm of H reaches 1e-10.
-    One cutoff serves both pair settings.  The uncoupled ground energy is
-    zero, so the result is the full shift.
+    Each cutoff builds the pair-free H0 once and solves H0 + V beside it
+    for ``interaction_extract``.  The uncoupled ground energy is zero, so
+    the result is the full shift.
     """
     return system._ground_energies[0]
 
@@ -307,9 +313,10 @@ def exact_ground_energy(system: CavitySystem) -> float:
 def interaction_extract(system: CavitySystem) -> float:
     """Cavity-mediated pair energy, isolated by differencing.
 
-    Subtracts from the full ground shift both the shift with the
-    electrostatic pair coupling removed, at the same photon cutoff, and
-    the second-order pure-pair term -v^2/(omega1 + omega2).  What is left
+    With H(lambda) = H0 + lambda V, V the electrostatic pair term, this
+    is E(1) - E(0) + v^2/(omega1 + omega2): the full ground shift less the
+    pair-free one, both solved from one H0 at the same photon cutoff, and
+    less the second-order pure-pair term -v^2/(omega1 + omega2).  What is left
     is the cross channel in which one atom talks to the other through the
     mode and the electrostatic coupling together; in the weak-coupling
     high-frequency regime it falls off as the inverse cube of the

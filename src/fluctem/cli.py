@@ -540,11 +540,12 @@ def _render_csv(columns: list[str], rows: list[list[float]],
 
 def _render_json(columns: list[str], rows: list[list[float]],
                  config_hash: str) -> str:
+    # JSON has no NaN: a slope that cannot be fitted is null
     document = {
         "config_hash": config_hash,
         "version": __version__,
         "columns": columns,
-        "rows": rows,
+        "rows": [[None if math.isnan(v) else v for v in row] for row in rows],
     }
     return json.dumps(document, indent=2) + "\n"
 

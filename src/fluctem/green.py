@@ -7,8 +7,9 @@ homogeneous medium of real refractive index n is
                   * [ (I - p)/(k r) + (I - 3 p)(i/(k r)^2 - 1/(k r)^3) ]
 
 with k = n omega / c and p the outer product of the unit separation vector
-with itself.  On the real axis a complex kernel evaluates this form.  On
-the positive imaginary axis omega = i xi (vacuum) every entry is real,
+with itself.  On the real axis a complex kernel evaluates this form, and
+:func:`dyadic_green` takes it in vacuum, n = 1.  On the positive
+imaginary axis omega = i xi (vacuum) every entry is real,
 
     G(r, i xi) = -exp(-x) [ (xi/c)^2 (I-p)/r + (xi/c)(I-3p)/r^2 + (I-3p)/r^3 ]
 
@@ -80,19 +81,16 @@ def _green_kernel(omega: complex, r: float, rhat: np.ndarray,
     return prefactor * np.exp(1j * kr) * bracket
 
 
-def dyadic_green(rn: np.ndarray, rm: np.ndarray, omega: float,
-                 n_index: float = 1.0) -> np.ndarray:
-    """Green tensor at real frequency; complex 3x3 array.
+def dyadic_green(rn: np.ndarray, rm: np.ndarray, omega: float) -> np.ndarray:
+    """Green tensor in vacuum at real frequency; complex 3x3 array.
 
-    The static limit (omega r/c -> 0) is (3 p - I)/(n^2 r^3); the far zone
+    The static limit (omega r/c -> 0) is (3 p - I)/r^3; the far zone
     keeps only the transverse 1/(k r) term.
     """
     if not 0 < omega < np.inf:
         raise ValueError("frequency must be positive and finite")
-    if not 1.0 <= n_index < np.inf:
-        raise ValueError("refractive index must be finite and >= 1")
     _, _, (r,), (rhat,) = pair_separations((rn, rm))
-    return _green_kernel(complex(omega), r, rhat, n_index)
+    return _green_kernel(complex(omega), r, rhat, 1.0)
 
 
 def imag_axis_green(xi, r: np.ndarray, transverse: np.ndarray,

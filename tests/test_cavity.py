@@ -267,10 +267,16 @@ def test_exact_residual_scales_as_fourth_power_of_dipole():
     assert 3.5 < exponent < 4.5
 
 
+def full_hamiltonian(system, cutoff):
+    # H(1) = H0 + V, as the oracle solves it
+    h, v = _hamiltonian(system, cutoff)
+    return h + v
+
+
 def test_exact_monotone_in_photon_cutoff():
     system = make_system(a1=0.3, a2=0.3, d1=(0.5, 0, 0), d2=(0.5, 0, 0),
                          r=5.0)
-    grounds = [float(np.linalg.eigvalsh(_hamiltonian(system, n, True))[0])
+    grounds = [float(np.linalg.eigvalsh(full_hamiltonian(system, n))[0])
                for n in (4, 6, 8, 10)]
     for lo, hi in zip(grounds, grounds[1:]):
         assert hi <= lo + 1e-12
@@ -310,7 +316,7 @@ def test_exact_grows_the_cutoff_past_the_first(tmp_path):
     header, row = out.read_text().splitlines()[1:]
     exact = float(row.split(",")[header.split(",").index("exact_total")])
     system = make_system(a1=40.0, a2=40.0, r=10.0)
-    reference = float(np.linalg.eigvalsh(_hamiltonian(system, 104, True))[0])
+    reference = float(np.linalg.eigvalsh(full_hamiltonian(system, 104))[0])
     assert exact == pytest.approx(reference, rel=1e-12)
 
 
@@ -379,26 +385,57 @@ def test_interaction_extract_takes_both_pair_settings_at_one_cutoff(
     system = make_system(a1=18.235, a2=18.235, r=0.1)
 
     def ground(n_max, include_pair):
-        return float(np.linalg.eigvalsh(
-            _hamiltonian(system, n_max, include_pair))[0])
+        h = (full_hamiltonian(system, n_max) if include_pair
+             else _hamiltonian(system, n_max)[0])
+        return float(np.linalg.eigvalsh(h)[0])
 
     assert abs(ground(16, True) - ground(12, True)) >= 1e-10
     assert abs(ground(16, False) - ground(12, False)) < 1e-10
     built = []
     hamiltonian = cavity._hamiltonian
 
-    def recording(system, n_max, include_pair):
-        built.append((n_max, include_pair))
-        return hamiltonian(system, n_max, include_pair)
+    def recording(system, n_max):
+        built.append(n_max)
+        return hamiltonian(system, n_max)
 
     monkeypatch.setattr(cavity, "_hamiltonian", recording)
     extracted = interaction_extract(system)
-    assert sorted(built) == [(n, p) for n in (12, 16, 20)
-                             for p in (False, True)]
+    # one build of H0 and V per cutoff serves both pair settings, and a
+    # point that converges at once builds at 12 and 16
+    assert built == [12, 16, 20]
+    interaction_extract(make_system(r=8.0))
+    assert built == [12, 16, 20, 12, 16]
     v = system.pair_coefficient
     second_order = -v * v / (0.9 + 1.1)
     assert extracted == ground(20, True) - ground(20, False) - second_order
     assert exact_ground_energy(system) == ground(20, True)
+
+
+def phf_difference(system, cutoff, nodes):
+    # Pauli-Hellmann-Feynman: E(1) - E(0) = int_0^1 <psi_l|V|psi_l> dl
+    # for H(l) = H0 + l V, by Gauss-Legendre on [0, 1]
+    h, v = _hamiltonian(system, cutoff)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    for lam, weight in zip((x + 1.0) / 2.0, w / 2.0):
+        psi = np.linalg.eigh(h + lam * v)[1][:, 0]
+        total += weight * float(psi @ v @ psi)
+    return total
+
+
+@pytest.mark.parametrize("r, a1", [(2.0, 0.03), (5.0, 0.03), (2.0, 0.0)],
+                         ids=["r2", "r5", "r2-node"])
+def test_ground_difference_is_the_phf_integral_over_the_pair_term(r, a1):
+    # the atoms and mode of configs/cavity.json; each of these converges
+    # at cutoff 16.  1e-11 covers the rounding of the difference of two
+    # float ground energies: 1.7e-12 relative at r = 5 against a 40-digit
+    # solve of the same matrices, where the 4-node PHF is within 2.7e-15
+    system = make_system(a1=a1, a2=0.04, r=r)
+    with_pair, without_pair = system._ground_energies
+    phf = phf_difference(system, 16, nodes=4)
+    assert phf == pytest.approx(with_pair - without_pair, rel=1e-11)
+    assert phf == pytest.approx(phf_difference(system, 16, nodes=6),
+                                rel=1e-13)
 
 
 def kron_hamiltonian(system, n_max, include_pair):
@@ -457,12 +494,12 @@ def random_system(seed):
 def test_hamiltonian_equals_kron_build(system):
     for n_max in (4, 12, 16, 28):
         even = even_states(n_max)
-        for include_pair in (False, True):
-            h = _hamiltonian(system, n_max, include_pair)
+        h, v = _hamiltonian(system, n_max)
+        for include_pair, built in ((False, h), (True, h + v)):
             reference = kron_hamiltonian(system, n_max, include_pair)
             reference = reference[np.ix_(even, even)]
-            assert np.array_equal(h, reference)
-            assert np.array_equal(np.signbit(h), np.signbit(reference))
+            assert np.array_equal(built, reference)
+            assert np.array_equal(np.signbit(built), np.signbit(reference))
 
 
 def strong_system(seed):
@@ -486,9 +523,9 @@ def strong_system(seed):
 def test_even_sector_ground_equals_full_space_ground():
     for seed in range(10):
         system = strong_system(seed=200 + seed)
-        for include_pair in (False, True):
-            even = np.linalg.eigvalsh(_hamiltonian(system, 12,
-                                                   include_pair))[0]
+        h, v = _hamiltonian(system, 12)
+        for include_pair, built in ((False, h), (True, h + v)):
+            even = np.linalg.eigvalsh(built)[0]
             full = np.linalg.eigvalsh(kron_hamiltonian(system, 12,
                                                        include_pair))[0]
             assert abs(even - full) <= 1e-13 * max(1.0, abs(full))
@@ -534,6 +571,6 @@ def test_shared_ground_solve_is_order_independent():
     exact_second = exact_ground_energy(second)
     assert exact_first.hex() == exact_second.hex()
     assert extract_first.hex() == extract_second.hex()
-    fine = float(np.linalg.eigvalsh(_hamiltonian(make_system(r=8.0), 16,
-                                                 True))[0])
+    fine = float(np.linalg.eigvalsh(full_hamiltonian(make_system(r=8.0),
+                                                     16))[0])
     assert exact_first.hex() == fine.hex()

@@ -884,6 +884,29 @@ def test_json_format_round_trip(tmp_path):
     assert document["rows"][0] == pytest.approx(data[0], rel=1e-15)
 
 
+def test_unfitted_slope_is_nan_in_csv_and_null_in_json(tmp_path):
+    # one scan point leaves no line to fit
+    cfg = write_config(tmp_path, {
+        "task": "scan", "subtask": "pairwise",
+        "atoms": [dict(ATOM), dict(ATOM)], "separation": 1.0,
+        "sweep": {"parameter": "separation", "values": [2.0]}})
+    csv_out = tmp_path / "out.csv"
+    json_out = tmp_path / "out.json"
+    assert run(cfg, str(csv_out), fit_slope=True) == 0
+    assert run(cfg, str(json_out), output_format="json", fit_slope=True) == 0
+    assert csv_out.read_bytes().endswith(b",nan\r\n")
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    document = json.loads(json_out.read_text(), parse_constant=refuse)
+    (row,) = document["rows"]
+    assert document["columns"][-1] == "loglog_slope"
+    assert row[-1] is None
+    header, (data,) = read_table(csv_out)
+    assert row[:-1] == data[:-1]
+
+
 def test_lamb_task_columns(tmp_path):
     cfg = {"task": "lamb",
            "atom": {"model": "transitions",
