@@ -30,13 +30,19 @@ The oracle writes H(lambda) = H0 + lambda V: V = v (sigma_1 + sigma_1')
 Each is a sum of read-only even-sector matrices, one per term above:
 a'a, |e_1><e_1|, |e_2><e_2|, (sigma_1 + sigma_1')(a + a'),
 (sigma_2 + sigma_2')(a + a') and (sigma_1 + sigma_1')(sigma_2 + sigma_2'),
-each times its coefficient.  Each photon cutoff builds H0 once and solves
-lambda = 1 and lambda = 0; the cavity-mediated pair energy is
-E(1) - E(0) + v^2/(omega_1 + omega_2).  The matrices of the last two
-cutoffs are cached, which covers the cutoffs 12 and 16 that a converging
-point uses.
-At cutoff 104 the six take 2.1 MB, and a walk to that cutoff peaks at
-about 37 MB resident in a fresh Python process.
+each times its coefficient.  Each photon cutoff builds and solves H0
+once, and solves lambda = 1 beside it; the cavity-mediated pair energy
+is E(1) - E(0) + v^2/(omega_1 + omega_2).  H0 does not depend on where
+the atoms sit, so the systems of a separation scan
+(``CavitySystem.on_axis``) share one record per photon cutoff: H0, the
+pair operator and the extreme eigenvalues of H0.  A scan builds and
+solves H0 once per cutoff for all its points, and each point solves
+only H0 + V.  The record lives as long as the scan's systems.  The
+operator matrices of the last two cutoffs are also cached across
+systems, which covers the cutoffs 12 and 16 that a converging point
+uses.  At cutoff 104 the six take 2.1 MB; a system keeps H0 and the
+pair operator of every cutoff it walks, and a walk to cutoff 104 peaks
+at about 44 MB resident in a fresh Python process.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import pair_separations
+from .core import PairDistanceError, pair_separations
 from .green import imag_axis_green, pair_projectors
 
 __all__ = [
@@ -140,25 +146,51 @@ class CavitySystem:
     ``pair_coefficient`` v (both floats), and, once it has solved them,
     the ground energies E(1) and E(0) of H(lambda) = H0 + lambda V, with
     V the pair term, both from one H0 per photon cutoff; none of these is
-    meant to change after the build.
+    meant to change after the build.  The systems that ``on_axis``
+    returns for a separation scan share H0 and its solve per photon
+    cutoff, which a system built alone keeps to itself.
     """
 
     def __init__(self, atoms: Sequence[TwoStateAtom],
                  positions: Sequence[Sequence[float]], mode: CavityMode):
-        atoms = tuple(atoms)
-        if len(atoms) != 2:
-            raise ValueError("a cavity system takes exactly two atoms")
+        atoms = _two_atoms(atoms, mode)
         pos = np.asarray(positions, dtype=float)
         if pos.shape != (2, 3) or not np.isfinite(pos).all():
             raise ValueError("positions must be one finite 3-vector per atom")
-        if len(mode.amplitudes) != 2:
-            raise ValueError("mode amplitudes must match atom count")
         _, _, (r,), (rhat,) = pair_separations(pos)
-        self.separation = float(r)
-        self.pair_coefficient = float(dipole_dipole_energy(
-            atoms[0].dipole, atoms[1].dipole, rhat, r))
-        self.atoms = atoms
-        self.mode = mode
+        self._place(atoms, mode, r, dipole_dipole_energy(
+            atoms[0].dipole, atoms[1].dipole, rhat, r), {})
+
+    @classmethod
+    def on_axis(cls, atoms: Sequence[TwoStateAtom], mode: CavityMode,
+                separations: Sequence[float]) -> list[CavitySystem]:
+        """The systems with atom 0 at the origin and atom 1 at (0, 0, r),
+        one for each r of ``separations`` in order, each bit for bit the
+        system that ``__init__`` builds at those positions.  Their pair
+        coefficients come from one stacked call, and they share one
+        record of the pair-free part of each photon cutoff."""
+        atoms = _two_atoms(atoms, mode)
+        r = np.asarray(separations, dtype=float)
+        # refused as by a build: a separation that is not positive and
+        # finite, or whose square is not a normal double; the direction
+        # from atom 1 to atom 0 is the one pair_separations gives
+        with np.errstate(all="ignore"):
+            v = dipole_dipole_energy(atoms[0].dipole, atoms[1].dipole,
+                                     (0.0, 0.0, -1.0), r)
+            bad = (r < 1.5e-154) | np.isinf(r * r)
+        if bad.any():
+            raise PairDistanceError(0, 1, float(r[np.argmax(bad)]))
+        records: dict = {}
+        systems = [cls.__new__(cls) for _ in r]
+        for system, r_k, v_k in zip(systems, r, v):
+            system._place(atoms, mode, r_k, v_k, records)
+        return systems
+
+    def _place(self, atoms, mode, r, v, records: dict) -> None:
+        self.atoms, self.mode = atoms, mode
+        self.separation, self.pair_coefficient = float(r), float(v)
+        # photon cutoff -> _pair_free's record, shared by a scan's systems
+        self._records = records
 
     @property
     def high_frequency(self) -> bool:
@@ -178,14 +210,15 @@ class CavitySystem:
         # interaction_extract
         def grounds(cutoff: int) -> list[float]:
             h, v = _hamiltonian(self, cutoff)
-            spectra = [np.linalg.eigvalsh(m) for m in (h + v, h)]
+            w = np.linalg.eigvalsh(h + v)
+            _, _, lowest, highest = _pair_free(self, cutoff)
             # a change below the rounding unit at |H|_2 proves nothing
-            rounding = math.ulp(max(max(-w[0], w[-1]) for w in spectra))
+            rounding = math.ulp(max(-w[0], w[-1], -lowest, highest))
             if not rounding < _CONVERGENCE_TOL:
                 raise PhotonCutoffError(
                     f"ground energy not resolvable: the cutoff {cutoff} "
                     f"solve rounds at {rounding:.3e}")
-            return [float(w[0]) for w in spectra]
+            return [float(w[0]), lowest]
 
         coarse = grounds(_FIRST_PHOTON_CUTOFF)
         for cutoff in range(_FIRST_PHOTON_CUTOFF, _MAX_PHOTON_CUTOFF, 4):
@@ -197,6 +230,16 @@ class CavitySystem:
         raise PhotonCutoffError(
             f"ground energy not converged in photon number: cutoff "
             f"{cutoff} vs {cutoff + 4} differ by {change:.3e}")
+
+
+def _two_atoms(atoms: Sequence[TwoStateAtom],
+               mode: CavityMode) -> tuple[TwoStateAtom, ...]:
+    atoms = tuple(atoms)
+    if len(atoms) != 2:
+        raise ValueError("a cavity system takes exactly two atoms")
+    if len(mode.amplitudes) != 2:
+        raise ValueError("mode amplitudes must match atom count")
+    return atoms
 
 
 @dataclass(frozen=True)
@@ -282,16 +325,29 @@ def _operators(cutoff: int) -> tuple[np.ndarray, ...]:
     return operators
 
 
+def _pair_free(system: CavitySystem, cutoff: int) -> tuple:
+    """H0 at ``cutoff``, the pair operator P, and the lowest and highest
+    eigenvalue of H0: built and solved once for all the systems that
+    share ``system``'s records.  H0 sums the five pair-free terms in the
+    order _operators gives them, and is read-only."""
+    records = system._records
+    if cutoff not in records:
+        number, e1, e2, c1, c2, pair = _operators(cutoff)
+        w1, w2 = (atom.omega for atom in system.atoms)
+        h = (system.mode.omega * number + w1 * e1 + w2 * e2
+             + system.coupling(0) * c1 + system.coupling(1) * c2)
+        h.setflags(write=False)
+        w = np.linalg.eigvalsh(h)
+        records[cutoff] = h, pair, float(w[0]), float(w[-1])
+    return records[cutoff]
+
+
 def _hamiltonian(system: CavitySystem,
                  cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    # H0 and V of H(lambda) = H0 + lambda V, the terms summed in the order
-    # _operators gives them; zero entries of H0 and H0 + V stay +0.0
-    # whatever the sign of a coefficient, as the mode term's are +0.0 and
-    # adding a signed zero to +0.0 gives +0.0
-    number, e1, e2, c1, c2, pair = _operators(cutoff)
-    w1, w2 = (atom.omega for atom in system.atoms)
-    h = (system.mode.omega * number + w1 * e1 + w2 * e2
-         + system.coupling(0) * c1 + system.coupling(1) * c2)
+    # H0 and V of H(lambda) = H0 + lambda V; zero entries of H0 and
+    # H0 + V stay +0.0 whatever the sign of a coefficient, as the mode
+    # term's are +0.0 and adding a signed zero to +0.0 gives +0.0
+    h, pair, _, _ = _pair_free(system, cutoff)
     return h, system.pair_coefficient * pair
 
 
@@ -303,8 +359,9 @@ def exact_ground_energy(system: CavitySystem) -> float:
     the result moves by less than 1e-10, and the finer result is returned;
     a ``PhotonCutoffError`` reports a result still moving at cutoff 104,
     or a solve whose rounding unit at the norm of H reaches 1e-10.
-    Each cutoff builds the pair-free H0 once and solves H0 + V beside it
-    for ``interaction_extract``.  The uncoupled ground energy is zero, so
+    Each cutoff builds and solves the pair-free H0 once, for all the
+    systems of one ``CavitySystem.on_axis`` scan, and solves H0 + V beside
+    it for ``interaction_extract``.  The uncoupled ground energy is zero, so
     the result is the full shift.
     """
     return system._ground_energies[0]

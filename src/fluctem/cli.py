@@ -18,7 +18,6 @@ files.  Exit codes: 0 success, 1 error, 2 validity warnings under
 
 from __future__ import annotations
 
-import argparse
 import csv
 import hashlib
 import io
@@ -383,6 +382,16 @@ def _run_lamb(cfg: dict) -> tuple[list[str], list[float]]:
 
 
 def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
+    return next(_cavity_rows(cfg))
+
+
+def _cavity_rows(cfg: dict, separations: list[float] | None = None):
+    """The columns and row of a cavity config at each of ``separations``
+    (default: its own separation or positions), one at a time.  The atoms
+    and the mode are parsed once, and the systems of all points share
+    one pair-free Hamiltonian per photon cutoff, but each point checks
+    its distance and its mode, and raises its own error, only when its
+    turn comes: as if the points ran one after another."""
     atoms = _need(cfg, "atoms")
     if len(atoms) != 2:
         raise ConfigError("cavity needs exactly two atoms")
@@ -393,9 +402,7 @@ def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
               if "position" in atom]
     if "separation" in cfg and placed:
         raise ConfigError(f"separation and {placed[0]} exclude each other")
-    if "separation" in cfg:
-        positions = ((0.0, 0.0, 0.0), (0.0, 0.0, cfg["separation"]))
-    else:
+    if "separation" not in cfg:
         positions = [_need(atom, f"atoms[{k}].position", 3)
                      for k, atom in enumerate(atoms)]
     spec = _need(cfg, "mode")
@@ -403,18 +410,23 @@ def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
     mode = _named("mode.polarization", CavityMode, _need(spec, "mode.omega"),
                   _need(spec, "mode.polarization", 3),
                   _need(spec, "mode.amplitudes", len(atoms)))
-    system = _placed(CavitySystem, parsed, positions, mode)
-    _check_distance(system.separation, "atoms[0] and atoms[1]")
-    if not system.high_frequency:
-        k = int(np.argmax([atom.omega for atom in parsed]))
-        raise ConfigError(f"mode.omega must be over 10x atoms[{k}].omega")
-    shift = perturbative_shift(system)
-    extracted = interaction_extract(system)
-    exact = exact_ground_energy(system)
-    return (["r", "self_1", "self_2", "interaction", "extracted",
-             "exact_total"],
-            [system.separation, shift.self_1, shift.self_2,
-             shift.interaction, extracted, exact])
+    if "separation" in cfg:
+        systems = CavitySystem.on_axis(parsed, mode, separations
+                                       or [cfg["separation"]])
+    else:
+        systems = [_placed(CavitySystem, parsed, positions, mode)]
+    for system in systems:
+        _check_distance(system.separation, "atoms[0] and atoms[1]")
+        if not system.high_frequency:
+            k = int(np.argmax([atom.omega for atom in parsed]))
+            raise ConfigError(f"mode.omega must be over 10x atoms[{k}].omega")
+        shift = perturbative_shift(system)
+        extracted = interaction_extract(system)
+        exact = exact_ground_energy(system)
+        yield (["r", "self_1", "self_2", "interaction", "extracted",
+                "exact_total"],
+               [system.separation, shift.self_1, shift.self_2,
+                shift.interaction, extracted, exact])
 
 
 # each task's runner, and the column whose log-log slope --fit-slope
@@ -425,6 +437,9 @@ _RUNNERS = {
     "lamb": (_run_lamb, "bethe"),
     "cavity": (_run_cavity, "extracted"),
 }
+# the tasks whose separation scans build what the separation does not
+# touch once, and run their points as rows of that build
+_SEPARATION_ROWS = {"pairwise": _pairwise_rows, "cavity": _cavity_rows}
 
 
 def _replace(node, path: list, value):
@@ -481,10 +496,9 @@ def _run_scan(cfg: dict,
               for k, value in enumerate(values)]
     base = _walk(dict(base, task=subtask), "", "", subtask, scales)
 
-    # every runner returns the same columns at every point; a pairwise
-    # separation scan integrates its points as rows of one ladder
-    if subtask == "pairwise" and path == ["separation"]:
-        results = _pairwise_rows(base, points)
+    # every runner returns the same columns at every point
+    if path == ["separation"] and subtask in _SEPARATION_ROWS:
+        results = _SEPARATION_ROWS[subtask](base, points)
     else:
         results = (runner(_replace(base, path, point)) for point in points)
     rows = []
@@ -607,6 +621,9 @@ def run(config_path: str, output_path: str = "-", output_format: str = "csv",
 
 
 def main(argv: list[str] | None = None) -> int:
+    # only the command line parses arguments: run() and importers skip it
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fluctem",
         description="Fluctuation-induced electromagnetic energies "

@@ -5,6 +5,7 @@ against a Kronecker-product build of the full space."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from fluctem.cavity import (
 from fluctem.cavity import _hamiltonian, _operators
 from fluctem.cli import _run_cavity, run
 from fluctem.core import PairDistanceError, pair_separations
+
+CAVITY_SCAN = Path(__file__).resolve().parents[1] / "configs" / "cavity.json"
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
@@ -540,7 +543,7 @@ def test_layout_arrays_are_read_only():
             array.flat[0] = 1
 
 
-def test_cavity_point_makes_four_eigensolves(monkeypatch):
+def test_cavity_point_makes_four_eigensolves(monkeypatch, tmp_path):
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -560,6 +563,11 @@ def test_cavity_point_makes_four_eigensolves(monkeypatch):
     # cutoff 12 and 16, each with and without the pair coupling, on the
     # even-parity sector: 2 (n_max + 1) states for two atoms
     assert sorted(calls) == [(26, 26), (26, 26), (34, 34), (34, 34)]
+    # a separation scan solves the pair-free H0 of each cutoff once, and
+    # H0 + V at each of its six points
+    calls.clear()
+    assert run(str(CAVITY_SCAN), str(tmp_path / "out.csv")) == 0
+    assert sorted(calls) == [(26, 26)] * 7 + [(34, 34)] * 7
 
 
 def test_shared_ground_solve_is_order_independent():
@@ -574,3 +582,81 @@ def test_shared_ground_solve_is_order_independent():
     fine = float(np.linalg.eigvalsh(full_hamiltonian(make_system(r=8.0),
                                                      16))[0])
     assert exact_first.hex() == fine.hex()
+
+
+def test_on_axis_systems_are_the_builds_at_their_positions():
+    rng = np.random.default_rng(11)
+    mode = CavityMode(20.0, X, (0.03, -0.0))
+    separations = [1.5, 3.0000000000000004, 7.123456789, 123.456, 1e6,
+                   *10.0 ** rng.uniform(-40.0, 40.0, 20)]
+    for k in range(30):
+        dipoles = rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-3, 3)
+        if k % 3 == 0:
+            # signed zeros in the dipoles keep their bits too
+            dipoles[0, 2], dipoles[1, 1] = 0.0, -0.0
+        atoms = [TwoStateAtom(0.9, dipoles[0]), TwoStateAtom(1.1, dipoles[1])]
+        systems = CavitySystem.on_axis(atoms, mode, separations)
+        assert len(systems) == len(separations)
+        for system, r in zip(systems, separations):
+            alone = CavitySystem(atoms, ((0, 0, 0), (0, 0, r)), mode)
+            assert system.separation.hex() == alone.separation.hex()
+            assert (system.pair_coefficient.hex()
+                    == alone.pair_coefficient.hex())
+            assert system.atoms == alone.atoms and system.mode is mode
+
+
+def test_on_axis_refuses_what_a_build_refuses():
+    atom = TwoStateAtom(1.0, X)
+    mode = CavityMode(20.0, X, (0.1, 0.1))
+    for bad in ([5.0, 1e-160], [1e160, 5.0]):
+        with pytest.raises(PairDistanceError, match="points too"):
+            CavitySystem.on_axis((atom, atom), mode, bad)
+    for bad in ([5.0, 0.0], [5.0, math.nan], [5.0, math.inf], [-5.0, 5.0]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            CavitySystem.on_axis((atom, atom), mode, bad)
+    with pytest.raises(ValueError, match="two atoms"):
+        CavitySystem.on_axis((atom,) * 3, CavityMode(20.0, X, (0.1,) * 3),
+                             [5.0])
+    with pytest.raises(ValueError, match="match atom count"):
+        CavitySystem.on_axis((atom, atom), CavityMode(20.0, X, (0.1,)),
+                             [5.0])
+
+
+def test_on_axis_systems_share_the_pair_free_solves():
+    # the systems of a scan build and solve each cutoff's H0 once, and
+    # each gets the energies of its own build at those positions
+    atoms = (TwoStateAtom(0.9, (0.1, 0, 0)), TwoStateAtom(1.1, (0.1, 0, 0)))
+    mode = CavityMode(20.0, X, (0.03, 0.04))
+    systems = CavitySystem.on_axis(atoms, mode, [5.0, 8.0, 20.0])
+    for system in systems:
+        alone = CavitySystem(atoms, ((0, 0, 0), (0, 0, system.separation)),
+                             mode)
+        for oracle in (exact_ground_energy, interaction_extract):
+            assert oracle(system).hex() == oracle(alone).hex()
+    h = [_hamiltonian(system, 16)[0] for system in systems]
+    assert h[0] is h[1] is h[2]
+    assert not h[0].flags.writeable
+
+
+def test_scan_builds_each_cutoff_operators_once(tmp_path, monkeypatch):
+    # amplitudes 40 walk every point from cutoff 12 to 28, past the two
+    # cutoffs that the operator cache keeps; the scan's shared record
+    # keeps each cutoff's operators, so none is built twice
+    walked = set()
+    hamiltonian = cavity._hamiltonian
+
+    def recording(system, cutoff):
+        walked.add(cutoff)
+        return hamiltonian(system, cutoff)
+
+    monkeypatch.setattr(cavity, "_hamiltonian", recording)
+    cfg = json.loads(CAVITY_SCAN.read_text())
+    cfg["mode"]["amplitudes"] = [40.0, 40.0]
+    cfg["sweep"]["values"] = [4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0,
+                              30.0, 40.0]
+    path = tmp_path / "strong.json"
+    path.write_text(json.dumps(cfg))
+    _operators.cache_clear()
+    assert run(str(path), str(tmp_path / "out.csv")) == 0
+    assert max(walked) >= 28
+    assert _operators.cache_info().misses == len(walked)

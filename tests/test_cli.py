@@ -304,6 +304,12 @@ def cavity_config(**extra):
     }, **extra)
 
 
+def cavity_scan(**extra):
+    # the shipped separation scan
+    cfg = json.loads((CONFIG_DIR / "cavity.json").read_text())
+    return dict(cfg, **extra)
+
+
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert run(write_config(tmp_path, pairwise_config(float("inf"))),
@@ -573,14 +579,47 @@ def test_failing_scan_point_ends_the_scan_in_point_order(
      cavity_config(mode={"omega": 20.0, "polarization": [1, 0, 0],
                          "amplitudes": [160.0, 0.04]}),
      "fluctem.cavity.PhotonCutoffError"),
-], ids=["quadrature", "strong coupling", "photon cutoff"])
+    # the rows of one build: at 1e-3 bohr the pair term makes the solve
+    # round at 1.9e-9, and the point after it never runs
+    ("cavity", "separation", [5.0, 1e-3, 8.0], cavity_scan(),
+     "fluctem.cavity.PhotonCutoffError"),
+], ids=["quadrature", "strong coupling", "photon cutoff",
+        "photon cutoff on rows"])
 def test_scan_point_errors_of_every_type_name_their_value(
         tmp_path, capsys, subtask, parameter, values, base, tag):
     cfg = dict(base, task="scan", subtask=subtask,
                sweep={"parameter": parameter, "values": values})
-    assert run(write_config(tmp_path, cfg), str(tmp_path / "out.csv")) == 1
+    out = tmp_path / "out.csv"
+    assert run(write_config(tmp_path, cfg), str(out)) == 1
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith(f"error [{tag}]: sweep.values[1]: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    cavity_scan(),
+    # a node: atom 0 does not couple to the mode
+    cavity_scan(mode={"omega": 20.0, "polarization": [1.0, 0.0, 0.0],
+                      "amplitudes": [0.0, 0.04]}),
+    # strong coupling walks every point from cutoff 12 to 28
+    cavity_scan(mode={"omega": 20.0, "polarization": [1.0, 0.0, 0.0],
+                      "amplitudes": [40.0, 40.0]},
+                sweep={"parameter": "separation",
+                       "values": [4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 16.0,
+                                  20.0, 30.0, 40.0]}),
+], ids=["shipped", "node", "strong"])
+def test_cavity_scan_rows_equal_one_point_runs(cfg):
+    # a separation scan builds its points as rows of one build; each row
+    # is, bit for bit, the run of that point's own config
+    columns, rows = cli._execute(cfg, False)
+    point = {k: v for k, v in cfg.items() if k not in ("subtask", "sweep")}
+    assert len(rows) == len(cfg["sweep"]["values"])
+    for value, row in zip(cfg["sweep"]["values"], rows):
+        alone, (one,) = cli._execute(
+            dict(point, task="cavity", separation=value), False)
+        assert columns == ["separation", *alone]
+        assert [x.hex() for x in row] == [float(value).hex(),
+                                          *(x.hex() for x in one)]
 
 
 @pytest.mark.parametrize("task, values", [
@@ -978,6 +1017,20 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
     assert out.exists()
+
+
+def test_importing_the_cli_leaves_argparse_out():
+    # only main() parses a command line, so run() and importers of the
+    # module do not pay for argparse
+    search = [str(Path(fluctem.__file__).parents[1]),
+              os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fluctem.cli; print('argparse' in sys.modules)"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, search))))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # --- the key table: unknown nested keys, sweep values, traffic, README, fuzz
