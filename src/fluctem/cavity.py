@@ -291,12 +291,10 @@ def perturbative_shift(system: CavitySystem) -> PerturbativeShift:
                              interaction)
 
 
-# a scan point solves at cutoffs 12 and 16; the six operators of the
-# largest cutoff take 2.1 MB
-_CACHED_CUTOFFS = 2
-
-
-@lru_cache(maxsize=_CACHED_CUTOFFS)
+# kept: every cutoff a walk visits, 12, 16, ..., 104, so that the points
+# of a scan over any key build each one once; the six operators of cutoff
+# 104 take 2.1 MB, those of all 24 cutoffs 18.7 MB
+@lru_cache(maxsize=(_MAX_PHOTON_CUTOFF - _FIRST_PHOTON_CUTOFF) // 4 + 1)
 def _operators(cutoff: int) -> tuple[np.ndarray, ...]:
     """The six terms of H on the even sector, each a read-only matrix:
     a'a, |e_1><e_1|, |e_2><e_2|, (sigma_1 + sigma_1')(a + a'),

@@ -13,10 +13,11 @@ imaginary axis omega = i xi (vacuum) every entry is real,
 
     G(r, i xi) = -exp(-x) [ (xi/c)^2 (I-p)/r + (xi/c)(I-3p)/r^2 + (I-3p)/r^3 ]
 
-with x = xi r / c, and :func:`imag_axis_green` evaluates it in that real
-form for any number of pairs, and any number of frequencies, at once from
-their distances and projectors; xi = 0 gives the static tensor
-(3 p - I)/r^3.  The single-pair functions
+with x = xi r / c.  :func:`interaction_blocks` holds this real form,
+negated, for arrays of frequencies, distances and projectors in any
+layout that broadcasts; :func:`imag_axis_green` evaluates it for any
+number of pairs, and any number of frequencies, at once, and xi = 0
+gives the static tensor (3 p - I)/r^3.  The single-pair functions
 :func:`dyadic_green_imag` and :func:`static_green` are views of it.
 Entries carry units of inverse volume in Hartree atomic units.
 """
@@ -33,6 +34,7 @@ __all__ = [
     "dyadic_green_imag",
     "static_green",
     "imag_axis_green",
+    "interaction_blocks",
     "pair_projectors",
 ]
 
@@ -93,6 +95,24 @@ def dyadic_green(rn: np.ndarray, rm: np.ndarray, omega: float) -> np.ndarray:
     return _green_kernel(complex(omega), r, rhat, 1.0)
 
 
+def interaction_blocks(xi, r, transverse, static_r3) -> np.ndarray:
+    """-G(r, i xi), the vacuum coupling on the imaginary axis, elementwise.
+
+    ``r`` holds distances, ``transverse`` the projectors I - p and
+    ``static_r3`` the static ones over the cubed distance, (I - 3p)/r^3,
+    in any layout in which they broadcast together: the caller picks it.
+    ``xi`` is one frequency or an array of them (shape (K,)), which gets
+    the leading axis of the result, in front of that broadcast.
+    Entries are exp(-x) [ (xi/c)^2 (I-p)/r + (1 + x)(I-3p)/r^3 ] with
+    x = xi r / c, the (xi/c)(I-3p)/r^2 term folded into (1 + x); xi = 0
+    gives exactly (I - 3p)/r^3.
+    """
+    q = np.divide(xi, SPEED_OF_LIGHT)
+    q = np.reshape(q, np.shape(q) + (1,) * np.broadcast(r, transverse).ndim)
+    x = q * r
+    return np.exp(-x) * ((q * q / r) * transverse + (1.0 + x) * static_r3)
+
+
 def imag_axis_green(xi, r: np.ndarray, transverse: np.ndarray,
                     static: np.ndarray) -> np.ndarray:
     """Vacuum Green tensors at i xi for many pairs and frequencies.
@@ -101,19 +121,12 @@ def imag_axis_green(xi, r: np.ndarray, transverse: np.ndarray,
     the projectors I - p and I - 3p of :func:`pair_projectors`.  ``xi`` is
     one frequency or an array of them (shape (K,)); the real result has
     shape (K, ..., 3, 3), or (..., 3, 3) for a scalar ``xi``, and slice k
-    equals the call at xi[k] bit for bit.  Entries are
-    -exp(-x) [ (xi/c)^2 (I-p)/r + (xi/c)(I-3p)/r^2 + (I-3p)/r^3 ] with
-    x = xi r / c; xi = 0 gives the static tensor (3 p - I)/r^3.
+    equals the call at xi[k] bit for bit.  Entries are the negated
+    :func:`interaction_blocks`; xi = 0 gives the static tensor
+    (3 p - I)/r^3.
     """
     r = np.asarray(r, dtype=float)[..., None, None]
-    q = np.divide(xi, SPEED_OF_LIGHT)
-    if q.ndim:
-        q = q.reshape(q.shape + (1,) * r.ndim)
-    x = q * r
-    # (xi/c)/r^2 + 1/r^3 = (1 + x)/r^3; dividing the projector by r^3
-    # makes xi = 0 give exactly (3p - I)/r^3
-    return -np.exp(-x) * ((q * q / r) * transverse
-                          + (1.0 + x) * (static / r**3))
+    return -interaction_blocks(xi, r, transverse, static / r**3)
 
 
 def _single_pair(rn: np.ndarray, rm: np.ndarray, xi: float) -> np.ndarray:

@@ -21,15 +21,23 @@ ground state is unstable and the calculation refuses to continue.
 Identical models in the nonretarded limit keep one eigensolve, whose mu
 only scale with alpha(i xi).
 
-The pair data a frequency needs (index pairs, distances, transverse and
-static projectors) is computed once per :class:`SystemGeometry`.
-:func:`build_T` scatters the Green blocks of all pairs, from one
-broadcast through :func:`fluctem.green.imag_axis_green`, into the 3N x 3N
-matrix; :func:`second_order_energy` sums their squared norms from the
-pair distances alone.  The log-det and second-order integrands take a
-1-D array of K frequencies at every N, and have no float branch: the
-Green blocks, alpha(i xi) of each distinct model and T(xi) are evaluated
-for the whole array, and one ``cholesky`` call factorises the stacked
+The pair data a frequency needs is computed once per
+:class:`SystemGeometry`: index pairs, distances, the transverse
+projectors and the static ones over r^3 as (3, 3, P) arrays with the
+pair axis last, and the gather map of the 3N x 3N matrix.  A node's
+matrix is built at pair level.  The blocks -G of all pairs come from one
+broadcast through :func:`fluctem.green.interaction_blocks` as a
+(K, 3, 3, P) array, so that each elementwise step runs over the P pairs
+innermost.  Each pair's block is scaled, by sqrt(alpha_i alpha_j) for M
+and by 1 for :func:`build_T`, into a flat array behind a constant zero
+slot, and one ``take`` through the gather map fills the (K, 3N, 3N)
+stack, the self-blocks from the zero slot; the log det gathers into one
+output stack that all calls of its integral reuse.
+:func:`second_order_energy` sums the blocks' squared norms from the pair
+distances alone.  The log-det and second-order integrands take a 1-D
+array of K frequencies at every N, and have no float branch: the Green
+blocks, alpha(i xi) of each distinct model and M(xi) are evaluated for
+the whole array, and one ``cholesky`` call factorises the stacked
 (K, 3N, 3N) matrices.  The thermal sum hands them blocks of Matsubara
 frequencies, and the tanh-sinh integrals (the T = 0 energy, the second
 order and the thermal tail) stacks of their nodes.  At T = 0 a stack
@@ -60,11 +68,11 @@ from .core import (
     SPEED_OF_LIGHT,
     pair_separations,
 )
-# dyadic_green_imag and static_green are the single-pair views of
-# imag_axis_green; they stay importable from this module
+# dyadic_green_imag and static_green, the single-pair views of the Green
+# tensor, stay importable from this module
 from .green import (
     dyadic_green_imag,
-    imag_axis_green,
+    interaction_blocks,
     pair_projectors,
     static_green,
 )
@@ -111,7 +119,8 @@ class SystemGeometry:
     rejected with :class:`PairDistanceError`; close approaches that strain
     the point-dipole picture are reported by :meth:`validity_reports`
     rather than rejected.  The pair data every frequency node reuses
-    (index pairs i < j, distances, projectors) is computed here once.
+    (index pairs i < j, distances, projectors with the pair axis last,
+    the gather map of the interaction matrix) is computed here once.
     """
 
     def __init__(self, sites: Sequence[tuple[Sequence[float],
@@ -130,15 +139,22 @@ class SystemGeometry:
         self._pair_i, self._pair_j, self._pair_r, rhat = pair_separations(
             np.array(positions).reshape(-1, 3))
         self._pair_r.setflags(write=False)
-        self._transverse, self._static = pair_projectors(rhat)
-        # flat places of every pair block in the 3N x 3N matrix: the upper
-        # copy at block (i, j), the lower one at (j, i)
-        dim = 3 * self.n_sites
-        i3 = 3 * self._pair_i[:, None, None]
-        j3 = 3 * self._pair_j[:, None, None]
-        a, b = np.arange(3)[:, None], np.arange(3)
-        self._upper = (i3 + a) * dim + j3 + b
-        self._lower = (j3 + a) * dim + i3 + b
+        # the distances and both projectors, the static one over r^3, as
+        # interaction_blocks takes them: the pair axis last, the
+        # projectors as (3, 3, P) arrays
+        transverse, static = np.moveaxis(pair_projectors(rhat), 1, -1).copy()
+        # a distance whose cube leaves the double range is refused by the
+        # callers that need the blocks, not here
+        with np.errstate(all="ignore"):
+            self._green = self._pair_r, transverse, static / self._pair_r**3
+        # the elements (3i + a, 3j + b) and (3j + a, 3i + b) of the 3N x 3N
+        # matrix take slot 1 + (3a + b) P + p of a flat (3, 3, P) pair
+        # array behind a zero slot 0, which fills the self-blocks
+        i, j = 3 * self._pair_i, 3 * self._pair_j
+        a, b = np.arange(3)[:, None, None], np.arange(3)[:, None]
+        self._gather = np.zeros((3 * self.n_sites,) * 2, dtype=np.intp)
+        self._gather[i + a, j + b] = self._gather[j + a, i + b] = \
+            1 + np.arange(static.size).reshape(static.shape)
 
     @property
     def n_sites(self) -> int:
@@ -167,6 +183,30 @@ class SystemGeometry:
             ratios = validity_ratio(alphas[i], alphas[j], self._pair_r)
         return tuple(zip(i.tolist(), j.tolist(),
                          map(PairValidity, ratios.tolist())))
+
+    def _blocks(self, xi) -> np.ndarray:
+        """-G(i xi) of every pair, the pair axis last: (K, 3, 3, P) for K
+        frequencies, (3, 3, P) for one."""
+        return interaction_blocks(_frequencies(xi), *self._green)
+
+    def _matrices(self, blocks, scale, out=None) -> np.ndarray:
+        """The stack of matrices whose blocks (i, j) and (j, i) hold
+        ``blocks[..., p] * scale[..., p]`` of pair p = (i, j), and whose
+        self-blocks are zero: ``blocks`` as :meth:`_blocks` gives them,
+        ``scale`` of shape (..., P), the stack the broadcast of the two,
+        written into ``out`` if given.
+
+        The pair products, the pair axis last, go behind a zero slot into
+        one flat array per matrix, which one ``take`` through the gather
+        map spreads.
+        """
+        stack = np.broadcast_shapes(blocks.shape[:-3], scale.shape[:-1])
+        flat = np.empty(stack + (1 + 9 * blocks.shape[-1],))
+        flat[..., 0] = 0.0
+        np.multiply(blocks, scale[..., None, None, :],
+                    out=flat[..., 1:].reshape(stack + blocks.shape[-3:]))
+        # every index is in range; "raise" would buffer the output
+        return flat.take(self._gather, axis=-1, out=out, mode="clip")
 
     def min_separation(self) -> float:
         return float(self._pair_r.min()) if self._pair_r.size else math.inf
@@ -208,16 +248,10 @@ def build_T(geom: SystemGeometry, xi) -> np.ndarray:
     One frequency gives the (3N, 3N) matrix; a 1-D array of K frequencies
     gives the (K, 3N, 3N) stack, whose slice k equals the call at xi[k]
     bit for bit.  xi = 0 selects the electrostatic tensor
-    (I - 3 rhat rhat)/r^3; the diagonal blocks are exactly zero.
+    (I - 3 rhat rhat)/r^3; the diagonal blocks are exactly zero.  The
+    blocks are gathered as those of M are, with a unit scale.
     """
-    xi = _frequencies(xi)
-    dim = 3 * geom.n_sites
-    blocks = -imag_axis_green(xi, geom._pair_r, geom._transverse,
-                              geom._static)
-    t = np.zeros(xi.shape + (dim * dim,))
-    t[..., geom._upper] = blocks
-    t[..., geom._lower] = blocks
-    return t.reshape(xi.shape + (dim, dim))
+    return geom._matrices(geom._blocks(xi), np.ones(geom._pair_r.shape))
 
 
 def _log1pmx(mu: np.ndarray) -> np.ndarray:
@@ -314,13 +348,22 @@ def _logdet_function(geom: SystemGeometry, nonretarded: bool
     if nonretarded and all(m == geom.models[0] for m in geom.models):
         t_eigs = np.linalg.eigvalsh(build_T(geom, 0.0))
         return lambda xi: _log1p_sums(xi, geom.model_alphas(xi) * t_eigs)
-    static_t = build_T(geom, 0.0) if nonretarded else None
+    static = geom._blocks(0.0) if nonretarded else None
+    # one output stack for all of the integral's calls: a fresh one per
+    # call made glibc trim and regrow its heap, about 180 minor page
+    # faults per node at N = 64
+    out = np.empty((0,) + geom._gather.shape)
 
     def g(xi):
-        s = np.sqrt(geom.alpha_values(xi)).repeat(3, axis=-1)
-        m = s[..., :, None] * s[..., None, :]
-        m *= static_t if nonretarded else build_T(geom, xi)
-        return _log_det_1p(xi, m)
+        nonlocal out
+        if len(out) < len(xi):
+            out = np.empty((len(xi),) + geom._gather.shape)
+        s = np.sqrt(geom.alpha_values(xi))
+        scale = s[..., geom._pair_i] * s[..., geom._pair_j]
+        # the blocks are not named, so that they are freed before the
+        # factorisation, which then runs at the old peak memory
+        return _log_det_1p(xi, geom._matrices(
+            static if nonretarded else geom._blocks(xi), scale, out[:len(xi)]))
 
     return g
 

@@ -660,3 +660,19 @@ def test_scan_builds_each_cutoff_operators_once(tmp_path, monkeypatch):
     assert run(str(path), str(tmp_path / "out.csv")) == 0
     assert max(walked) >= 28
     assert _operators.cache_info().misses == len(walked)
+
+
+def test_scan_over_an_amplitude_builds_each_cutoff_operators_once(tmp_path):
+    # each point of a scan over any key but separation builds its own
+    # system, and walks 12 -> 28 here: the operator cache keeps every
+    # cutoff a walk visits, so the ten points build five cutoffs, not 50
+    cfg = json.loads(CAVITY_SCAN.read_text())
+    cfg["mode"]["amplitudes"] = [40.0, 40.0]
+    cfg["separation"] = 10.0
+    cfg["sweep"] = {"parameter": "mode.amplitudes.1",
+                    "values": [36.0 + k for k in range(10)]}
+    path = tmp_path / "amplitude.json"
+    path.write_text(json.dumps(cfg))
+    _operators.cache_clear()
+    assert run(str(path), str(tmp_path / "out.csv")) == 0
+    assert _operators.cache_info().misses == 5

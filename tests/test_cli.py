@@ -180,6 +180,41 @@ def test_benchmark_outputs_pass_its_reference_checks(tmp_path, monkeypatch,
     assert not missed, missed
 
 
+# float.hex of free_energy, second_order and err of the seed-101 clusters
+# configs, the shipped configs/manybody.json among them: a change that
+# moves one of these bytes changes its pin here and says so
+CLUSTER_PINS = {
+    "ret-N8": ("-0x1.188da0ca795cfp-11", "-0x1.19ee3fab2f421p-11",
+               "0x1.9b33f1b3cfbc4p-44"),
+    "ret-N27": ("-0x1.4b6cc9a978863p-9", "-0x1.4d6caaebbcb1ap-9",
+                "0x1.cfa5efd4b350ep-42"),
+    "nonret-N27": ("-0x1.5cb17b4b5740dp-9", "-0x1.5ec88137b73adp-9",
+                   "0x1.225f8b59e2567p-43"),
+    "ret-N8-T0.1": ("-0x1.23510bd41a861p-11", "-0x1.1af82ce6745fbp-11",
+                    "0x1.7b4cc7c79fe15p-47"),
+    "ret-N8-T0.01": ("-0x1.1991d7a4df033p-11", "-0x1.1af82ce6745fbp-11",
+                     "0x1.f70355b237cc2p-45"),
+    "nonret-N8-T0.001": ("-0x1.19a39c7ba9e40p-11", "-0x1.1af82ce6745fbp-11",
+                         "0x1.1535274563169p-44"),
+    "shipped-manybody": ("-0x1.e3e2e74665ddfp-14", "-0x1.e55825db21c53p-14",
+                         "0x1.dc30179007898p-46"),
+}
+
+
+def test_cluster_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    workloads = load_perfbench("workloads", monkeypatch)
+    entries = workloads.write_workload("clusters", 101, REPO, tmp_path)
+    seen = {}
+    for entry in entries:
+        out = tmp_path / f"{entry['id']}.csv"
+        assert run(entry["path"], str(out)) == 0, entry["id"]
+        header, row = out.read_text().splitlines()[1:]
+        assert header == "free_energy,second_order,err"
+        seen[entry["id"]] = tuple(float(v).hex() for v in row.split(","))
+    capsys.readouterr()
+    assert seen == CLUSTER_PINS
+
+
 def test_perfbench_imports_resolve():
     # every name perfbench imports from the package, read from its source
     # without running it: a dropped name fails here, not in the benchmark

@@ -6,6 +6,7 @@ import decimal
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -281,6 +282,89 @@ def test_build_T_stack_slices_equal_scalar_calls(n_atoms):
     for k, xi in enumerate(xis):
         assert np.array_equal(stacked[k], build_T(geom, xi))
         assert np.array_equal(stacked[k], build_T(geom, float(xi)))
+
+
+def pair_loop_m(sites, xi, nonretarded):
+    """M = sqrt(A) T sqrt(A) block by block: each pair's single-pair
+    Green tensor, negated, times sqrt(alpha_i) sqrt(alpha_j)."""
+    n = len(sites)
+    roots = [math.sqrt(model.alpha_imag(xi)) for _, model in sites]
+    m = np.zeros((3 * n, 3 * n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            ri, rj = sites[i][0], sites[j][0]
+            g = static_green(ri, rj) if nonretarded or xi == 0.0 \
+                else dyadic_green_imag(ri, rj, xi)
+            block = -g * (roots[i] * roots[j])
+            m[3 * i:3 * i + 3, 3 * j:3 * j + 3] = block
+            m[3 * j:3 * j + 3, 3 * i:3 * i + 3] = block
+    return m
+
+
+def log_det_matrices(geom, nonretarded, xis, monkeypatch):
+    """The M that the log-det integrand hands to the factorisation, for a
+    stack of frequencies ``xis``."""
+    seen = []
+    log_det_1p = manybody._log_det_1p
+
+    def recording(xi, m):
+        seen.append(m.copy())
+        return log_det_1p(xi, m)
+
+    monkeypatch.setattr(manybody, "_log_det_1p", recording)
+    manybody._logdet_function(geom, nonretarded)(np.asarray(xis))
+    monkeypatch.setattr(manybody, "_log_det_1p", log_det_1p)
+    (m,) = seen
+    return m
+
+
+@pytest.mark.parametrize("nonretarded", [False, True])
+def test_log_det_matrices_equal_the_pair_loop_bit_for_bit(nonretarded,
+                                                         monkeypatch):
+    # two distinct models, so the nonretarded limit takes the general
+    # path too; each slice of the stack is also its one-node call's
+    sites = pinned_cube_sites()
+    geom = SystemGeometry(sites)
+    r = geom.min_separation()
+    xis = [0.0, 1e-5 * SPEED_OF_LIGHT / r, 0.0731, 0.37, 3.0, 50.0]
+    stacked = log_det_matrices(geom, nonretarded, xis, monkeypatch)
+    assert stacked.shape == (len(xis), 24, 24)
+    for k, xi in enumerate(xis):
+        expected = pair_loop_m(sites, xi, nonretarded)
+        assert stacked[k].tobytes() == expected.tobytes(), xi
+        alone = log_det_matrices(geom, nonretarded, [xi], monkeypatch)
+        assert alone[0].tobytes() == expected.tobytes(), xi
+
+
+@pytest.mark.parametrize("nonretarded", [False, True])
+def test_log_det_names_the_first_crossing_xi_of_a_stack(nonretarded,
+                                                         monkeypatch):
+    # the pinned cube shrunk until a mode of M crosses mu = -1 at low xi:
+    # the stacked Cholesky fails, and the eigenvalues name the first xi
+    # of the stack at which 1 + M is not positive definite
+    sites = [(0.35 * p, model) for p, model in pinned_cube_sites()]
+    geom = SystemGeometry(sites)
+    xis = [2.0, 1.2, 0.8, 0.4, 0.0]
+    lowest = [np.linalg.eigvalsh(pair_loop_m(sites, xi, nonretarded))[0]
+              for xi in xis]
+    first = next(k for k, mu in enumerate(lowest) if mu <= -1.0)
+    assert 0 < first and lowest[first - 1] > -1.0
+    failed = []
+    cholesky = np.linalg.cholesky
+
+    def recording(m):
+        try:
+            return cholesky(m)
+        except np.linalg.LinAlgError:
+            failed.append(m.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    g = manybody._logdet_function(geom, nonretarded)
+    with pytest.raises(StrongCouplingError,
+                       match=re.escape(f"xi={xis[first]!r}:")):
+        g(np.array(xis))
+    assert failed == [(len(xis), 24, 24)]
 
 
 def test_build_T_rejects_negative_frequency_in_stack():
