@@ -15,9 +15,16 @@ unit diagonal, and its Cholesky factor L gives the log det as
 sum_i log1p(-s_i), s_i = sum_{k<i} L_ik^2.  Every term is <= 0, so the
 sum does not cancel, and each s_i is a sum of squares rounded relative to
 itself: there is no absolute floor of eps ||M|| per mode, which the
-eigenvalues mu of M carry.  Where the factorisation fails, those real mu
-make the log branch explicit: any mu at or past -1 means the coupled
-ground state is unstable and the calculation refuses to continue.
+eigenvalues mu of M carry.  Each sum of a node, over the 3N log1p(-s_i),
+the 3N log1p(mu) - mu of the eigenvalue route or the N(N - 1)/2 pair
+terms of the second order, is a plain numpy sum over the last axis of its
+array: the terms of each have one sign, so it is off by at most about
+log2(n) eps relative (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 4.2), and the s_i by at most 3N eps, far below the
+factorisation's own rounding; no compensated sum is needed.  Where the
+factorisation fails, the real mu make the log branch explicit: any mu at
+or past -1 means the coupled ground state is unstable and the
+calculation refuses to continue.
 Identical models in the nonretarded limit keep one eigensolve, whose mu
 only scale with alpha(i xi).
 
@@ -274,19 +281,21 @@ def _log1p_sums(xi, mu: np.ndarray):
 
     The mu_k are eigenvalues of a zero-diagonal matrix: their sum is 0,
     so log1p(mu_k) - mu_k is summed, free of a first order that cancels
-    to rounding.  A mode at or past mu = -1 leaves the coupled ground
-    state unstable: the first such xi is named in the error.  The
-    quadrature stacks can hold nodes past a direction's cut, whose values
-    are discarded unseen; such a node can still raise this error, which
-    then reports a real instability on (0, inf).
+    to rounding.  Every such term is <= 0, so a plain sum over the last
+    axis is accurate to about log2(3N) eps relative.  A mode at or past
+    mu = -1 leaves the coupled ground state unstable: the first such xi
+    is named in the error.  The quadrature stacks can hold nodes past a
+    direction's cut, whose values are discarded unseen; such a node can
+    still raise this error, which then reports a real instability on
+    (0, inf).
     """
-    if mu.min() <= -1.0:
+    if mu.min(initial=0.0) <= -1.0:
         first = np.argmax(np.ravel(mu.min(axis=-1) <= -1.0))
         raise StrongCouplingError(
             "strong-coupling/overlap regime at "
             f"xi={float(np.ravel(xi)[first])!r}: "
             "an interaction mode crosses the stability boundary")
-    return np.array([math.fsum(row) for row in _log1pmx(mu).tolist()])
+    return _log1pmx(mu).sum(axis=-1)
 
 
 def _node_scale(geom: SystemGeometry, nonretarded: bool) -> float:
@@ -310,8 +319,10 @@ def _log_det_1p(xi, m: np.ndarray):
     1 + m has a unit diagonal, so its Cholesky factor L has
     L_ii^2 = 1 - s_i with s_i = sum_{k<i} L_ik^2, and the log det is
     sum_i log1p(-s_i).  Every term is <= 0, so the sum neither cancels
-    nor has an absolute rounding floor.  A stacked Cholesky fails as a
-    whole.  A failed pivot, or an s_i that rounds to 1 or past it behind
+    nor has an absolute rounding floor, and a plain sum over the last axis
+    of the (K, 3N) terms, like the s_i each from one ``einsum`` pass over
+    a row of squares, needs no compensation.  A stacked Cholesky fails as
+    a whole.  A failed pivot, or an s_i that rounds to 1 or past it behind
     a pivot LAPACK passed, sends the stack to the eigenvalues of m and
     :func:`_log1p_sums`: it names the xi of a mode at or past mu = -1,
     and where no mode is there (rounding alone stopped the
@@ -321,14 +332,15 @@ def _log_det_1p(xi, m: np.ndarray):
     m[..., diag, diag] = 1.0
     try:
         low = np.linalg.cholesky(m)
-        low *= low
         low[..., diag, diag] = 0.0
-        minus_s = (-low.sum(axis=-1)).tolist()
-        # math.log1p(-s_i) raises ValueError from s_i = 1 on
-        return np.array([math.fsum(map(math.log1p, row)) for row in minus_s])
-    except (np.linalg.LinAlgError, ValueError):
-        m[..., diag, diag] = 0.0
-        return _log1p_sums(xi, np.linalg.eigvalsh(m))
+        s = np.einsum("...ij,...ij->...i", low, low)
+        # log1p(-s_i) is never taken from s_i = 1 on, where it warns
+        if s.max(initial=0.0) < 1.0:
+            return np.log1p(-s).sum(axis=-1)
+    except np.linalg.LinAlgError:
+        pass
+    m[..., diag, diag] = 0.0
+    return _log1p_sums(xi, np.linalg.eigvalsh(m))
 
 
 def _logdet_function(geom: SystemGeometry, nonretarded: bool
@@ -412,7 +424,9 @@ def second_order_energy(geom: SystemGeometry,
     which differs from it at third order in the polarizabilities.  As
     ||G(r, i xi)||_F^2 = 2 (exp(-x)/r^3)^2 P(x), x = xi r / c, with P of
     :func:`fluctem.pairwise.retarded_pair_polynomial`, a pair i < j adds
-    4 alpha_i alpha_j P(x) (exp(-x)/r^3)^2 from its distance alone.
+    4 alpha_i alpha_j P(x) (exp(-x)/r^3)^2 from its distance alone.  Each
+    pair term is >= 0, so a node's terms are summed over the last axis of
+    their (K, P) array, to about log2(P) eps relative, uncompensated.
     """
     if geom.n_sites < 2:
         return EnergyResult(0.0, 0.0, 0)
@@ -425,9 +439,8 @@ def second_order_energy(geom: SystemGeometry,
                        1e3)
         # squared after the division, it underflows no earlier than G does
         decay = np.exp(-x) / r**3
-        pairs = (4.0 * alphas[..., i] * alphas[..., j]
-                 * (retarded_pair_polynomial(x) * decay * decay)).tolist()
-        return np.array([math.fsum(row) for row in pairs])
+        return (4.0 * alphas[..., i] * alphas[..., j]
+                * (retarded_pair_polynomial(x) * decay * decay)).sum(axis=-1)
 
     res = integrate_semi_infinite(integrand, quad,
                                   _node_scale(geom, nonretarded=False),

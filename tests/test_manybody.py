@@ -549,7 +549,8 @@ def term_by_term_log_det(geom, nonretarded):
     alpha_imag calls: the term-by-term route the stacked one replaces.
     Past the identical nonretarded case it is sum_i log1p(-s_i) over the
     strictly lower row sums s_i of the squared Cholesky factor of the
-    unit-diagonal 1 + M, one matrix per call."""
+    unit-diagonal 1 + M, one matrix per call; each sum is taken over its
+    one row of terms."""
     static_t = build_T(geom, 0.0)
     t_eigs = np.linalg.eigvalsh(static_t)
 
@@ -557,13 +558,13 @@ def term_by_term_log_det(geom, nonretarded):
         alphas = [m.alpha_imag(xi) for m in geom.models]
         if nonretarded and all(m == geom.models[0] for m in geom.models):
             mu = alphas[0] * t_eigs
-            return math.fsum(manybody._log1pmx(mu).tolist())
+            return float(manybody._log1pmx(mu).sum())
         s = np.repeat(np.sqrt(alphas), 3)
         t = static_t if nonretarded else build_T(geom, xi)
-        low = np.linalg.cholesky(np.eye(len(s))
-                                 + (s[:, None] * s[None, :]) * t)
-        rows = np.sum(np.tril(low, -1) ** 2, axis=1).tolist()
-        return math.fsum(math.log1p(-row) for row in rows)
+        low = np.tril(np.linalg.cholesky(np.eye(len(s))
+                                         + (s[:, None] * s[None, :]) * t), -1)
+        rows = np.einsum("ij,ij->i", low, low)
+        return float(np.log1p(-rows).sum())
 
     return g
 
