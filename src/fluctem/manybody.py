@@ -371,7 +371,7 @@ def _logdet_function(geom: SystemGeometry, nonretarded: bool
         if len(out) < len(xi):
             out = np.empty((len(xi),) + geom._gather.shape)
         s = np.sqrt(geom.alpha_values(xi))
-        scale = s[..., geom._pair_i] * s[..., geom._pair_j]
+        scale = s.take(geom._pair_i, axis=-1) * s.take(geom._pair_j, axis=-1)
         # the blocks are not named, so that they are freed before the
         # factorisation, which then runs at the old peak memory
         return _log_det_1p(xi, geom._matrices(
@@ -439,7 +439,9 @@ def second_order_energy(geom: SystemGeometry,
                        1e3)
         # squared after the division, it underflows no earlier than G does
         decay = np.exp(-x) / r**3
-        return (4.0 * alphas[..., i] * alphas[..., j]
+        # take, unlike indexing, keeps each node's terms in one contiguous
+        # row, which the sum reduces as it does the one-node call's
+        return (4.0 * alphas.take(i, axis=-1) * alphas.take(j, axis=-1)
                 * (retarded_pair_polynomial(x) * decay * decay)).sum(axis=-1)
 
     res = integrate_semi_infinite(integrand, quad,

@@ -413,8 +413,37 @@ def identical_cube():
                            for p, _ in pinned_cube_sites()])
 
 
+def cube_sites(side, models, rng, spacing=6.0, jitter=0.25):
+    """A side x side x side grid, each site moved by up to ``jitter`` on
+    each axis, the models taken in turn: the cubes of the benchmark's
+    ``clusters`` workload."""
+    return [(np.array(c) * spacing + rng.uniform(-jitter, jitter, 3),
+             models[k % len(models)])
+            for k, c in enumerate(itertools.product(range(side), repeat=3))]
+
+
+def larger_cube(side, identical):
+    models = (single_resonance(2.0, 0.6),) if identical else \
+        (single_resonance(2.0, 0.6),
+         KramersHeisenberg((Transition(0.4, 1.2), Transition(1.1, 0.6))))
+    return SystemGeometry(cube_sites(side, models,
+                                     np.random.default_rng([side, 7])))
+
+
+# N = 27 and 64 sum 81 and 192 modes and 351 and 2016 pairs per node, past
+# numpy's 8-lane unrolled and 128-element pairwise blocks
+LARGER_CUBES = {
+    "cube 27": lambda: larger_cube(3, identical=False),
+    "identical cube 27": lambda: larger_cube(3, identical=True),
+    "cube 64": lambda: larger_cube(4, identical=False),
+    "identical cube 64": lambda: larger_cube(4, identical=True),
+}
+
+
 @pytest.mark.parametrize("nonretarded", [False, True])
-@pytest.mark.parametrize("make", [pinned_cube, identical_cube])
+@pytest.mark.parametrize("make", [pinned_cube, identical_cube,
+                                  *LARGER_CUBES.values()],
+                         ids=["pinned cube", "identical cube", *LARGER_CUBES])
 def test_stacked_log_det_equals_single_calls(nonretarded, make):
     geom = make()
     g = manybody._logdet_function(geom, nonretarded)
@@ -423,6 +452,33 @@ def test_stacked_log_det_equals_single_calls(nonretarded, make):
     assert stacked.shape == xis.shape
     for k, xi in enumerate(xis.tolist()):
         assert np.array_equal(stacked[k], g(np.array([xi]))[0])
+
+
+@pytest.mark.parametrize("side", [3, 4])
+def test_stacked_second_order_equals_single_calls(side, monkeypatch):
+    geom = larger_cube(side, identical=False)
+    integrands = []
+
+    def recording(integrand, spec, scale, stack):
+        integrands.append(integrand)
+        return integrate_semi_infinite(integrand, spec, scale, stack)
+
+    monkeypatch.setattr(manybody, "integrate_semi_infinite", recording)
+    second_order_energy(geom)
+    (integrand,) = integrands
+    xis = np.arange(40) * 0.0731
+    stacked = integrand(xis)
+    assert stacked.shape == xis.shape
+    for k, xi in enumerate(xis.tolist()):
+        assert integrand(np.array([xi]))[0] == stacked[k]
+
+
+@pytest.mark.parametrize("nonretarded", [False, True])
+def test_empty_stacks_give_empty_values(nonretarded):
+    # a quadrature stack whose first node rounds to 0 or inf is empty
+    for geom in (pinned_cube(), identical_cube()):
+        values = manybody._logdet_function(geom, nonretarded)(np.array([]))
+        assert values.shape == (0,)
 
 
 def log1pmx_decimal(mu):
