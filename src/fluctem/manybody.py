@@ -319,10 +319,10 @@ def _log_det_1p(xi, m: np.ndarray):
     1 + m has a unit diagonal, so its Cholesky factor L has
     L_ii^2 = 1 - s_i with s_i = sum_{k<i} L_ik^2, and the log det is
     sum_i log1p(-s_i).  Every term is <= 0, so the sum neither cancels
-    nor has an absolute rounding floor, and a plain sum over the last axis
-    of the (K, 3N) terms, like the s_i each from one ``einsum`` pass over
-    a row of squares, needs no compensation.  A stacked Cholesky fails as
-    a whole.  A failed pivot, or an s_i that rounds to 1 or past it behind
+    nor has an absolute rounding floor: a plain sum over the last axis of
+    the (K, 3N) terms needs no compensation, and each s_i comes from one
+    ``einsum`` pass over its row.  A stacked Cholesky fails as a whole.
+    A failed pivot, or an s_i that rounds to 1 or past it behind
     a pivot LAPACK passed, sends the stack to the eigenvalues of m and
     :func:`_log1p_sums`: it names the xi of a mode at or past mu = -1,
     and where no mode is there (rounding alone stopped the

@@ -28,7 +28,8 @@ from fluctem.manybody import (
     phf_lambda_integral,
     second_order_energy,
 )
-from fluctem.pairwise import PairSpec, validity_check, vdw_energy
+from fluctem.pairwise import (PairSpec, validity_check, vdw_energies,
+                              vdw_energy)
 from fluctem.polarizability import KramersHeisenberg, Transition, single_resonance
 from fluctem.quadrature import (
     QuadratureError,
@@ -433,17 +434,17 @@ def larger_cube(side, identical):
 # N = 27 and 64 sum 81 and 192 modes and 351 and 2016 pairs per node, past
 # numpy's 8-lane unrolled and 128-element pairwise blocks
 LARGER_CUBES = {
-    "cube 27": lambda: larger_cube(3, identical=False),
-    "identical cube 27": lambda: larger_cube(3, identical=True),
-    "cube 64": lambda: larger_cube(4, identical=False),
-    "identical cube 64": lambda: larger_cube(4, identical=True),
+    "cube_27": lambda: larger_cube(3, identical=False),
+    "identical_cube_27": lambda: larger_cube(3, identical=True),
+    "cube_64": lambda: larger_cube(4, identical=False),
+    "identical_cube_64": lambda: larger_cube(4, identical=True),
 }
 
 
 @pytest.mark.parametrize("nonretarded", [False, True])
 @pytest.mark.parametrize("make", [pinned_cube, identical_cube,
                                   *LARGER_CUBES.values()],
-                         ids=["pinned cube", "identical cube", *LARGER_CUBES])
+                         ids=["pinned_cube", "identical_cube", *LARGER_CUBES])
 def test_stacked_log_det_equals_single_calls(nonretarded, make):
     geom = make()
     g = manybody._logdet_function(geom, nonretarded)
@@ -794,6 +795,63 @@ def test_free_energy_error_is_honest_at_extreme_separations(r, nonretarded):
     exact, ref_tol = exact_pair_free_energy(r, nonretarded)
     assert abs(res.value - exact) <= res.error_estimate + ref_tol
     assert res.error_estimate <= 1e-9 * abs(res.value)
+
+
+def far_cube(spacing):
+    """27 sites of the far-pair model on a 3 x 3 x 3 grid, each moved by
+    up to 4 % of the spacing on each axis."""
+    return SystemGeometry(cube_sites(3, (FAR_PAIR_MODEL,),
+                                     np.random.default_rng(11), spacing,
+                                     0.04 * spacing))
+
+
+def exact_cluster_free_energy(geom):
+    """(1/2pi) int sum_k (log1p(mu_k) - mu_k) d(xi) over the eigenvalues
+    mu_k of M(i xi), by scipy quad split at the resonance and at c over the
+    closest pair; _log1pmx is checked against 60 digits above.  Returns
+    the value and quad's error estimate."""
+    integrate = pytest.importorskip("scipy.integrate")
+
+    def integrand(xi):
+        mu = np.linalg.eigvalsh(interaction_matrix(geom, xi))
+        return math.fsum(manybody._log1pmx(mu).tolist())
+
+    omega = FAR_PAIR_MODEL.transitions[0].omega_sg
+    edges = [0.0, *sorted({omega, SPEED_OF_LIGHT / geom.min_separation()}),
+             math.inf]
+    pieces = [integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13,
+                             limit=200)
+              for lo, hi in zip(edges[:-1], edges[1:])]
+    return (math.fsum(v for v, _ in pieces) / (2.0 * math.pi),
+            math.fsum(e for _, e in pieces) / (2.0 * math.pi))
+
+
+@pytest.mark.parametrize("spacing", [1e2, 1e3])
+def test_free_energy_error_is_honest_on_a_far_27_site_cube(spacing):
+    # the Cholesky route with its plain per-node sums against eigenvalues
+    # and an adaptive quadrature: the error estimate covers the distance
+    geom = far_cube(spacing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = free_energy_T0(geom)
+    exact, ref_tol = exact_cluster_free_energy(geom)
+    assert abs(res.value - exact) <= res.error_estimate + ref_tol
+    assert res.error_estimate <= 1e-9 * abs(res.value)
+
+
+def test_second_order_of_the_benchmark_cube_sums_its_pair_energies():
+    # the ret-N27 cube of the benchmark's clusters workload at seed 101:
+    # its 351 pair terms per node summed as one row, against the pair
+    # energies of its 351 distances
+    model = single_resonance(2.0, 0.6)
+    rng = np.random.default_rng([101, 1])
+    cube_sites(2, (model,), rng)
+    geom = SystemGeometry(cube_sites(3, (model,), rng))
+    assert geom.pair_distances.size == 351
+    pairs = vdw_energies(model, model, geom.pair_distances)
+    total = math.fsum(pair.value for pair in pairs)
+    assert second_order_energy(geom).value \
+        == pytest.approx(total, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("r", [1e2, 3e3])

@@ -1,6 +1,9 @@
 """The repository's own tools, loaded from their source files."""
 
 import importlib.util
+import math
+import subprocess
+import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -52,3 +55,21 @@ def test_code_lines_deltas_of_two_sources():
                              {"geometry.py": AFTER, "new.py": "y = 2\nz = 3\n"})
     assert rows == [("geometry.py", 4, 5), ("gone.py", 1, 0), ("new.py", 0, 2),
                     ("total", 5, 7)]
+
+
+def test_node_costs_prints_every_layer_and_the_counts():
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "node_costs.py"), "--repeat", "1",
+         "--sides", "2"], capture_output=True, text=True, check=True)
+    header, row = done.stdout.splitlines()
+    layers = load_tool("node_costs").LAYERS
+    assert header.split("|")[0].split() == ["N", *layers]
+    figures, *counts = row.split("|")
+    n, *us = figures.split()
+    assert int(n) == 8 and len(us) == len(layers)
+    assert all(math.isfinite(float(x)) for x in us)
+    assert len(counts) == 2
+    for integral in counts:
+        evaluations, nodes, calls = map(int, integral.split())
+        # stacked calls also take nodes past a cut, which are not counted
+        assert 0 < calls <= evaluations <= nodes
