@@ -371,7 +371,7 @@ def _logdet_function(geom: SystemGeometry, nonretarded: bool
         if len(out) < len(xi):
             out = np.empty((len(xi),) + geom._gather.shape)
         s = np.sqrt(geom.alpha_values(xi))
-        scale = s.take(geom._pair_i, axis=-1) * s.take(geom._pair_j, axis=-1)
+        scale = s[..., geom._pair_i] * s[..., geom._pair_j]
         # the blocks are not named, so that they are freed before the
         # factorisation, which then runs at the old peak memory
         return _log_det_1p(xi, geom._matrices(

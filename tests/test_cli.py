@@ -82,21 +82,10 @@ def test_pairwise_columns_are_closed_london_and_vdw_error(tmp_path):
     assert (e_vdw, err) == (vdw.value, vdw.error_estimate)
 
 
-def load_perfbench(name, monkeypatch):
-    """A perfbench module, loaded read-only from its source file; it is
-    registered while the test runs, as its dataclasses need."""
-    path = REPO / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_tracer_patch_points_resolve(monkeypatch):
+def test_tracer_patch_points_resolve(load_perfbench):
     # perfbench/tracer.py wraps these names in place; a dropped import
     # would break its traced runs
-    tracer = load_perfbench("tracer", monkeypatch)
+    tracer = load_perfbench("tracer")
     points = [(module, attr) for module, attr, _ in tracer.SPANS]
     for module, attr in points + tracer.QUADRATURE:
         assert callable(getattr(tracer._resolve(module), attr)), \
@@ -104,12 +93,13 @@ def test_tracer_patch_points_resolve(monkeypatch):
 
 
 
-def test_traced_pass_gives_the_untraced_bytes(tmp_path, monkeypatch, capsys):
+def test_traced_pass_gives_the_untraced_bytes(tmp_path, load_perfbench,
+                                              capsys):
     # perfbench times a pass with its tracer's wrappers around the
     # package's entry points and integrands: the seed-101 configs of both
     # workloads give the same tables and messages with and without them
-    tracer_module = load_perfbench("tracer", monkeypatch)
-    workloads = load_perfbench("workloads", monkeypatch)
+    tracer_module = load_perfbench("tracer")
+    workloads = load_perfbench("workloads")
     entries = [entry for name in ("clusters", "spectra-sweep")
                for entry in workloads.write_workload(name, 101, REPO,
                                                      tmp_path / name)]
@@ -150,7 +140,7 @@ OWN_WARNING = re.compile(
 
 
 @pytest.mark.parametrize("workload", ["clusters", "spectra-sweep"])
-def test_benchmark_outputs_pass_its_reference_checks(tmp_path, monkeypatch,
+def test_benchmark_outputs_pass_its_reference_checks(tmp_path, load_perfbench,
                                                      capsys, workload):
     # the benchmark's own correctness gate: each config of the workload at
     # seed 101, shipped ones included, run through the CLI and checked
@@ -158,8 +148,8 @@ def test_benchmark_outputs_pass_its_reference_checks(tmp_path, monkeypatch,
     # warning a run records, so a numpy RuntimeWarning would show here as
     # a line that is none of the package's own
     pytest.importorskip("scipy")
-    workloads = load_perfbench("workloads", monkeypatch)
-    references = load_perfbench("references", monkeypatch)
+    workloads = load_perfbench("workloads")
+    references = load_perfbench("references")
     entries = workloads.write_workload(workload, 101, REPO,
                                        tmp_path / "configs")
     checks = []
@@ -201,8 +191,8 @@ CLUSTER_PINS = {
 }
 
 
-def test_cluster_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
-    workloads = load_perfbench("workloads", monkeypatch)
+def test_cluster_output_bytes_are_pinned(tmp_path, load_perfbench, capsys):
+    workloads = load_perfbench("workloads")
     entries = workloads.write_workload("clusters", 101, REPO, tmp_path)
     seen = {}
     for entry in entries:

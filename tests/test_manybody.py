@@ -416,7 +416,7 @@ def identical_cube():
 
 def cube_sites(side, models, rng, spacing=6.0, jitter=0.25):
     """A side x side x side grid, each site moved by up to ``jitter`` on
-    each axis, the models taken in turn: the cubes of the benchmark's
+    each axis, the models taken in turn, as in the benchmark's
     ``clusters`` workload."""
     return [(np.array(c) * spacing + rng.uniform(-jitter, jitter, 3),
              models[k % len(models)])
@@ -754,12 +754,23 @@ def test_second_order_equals_pair_energy_at_extreme_separations(r):
         == pytest.approx(vdw_energy(pair).value, rel=1e-12, abs=0.0)
 
 
+def quad_free_energy(integrand, breaks):
+    """(1/2pi) int_0^inf integrand(xi) d(xi) by scipy quad, split at the
+    ``breaks``.  Returns the value and quad's error estimate."""
+    integrate = pytest.importorskip("scipy.integrate")
+    edges = [0.0, *sorted(set(breaks)), math.inf]
+    pieces = [integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13,
+                             limit=200)
+              for lo, hi in zip(edges[:-1], edges[1:])]
+    return (math.fsum(v for v, _ in pieces) / (2.0 * math.pi),
+            math.fsum(e for _, e in pieces) / (2.0 * math.pi))
+
+
 def exact_pair_free_energy(r, nonretarded):
     """(1/2pi) int log det[1 + A T] d(xi) of two identical isotropic atoms:
     log1p(-alpha^2 g_par^2) + 2 log1p(-alpha^2 g_perp^2) over the Green
     eigenvalues along and across the axis, by scipy quad.  Returns the
     value and quad's error estimate."""
-    integrate = pytest.importorskip("scipy.integrate")
     c = SPEED_OF_LIGHT
 
     def integrand(xi):
@@ -772,13 +783,8 @@ def exact_pair_free_energy(r, nonretarded):
 
     # the resonance and, retarded, the decay c/r set the two scales
     omega = FAR_PAIR_MODEL.transitions[0].omega_sg
-    breaks = sorted({omega, omega if nonretarded else c / r})
-    edges = [0.0, *breaks, math.inf]
-    pieces = [integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13,
-                             limit=200)
-              for lo, hi in zip(edges[:-1], edges[1:])]
-    return (math.fsum(v for v, _ in pieces) / (2.0 * math.pi),
-            math.fsum(e for _, e in pieces) / (2.0 * math.pi))
+    return quad_free_energy(integrand,
+                            {omega, omega if nonretarded else c / r})
 
 
 @pytest.mark.parametrize("nonretarded", [False, True])
@@ -810,20 +816,13 @@ def exact_cluster_free_energy(geom):
     mu_k of M(i xi), by scipy quad split at the resonance and at c over the
     closest pair; _log1pmx is checked against 60 digits above.  Returns
     the value and quad's error estimate."""
-    integrate = pytest.importorskip("scipy.integrate")
-
     def integrand(xi):
         mu = np.linalg.eigvalsh(interaction_matrix(geom, xi))
         return math.fsum(manybody._log1pmx(mu).tolist())
 
     omega = FAR_PAIR_MODEL.transitions[0].omega_sg
-    edges = [0.0, *sorted({omega, SPEED_OF_LIGHT / geom.min_separation()}),
-             math.inf]
-    pieces = [integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13,
-                             limit=200)
-              for lo, hi in zip(edges[:-1], edges[1:])]
-    return (math.fsum(v for v, _ in pieces) / (2.0 * math.pi),
-            math.fsum(e for _, e in pieces) / (2.0 * math.pi))
+    return quad_free_energy(
+        integrand, {omega, SPEED_OF_LIGHT / geom.min_separation()})
 
 
 @pytest.mark.parametrize("spacing", [1e2, 1e3])
@@ -839,14 +838,17 @@ def test_free_energy_error_is_honest_on_a_far_27_site_cube(spacing):
     assert res.error_estimate <= 1e-9 * abs(res.value)
 
 
-def test_second_order_of_the_benchmark_cube_sums_its_pair_energies():
+def test_second_order_of_the_benchmark_cube_sums_its_pair_energies(
+        load_perfbench):
     # the ret-N27 cube of the benchmark's clusters workload at seed 101:
     # its 351 pair terms per node summed as one row, against the pair
     # energies of its 351 distances
+    atoms = dict(load_perfbench("workloads").clusters(101))["ret-N27"]["atoms"]
     model = single_resonance(2.0, 0.6)
-    rng = np.random.default_rng([101, 1])
-    cube_sites(2, (model,), rng)
-    geom = SystemGeometry(cube_sites(3, (model,), rng))
+    assert all((atom["alpha_static"], atom["omega"]) == (2.0, 0.6)
+               for atom in atoms)
+    geom = SystemGeometry([(np.array(atom["position"]), model)
+                           for atom in atoms])
     assert geom.pair_distances.size == 351
     pairs = vdw_energies(model, model, geom.pair_distances)
     total = math.fsum(pair.value for pair in pairs)

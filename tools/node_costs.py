@@ -1,39 +1,41 @@
 """Time each layer of a many-body quadrature node, per node.
 
-For seeded retarded cubes of N = side^3 sites (spacing 6 bohr, each site
-moved by up to 0.25 bohr on each axis, alpha(0) = 2 and omega = 0.6 at
-every site), the frequency stacks that one ``free_energy_T0`` and one
-``second_order_energy`` call hand their integrands are recorded, then
-replayed ``--repeat`` times through each layer:
+The cubes are those of the benchmark's ``clusters`` workload at seed
+101: its retarded N = 8 and N = 27 cubes, and for N = 64 (which the
+workload does not run) a 4 x 4 x 4 cube of the same site model, spacing
+and jitter, drawn by the workload's own generator.  The frequency stacks
+that one ``free_energy_T0`` and one ``second_order_energy`` call hand
+their integrands are recorded, then the integrands are called on them
+again ``--repeat`` times, with each layer's function wrapped in a timer:
 
     green     the blocks -G(i xi) of every pair (``SystemGeometry._blocks``)
     gather    sqrt(alpha_i alpha_j) -G into the 3N x 3N stack
               (``SystemGeometry._matrices``)
     cholesky  ``np.linalg.cholesky`` of the unit-diagonal 1 + M
-    log1p     the rest of ``_log_det_1p``: its median time less the
-              Cholesky's (the diagonal writes, the row sums, log1p and
-              their sum)
-    logdet    one whole node of the log-det integrand
-    second    one whole node of the second-order integrand
+    log1p     the rest of ``_log_det_1p``: its time less the Cholesky's
+              (the diagonal writes, the row sums, log1p and their sum)
+    logdet    one whole node of the log-det integrand, unwrapped
+    second    one whole node of the second-order integrand, unwrapped
 
 Each figure is the median over the repeats of a layer's time over all
-recorded stacks, divided by the nodes in them; the repeats interleave
-the layers, so drift of the host touches them alike.  Beside them are
-the integrals' evaluation counts and the nodes and calls their
-integrands took, discarded nodes past a cut among them.  BLAS runs on
-one thread.  Only the standard library and numpy are used; fluctem is
-imported from ``src/`` of this checkout, or from ``--src``.
+recorded stacks, divided by the nodes in them; each repeat runs the
+wrapped and the unwrapped calls in turn, so drift of the host touches
+them alike.  Beside them are the integrals' evaluation counts and the
+nodes and calls their integrands took, discarded nodes past a cut among
+them.  BLAS runs on one thread.  Only the standard library and numpy are
+used; fluctem is imported from ``src/`` and the workload generator from
+``perfbench/`` of the checkout that holds this file.
 
 Usage, from the root of a checkout:
 
-    python tools/node_costs.py [--repeat 21] [--sides 2 3 4] [--seed 101]
-                               [--src DIR]
+    python tools/node_costs.py [--repeat 21] [--sides 2 3 4]
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
+import contextlib
+import importlib.util
 import os
 import statistics
 import sys
@@ -47,17 +49,36 @@ if __name__ == "__main__":
 
 import numpy as np  # noqa: E402
 
+CHECKOUT = Path(__file__).resolve().parents[1]
+SEED = 101
 LAYERS = ("green", "gather", "cholesky", "log1p", "logdet", "second")
 
 
-def cube(side: int, seed: int):
+def workloads():
+    """perfbench's config generators, loaded read-only from their file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", CHECKOUT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def cube(side: int):
+    """The seed-101 retarded cube of ``side``^3 sites."""
     from fluctem.manybody import SystemGeometry
     from fluctem.polarizability import single_resonance
-    rng = np.random.default_rng([seed, 1])
-    model = single_resonance(2.0, 0.6)
+    generators = workloads()
+    configs = dict(generators.clusters(SEED))
+    atoms = configs.get(f"ret-N{side**3}", {}).get("atoms")
+    if atoms is None:
+        model = {k: v for k, v in configs["ret-N8"]["atoms"][0].items()
+                 if k != "position"}
+        atoms = generators._cubic_cluster(
+            np.random.default_rng([SEED, side]), side, 6.0, 0.25, model)
     return SystemGeometry([
-        (np.array(c) * 6.0 + rng.uniform(-0.25, 0.25, 3), model)
-        for c in itertools.product(range(side), repeat=3)])
+        (np.array(atom["position"]),
+         single_resonance(atom["alpha_static"], atom["omega"]))
+        for atom in atoms])
 
 
 def recorded(energy, geom):
@@ -84,38 +105,56 @@ def recorded(energy, geom):
     return result, integrand, stacks
 
 
-def _timed(f, *args) -> tuple[float, object]:
+@contextlib.contextmanager
+def layers_timed(spent: dict):
+    """Add the time of each layer's calls to ``spent``; the log1p entry
+    takes all of ``_log_det_1p``, the Cholesky inside it included."""
+    import fluctem.manybody as manybody
+    points = [(manybody.SystemGeometry, "_blocks", "green"),
+              (manybody.SystemGeometry, "_matrices", "gather"),
+              (np.linalg, "cholesky", "cholesky"),
+              (manybody, "_log_det_1p", "log1p")]
+
+    def timer(f, layer):
+        def timed(*args):
+            start = time.perf_counter()
+            try:
+                return f(*args)
+            finally:
+                spent[layer] += time.perf_counter() - start
+        return timed
+
+    originals = [getattr(owner, name) for owner, name, _ in points]
+    for (owner, name, layer), f in zip(points, originals):
+        setattr(owner, name, timer(f, layer))
+    try:
+        yield
+    finally:
+        for (owner, name, _), f in zip(points, originals):
+            setattr(owner, name, f)
+
+
+def _time(f, stacks) -> float:
     start = time.perf_counter()
-    value = f(*args)
-    return time.perf_counter() - start, value
+    for xi in stacks:
+        f(xi)
+    return time.perf_counter() - start
 
 
-def node_costs(side: int, seed: int, repeat: int) -> dict:
+def node_costs(side: int, repeat: int) -> dict:
     """Median microseconds per node of each layer, with the counts."""
     import fluctem.manybody as manybody
-    geom = cube(side, seed)
-    (i, j), shape = geom.pair_indices, geom._gather.shape
-    diag = np.arange(shape[-1])
+    geom = cube(side)
     log_det, g, log_det_stacks = recorded(manybody.free_energy_T0, geom)
     second, f, second_stacks = recorded(manybody.second_order_energy, geom)
-    out = np.empty((max(map(len, log_det_stacks)),) + shape)
     seconds = {name: [] for name in LAYERS}
     for _ in range(repeat):
         spent = dict.fromkeys(LAYERS, 0.0)
-        for xi in log_det_stacks:
-            s = np.sqrt(geom.alpha_values(xi))
-            scale = s.take(i, axis=-1) * s.take(j, axis=-1)
-            t, blocks = _timed(geom._blocks, xi)
-            spent["green"] += t
-            t, m = _timed(geom._matrices, blocks, scale, out[:len(xi)])
-            spent["gather"] += t
-            m[..., diag, diag] = 1.0
-            t, _ = _timed(np.linalg.cholesky, m)
-            spent["cholesky"] += t
-            spent["log1p"] += _timed(manybody._log_det_1p, xi, m)[0] - t
-            spent["logdet"] += _timed(g, xi)[0]
-        for xi in second_stacks:
-            spent["second"] += _timed(f, xi)[0]
+        with layers_timed(spent):
+            _time(g, log_det_stacks)
+        spent["log1p"] -= spent["cholesky"]
+        spent["logdet"] = _time(g, log_det_stacks)
+        spent["second"] = _time(f, second_stacks)
         for name, t in spent.items():
             seconds[name].append(t)
     nodes = (sum(map(len, log_det_stacks)), sum(map(len, second_stacks)))
@@ -131,19 +170,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeat", type=int, default=21)
     parser.add_argument("--sides", type=int, nargs="+", default=[2, 3, 4])
-    parser.add_argument("--seed", type=int, default=101)
-    parser.add_argument("--src", type=Path,
-                        default=Path(__file__).resolve().parents[1] / "src")
     args = parser.parse_args(argv)
     if args.repeat < 1 or min(args.sides) < 2:
         parser.error("--repeat must be >= 1 and every side >= 2")
-    sys.path.insert(0, str(args.src))
+    sys.path.insert(0, str(CHECKOUT / "src"))
     # microseconds per node, then the evaluations, nodes and calls of
     # the log det and of the second order
     print(f"{'N':>3} " + " ".join(f"{name:>8}" for name in LAYERS)
           + " | evals nodes calls | evals nodes calls")
     for side in args.sides:
-        row = node_costs(side, args.seed, args.repeat)
+        row = node_costs(side, args.repeat)
         print(f"{row['n']:>3} "
               + " ".join(f"{row['us'][name]:8.2f}" for name in LAYERS)
               + "".join(f" | {e:5} {n:5} {c:5}" for e, n, c in zip(
