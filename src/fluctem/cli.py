@@ -297,10 +297,6 @@ def _model(obj: dict, name: str) -> KramersHeisenberg:
     return _named(name, KramersHeisenberg, tuple(rows))
 
 
-def _run_pairwise(cfg: dict) -> tuple[list[str], list[float]]:
-    return next(_pairwise_rows(cfg))
-
-
 def _pairwise_rows(cfg: dict, separations: list[float] | None = None):
     """The columns and row of a pairwise config at each of ``separations``
     (default: its own separation), one at a time.  The van der Waals
@@ -332,7 +328,7 @@ def _pairwise_rows(cfg: dict, separations: list[float] | None = None):
                [r, vdw.value, london, cp, vdw.error_estimate])
 
 
-def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
+def _manybody_rows(cfg: dict):
     quad = QuadratureSpec(**cfg.get("quadrature", {}))
     atoms = _need(cfg, "atoms")
     if len(atoms) < 2:
@@ -359,11 +355,11 @@ def _run_manybody(cfg: dict) -> tuple[list[str], list[float]]:
     # second_order is the retarded T = 0 pair sum on every row: the
     # truncation of free_energy only on retarded rows without temperature
     second = second_order_energy(geometry, quad)
-    return (["free_energy", "second_order", "err"],
-            [free.value, second.value, free.error_estimate])
+    yield (["free_energy", "second_order", "err"],
+           [free.value, second.value, free.error_estimate])
 
 
-def _run_lamb(cfg: dict) -> tuple[list[str], list[float]]:
+def _lamb_rows(cfg: dict):
     model = _model(_need(cfg, "atom"), "atom")
     cutoff = CutoffSpec(cfg["cutoff"]) if "cutoff" in cfg else None
     bethe = _named("atom", bethe_shift, model, cutoff)
@@ -377,12 +373,8 @@ def _run_lamb(cfg: dict) -> tuple[list[str], list[float]]:
                         _need(cfg["medium"], "medium.number_density"), host)
         dielectric = _named("atom and medium", dielectric_shift_difference,
                             model, medium).value
-    return (["bethe", "thermal", "dielectric", "err"],
-            [bethe, thermal, dielectric, err])
-
-
-def _run_cavity(cfg: dict) -> tuple[list[str], list[float]]:
-    return next(_cavity_rows(cfg))
+    yield (["bethe", "thermal", "dielectric", "err"],
+           [bethe, thermal, dielectric, err])
 
 
 def _cavity_rows(cfg: dict, separations: list[float] | None = None):
@@ -429,17 +421,16 @@ def _cavity_rows(cfg: dict, separations: list[float] | None = None):
                 shift.interaction, extracted, exact])
 
 
-# each task's runner, and the column whose log-log slope --fit-slope
-# reports when a scan wraps it
+# each task's runner, a generator of (columns, row); the column whose
+# log-log slope --fit-slope reports when a scan wraps it; and the key
+# whose scan points the runner takes all at once, as its second argument,
+# to build what that key does not touch once (None: one point per call)
 _RUNNERS = {
-    "pairwise": (_run_pairwise, "E_vdw"),
-    "manybody": (_run_manybody, "free_energy"),
-    "lamb": (_run_lamb, "bethe"),
-    "cavity": (_run_cavity, "extracted"),
+    "pairwise": (_pairwise_rows, "E_vdw", "separation"),
+    "manybody": (_manybody_rows, "free_energy", None),
+    "lamb": (_lamb_rows, "bethe", None),
+    "cavity": (_cavity_rows, "extracted", "separation"),
 }
-# the tasks whose separation scans build what the separation does not
-# touch once, and run their points as rows of that build
-_SEPARATION_ROWS = {"pairwise": _pairwise_rows, "cavity": _cavity_rows}
 
 
 def _replace(node, path: list, value):
@@ -477,7 +468,7 @@ def _run_scan(cfg: dict,
     parameter, values = sweep["parameter"], sweep["values"]
     base = {k: v for k, v in cfg.items() if k not in ("sweep", "subtask")}
     scales = _scales(base.get("units", {}))
-    runner, slope_column = _RUNNERS[subtask]
+    runner, slope_column, batched = _RUNNERS[subtask]
 
     # the swept leaf, its name and its table entry; the base's own value
     # of it is a placeholder, which the first swept value stands in for
@@ -496,11 +487,12 @@ def _run_scan(cfg: dict,
               for k, value in enumerate(values)]
     base = _walk(dict(base, task=subtask), "", "", subtask, scales)
 
-    # every runner returns the same columns at every point
-    if path == ["separation"] and subtask in _SEPARATION_ROWS:
-        results = _SEPARATION_ROWS[subtask](base, points)
+    # every runner yields the same columns at every point
+    if path == [batched]:
+        results = runner(base, points)
     else:
-        results = (runner(_replace(base, path, point)) for point in points)
+        results = (next(runner(_replace(base, path, point)))
+                   for point in points)
     rows = []
     for k, value in enumerate(values):
         try:
@@ -537,7 +529,7 @@ def _execute(cfg: dict,
     cfg = _walk(cfg, "", "", task, _scales(cfg.get("units", {})))
     if fit_slope:
         raise ConfigError("--fit-slope needs task=scan")
-    columns, row = _RUNNERS[task][0](cfg)
+    columns, row = next(_RUNNERS[task][0](cfg))
     return columns, [row]
 
 

@@ -75,8 +75,8 @@ from .core import (
     SPEED_OF_LIGHT,
     pair_separations,
 )
-# dyadic_green_imag and static_green, the single-pair views of the Green
-# tensor, stay importable from this module
+# dyadic_green_imag and static_green are unused here but stay bound:
+# perfbench's tracer wraps them
 from .green import (
     dyadic_green_imag,
     interaction_blocks,
@@ -487,25 +487,21 @@ def phf_lambda_integral(x) -> float:
     derivation rests on.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    if scalar:
-        radius = abs(float(x))
-    else:
-        if x.ndim != 2 or x.shape[0] != x.shape[1]:
-            raise ValueError("x must be a scalar or a square matrix")
-        radius = float(np.max(np.abs(np.linalg.eigvals(x))))
+    # a scalar is the 1 x 1 matrix, on which solve divides as m / (1 - m)
+    if x.ndim == 0:
+        x = x.reshape(1, 1)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ValueError("x must be a scalar or a square matrix")
+    # eigvals refuses a NaN or infinite entry with LinAlgError, a ValueError
+    radius = float(np.max(np.abs(np.linalg.eigvals(x))))
     if not radius < 1.0:
         raise ValueError("spectral radius must be < 1")
     glx, glw = np.polynomial.legendre.leggauss(_PHF_NODES)
     lam = 0.5 * (glx + 1.0)
     w = 0.5 * glw
     terms = []
-    eye = None if scalar else np.eye(x.shape[0])
+    eye = np.eye(x.shape[0])
     for l_k, w_k in zip(lam, w):
         m = l_k * l_k * x
-        if scalar:
-            val = float(m / (1.0 - m))
-        else:
-            val = float(np.trace(np.linalg.solve(eye - m, m)))
-        terms.append(w_k * val / l_k)
+        terms.append(w_k * float(np.trace(np.linalg.solve(eye - m, m))) / l_k)
     return math.fsum(terms)

@@ -33,10 +33,10 @@ checked.  It takes them in node order from one of three sources, each the
 fastest measured on its integrands:
 
 * a float integrand, passed without a ``stack``, is called once per
-  node, as the walk reaches it.
-  Such integrands cost about a microsecond per node: the thermal shift's
-  principal values, before its closed form, ran 25 % slower fetched in
-  chunks, and three times slower as arrays.
+  node, as the walk reaches it.  ``london_energy``, the interval map of
+  ``bethe_shift_quadrature`` and ``integrate_pv`` hand such scalar
+  integrands, and this walk is the reference that the other two sources
+  are tested against, node for node.
 * ``integrate_semi_infinite(..., stack=K)``, K >= 1, calls an array
   integrand on stacks of nodes: first those inside the previous level's
   reach, then four at a time, never more than K.  A log-det node costs a

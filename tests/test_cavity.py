@@ -22,7 +22,7 @@ from fluctem.cavity import (
     perturbative_shift,
 )
 from fluctem.cavity import _hamiltonian, _operators
-from fluctem.cli import _run_cavity, run
+from fluctem.cli import _execute, run
 from fluctem.core import PairDistanceError, pair_separations
 
 CAVITY_SCAN = Path(__file__).resolve().parents[1] / "configs" / "cavity.json"
@@ -552,14 +552,14 @@ def test_cavity_point_makes_four_eigensolves(monkeypatch, tmp_path):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    _run_cavity({
+    _execute({
         "task": "cavity",
         "atoms": [{"omega": 0.9, "dipole": [0.1, 0, 0]},
                   {"omega": 1.1, "dipole": [0.1, 0, 0]}],
         "mode": {"omega": 20.0, "polarization": [1, 0, 0],
                  "amplitudes": [0.03, 0.04]},
         "separation": 8.0,
-    })
+    }, False)
     # cutoff 12 and 16, each with and without the pair coupling, on the
     # even-parity sector: 2 (n_max + 1) states for two atoms
     assert sorted(calls) == [(26, 26), (26, 26), (34, 34), (34, 34)]

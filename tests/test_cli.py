@@ -5,6 +5,7 @@ import ast
 import contextlib
 import copy
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -203,6 +204,90 @@ def test_cluster_output_bytes_are_pinned(tmp_path, load_perfbench, capsys):
         seen[entry["id"]] = tuple(float(v).hex() for v in row.split(","))
     capsys.readouterr()
     assert seen == CLUSTER_PINS
+
+
+# sha256 of the CSV bytes and of the stderr text of each seed-101
+# spectra-sweep config through cli.run, the shipped configs/pairwise.json
+# and configs/cavity.json among them: a change that moves one of these
+# bytes changes its pin here and says so
+SPECTRA_PINS = {
+    "pairwise-1x8": (
+        "f1ca23fbcce801ec1518146085b736de4616d57f0e7f305e7b1825de123f0d3e",
+        "9f5d8f183c565eff07f6afc9d85b6e1343c127de75780ffb06feda971ed9f54c"),
+    "pairwise-2x7": (
+        "0e9e9f81258ae4993f7d319ed5b5b67c3abebc1c7070f3c0cd51f0b9bf1606a2",
+        "1e2e69366fe18320dc76b80bda65559b940f9e139f71351b082ee31d225632fd"),
+    "pairwise-3x6": (
+        "bdb7aac2251a7433c73ac3da553c2da8776b6724dd614682029ff825d17e07c7",
+        "28e5c2f9b7e0c79f18f9146df3cce64ba0a69d525c22a8e4a50108b0a127f996"),
+    "pairwise-4x5": (
+        "147f9020d6fc839c509ebb266861b93b8f4c24c62599d7ee0e45e1facf4058aa",
+        "bf4399fc1e152bdefd1f4aad79ef2ff2a5aaad87bfb913f414e8a8dfb85f44b5"),
+    "pairwise-5x4": (
+        "32e563c0f9cb2f2c2c19d60eccb6d9d02b46feda675b68d75bfdc8c75f2bfa1c",
+        "e42c2430b95c9a9761d9e1b8aac20820a9f664e925b8f081413f0c3fc7d029f4"),
+    "pairwise-6x3": (
+        "61588056f8a305458b395b1d65d4a8801af855a1827cc992079a2a9baa1b29f9",
+        "396ffdfbc6eead6ee3f63f1830b5bb7380aca6a54929395a659d6c57e8d3282a"),
+    "pairwise-7x2": (
+        "aded210de0b5bb024d92484bc25cf0578fc9c69ab8cf7e086bd8b1c9f536afe8",
+        "80d963211cf382331fba69ddc018e2bc6834225cf9851755bdb714da0302e655"),
+    "pairwise-8x1": (
+        "e5ffa920106b2970b43f38951229b0fa2b95572a02b26223c47863d9266460ab",
+        "92b2750e6be1e38603f41eb09d66331556dd7736956cde37f5b985c59a83c948"),
+    "lamb-vacuum-1": (
+        "6bb31788270f087437943cc63dd4a82fc3f1f8d4e0e4dae07d2b4464b6b39bc8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lamb-vacuum-2": (
+        "a318ff0bffdc730759c6899ded753c958f88eafc45622057970249837900a11b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lamb-medium-1": (
+        "874dc01ef52b43b3db221a7c5d3da51e7e74c863e3c7bf116706b87752d88683",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lamb-medium-2": (
+        "356da329b965e0056ecb1758301b89b05a3c614b3fcf37d9f188baa339392f1f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lamb-medium-3": (
+        "84d34cc3b4d7794e2662c719a4da1adf188eedbfb4f013b37bd362867b9405ce",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cavity-0": (
+        "d45aef2657c6c02b9f7e0376420b1f912d011ca48f8b1e8de262fd4391df99f3",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cavity-1": (
+        "98a79649820139f46e1330b02944007d29159446e72d8068cb9dce5a942d8c01",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cavity-2": (
+        "5e411e8cf36b8abf6c4a4898108835c8d6b24abc01a9d6b8b874a3ab1b446486",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cavity-3": (
+        "54635c6cd48028a7f267574be6bda54c26fb6603e8017fb42bdc675829339562",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cavity-4": (
+        "42a6e8d48bdbbca5adbd50902fdc279a4de0e56dd3868d7ef95de9a2374a9123",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cavity-node": (
+        "4042bc0410bc6c0f683774300e8db86dd0db1aab8f47436ace87f7f9d9f479fc",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "shipped-pairwise": (
+        "0a78c74fddc4dba8838518af504a9cde43a967a9f2064c6574f506249a70d258",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "shipped-cavity": (
+        "6207e036c789af42696cb076f0a7dc975eecb735a5056b4c42740f3457b7937b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+def test_spectra_sweep_output_bytes_are_pinned(tmp_path, load_perfbench,
+                                                capsys):
+    workloads = load_perfbench("workloads")
+    entries = workloads.write_workload("spectra-sweep", 101, REPO, tmp_path)
+    assert [entry["id"] for entry in entries] == list(SPECTRA_PINS)
+    for entry in entries:
+        out = tmp_path / f"{entry['id']}.csv"
+        assert run(entry["path"], str(out)) == 0, entry["id"]
+        seen = (hashlib.sha256(out.read_bytes()).hexdigest(),
+                hashlib.sha256(capsys.readouterr().err.encode()).hexdigest())
+        assert seen == SPECTRA_PINS[entry["id"]], entry["id"]
 
 
 def test_perfbench_imports_resolve():
@@ -632,17 +717,30 @@ def test_scan_point_errors_of_every_type_name_their_value(
                 sweep={"parameter": "separation",
                        "values": [4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 16.0,
                                   20.0, 30.0, 40.0]}),
-], ids=["shipped", "node", "strong"])
+    # the shipped pairwise scan, on into the retarded regime
+    dict(json.loads((CONFIG_DIR / "pairwise.json").read_text()),
+         sweep={"parameter": "separation",
+                "values": [1.0, 3.0, 40.0, 1e3, 1e5]}),
+    dict(task="scan", subtask="lamb", atom=dict(ATOM), cutoff=1e4,
+         temperature=50.0,
+         medium={"number_density": 1e-3, "host": dict(ATOM, omega=0.7)},
+         sweep={"parameter": "temperature",
+                "values": [50.0, 0.5, 1e-2, 1e-4, 1e-6]}),
+    dict(manybody_config(), task="scan", subtask="manybody", temperature=1.0,
+         sweep={"parameter": "temperature", "values": [1.0, 0.1, 1e-3]}),
+], ids=["shipped", "node", "strong", "pairwise", "lamb", "manybody"])
 def test_cavity_scan_rows_equal_one_point_runs(cfg):
-    # a separation scan builds its points as rows of one build; each row
-    # is, bit for bit, the run of that point's own config
+    # a separation scan of pairwise or cavity builds its points as rows of
+    # one build, any other scan runs its points one by one; either way
+    # each row is, bit for bit, the run of that point's own config
     columns, rows = cli._execute(cfg, False)
+    parameter = cfg["sweep"]["parameter"]
     point = {k: v for k, v in cfg.items() if k not in ("subtask", "sweep")}
     assert len(rows) == len(cfg["sweep"]["values"])
     for value, row in zip(cfg["sweep"]["values"], rows):
         alone, (one,) = cli._execute(
-            dict(point, task="cavity", separation=value), False)
-        assert columns == ["separation", *alone]
+            dict(point, task=cfg["subtask"], **{parameter: value}), False)
+        assert columns == [parameter, *alone]
         assert [x.hex() for x in row] == [float(value).hex(),
                                           *(x.hex() for x in one)]
 

@@ -1155,6 +1155,10 @@ def test_phf_lambda_integral_scalar_cases():
     x = 1e-4
     val = phf_lambda_integral(x)
     assert val == pytest.approx(x / 2 + x**2 / 4 + x**3 / 6, rel=1e-10)
+    # a scalar is, bit for bit, the 1 x 1 matrix
+    for s in (0.0, 0.3, -0.3, 0.5, 0.9, 1e-13):
+        assert phf_lambda_integral(s).hex() == \
+            phf_lambda_integral([[s]]).hex(), s
 
 
 def test_phf_lambda_integral_matrix_identity():
