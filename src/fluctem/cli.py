@@ -52,6 +52,7 @@ from .manybody import (
     PairDistanceError,
     SystemGeometry,
     free_energy_T0,
+    free_energy_T0_and_second_order,
     free_energy_finiteT,
     second_order_energy,
 )
@@ -345,16 +346,20 @@ def _manybody_rows(cfg: dict):
         if not verdict.ok:
             warnings.warn(f"atoms {i} and {j} strain the point-dipole "
                           f"picture: ratio {_past_one(verdict.ratio)}")
+    # second_order is the retarded T = 0 pair sum on every row: the
+    # truncation of free_energy only on retarded rows without temperature,
+    # which take it from the log det's own nodes
     if "temperature" in cfg:
         # Matsubara frequencies that overflow: the message names the
         # temperature
         free = _named("", free_energy_finiteT, geometry, cfg["temperature"],
                       quad, nonretarded=nonretarded)
+    elif nonretarded:
+        free = free_energy_T0(geometry, quad, nonretarded=True)
     else:
-        free = free_energy_T0(geometry, quad, nonretarded=nonretarded)
-    # second_order is the retarded T = 0 pair sum on every row: the
-    # truncation of free_energy only on retarded rows without temperature
-    second = second_order_energy(geometry, quad)
+        free, second = free_energy_T0_and_second_order(geometry, quad)
+    if "temperature" in cfg or nonretarded:
+        second = second_order_energy(geometry, quad)
     yield (["free_energy", "second_order", "err"],
            [free.value, second.value, free.error_estimate])
 

@@ -74,6 +74,7 @@ from .core import (
     PairDistanceError,
     SPEED_OF_LIGHT,
     pair_separations,
+    unwrap,
 )
 # dyadic_green_imag and static_green are unused here but stay bound:
 # perfbench's tracer wraps them
@@ -88,6 +89,7 @@ from .polarizability import KramersHeisenberg
 from .quadrature import (
     QuadratureSpec,
     integrate_semi_infinite,
+    integrate_shared,
     matsubara_sum,
 )
 
@@ -98,6 +100,7 @@ __all__ = [
     "build_T",
     "free_energy_T0",
     "free_energy_finiteT",
+    "free_energy_T0_and_second_order",
     "second_order_energy",
     "normal_mode_energy",
     "phf_lambda_integral",
@@ -196,22 +199,23 @@ class SystemGeometry:
         frequencies, (3, 3, P) for one."""
         return interaction_blocks(_frequencies(xi), *self._green)
 
-    def _matrices(self, blocks, scale, out=None) -> np.ndarray:
-        """The stack of matrices whose blocks (i, j) and (j, i) hold
-        ``blocks[..., p] * scale[..., p]`` of pair p = (i, j), and whose
-        self-blocks are zero: ``blocks`` as :meth:`_blocks` gives them,
-        ``scale`` of shape (..., P), the stack the broadcast of the two,
-        written into ``out`` if given.
-
-        The pair products, the pair axis last, go behind a zero slot into
-        one flat array per matrix, which one ``take`` through the gather
-        map spreads.
-        """
+    def _pair_products(self, blocks, scale) -> np.ndarray:
+        """``blocks[..., p] * scale[..., p]`` of every pair p as one flat
+        row per matrix, the pair axis last, behind a zero slot:
+        ``blocks`` as :meth:`_blocks` gives them, ``scale`` of shape
+        (..., P), the stack the broadcast of the two."""
         stack = np.broadcast_shapes(blocks.shape[:-3], scale.shape[:-1])
         flat = np.empty(stack + (1 + 9 * blocks.shape[-1],))
         flat[..., 0] = 0.0
         np.multiply(blocks, scale[..., None, None, :],
                     out=flat[..., 1:].reshape(stack + blocks.shape[-3:]))
+        return flat
+
+    def _matrices(self, flat, out=None) -> np.ndarray:
+        """The stack of matrices whose blocks (i, j) and (j, i) hold pair
+        p = (i, j)'s products in ``flat`` (:meth:`_pair_products`), and
+        whose self-blocks are zero, spread by one ``take`` through the
+        gather map and written into ``out`` if given."""
         # every index is in range; "raise" would buffer the output
         return flat.take(self._gather, axis=-1, out=out, mode="clip")
 
@@ -258,7 +262,8 @@ def build_T(geom: SystemGeometry, xi) -> np.ndarray:
     (I - 3 rhat rhat)/r^3; the diagonal blocks are exactly zero.  The
     blocks are gathered as those of M are, with a unit scale.
     """
-    return geom._matrices(geom._blocks(xi), np.ones(geom._pair_r.shape))
+    return geom._matrices(geom._pair_products(geom._blocks(xi),
+                                              np.ones(geom._pair_r.shape)))
 
 
 def _log1pmx(mu: np.ndarray) -> np.ndarray:
@@ -343,8 +348,25 @@ def _log_det_1p(xi, m: np.ndarray):
     return _log1p_sums(xi, np.linalg.eigvalsh(m))
 
 
-def _logdet_function(geom: SystemGeometry, nonretarded: bool
-                     ) -> Callable[[np.ndarray], np.ndarray]:
+def _m_products(geom: SystemGeometry, xi, blocks=None) -> np.ndarray:
+    """The pair products of M = sqrt(A) T sqrt(A) at the K frequencies
+    ``xi``: -G(i xi) of each pair, or ``blocks`` if given, times
+    sqrt(alpha_i alpha_j), as :meth:`SystemGeometry._pair_products` lays
+    them out."""
+    s = np.sqrt(geom.alpha_values(xi))
+    return geom._pair_products(geom._blocks(xi) if blocks is None else blocks,
+                               s[..., geom._pair_i] * s[..., geom._pair_j])
+
+
+def _frobenius(products: np.ndarray) -> np.ndarray:
+    """||M||_F^2 of each matrix from its pair products: twice their sum of
+    squares, as each pair block stands twice in M.  The terms are >= 0,
+    so the plain sum is off by about log2(9P) eps relative at most."""
+    return 2.0 * np.square(products).sum(axis=-1)
+
+
+def _logdet_function(geom: SystemGeometry, nonretarded: bool,
+                     frobenius: bool = False) -> Callable:
     """g(xi) = log det[1 + A T](i xi), the one log-det evaluation path.
 
     ``xi`` is a 1-D array of K frequencies, giving K values.  The
@@ -355,7 +377,10 @@ def _logdet_function(geom: SystemGeometry, nonretarded: bool
     polarizabilities commute with the static T of the nonretarded limit:
     the eigenproblem then factorizes, is solved once, and each frequency
     only scales its eigenvalues by alpha(i xi), which keeps their sum
-    alpha Tr T = 0.
+    alpha Tr T = 0.  With ``frobenius``, on the matrix path only, g
+    returns the log dets and the ||M||_F^2 of the same M
+    (:func:`_frobenius`); the log dets are those of the plain g bit for
+    bit.
     """
     if nonretarded and all(m == geom.models[0] for m in geom.models):
         t_eigs = np.linalg.eigvalsh(build_T(geom, 0.0))
@@ -370,12 +395,11 @@ def _logdet_function(geom: SystemGeometry, nonretarded: bool
         nonlocal out
         if len(out) < len(xi):
             out = np.empty((len(xi),) + geom._gather.shape)
-        s = np.sqrt(geom.alpha_values(xi))
-        scale = s[..., geom._pair_i] * s[..., geom._pair_j]
-        # the blocks are not named, so that they are freed before the
-        # factorisation, which then runs at the old peak memory
-        return _log_det_1p(xi, geom._matrices(
-            static if nonretarded else geom._blocks(xi), scale, out[:len(xi)]))
+        # the blocks are freed before the factorisation; the pair
+        # products, half the size of M, are not
+        products = _m_products(geom, xi, static)
+        values = _log_det_1p(xi, geom._matrices(products, out[:len(xi)]))
+        return (values, _frobenius(products)) if frobenius else values
 
     return g
 
@@ -413,6 +437,35 @@ def free_energy_finiteT(geom: SystemGeometry, temperature: float,
         return EnergyResult(0.0, 0.0, 0)
     return matsubara_sum(_logdet_function(geom, nonretarded), temperature,
                          quad, _node_scale(geom, nonretarded))
+
+
+def free_energy_T0_and_second_order(geom: SystemGeometry,
+                                    quad: QuadratureSpec | None = None
+                                    ) -> tuple[EnergyResult, EnergyResult]:
+    """The retarded zero-temperature free energy and its second order,
+    from one set of nodes.
+
+    The second order is the integral of :func:`second_order_energy`, whose
+    integrand 2 sum_{i<j} alpha_i alpha_j ||G_ij||_F^2 is ||M||_F^2 of the
+    log det's own M: -1/2 Tr M^2 is the log det's second-order term, as
+    Tr M = 0.  Each node of the log det gives it for one more reduction
+    over M's pair products (:func:`_frobenius`); the second integral
+    computes M's pair products alone only at nodes the log det never
+    reached.  Both integrals keep their own stop, estimate and budget
+    (:func:`fluctem.quadrature.integrate_shared`), so the free energy is
+    that of ``free_energy_T0(geom, quad)`` bit for bit, and the second
+    order is :func:`second_order_energy`'s integral of the same integrand
+    in other rounding.  The free energy's error is raised first.
+    """
+    if geom.n_sites < 2:
+        zero = EnergyResult(0.0, 0.0, 0)
+        return zero, zero
+    free, second = integrate_shared(
+        _logdet_function(geom, False, frobenius=True),
+        lambda xi: _frobenius(_m_products(geom, xi)), quad,
+        _node_scale(geom, False), _stack((3 * geom.n_sites) ** 2))
+    return (unwrap(free).scaled(1.0 / (2.0 * math.pi)),
+            unwrap(second).scaled(-1.0 / (4.0 * math.pi)))
 
 
 def second_order_energy(geom: SystemGeometry,

@@ -7,7 +7,8 @@ composed with the algebraic map x = s*t/(1-t) (Takahasi & Mori, Publ. RIMS
 9, 721 (1974)), so
 
 * ``integrate_semi_infinite`` runs it on [0, inf) with the scale s as
-  given, and ``integrate_rows`` runs R such integrals at once;
+  given, ``integrate_rows`` runs R such integrals at once, and
+  ``integrate_shared`` two whose integrands share their nodes' work;
 * ``integrate_interval`` maps it onto [lo, hi] through
   w = lo + (hi-lo) u/(1+u), which is tanh-sinh on the interval;
 * ``integrate_pv`` subtracts f(pole), which removes the pole because
@@ -47,6 +48,11 @@ fastest measured on its integrands:
   (R, n) array, and the walk takes each row's values from its slice.
   Whole levels pay only across rows, such as the points of a separation
   scan.
+* ``integrate_shared`` runs two ladders on one scale.  The first takes
+  stacks as above from an integrand that gives both functions' values;
+  the second takes its values of the same nodes, and computes its own
+  only where the first never went: the log det's M gives the second
+  order's ||M||_F^2 for one more reduction.
 Every source gives the nodes, kept values, result and count of the float
 walk bit for bit, provided each array element equals the float call.  One
 level loop applies the stop rule to a single integral and to each row.
@@ -78,6 +84,7 @@ __all__ = [
     "QuadratureError",
     "integrate_semi_infinite",
     "integrate_rows",
+    "integrate_shared",
     "integrate_interval",
     "integrate_pv",
     "matsubara_sum",
@@ -159,27 +166,31 @@ def _floats(f: Callable[[float], float]):
         map(f, (scale * u for u, _ in nodes)) for _, nodes in ladder]
 
 
-def _stacks(f: Callable[[np.ndarray], np.ndarray], stack: int):
-    """The source of an array integrand: calls of ``f`` on up to ``stack``
-    nodes, first those inside the reach, then _STEP at a time, each
-    stopped before an x that is 0 or inf.  numpy warnings are off while
-    ``f`` runs."""
-    def direction(scale, nodes, first):
-        fetched, size = 0, min(stack, first or _STEP)
-        while True:
-            xs = []
-            for u, _ in nodes[fetched:fetched + size]:
-                x = scale * u
-                if x == 0.0 or math.isinf(x):
-                    break
-                xs.append(x)
-            fetched, size = fetched + size, min(stack, _STEP)
-            with np.errstate(all="ignore"):
-                values = np.asarray(f(np.array(xs)), dtype=float).tolist()
-            yield from values
+def _stacked(f: Callable[[np.ndarray], np.ndarray], stack: int,
+             scale: float, nodes, first: int):
+    """f at x = scale u of ``nodes`` in order, from calls of ``f`` on up to
+    ``stack`` nodes: first ``first`` of them (_STEP if 0), then _STEP at a
+    time, each stopped before an x that is 0 or inf.  numpy warnings are
+    off while ``f`` runs."""
+    fetched, size = 0, min(stack, first or _STEP)
+    while True:
+        xs = []
+        for u, _ in nodes[fetched:fetched + size]:
+            x = scale * u
+            if x == 0.0 or math.isinf(x):
+                break
+            xs.append(x)
+        fetched, size = fetched + size, min(stack, _STEP)
+        with np.errstate(all="ignore"):
+            values = np.asarray(f(np.array(xs)), dtype=float).tolist()
+        yield from values
 
+
+def _stacks(f: Callable[[np.ndarray], np.ndarray], stack: int):
+    """The source of an array integrand: :func:`_stacked` calls of ``f``,
+    first on the nodes inside the reach."""
     return lambda scale, ladder, reach: [
-        direction(scale, nodes, first)
+        _stacked(f, stack, scale, nodes, first)
         for (_, nodes), first in zip(ladder, reach)]
 
 
@@ -317,6 +328,59 @@ def integrate_semi_infinite(f: Callable[[float], float],
         raise ValueError("stack must be >= 1")
     source = _floats(f) if stack is None else _stacks(f, stack)
     return _integrate(source, spec or QuadratureSpec(), scale)
+
+
+def integrate_shared(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                     g: Callable[[np.ndarray], np.ndarray],
+                     spec: QuadratureSpec | None = None, scale: float = 1.0,
+                     stack: int = 1) -> list[EnergyResult | QuadratureError]:
+    """Integrate two functions over [0, inf) on one ladder centred on
+    ``scale``: the result, or the error, of each.
+
+    ``f`` takes a 1-D array of nodes and returns the arrays of both
+    functions' values there; ``g`` those of the second alone.  The first
+    integral calls ``f`` as :func:`integrate_semi_infinite` calls an
+    integrand with this ``stack``, and keeps the second values of each
+    node it computes.  The second integral takes those, and calls ``g``
+    only on nodes of a level past them.  Each keeps its own walk, cut,
+    stop, estimate and ``max_evals`` budget, so the first result is that
+    of :func:`integrate_semi_infinite` on ``f``'s first values bit for
+    bit, and the second that of ``g`` alone, provided each element of
+    ``g`` equals ``f``'s second value.  Errors are returned, not raised,
+    as by :func:`integrate_rows`.
+    """
+    if not 0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
+    if stack < 1:
+        raise ValueError("stack must be >= 1")
+
+    def keep(values, kept):
+        first, second = values
+        kept.extend(np.asarray(second, dtype=float).tolist())
+        return first
+
+    def after(kept, scale, nodes, first):
+        yield from kept
+        yield from _stacked(g, stack, scale, nodes[len(kept):],
+                            0 if kept else first)
+
+    def sources(h, odd_only, rows):
+        # the second values of the nodes the first row computed, per
+        # direction: the first row walks each level before the second
+        shared = ([], [])
+
+        def first(scale, ladder, reach):
+            return [_stacked(lambda x, kept=kept: keep(f(x), kept), stack,
+                             scale, nodes, k)
+                    for (_, nodes), k, kept in zip(ladder, reach, shared)]
+
+        def second(scale, ladder, reach):
+            return [after(kept, scale, nodes, k)
+                    for (_, nodes), k, kept in zip(ladder, reach, shared)]
+
+        return [(first, second)[row] for row in rows]
+
+    return _ladders(sources, [scale, scale], spec or QuadratureSpec())
 
 
 @functools.lru_cache(maxsize=None)
@@ -480,7 +544,12 @@ def matsubara_sum(g: Callable[[np.ndarray], np.ndarray], temperature: float,
     absorbs the h^2 error of the first difference.  The value is
     T sum_{n<=N} + (int_a^inf g + c2 - c4)/2pi.  The tail integral runs
     once, on stacks of up to 32 nodes centred on max(a, ``scale``), the
-    caller's node scale as in :func:`integrate_semi_infinite`.
+    caller's node scale as in :func:`integrate_semi_infinite`.  It stops
+    at rel_tol of its own value, or once its error over 2pi fits in what
+    rel_tol |head| leaves beside the head's own error, with the head
+    T (sum_{n<=N} + (c2 - c4)/h) and its error the truncation and
+    rounding below: a tail far under the head needs far fewer nodes for
+    the sum's tolerance than for its own.
 
     The sum stops at the first block end n = 31, 63, ... where g is smooth
     on the step h, |c4| + |c6| <= 2pi rel_tol T |running sum|, and cuts at
@@ -531,16 +600,18 @@ def matsubara_sum(g: Callable[[np.ndarray], np.ndarray], temperature: float,
     cut = n - 2
     terms = [0.5 * values[0]] + values[1:cut + 1]
     xi_mid = (cut + 0.5) * t_step
+    head = temperature * (math.fsum(terms) + d2 - d4)
+    head_err = temperature * (truncation
+                              + 4.0 * _EPS * math.fsum(abs(t) for t in terms))
     try:
         # the tail nodes are counted on from the terms, in the same budget
         tail = _integrate(_stacks(lambda x: g(xi_mid + x), _BLOCK), spec,
-                          max(xi_mid, scale), count=len(values))
+                          max(xi_mid, scale),
+                          2.0 * math.pi * (spec.rel_tol * abs(head) - head_err),
+                          count=len(values))
     except QuadratureError as exc:
         raise QuadratureError(
             f"matsubara tail did not converge after n={n}: {exc}") from exc
-    value = (temperature * (math.fsum(terms) + d2 - d4)
-             + tail.value / (2.0 * math.pi))
-    err = (temperature * (truncation
-                          + 4.0 * _EPS * math.fsum(abs(t) for t in terms))
-           + tail.error_estimate / (2.0 * math.pi))
+    value = head + tail.value / (2.0 * math.pi)
+    err = head_err + tail.error_estimate / (2.0 * math.pi)
     return EnergyResult(value, err, tail.evaluations)

@@ -181,13 +181,13 @@ CLUSTER_PINS = {
                 "0x1.cfa5efd4b350ep-42"),
     "nonret-N27": ("-0x1.5cb17b4b5740dp-9", "-0x1.5ec88137b73adp-9",
                    "0x1.225f8b59e2567p-43"),
-    "ret-N8-T0.1": ("-0x1.23510bd41a861p-11", "-0x1.1af82ce6745fap-11",
-                    "0x1.7b4cc7c79fe1ep-47"),
+    "ret-N8-T0.1": ("-0x1.23510bd41a848p-11", "-0x1.1af82ce6745fap-11",
+                    "0x1.33c820f72d5f2p-44"),
     "ret-N8-T0.01": ("-0x1.1991d7a4df033p-11", "-0x1.1af82ce6745fap-11",
                      "0x1.f70355b233ce0p-45"),
     "nonret-N8-T0.001": ("-0x1.19a39c7ba9e40p-11", "-0x1.1af82ce6745fap-11",
                          "0x1.15352745f9061p-44"),
-    "shipped-manybody": ("-0x1.e3e2e74665ddfp-14", "-0x1.e55825db21c53p-14",
+    "shipped-manybody": ("-0x1.e3e2e74665ddfp-14", "-0x1.e55825db21c54p-14",
                          "0x1.dc30404e68651p-46"),
 }
 

@@ -8,6 +8,7 @@ import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,15 +252,16 @@ def pinned_cube():
 def test_evaluation_counts_pinned():
     # counts and values of the pair-by-pair Green assembly: batching the
     # pairs makes each node cheaper and must leave the nodes as they were.
-    # The thermal sum is cut at its first block end, n = 31; the direct
-    # sum of its first 100 001 terms lies 1.8e-16 from its value, well
-    # inside its error estimate of 2.2e-14
+    # The thermal sum is cut at its first block end, n = 31, and its tail
+    # stops at the sum's tolerance; the direct sum of its first 100 001
+    # terms lies 1.8e-16 from its value, well inside its error estimate of
+    # 1.7e-13
     geom = pinned_cube()
     t0 = free_energy_T0(geom)
     thermal = free_energy_finiteT(geom, 0.1)
     second = second_order_energy(geom)
     assert (t0.evaluations, thermal.evaluations, second.evaluations) \
-        == (101, 125, 101)
+        == (101, 84, 101)
     assert t0.value == pytest.approx(-0.0012604643522799504, rel=1e-12)
     assert thermal.value == pytest.approx(-0.0014078704962631392, rel=1e-12)
     assert second.value == pytest.approx(-0.0012696444473952225, rel=1e-12)
@@ -652,14 +654,17 @@ def term_by_term_matsubara(g, temperature, spec, scale):
     cut = n - 2
     terms = [0.5 * values[0]] + values[1:cut + 1]
     xi_mid = (cut + 0.5) * t_step
-    tail = integrate_semi_infinite(lambda x: g(xi_mid + x),
-                                   QuadratureSpec(rel_tol=spec.rel_tol),
-                                   max(xi_mid, scale))
-    value = (temperature * (math.fsum(terms) + d2 - d4)
-             + tail.value / (2.0 * math.pi))
-    err = (temperature * (truncation + 4.0 * np.finfo(float).eps
-                          * math.fsum(abs(t) for t in terms))
-           + tail.error_estimate / (2.0 * math.pi))
+    head = temperature * (math.fsum(terms) + d2 - d4)
+    head_err = temperature * (truncation + 4.0 * np.finfo(float).eps
+                              * math.fsum(abs(t) for t in terms))
+    # the tail stops at its own rel_tol, or once its error fits in what
+    # rel_tol |head| leaves beside the head's error
+    tail = quadrature._integrate(
+        quadrature._floats(lambda x: g(xi_mid + x)),
+        QuadratureSpec(rel_tol=spec.rel_tol), max(xi_mid, scale),
+        2.0 * math.pi * (spec.rel_tol * abs(head) - head_err))
+    value = head + tail.value / (2.0 * math.pi)
+    err = head_err + tail.error_estimate / (2.0 * math.pi)
     return cut, EnergyResult(value, err, n + 1 + tail.evaluations)
 
 
@@ -854,6 +859,135 @@ def test_second_order_of_the_benchmark_cube_sums_its_pair_energies(
     total = math.fsum(pair.value for pair in pairs)
     assert second_order_energy(geom).value \
         == pytest.approx(total, rel=1e-12, abs=0.0)
+
+
+def config_geometry(cfg):
+    """The SystemGeometry of a manybody config's single-resonance atoms."""
+    return SystemGeometry([
+        (np.array(atom["position"]),
+         single_resonance(atom["alpha_static"], atom["omega"]))
+        for atom in cfg["atoms"]])
+
+
+def retarded_t0_clusters(load_perfbench):
+    """The retarded T = 0 clusters of the benchmark at seeds 101-105, and
+    the shipped triangle of configs/manybody.json."""
+    clusters = load_perfbench("workloads").clusters
+    cases = [(f"{seed}/{name}", config_geometry(cfg))
+             for seed in range(101, 106) for name, cfg in clusters(seed)
+             if name in ("ret-N8", "ret-N27")]
+    shipped = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                          / "manybody.json").read_text())
+    return cases + [("shipped", config_geometry(shipped))]
+
+
+# the two routes of the second order's integrand differ per node by at
+# most 3.6 eps relative on 400 nodes of each benchmark cube; over the
+# positive terms of the integral that bounds the integrals' difference
+SECOND_ORDER_ROUNDING = 8.0 * np.finfo(float).eps
+
+
+def test_joint_free_energy_is_free_energy_T0_alone(load_perfbench):
+    # the shared nodes leave the log det's walk as it is: the same value,
+    # error and count, bit for bit
+    for name, geom in retarded_t0_clusters(load_perfbench):
+        free, _ = manybody.free_energy_T0_and_second_order(geom)
+        alone = free_energy_T0(geom)
+        assert free.value.hex() == alone.value.hex(), name
+        assert (free.error_estimate, free.evaluations) \
+            == (alone.error_estimate, alone.evaluations), name
+
+
+def test_joint_second_order_is_the_pair_sum_to_rounding(load_perfbench):
+    # ||M||_F^2 from the log det's own M against the pair polynomial route
+    for name, geom in retarded_t0_clusters(load_perfbench):
+        _, second = manybody.free_energy_T0_and_second_order(geom)
+        pairs = second_order_energy(geom)
+        diff = abs(second.value - pairs.value)
+        assert diff <= second.error_estimate, name
+        assert diff <= SECOND_ORDER_ROUNDING * abs(pairs.value), name
+        assert second.evaluations == pairs.evaluations == 100, name
+
+
+def frobenius_alone(geom, quad):
+    """The second order of the joint path, integrated on its own."""
+    res = integrate_semi_infinite(
+        lambda xi: manybody._frobenius(manybody._m_products(geom, xi)), quad,
+        manybody._node_scale(geom, False),
+        manybody._stack((3 * geom.n_sites) ** 2))
+    return res.scaled(-1.0 / (4.0 * math.pi))
+
+
+@pytest.mark.parametrize("spacing, n_atoms, first_stops", [
+    (4.0, 3, "second"), (3.0, 8, "free")])
+def test_joint_rows_that_stop_apart_give_their_own_results(
+        spacing, n_atoms, first_stops, monkeypatch):
+    # at rel_tol 1e-11 these chains take their two integrals to different
+    # levels: each row still gives what it gives alone, and the second
+    # order computes its own M only past the log det's nodes
+    geom = chain_geometry(single_resonance(2.0, 0.5), spacing, n_atoms)
+    quad = QuadratureSpec(rel_tol=1e-11)
+    own = []
+    shared = quadrature.integrate_shared
+
+    def recording(f, g, *args):
+        return shared(f, lambda xi: own.append(len(xi)) or g(xi), *args)
+
+    monkeypatch.setattr(manybody, "integrate_shared", recording)
+    free, second = manybody.free_energy_T0_and_second_order(geom, quad)
+    assert free == free_energy_T0(geom, quad)
+    assert second == frobenius_alone(geom, quad)
+    pairs = second_order_energy(geom, quad)
+    assert abs(second.value - pairs.value) <= second.error_estimate
+    if first_stops == "second":
+        assert second.evaluations < free.evaluations and not own
+    else:
+        assert free.evaluations < second.evaluations and sum(own) > 0
+
+
+def test_retarded_t0_rows_never_call_the_pair_polynomial(tmp_path,
+                                                         monkeypatch):
+    # the CLI's retarded T = 0 row takes its second order from the log
+    # det's nodes; the other rows keep the pair-polynomial integral
+    calls = []
+    polynomial = manybody.retarded_pair_polynomial
+
+    def counting(x):
+        calls.append(x.size)
+        return polynomial(x)
+
+    monkeypatch.setattr(manybody, "retarded_pair_polynomial", counting)
+    cfg = pinned_cube_config(0.1, 10**6)
+    del cfg["temperature"]
+    config, out = tmp_path / "config.json", tmp_path / "out.csv"
+    for extra, expect_calls in (({}, False), ({"nonretarded": True}, True),
+                                ({"temperature": 0.1}, True)):
+        calls.clear()
+        config.write_text(json.dumps(dict(cfg, **extra)))
+        assert run(str(config), str(out)) == 0
+        assert bool(calls) == expect_calls, extra
+    # and the row's second order is the pair sum's to rounding
+    config.write_text(json.dumps(cfg))
+    assert run(str(config), str(out)) == 0
+    second = float(out.read_text().splitlines()[2].split(",")[1])
+    pairs = second_order_energy(pinned_cube())
+    assert abs(second - pairs.value) <= SECOND_ORDER_ROUNDING \
+        * abs(pairs.value)
+
+
+def test_benchmark_thermal_row_tail_stops_at_the_sum_tolerance(
+        load_perfbench):
+    # ret-N8-T0.1 of the benchmark: the tail stops once its error fits the
+    # sum's tolerance, 84 evaluations where its own rel_tol took 198
+    for seed in range(101, 106):
+        cfg = dict(load_perfbench("workloads").clusters(seed))["ret-N8-T0.1"]
+        geom = config_geometry(cfg)
+        res = free_energy_finiteT(geom, 0.1)
+        direct = direct_matsubara_sum(manybody._logdet_function(geom, False),
+                                      0.1)
+        assert abs(res.value - direct) <= res.error_estimate, seed
+        assert res.error_estimate <= 1e-9 * abs(res.value), seed
+        assert res.evaluations <= 90, seed
 
 
 @pytest.mark.parametrize("r", [1e2, 3e3])

@@ -24,6 +24,7 @@ from fluctem.quadrature import (
     integrate_pv,
     integrate_rows,
     integrate_semi_infinite,
+    integrate_shared,
     matsubara_sum,
 )
 
@@ -235,6 +236,76 @@ def test_each_row_spends_its_own_budget():
     assert isinstance(rows[1], QuadratureError)
     assert str(rows[1]) == str(excinfo.value)
     assert rows[0] == rows[2] == integrate_semi_infinite(f, spec)
+
+
+def _shared(f, g, spec=None, scale=1.0):
+    """integrate_shared of f and g, each called element by element, and
+    the nodes at which both were computed and g alone."""
+    both, alone = [], []
+
+    def pair(xs):
+        both.extend(xs.tolist())
+        return ([f(x) for x in xs.tolist()], [g(x) for x in xs.tolist()])
+
+    def second(xs):
+        alone.extend(xs.tolist())
+        return np.array([g(x) for x in xs.tolist()])
+
+    return integrate_shared(pair, second, spec, scale, stack=3), both, alone
+
+
+# cases whose values stay finite on every node a stack can reach
+SHARED_CASES = [(0, 4), (4, 0), (2, 5), (5, 2), (0, 0)]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-2])
+@pytest.mark.parametrize("pair", SHARED_CASES)
+def test_shared_rows_equal_their_own_ladders(pair, rel_tol):
+    # each integral is its own stacked ladder bit for bit, whichever stops
+    # first, and the second computes g alone only where f never went
+    f, g = (SEMI_INFINITE_CASES[k][0] for k in pair)
+    spec = QuadratureSpec(rel_tol=rel_tol)
+    rows, both, alone = _shared(f, g, spec, 0.5)
+    assert rows[0] == _stacked_on_half_line(f, spec, 0.5)
+    assert rows[1] == _stacked_on_half_line(g, spec, 0.5)
+    assert not set(both) & set(alone)
+    if pair[0] == pair[1]:
+        assert rows[0] == rows[1] and not alone
+
+
+def test_shared_second_row_walks_on_alone():
+    # (1 + x)^-3 stops a level before exp(-x) on the unit scale: the
+    # last level of exp(-x) is computed by g alone, and its count is its own
+    rows, both, alone = _shared(SEMI_INFINITE_CASES[4][0],
+                                SEMI_INFINITE_CASES[0][0])
+    assert rows[0].evaluations < rows[1].evaluations
+    assert alone
+
+
+def test_shared_rows_spend_their_own_budgets_and_return_errors():
+    # a budget between the two counts fails the larger row alone, with its
+    # own ladder's error; a bad kept value of the first fails only it
+    f, g = SEMI_INFINITE_CASES[0][0], SEMI_INFINITE_CASES[4][0]
+    counts = [integrate_semi_infinite(h).evaluations for h in (f, g)]
+    spec = QuadratureSpec(max_evals=(counts[0] + counts[1]) // 2)
+    assert counts[1] < spec.max_evals < counts[0]
+    rows, _, _ = _shared(f, g, spec)
+    with pytest.raises(QuadratureError) as excinfo:
+        _stacked_on_half_line(f, spec)
+    assert str(rows[0]) == str(excinfo.value)
+    assert rows[1] == _stacked_on_half_line(g, spec)
+    rows, _, _ = _shared(lambda x: math.nan if x == 1.0 else f(x), g)
+    assert isinstance(rows[0], QuadratureError)
+    assert str(rows[0]) == "integrand is nan at x=1.0"
+    assert rows[1] == _stacked_on_half_line(g)
+
+
+@pytest.mark.parametrize("scale, stack", [(0.0, 1), (math.inf, 1),
+                                          (math.nan, 1), (1.0, 0)])
+def test_shared_rejects_bad_scale_and_stack(scale, stack):
+    with pytest.raises(ValueError):
+        integrate_shared(lambda x: (x, x), lambda x: x, scale=scale,
+                         stack=stack)
 
 
 # the walk's three sources of values: one float call per node, stacks of

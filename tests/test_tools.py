@@ -68,8 +68,11 @@ def test_node_costs_prints_every_layer_and_the_counts():
     n, *us = figures.split()
     assert int(n) == 8 and len(us) == len(layers)
     assert all(math.isfinite(float(x)) for x in us)
-    assert len(counts) == 2
-    for integral in counts:
-        evaluations, nodes, calls = map(int, integral.split())
+    assert len(counts) == 3
+    log_det, second, joint = [tuple(map(int, integral.split()))
+                              for integral in counts]
+    for evaluations, nodes, calls in (log_det, second):
         # stacked calls also take nodes past a cut, which are not counted
         assert 0 < calls <= evaluations <= nodes
+    # the joint path's second order walks on the log det's nodes alone
+    assert joint == (second[0], 0, 0)

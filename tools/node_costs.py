@@ -10,19 +10,26 @@ again ``--repeat`` times, with each layer's function wrapped in a timer:
 
     green     the blocks -G(i xi) of every pair (``SystemGeometry._blocks``)
     gather    sqrt(alpha_i alpha_j) -G into the 3N x 3N stack
-              (``SystemGeometry._matrices``)
+              (``SystemGeometry._pair_products`` and ``_matrices``)
     cholesky  ``np.linalg.cholesky`` of the unit-diagonal 1 + M
     log1p     the rest of ``_log_det_1p``: its time less the Cholesky's
               (the diagonal writes, the row sums, log1p and their sum)
     logdet    one whole node of the log-det integrand, unwrapped
-    second    one whole node of the second-order integrand, unwrapped
+    frob      ||M||_F^2 from the pair products of M (``_frobenius``), the
+              one reduction the log-det nodes add for the second order of
+              ``free_energy_T0_and_second_order``
+    second    one whole node of the pair-polynomial second-order
+              integrand, unwrapped: what a retarded T = 0 row no longer
+              evaluates
 
 Each figure is the median over the repeats of a layer's time over all
 recorded stacks, divided by the nodes in them; each repeat runs the
 wrapped and the unwrapped calls in turn, so drift of the host touches
 them alike.  Beside them are the integrals' evaluation counts and the
 nodes and calls their integrands took, discarded nodes past a cut among
-them.  BLAS runs on one thread.  Only the standard library and numpy are
+them: of the log det, of ``second_order_energy``, and of the second
+order of ``free_energy_T0_and_second_order``, whose nodes and calls are
+those it made without the log det's nodes.  BLAS runs on one thread.  Only the standard library and numpy are
 used; fluctem is imported from ``src/`` and the workload generator from
 ``perfbench/`` of the checkout that holds this file.
 
@@ -51,7 +58,8 @@ import numpy as np  # noqa: E402
 
 CHECKOUT = Path(__file__).resolve().parents[1]
 SEED = 101
-LAYERS = ("green", "gather", "cholesky", "log1p", "logdet", "second")
+LAYERS = ("green", "gather", "cholesky", "log1p", "logdet", "frob",
+          "second")
 
 
 def workloads():
@@ -111,9 +119,11 @@ def layers_timed(spent: dict):
     takes all of ``_log_det_1p``, the Cholesky inside it included."""
     import fluctem.manybody as manybody
     points = [(manybody.SystemGeometry, "_blocks", "green"),
+              (manybody.SystemGeometry, "_pair_products", "gather"),
               (manybody.SystemGeometry, "_matrices", "gather"),
               (np.linalg, "cholesky", "cholesky"),
-              (manybody, "_log_det_1p", "log1p")]
+              (manybody, "_log_det_1p", "log1p"),
+              (manybody, "_frobenius", "frob")]
 
     def timer(f, layer):
         def timed(*args):
@@ -134,6 +144,24 @@ def layers_timed(spent: dict):
             setattr(owner, name, f)
 
 
+def joint(geom):
+    """The second order of ``free_energy_T0_and_second_order(geom)``, and
+    the stacks its integrand took alone, past the log det's nodes."""
+    import fluctem.manybody as manybody
+    shared = manybody.integrate_shared
+    stacks = []
+
+    def recording(f, g, *args):
+        return shared(f, lambda xi: stacks.append(xi) or g(xi), *args)
+
+    manybody.integrate_shared = recording
+    try:
+        _, second = manybody.free_energy_T0_and_second_order(geom)
+    finally:
+        manybody.integrate_shared = shared
+    return second, stacks
+
+
 def _time(f, stacks) -> float:
     start = time.perf_counter()
     for xi in stacks:
@@ -147,23 +175,26 @@ def node_costs(side: int, repeat: int) -> dict:
     geom = cube(side)
     log_det, g, log_det_stacks = recorded(manybody.free_energy_T0, geom)
     second, f, second_stacks = recorded(manybody.second_order_energy, geom)
+    shared, shared_stacks = joint(geom)
+    both = manybody._logdet_function(geom, False, frobenius=True)
     seconds = {name: [] for name in LAYERS}
     for _ in range(repeat):
         spent = dict.fromkeys(LAYERS, 0.0)
         with layers_timed(spent):
-            _time(g, log_det_stacks)
+            _time(both, log_det_stacks)
         spent["log1p"] -= spent["cholesky"]
         spent["logdet"] = _time(g, log_det_stacks)
         spent["second"] = _time(f, second_stacks)
         for name, t in spent.items():
             seconds[name].append(t)
-    nodes = (sum(map(len, log_det_stacks)), sum(map(len, second_stacks)))
+    stacks = (log_det_stacks, second_stacks, shared_stacks)
+    nodes = [sum(map(len, s)) for s in stacks]
     per_node = {name: 1e6 * statistics.median(t)
                 / nodes[name == "second"] for name, t in seconds.items()}
     return {"n": geom.n_sites, "us": per_node,
-            "evaluations": (log_det.evaluations, second.evaluations),
-            "nodes": nodes,
-            "calls": (len(log_det_stacks), len(second_stacks))}
+            "evaluations": (log_det.evaluations, second.evaluations,
+                            shared.evaluations),
+            "nodes": nodes, "calls": [len(s) for s in stacks]}
 
 
 def main(argv=None) -> int:
@@ -175,9 +206,10 @@ def main(argv=None) -> int:
         parser.error("--repeat must be >= 1 and every side >= 2")
     sys.path.insert(0, str(CHECKOUT / "src"))
     # microseconds per node, then the evaluations, nodes and calls of
-    # the log det and of the second order
+    # the log det, of second_order_energy, and of the joint path's second
+    # order past the log det's nodes
     print(f"{'N':>3} " + " ".join(f"{name:>8}" for name in LAYERS)
-          + " | evals nodes calls | evals nodes calls")
+          + " | evals nodes calls" * 3)
     for side in args.sides:
         row = node_costs(side, args.repeat)
         print(f"{row['n']:>3} "
