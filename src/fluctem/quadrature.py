@@ -359,26 +359,26 @@ def integrate_shared(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
         kept.extend(np.asarray(second, dtype=float).tolist())
         return first
 
-    def after(kept, scale, nodes, first):
+    def after(kept, scale, nodes, reach):
         yield from kept
         yield from _stacked(g, stack, scale, nodes[len(kept):],
-                            0 if kept else first)
+                            0 if kept else reach)
 
     def sources(h, odd_only, rows):
         # the second values of the nodes the first row computed, per
         # direction: the first row walks each level before the second
         shared = ([], [])
 
-        def first(scale, ladder, reach):
+        def both(scale, ladder, reach):
             return [_stacked(lambda x, kept=kept: keep(f(x), kept), stack,
                              scale, nodes, k)
                     for (_, nodes), k, kept in zip(ladder, reach, shared)]
 
-        def second(scale, ladder, reach):
+        def alone(scale, ladder, reach):
             return [after(kept, scale, nodes, k)
                     for (_, nodes), k, kept in zip(ladder, reach, shared)]
 
-        return [(first, second)[row] for row in rows]
+        return [(both, alone)[row] for row in rows]
 
     return _ladders(sources, [scale, scale], spec or QuadratureSpec())
 
