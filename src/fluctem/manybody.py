@@ -41,7 +41,13 @@ slot, and one ``take`` through the gather map fills the (K, 3N, 3N)
 stack, the self-blocks from the zero slot; the log det gathers into one
 output stack that all calls of its integral reuse.
 :func:`second_order_energy` sums the blocks' squared norms from the pair
-distances alone.  The log-det and second-order integrands take a 1-D
+distances alone.  :func:`free_energy_T0_and_second_order`, the path of a
+retarded T = 0 row, takes that sum instead from the log det's own nodes:
+it is ||M||_F^2, twice the sum of squares of M's pair products, one more
+reduction per node (:func:`_frobenius`), and the second order's ladder
+computes M's pair products alone only where the log det's never went.
+Nonretarded and finite-temperature rows keep the separate pair sum.
+The log-det and second-order integrands take a 1-D
 array of K frequencies at every N, and have no float branch: the Green
 blocks, alpha(i xi) of each distinct model and M(xi) are evaluated for
 the whole array, and one ``cholesky`` call factorises the stacked
@@ -395,11 +401,14 @@ def _logdet_function(geom: SystemGeometry, nonretarded: bool,
         nonlocal out
         if len(out) < len(xi):
             out = np.empty((len(xi),) + geom._gather.shape)
-        # the blocks are freed before the factorisation; the pair
-        # products, half the size of M, are not
         products = _m_products(geom, xi, static)
-        values = _log_det_1p(xi, geom._matrices(products, out[:len(xi)]))
-        return (values, _frobenius(products)) if frobenius else values
+        m = geom._matrices(products, out[:len(xi)])
+        norms = _frobenius(products) if frobenius else None
+        # the blocks and pair products are freed before the factorisation,
+        # which then runs at the old peak memory
+        del products
+        values = _log_det_1p(xi, m)
+        return values if norms is None else (values, norms)
 
     return g
 
