@@ -202,8 +202,9 @@ class SystemGeometry:
 
     def _blocks(self, xi) -> np.ndarray:
         """-G(i xi) of every pair, the pair axis last: (K, 3, 3, P) for K
-        frequencies, (3, 3, P) for one."""
-        return interaction_blocks(_frequencies(xi), *self._green)
+        frequencies, (3, 3, P) for one, ``xi`` as :func:`_frequencies`
+        gives it."""
+        return interaction_blocks(xi, *self._green)
 
     def _pair_products(self, blocks, scale) -> np.ndarray:
         """``blocks[..., p] * scale[..., p]`` of every pair p as one flat
@@ -233,7 +234,11 @@ class SystemGeometry:
 
         (M,) for one frequency, (K, M) for K of them.
         """
-        xi = _frequencies(xi)
+        return self._model_alphas(_frequencies(xi))
+
+    def _model_alphas(self, xi) -> np.ndarray:
+        """:meth:`model_alphas` of ``xi`` as :func:`_frequencies` gives
+        it."""
         x2 = xi * xi
         return np.array([m.sum_terms(x2) for m in self._distinct_models]).T
 
@@ -268,7 +273,8 @@ def build_T(geom: SystemGeometry, xi) -> np.ndarray:
     (I - 3 rhat rhat)/r^3; the diagonal blocks are exactly zero.  The
     blocks are gathered as those of M are, with a unit scale.
     """
-    return geom._matrices(geom._pair_products(geom._blocks(xi),
+    blocks = geom._blocks(_frequencies(xi))
+    return geom._matrices(geom._pair_products(blocks,
                                               np.ones(geom._pair_r.shape)))
 
 
@@ -298,7 +304,9 @@ def _log1p_sums(xi, mu: np.ndarray):
     is named in the error.  The quadrature stacks can hold nodes past a
     direction's cut, whose values are discarded unseen; such a node can
     still raise this error, which then reports a real instability on
-    (0, inf).
+    (0, inf).  A level's first stack can also hold the first nodes of
+    both directions, so the lower direction's window can raise before
+    the walk has taken the upper direction's values.
     """
     if mu.min(initial=0.0) <= -1.0:
         first = np.argmax(np.ravel(mu.min(axis=-1) <= -1.0))
@@ -358,8 +366,9 @@ def _m_products(geom: SystemGeometry, xi, blocks=None) -> np.ndarray:
     """The pair products of M = sqrt(A) T sqrt(A) at the K frequencies
     ``xi``: -G(i xi) of each pair, or ``blocks`` if given, times
     sqrt(alpha_i alpha_j), as :meth:`SystemGeometry._pair_products` lays
-    them out."""
-    s = np.sqrt(geom.alpha_values(xi))
+    them out.  ``xi`` is checked and clamped once, for both."""
+    xi = _frequencies(xi)
+    s = np.sqrt(geom._model_alphas(xi)[..., geom._site_model])
     return geom._pair_products(geom._blocks(xi) if blocks is None else blocks,
                                s[..., geom._pair_i] * s[..., geom._pair_j])
 
@@ -391,7 +400,7 @@ def _logdet_function(geom: SystemGeometry, nonretarded: bool,
     if nonretarded and all(m == geom.models[0] for m in geom.models):
         t_eigs = np.linalg.eigvalsh(build_T(geom, 0.0))
         return lambda xi: _log1p_sums(xi, geom.model_alphas(xi) * t_eigs)
-    static = geom._blocks(0.0) if nonretarded else None
+    static = geom._blocks(_frequencies(0.0)) if nonretarded else None
     # one output stack for all of the integral's calls: a fresh one per
     # call made glibc trim and regrow its heap, about 180 minor page
     # faults per node at N = 64

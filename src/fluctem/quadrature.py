@@ -39,11 +39,15 @@ fastest measured on its integrands:
   integrands, and this walk is the reference that the other two sources
   are tested against, node for node.
 * ``integrate_semi_infinite(..., stack=K)``, K >= 1, calls an array
-  integrand on stacks of nodes: first those inside the previous level's
-  reach, then four at a time, never more than K.  A log-det node costs a
-  matrix factorisation, so a stack saves calls and computes few nodes
-  past the cut; whole levels or reach-sized windows computed more nodes
-  and ran slower.  The Matsubara tail takes stacks of up to 32.
+  integrand on stacks of at most K nodes.  A direction's first call on
+  a level takes the nodes inside the previous level's reach and four
+  more, eight on level 0, and both directions go in one call where the
+  two windows fit in K; later calls take four nodes.  A log-det call
+  costs fixed numpy work worth several small nodes, so the first call
+  covers about all that a level keeps, for a few nodes past the cut;
+  whole levels computed nodes out to x ~ 1e300, and fetching four at
+  a time made twice the calls.  The Matsubara tail takes stacks of up
+  to 32.
 * ``integrate_rows`` evaluates each level of every unconverged row as one
   (R, n) array, and the walk takes each row's values from its slice.
   Whole levels pay only across rows, such as the points of a separation
@@ -71,6 +75,7 @@ scale of g.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -158,7 +163,7 @@ def _level_nodes(h: float, odd_only: bool):
 # for each direction (start, nodes) of the level's ladder, an iterator
 # over f at x = scale u of its nodes in order, which the walk draws on no
 # further than it takes values.  ``reach`` is the previous level's |k| per
-# direction.
+# direction, None on level 0.
 
 def _floats(f: Callable[[float], float]):
     """The source of a float integrand: one call of ``f`` per node."""
@@ -166,36 +171,77 @@ def _floats(f: Callable[[float], float]):
         map(f, (scale * u for u, _ in nodes)) for _, nodes in ladder]
 
 
-def _stacked(f: Callable[[np.ndarray], np.ndarray], stack: int,
-             scale: float, nodes, first: int):
-    """f at x = scale u of ``nodes`` in order, from calls of ``f`` on up to
-    ``stack`` nodes: first ``first`` of them (_STEP if 0), then _STEP at a
-    time, each stopped before an x that is 0 or inf.  numpy warnings are
+def _call(f: Callable[[np.ndarray], np.ndarray], scale: float,
+          chunks) -> list:
+    """``f`` on the nodes of all ``chunks`` as one array: the values of
+    each chunk, sliced from the last axis of ``f``'s.  A chunk's nodes
+    stop before an x = scale u that is 0 or inf, and numpy warnings are
     off while ``f`` runs."""
-    fetched, size = 0, min(stack, first or _STEP)
-    while True:
-        xs = []
-        for u, _ in nodes[fetched:fetched + size]:
+    xs, ends = [], [0]
+    for nodes in chunks:
+        for u, _ in nodes:
             x = scale * u
             if x == 0.0 or math.isinf(x):
                 break
             xs.append(x)
-        fetched, size = fetched + size, min(stack, _STEP)
-        with np.errstate(all="ignore"):
-            values = np.asarray(f(np.array(xs)), dtype=float).tolist()
-        yield from values
+        ends.append(len(xs))
+    with np.errstate(all="ignore"):
+        values = np.asarray(f(np.array(xs)), dtype=float)
+    return [values[..., lo:hi].tolist() for lo, hi in zip(ends, ends[1:])]
+
+
+def _stacked(f: Callable[[np.ndarray], np.ndarray], stack: int,
+             scale: float, ladder, reach, kept=None, start=(0, 0)):
+    """The source of an array integrand: per direction of ``ladder``, f at
+    x = scale u of its nodes in order from index ``start``, from calls of
+    ``f`` on up to ``stack`` nodes.
+
+    A direction's first call from its centre takes its window: the nodes
+    inside the previous level's ``reach`` and _STEP more, or 2 _STEP on
+    level 0, where ``reach`` is None.  The walk keeps about that many, so
+    one call serves most of a level.  When both directions start at the
+    centre and their windows fit in ``stack``, one call takes both, at
+    the walk's first draw from either.  Every later call, and a first
+    one from past the centre, takes _STEP nodes.  Nothing is fetched
+    before the walk draws on it.  With ``kept``, ``f`` returns the values
+    of two functions: the iterators give the first, and kept[d] gets the
+    second of each node of direction d as its iterator draws that node's
+    stack, in node order.
+    """
+    nodes = [n for _, n in ladder]
+    window = [_STEP + (_STEP if reach is None else k)
+              for k in reach or (0, 0)]
+    merge = not any(start) and sum(window) <= stack
+    merged = []
+
+    def values(d):
+        fetched, size = start[d], _STEP if start[d] else window[d]
+        while True:
+            size = min(stack, size)
+            if merge and not fetched:
+                if not merged:
+                    merged.extend(_call(f, scale, [
+                        n[:w] for n, w in zip(nodes, window)]))
+                y = merged[d]
+            else:
+                (y,) = _call(f, scale, [nodes[d][fetched:fetched + size]])
+            if kept is not None:
+                y, second = y
+                kept[d].extend(second)
+            yield from y
+            fetched, size = fetched + size, _STEP
+
+    return [values(0), values(1)]
 
 
 def _stacks(f: Callable[[np.ndarray], np.ndarray], stack: int):
-    """The source of an array integrand: :func:`_stacked` calls of ``f``,
-    first on the nodes inside the reach."""
-    return lambda scale, ladder, reach: [
-        _stacked(f, stack, scale, nodes, first)
-        for (_, nodes), first in zip(ladder, reach)]
+    """The source of an array integrand: :func:`_stacked` calls of ``f``
+    on up to ``stack`` nodes."""
+    return functools.partial(_stacked, f, stack)
 
 
 def _walk(source, scale: float, h: float, odd_only: bool,
-          reach: tuple[int, int], count: int, budget: float
+          reach: tuple[int, int] | None, count: int, budget: float
           ) -> tuple[float, float, tuple[int, int], int]:
     """One refinement level of the double-exponential ladder, its values
     taken from ``source``.
@@ -260,7 +306,7 @@ def _ladders(sources, scales, spec: QuadratureSpec, target: float = 0.0,
     budget = spec.max_evals if budget is None else budget
     results: dict[int, EnergyResult | QuadratureError] = {}
     # per unconverged row: sum, sum of |terms|, value, count, reach
-    state = {row: (0.0, 0.0, 0.0, count, (0, 0))
+    state = {row: (0.0, 0.0, 0.0, count, None)
              for row in range(len(scales))}
     h = 1.0
     for level in range(_MAX_LEVELS + 1):
@@ -315,8 +361,9 @@ def integrate_semi_infinite(f: Callable[[float], float],
 
     Without ``stack``, ``f`` takes one float at a time.  A ``stack`` of
     K >= 1 makes ``f`` take a 1-D array of at most K nodes and return the
-    array of its values, and each direction of a refinement level is
-    evaluated in such stacks.  The values a stack holds past a
+    array of its values, and each refinement level is evaluated in such
+    stacks; a level's first stack can hold the first nodes of both
+    directions (:func:`_stacked`).  The values a stack holds past a
     direction's cut are discarded unseen: they are not counted, budgeted
     or checked, and numpy warnings are off while ``f`` runs.  Nodes, kept
     values, result and ``evaluations`` are those of the float calls bit
@@ -354,29 +401,19 @@ def integrate_shared(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     if stack < 1:
         raise ValueError("stack must be >= 1")
 
-    def keep(values, kept):
-        first, second = values
-        kept.extend(np.asarray(second, dtype=float).tolist())
-        return first
-
-    def after(kept, scale, nodes, reach):
-        yield from kept
-        yield from _stacked(g, stack, scale, nodes[len(kept):],
-                            0 if kept else reach)
-
     def sources(h, odd_only, rows):
         # the second values of the nodes the first row computed, per
         # direction: the first row walks each level before the second
         shared = ([], [])
 
         def both(scale, ladder, reach):
-            return [_stacked(lambda x, kept=kept: keep(f(x), kept), stack,
-                             scale, nodes, k)
-                    for (_, nodes), k, kept in zip(ladder, reach, shared)]
+            return _stacked(f, stack, scale, ladder, reach, shared)
 
         def alone(scale, ladder, reach):
-            return [after(kept, scale, nodes, k)
-                    for (_, nodes), k, kept in zip(ladder, reach, shared)]
+            values = _stacked(g, stack, scale, ladder, reach,
+                              start=tuple(map(len, shared)))
+            return [itertools.chain(kept, v)
+                    for kept, v in zip(shared, values)]
 
         return [(both, alone)[row] for row in rows]
 

@@ -267,6 +267,30 @@ def test_evaluation_counts_pinned():
     assert second.value == pytest.approx(-0.0012696444473952225, rel=1e-12)
 
 
+def test_integrand_calls_pinned(monkeypatch):
+    # the integrand calls behind test_evaluation_counts_pinned's counts:
+    # a level's first call takes the nodes inside the previous level's
+    # reach and four more, both directions at once where they fit one
+    # stack (17, 14 and 17 calls when it took the reach alone, one
+    # direction per call), and no call holds more nodes than its stack
+    geom = pinned_cube()
+    sizes = []
+    for name in ("integrate_semi_infinite", "matsubara_sum"):
+        def recording(f, *args, integrate=getattr(manybody, name)):
+            return integrate(lambda xi: sizes.append(len(xi)) or f(xi), *args)
+        monkeypatch.setattr(manybody, name, recording)
+    calls = []
+    for energy, stack in (
+            (free_energy_T0, manybody._stack(24**2)),
+            (lambda geom: free_energy_finiteT(geom, 0.1), quadrature._BLOCK),
+            (second_order_energy, manybody._stack(28))):
+        sizes.clear()
+        energy(geom)
+        assert 0 < max(sizes) <= stack
+        calls.append(len(sizes))
+    assert calls == [5, 5, 5]
+
+
 def test_alpha_values_follow_site_models():
     geom = random_cluster(7, seed=3)
     for xi in (0.0, 0.2, 3.0):
@@ -380,6 +404,26 @@ def test_build_T_rejects_negative_frequency_in_stack():
             build_T(geom, xi)
         with pytest.raises(ValueError, match="frequency"):
             geom.alpha_values(xi)
+
+
+@pytest.mark.parametrize("frobenius", [False, True])
+def test_log_det_checks_its_frequencies_once_per_call(monkeypatch,
+                                                      frobenius):
+    # the alphas and the Green blocks share one checked, clamped array;
+    # a NaN or negative xi still raises
+    geom = pinned_cube()
+    g = manybody._logdet_function(geom, False, frobenius)
+    xis = np.array([0.3, 1e160, 0.0])
+    expected = g(xis)
+    checks = []
+    frequencies = manybody._frequencies
+    monkeypatch.setattr(manybody, "_frequencies",
+                        lambda xi: checks.append(xi) or frequencies(xi))
+    assert np.array_equal(g(xis), expected)
+    assert len(checks) == 1
+    for bad in (np.array([0.3, math.nan]), np.array([-0.1])):
+        with pytest.raises(ValueError, match="frequency"):
+            g(bad)
 
 
 def test_build_T_is_exactly_zero_past_the_frequency_ceiling():

@@ -66,16 +66,21 @@ def _stacked_on_half_line(f, spec=None, scale=1.0, stack=3):
     return integrate_semi_infinite(array_f, spec, scale, stack)
 
 
-def _elementwise(f):
-    """The row integrand that calls ``f`` on each node.  A whole level
-    reaches nodes far past the cut, where a float power can raise
-    OverflowError: the value there is inf."""
+def _inf_on_overflow(f):
+    """``f``, but inf where a float power raises OverflowError: a whole
+    level, or a large stack, reaches nodes far past the cut."""
     def value(x):
         try:
             return f(x)
         except OverflowError:
             return math.inf
 
+    return value
+
+
+def _elementwise(f):
+    """The row integrand that calls ``f`` on each node."""
+    value = _inf_on_overflow(f)
     return lambda x, rows: np.array([[value(v) for v in row]
                                      for row in x.tolist()]).reshape(x.shape)
 
@@ -300,6 +305,90 @@ def test_shared_rows_spend_their_own_budgets_and_return_errors():
     assert rows[1] == _stacked_on_half_line(g)
 
 
+# a stack that holds both directions' first windows on every level of
+# these cases: each level's first call takes the two as one array
+MERGING = 64
+
+
+def _merged(calls, scale):
+    """The calls that held nodes of both directions: below the centre
+    ``scale`` and at or above it."""
+    return [xs for xs in calls if min(xs) < scale <= max(xs)]
+
+
+@pytest.mark.parametrize("pair", SHARED_CASES)
+def test_merged_first_calls_equal_one_node_ladders(pair):
+    # the first integral is the float walk of f bit for bit, the second
+    # that of g, whether g's values come from the first row's merged
+    # calls or, past them, from its own
+    f, g = (_inf_on_overflow(SEMI_INFINITE_CASES[k][0]) for k in pair)
+    calls = []
+
+    def both(xs):
+        calls.append(xs.tolist())
+        return [f(x) for x in xs.tolist()], [g(x) for x in xs.tolist()]
+
+    def second(xs):
+        calls.append(xs.tolist())
+        return np.array([g(x) for x in xs.tolist()])
+
+    rows = integrate_shared(both, second, scale=0.5, stack=MERGING)
+    assert rows == [integrate_semi_infinite(h, scale=0.5) for h in (f, g)]
+    assert _merged(calls, 0.5)
+    assert max(map(len, calls)) <= MERGING
+
+
+@pytest.mark.parametrize("spoil", SPOILERS)
+def test_merged_window_values_past_the_cut_are_invisible(spoil):
+    # a merged call computes the lower direction's window while the walk
+    # is still on the upper one: spoiled past either cut, and passed to
+    # both rows of integrate_shared, nothing changes
+    f, _, scale = SEMI_INFINITE_CASES[1]
+    kept = []
+    clean = integrate_semi_infinite(lambda x: kept.append(x) or f(x),
+                                    scale=scale)
+    calls = []
+
+    def spoiled(xs):
+        calls.append(xs.tolist())
+        values = np.array([f(x) for x in xs.tolist()])
+        return np.where(np.isin(xs, kept), values, SPOILERS[spoil](xs))
+
+    assert integrate_semi_infinite(spoiled, scale=scale,
+                                   stack=MERGING) == clean
+    lower = {x for xs in _merged(calls, scale) for x in xs if x < scale}
+    assert lower - set(kept)
+    assert integrate_shared(lambda xs: (spoiled(xs),) * 2, spoiled,
+                            scale=scale, stack=MERGING) == [clean, clean]
+
+
+def test_merged_second_values_stay_with_their_nodes():
+    # the second row takes each direction's second values in node order:
+    # a NaN second value at one kept node, above or below the centre, is
+    # named at that node by the second row alone
+    f, _, scale = SEMI_INFINITE_CASES[0]
+    kept = []
+    clean = integrate_semi_infinite(lambda x: kept.append(x) or f(x),
+                                    scale=scale)
+    victims = kept[::9]
+    assert min(victims) < scale < max(victims)
+    for victim in victims:
+        alone = []
+
+        def both(xs):
+            values = np.array([f(x) for x in xs.tolist()])
+            return values, np.where(xs == victim, math.nan, values)
+
+        def second(xs):
+            alone.extend(xs.tolist())
+            return np.array([f(x) for x in xs.tolist()])
+
+        rows = integrate_shared(both, second, scale=scale, stack=MERGING)
+        assert rows[0] == clean
+        assert str(rows[1]) == f"integrand is nan at x={victim!r}"
+        assert not alone
+
+
 @pytest.mark.parametrize("scale, stack", [(0.0, 1), (math.inf, 1),
                                           (math.nan, 1), (1.0, 0)])
 def test_shared_rejects_bad_scale_and_stack(scale, stack):
@@ -323,6 +412,8 @@ def _returned(integrate):
 SOURCES = {
     "float": _returned(integrate_semi_infinite),
     "stacked": _returned(_stacked_on_half_line),
+    "merged": _returned(lambda f, spec, scale: _stacked_on_half_line(
+        f, spec, scale, MERGING)),
     "row": lambda f, spec, scale: integrate_rows(_elementwise(f), [scale],
                                                  spec)[0],
 }

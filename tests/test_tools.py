@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -63,15 +65,20 @@ def test_node_costs_prints_every_layer_and_the_counts():
          "--sides", "2"], capture_output=True, text=True, check=True)
     header, row = done.stdout.splitlines()
     layers = load_tool("node_costs").LAYERS
-    assert header.split("|")[0].split() == ["N", *layers]
+    # the per-node layers, then the whole log det per integrand call
+    assert header.split("|")[0].split() == ["N", *layers, "call"]
     figures, *counts = row.split("|")
     n, *us = figures.split()
-    assert int(n) == 8 and len(us) == len(layers)
+    assert int(n) == 8 and len(us) == len(layers) + 1
     assert all(math.isfinite(float(x)) for x in us)
-    assert len(counts) == 3
-    log_det, second, joint = [tuple(map(int, integral.split()))
-                              for integral in counts]
-    for evaluations, nodes, calls in (log_det, second):
+    per_call, per_node = float(us[-1]), float(us[layers.index("logdet")])
+    assert len(counts) == 4
+    log_det, second, joint, thermal = [tuple(map(int, integral.split()))
+                                       for integral in counts]
+    # a call holds nodes / calls nodes on average
+    assert per_call == pytest.approx(per_node * log_det[1] / log_det[2],
+                                     rel=0.01)
+    for evaluations, nodes, calls in (log_det, second, thermal):
         # stacked calls also take nodes past a cut, which are not counted
         assert 0 < calls <= evaluations <= nodes
     # the joint path's second order walks on the log det's nodes alone

@@ -25,13 +25,19 @@ again ``--repeat`` times, with each layer's function wrapped in a timer:
 Each figure is the median over the repeats of a layer's time over all
 recorded stacks, divided by the nodes in them; each repeat runs the
 wrapped and the unwrapped calls in turn, so drift of the host touches
-them alike.  Beside them are the integrals' evaluation counts and the
-nodes and calls their integrands took, discarded nodes past a cut among
-them: of the log det, of ``second_order_energy``, and of the second
-order of ``free_energy_T0_and_second_order``, whose nodes and calls are
-those it made without the log det's nodes.  BLAS runs on one thread.  Only the standard library and numpy are
-used; fluctem is imported from ``src/`` and the workload generator from
-``perfbench/`` of the checkout that holds this file.
+them alike.  The column ``call`` is the whole log-det time per integrand
+call instead: the fixed per-call work that stacking nodes spreads.
+Beside them are the integrals' evaluation counts and the nodes and calls
+their integrands took, discarded nodes past a cut among them: of the log
+det, of ``second_order_energy``, of the second order of
+``free_energy_T0_and_second_order``, whose nodes and calls are those it
+made without the log det's nodes, and of ``free_energy_finiteT`` at
+T = 0.1, its Matsubara terms and tail nodes together.  Fewer calls for
+the same nodes show as fewer calls at an equal ``logdet``; cheaper
+nodes as a lower ``logdet``.  BLAS runs on one thread.  Only the
+standard library and numpy are used; fluctem is imported from ``src/``
+and the workload generator from ``perfbench/`` of the checkout that
+holds this file.
 
 Usage, from the root of a checkout:
 
@@ -89,26 +95,27 @@ def cube(side: int):
         for atom in atoms])
 
 
-def recorded(energy, geom):
+def recorded(energy, geom, integrator="integrate_semi_infinite"):
     """The result of ``energy(geom)``, its integrand and the frequency
-    stacks the integrand was called on."""
+    stacks the integrand was called on, through the ``integrator`` of
+    ``fluctem.manybody`` that ``energy`` calls."""
     import fluctem.manybody as manybody
-    integrate = manybody.integrate_semi_infinite
+    integrate = getattr(manybody, integrator)
     integrands, stacks = [], []
 
-    def recording(f, spec, scale, stack):
+    def recording(f, *args):
         integrands.append(f)
 
         def g(xi):
             stacks.append(np.array(xi))
             return f(xi)
-        return integrate(g, spec, scale, stack)
+        return integrate(g, *args)
 
-    manybody.integrate_semi_infinite = recording
+    setattr(manybody, integrator, recording)
     try:
         result = energy(geom)
     finally:
-        manybody.integrate_semi_infinite = integrate
+        setattr(manybody, integrator, integrate)
     (integrand,) = integrands
     return result, integrand, stacks
 
@@ -176,6 +183,9 @@ def node_costs(side: int, repeat: int) -> dict:
     log_det, g, log_det_stacks = recorded(manybody.free_energy_T0, geom)
     second, f, second_stacks = recorded(manybody.second_order_energy, geom)
     shared, shared_stacks = joint(geom)
+    thermal, _, thermal_stacks = recorded(
+        lambda geom: manybody.free_energy_finiteT(geom, 0.1), geom,
+        "matsubara_sum")
     both = manybody._logdet_function(geom, False, frobenius=True)
     seconds = {name: [] for name in LAYERS}
     for _ in range(repeat):
@@ -187,13 +197,14 @@ def node_costs(side: int, repeat: int) -> dict:
         spent["second"] = _time(f, second_stacks)
         for name, t in spent.items():
             seconds[name].append(t)
-    stacks = (log_det_stacks, second_stacks, shared_stacks)
+    stacks = (log_det_stacks, second_stacks, shared_stacks, thermal_stacks)
     nodes = [sum(map(len, s)) for s in stacks]
     per_node = {name: 1e6 * statistics.median(t)
                 / nodes[name == "second"] for name, t in seconds.items()}
+    per_node["call"] = per_node["logdet"] * nodes[0] / len(log_det_stacks)
     return {"n": geom.n_sites, "us": per_node,
             "evaluations": (log_det.evaluations, second.evaluations,
-                            shared.evaluations),
+                            shared.evaluations, thermal.evaluations),
             "nodes": nodes, "calls": [len(s) for s in stacks]}
 
 
@@ -205,15 +216,17 @@ def main(argv=None) -> int:
     if args.repeat < 1 or min(args.sides) < 2:
         parser.error("--repeat must be >= 1 and every side >= 2")
     sys.path.insert(0, str(CHECKOUT / "src"))
-    # microseconds per node, then the evaluations, nodes and calls of
-    # the log det, of second_order_energy, and of the joint path's second
-    # order past the log det's nodes
-    print(f"{'N':>3} " + " ".join(f"{name:>8}" for name in LAYERS)
-          + " | evals nodes calls" * 3)
+    # microseconds per node and per log-det call, then the evaluations,
+    # nodes and calls of the log det, of second_order_energy, of the
+    # joint path's second order past the log det's nodes, and of the
+    # T = 0.1 thermal sum
+    columns = LAYERS + ("call",)
+    print(f"{'N':>3} " + " ".join(f"{name:>8}" for name in columns)
+          + " | evals nodes calls" * 4)
     for side in args.sides:
         row = node_costs(side, args.repeat)
         print(f"{row['n']:>3} "
-              + " ".join(f"{row['us'][name]:8.2f}" for name in LAYERS)
+              + " ".join(f"{row['us'][name]:8.2f}" for name in columns)
               + "".join(f" | {e:5} {n:5} {c:5}" for e, n, c in zip(
                   row["evaluations"], row["nodes"], row["calls"])))
     return 0
