@@ -101,8 +101,9 @@ _EPS = math.ulp(1.0)
 # x = s*exp(pi*sinh(kh)) inside double range.
 _DE_CUTOFF = 6.1
 _MAX_LEVELS = 13
-# nodes per stacked integrand call once a direction has passed the
-# previous level's reach: enough for the three terms that cut it
+# nodes a stacked direction fetches past the previous level's reach, in
+# its first call and in each later one: enough for the three terms that
+# cut it
 _STEP = 4
 
 
@@ -209,8 +210,7 @@ def _stacked(f: Callable[[np.ndarray], np.ndarray], stack: int,
     stack, in node order.
     """
     nodes = [n for _, n in ladder]
-    window = [_STEP + (_STEP if reach is None else k)
-              for k in reach or (0, 0)]
+    window = [2 * _STEP] * 2 if reach is None else [_STEP + k for k in reach]
     merge = not any(start) and sum(window) <= stack
     merged = []
 

@@ -271,8 +271,7 @@ def test_integrand_calls_pinned(monkeypatch):
     # the integrand calls behind test_evaluation_counts_pinned's counts:
     # a level's first call takes the nodes inside the previous level's
     # reach and four more, both directions at once where they fit one
-    # stack (17, 14 and 17 calls when it took the reach alone, one
-    # direction per call), and no call holds more nodes than its stack
+    # stack, and no call holds more nodes than its stack
     geom = pinned_cube()
     sizes = []
     for name in ("integrate_semi_infinite", "matsubara_sum"):
