@@ -44,8 +44,10 @@ output stack that all calls of its integral reuse.
 distances alone.  :func:`free_energy_T0_and_second_order`, the path of a
 retarded T = 0 row, takes that sum instead from the log det's own nodes:
 it is ||M||_F^2, twice the sum of squares of M's pair products, one more
-reduction per node (:func:`_frobenius`), and the second order's ladder
-computes M's pair products alone only where the log det's never went.
+reduction per node (:func:`_frobenius`).  The log det stores it in a
+memo keyed by the node, and the second order's ladder, run after on the
+same scale, reads it there and computes M's pair products alone only at
+nodes the log det never reached.
 Nonretarded and finite-temperature rows keep the separate pair sum.
 The log-det and second-order integrands take a 1-D
 array of K frequencies at every N, and have no float branch: the Green
@@ -80,7 +82,6 @@ from .core import (
     PairDistanceError,
     SPEED_OF_LIGHT,
     pair_separations,
-    unwrap,
 )
 # dyadic_green_imag and static_green are unused here but stay bound:
 # perfbench's tracer wraps them
@@ -95,7 +96,6 @@ from .polarizability import KramersHeisenberg
 from .quadrature import (
     QuadratureSpec,
     integrate_semi_infinite,
-    integrate_shared,
     matsubara_sum,
 )
 
@@ -381,7 +381,7 @@ def _frobenius(products: np.ndarray) -> np.ndarray:
 
 
 def _logdet_function(geom: SystemGeometry, nonretarded: bool,
-                     frobenius: bool = False) -> Callable:
+                     norms: dict | None = None) -> Callable:
     """g(xi) = log det[1 + A T](i xi), the one log-det evaluation path.
 
     ``xi`` is a 1-D array of K frequencies, giving K values.  The
@@ -392,10 +392,9 @@ def _logdet_function(geom: SystemGeometry, nonretarded: bool,
     polarizabilities commute with the static T of the nonretarded limit:
     the eigenproblem then factorizes, is solved once, and each frequency
     only scales its eigenvalues by alpha(i xi), which keeps their sum
-    alpha Tr T = 0.  With ``frobenius``, on the matrix path only, g
-    returns the log dets and the ||M||_F^2 of the same M
-    (:func:`_frobenius`); the log dets are those of the plain g bit for
-    bit.
+    alpha Tr T = 0.  With a dict ``norms``, on the matrix path only, g
+    also stores the ||M||_F^2 of each node's M (:func:`_frobenius`) in
+    it, keyed by the float xi; the log dets are unchanged.
     """
     if nonretarded and all(m == geom.models[0] for m in geom.models):
         t_eigs = np.linalg.eigvalsh(build_T(geom, 0.0))
@@ -412,12 +411,12 @@ def _logdet_function(geom: SystemGeometry, nonretarded: bool,
             out = np.empty((len(xi),) + geom._gather.shape)
         products = _m_products(geom, xi, static)
         m = geom._matrices(products, out[:len(xi)])
-        norms = _frobenius(products) if frobenius else None
+        if norms is not None:
+            norms.update(zip(xi.tolist(), _frobenius(products).tolist()))
         # the blocks and pair products are freed before the factorisation,
         # which then runs at the old peak memory
         del products
-        values = _log_det_1p(xi, m)
-        return values if norms is None else (values, norms)
+        return _log_det_1p(xi, m)
 
     return g
 
@@ -466,24 +465,35 @@ def free_energy_T0_and_second_order(geom: SystemGeometry,
     The second order is the integral of :func:`second_order_energy`, whose
     integrand 2 sum_{i<j} alpha_i alpha_j ||G_ij||_F^2 is ||M||_F^2 of the
     log det's own M: -1/2 Tr M^2 is the log det's second-order term, as
-    Tr M = 0.  Each node of the log det gives it for one more reduction
-    over M's pair products (:func:`_frobenius`); the second integral
-    computes M's pair products alone only at nodes the log det never
-    reached.  Both integrals keep their own stop, estimate and budget
-    (:func:`fluctem.quadrature.integrate_shared`), so the free energy is
-    that of ``free_energy_T0(geom, quad)`` bit for bit, and the second
-    order is :func:`second_order_energy`'s integral of the same integrand
-    in other rounding.  The free energy's error is raised first.
+    Tr M = 0.  Each node of the log det stores it, for one more reduction
+    over M's pair products (:func:`_frobenius`), in a memo keyed by the
+    node.  The second order's ladder runs after on the same scale and
+    stacks, takes each node's value from the memo, and computes M's pair
+    products alone only at nodes the log det never reached.  Both
+    integrals keep their own walk, stop, estimate and budget, so the free
+    energy is that of ``free_energy_T0(geom, quad)`` bit for bit, and the
+    second order is :func:`second_order_energy`'s integral of the same
+    integrand in other rounding.  The free energy's error is raised first.
     """
     if geom.n_sites < 2:
         zero = EnergyResult(0.0, 0.0, 0)
         return zero, zero
-    free, second = integrate_shared(
-        _logdet_function(geom, False, frobenius=True),
-        lambda xi: _frobenius(_m_products(geom, xi)), quad,
-        _node_scale(geom, False), _stack((3 * geom.n_sites) ** 2))
-    return (unwrap(free).scaled(1.0 / (2.0 * math.pi)),
-            unwrap(second).scaled(-1.0 / (4.0 * math.pi)))
+    norms: dict[float, float] = {}
+    scale, stack = _node_scale(geom, False), _stack((3 * geom.n_sites) ** 2)
+    free = integrate_semi_infinite(_logdet_function(geom, False, norms),
+                                   quad, scale, stack)
+
+    def norm(xi):
+        nodes = xi.tolist()
+        misses = [x for x in nodes if x not in norms]
+        if misses:
+            norms.update(zip(misses, _frobenius(
+                _m_products(geom, misses)).tolist()))
+        return [norms[x] for x in nodes]
+
+    second = integrate_semi_infinite(norm, quad, scale, stack)
+    return (free.scaled(1.0 / (2.0 * math.pi)),
+            second.scaled(-1.0 / (4.0 * math.pi)))
 
 
 def second_order_energy(geom: SystemGeometry,

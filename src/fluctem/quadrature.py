@@ -7,8 +7,7 @@ composed with the algebraic map x = s*t/(1-t) (Takahasi & Mori, Publ. RIMS
 9, 721 (1974)), so
 
 * ``integrate_semi_infinite`` runs it on [0, inf) with the scale s as
-  given, ``integrate_rows`` runs R such integrals at once, and
-  ``integrate_shared`` two whose integrands share their nodes' work;
+  given, and ``integrate_rows`` runs R such integrals at once;
 * ``integrate_interval`` maps it onto [lo, hi] through
   w = lo + (hi-lo) u/(1+u), which is tanh-sinh on the interval;
 * ``integrate_pv`` subtracts f(pole), which removes the pole because
@@ -21,9 +20,12 @@ difference of the last two refinement levels, and at least the rounding
 4 eps h sum|w f| of the sum.  From the second refinement on, the ladder
 stops once the estimate is at most max(rel_tol |value|, rounding), and it
 reports that estimate.  The caller passes the node scale, so an integral
-scaled by any constant stops at the same level.  The one exception is the
-upper side of a principal value, which only needs rel_tol times the lower
-side: that target stops its ladder but is never reported as error.
+scaled by any constant stops at the same level.  Two kinds of ladder
+may stop sooner, on a target that the rest of their sum leaves them:
+the upper side of a principal value needs only rel_tol times the lower
+side, and the tail of a Matsubara sum only what rel_tol |head| leaves
+beside the head's own error.  A target stops its ladder but is never
+reported as error.
 
 One walk takes each direction of a level outward from the centre.  It
 ends the ladder where x underflows or its weight overflows, counts each
@@ -52,11 +54,6 @@ fastest measured on its integrands:
   (R, n) array, and the walk takes each row's values from its slice.
   Whole levels pay only across rows, such as the points of a separation
   scan.
-* ``integrate_shared`` runs two ladders on one scale.  The first takes
-  stacks as above from an integrand that gives both functions' values;
-  the second takes its values of the same nodes, and computes its own
-  only where the first never went: the log det's M gives the second
-  order's ||M||_F^2 for one more reduction.
 Every source gives the nodes, kept values, result and count of the float
 walk bit for bit, provided each array element equals the float call.  One
 level loop applies the stop rule to a single integral and to each row.
@@ -75,7 +72,6 @@ scale of g.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -89,7 +85,6 @@ __all__ = [
     "QuadratureError",
     "integrate_semi_infinite",
     "integrate_rows",
-    "integrate_shared",
     "integrate_interval",
     "integrate_pv",
     "matsubara_sum",
@@ -121,7 +116,8 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if not 0 < self.rel_tol < math.inf:
             raise ValueError("rel_tol must be positive and finite")
-        if self.max_evals < 100:
+        # false for a NaN too, which would switch every budget off
+        if not self.max_evals >= 100:
             raise ValueError("max_evals must be >= 100")
 
 
@@ -175,9 +171,9 @@ def _floats(f: Callable[[float], float]):
 def _call(f: Callable[[np.ndarray], np.ndarray], scale: float,
           chunks) -> list:
     """``f`` on the nodes of all ``chunks`` as one array: the values of
-    each chunk, sliced from the last axis of ``f``'s.  A chunk's nodes
-    stop before an x = scale u that is 0 or inf, and numpy warnings are
-    off while ``f`` runs."""
+    each chunk, sliced from ``f``'s.  A chunk's nodes stop before an
+    x = scale u that is 0 or inf, and numpy warnings are off while ``f``
+    runs."""
     xs, ends = [], [0]
     for nodes in chunks:
         for u, _ in nodes:
@@ -188,56 +184,45 @@ def _call(f: Callable[[np.ndarray], np.ndarray], scale: float,
         ends.append(len(xs))
     with np.errstate(all="ignore"):
         values = np.asarray(f(np.array(xs)), dtype=float)
-    return [values[..., lo:hi].tolist() for lo, hi in zip(ends, ends[1:])]
-
-
-def _stacked(f: Callable[[np.ndarray], np.ndarray], stack: int,
-             scale: float, ladder, reach, kept=None, start=(0, 0)):
-    """The source of an array integrand: per direction of ``ladder``, f at
-    x = scale u of its nodes in order from index ``start``, from calls of
-    ``f`` on up to ``stack`` nodes.
-
-    A direction's first call from its centre takes its window: the nodes
-    inside the previous level's ``reach`` and _STEP more, or 2 _STEP on
-    level 0, where ``reach`` is None.  The walk keeps about that many, so
-    one call serves most of a level.  When both directions start at the
-    centre and their windows fit in ``stack``, one call takes both, at
-    the walk's first draw from either.  Every later call, and a first
-    one from past the centre, takes _STEP nodes.  Nothing is fetched
-    before the walk draws on it.  With ``kept``, ``f`` returns the values
-    of two functions: the iterators give the first, and kept[d] gets the
-    second of each node of direction d as its iterator draws that node's
-    stack, in node order.
-    """
-    nodes = [n for _, n in ladder]
-    window = [2 * _STEP] * 2 if reach is None else [_STEP + k for k in reach]
-    merge = not any(start) and sum(window) <= stack
-    merged = []
-
-    def values(d):
-        fetched, size = start[d], _STEP if start[d] else window[d]
-        while True:
-            size = min(stack, size)
-            if merge and not fetched:
-                if not merged:
-                    merged.extend(_call(f, scale, [
-                        n[:w] for n, w in zip(nodes, window)]))
-                y = merged[d]
-            else:
-                (y,) = _call(f, scale, [nodes[d][fetched:fetched + size]])
-            if kept is not None:
-                y, second = y
-                kept[d].extend(second)
-            yield from y
-            fetched, size = fetched + size, _STEP
-
-    return [values(0), values(1)]
+    return [values[lo:hi].tolist() for lo, hi in zip(ends, ends[1:])]
 
 
 def _stacks(f: Callable[[np.ndarray], np.ndarray], stack: int):
-    """The source of an array integrand: :func:`_stacked` calls of ``f``
-    on up to ``stack`` nodes."""
-    return functools.partial(_stacked, f, stack)
+    """The source of an array integrand: per direction of a level, f at
+    x = scale u of its nodes in order, from calls of ``f`` on up to
+    ``stack`` nodes.
+
+    A direction's first call takes its window: the nodes inside the
+    previous level's ``reach`` and _STEP more, or 2 _STEP on level 0,
+    where ``reach`` is None.  The walk keeps about that many, so one call
+    serves most of a level.  When both windows fit in ``stack``, one call
+    takes both, at the walk's first draw from either.  Every later call
+    takes _STEP nodes.  Nothing is fetched before the walk draws on it.
+    """
+    def source(scale, ladder, reach):
+        nodes = [n for _, n in ladder]
+        window = [2 * _STEP] * 2 if reach is None \
+            else [_STEP + k for k in reach]
+        merge = sum(window) <= stack
+        merged = []
+
+        def values(d):
+            fetched, size = 0, window[d]
+            while True:
+                size = min(stack, size)
+                if merge and not fetched:
+                    if not merged:
+                        merged.extend(_call(f, scale, [
+                            n[:w] for n, w in zip(nodes, window)]))
+                    y = merged[d]
+                else:
+                    (y,) = _call(f, scale, [nodes[d][fetched:fetched + size]])
+                yield from y
+                fetched, size = fetched + size, _STEP
+
+        return [values(0), values(1)]
+
+    return source
 
 
 def _walk(source, scale: float, h: float, odd_only: bool,
@@ -363,7 +348,7 @@ def integrate_semi_infinite(f: Callable[[float], float],
     K >= 1 makes ``f`` take a 1-D array of at most K nodes and return the
     array of its values, and each refinement level is evaluated in such
     stacks; a level's first stack can hold the first nodes of both
-    directions (:func:`_stacked`).  The values a stack holds past a
+    directions (:func:`_stacks`).  The values a stack holds past a
     direction's cut are discarded unseen: they are not counted, budgeted
     or checked, and numpy warnings are off while ``f`` runs.  Nodes, kept
     values, result and ``evaluations`` are those of the float calls bit
@@ -375,49 +360,6 @@ def integrate_semi_infinite(f: Callable[[float], float],
         raise ValueError("stack must be >= 1")
     source = _floats(f) if stack is None else _stacks(f, stack)
     return _integrate(source, spec or QuadratureSpec(), scale)
-
-
-def integrate_shared(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                     g: Callable[[np.ndarray], np.ndarray],
-                     spec: QuadratureSpec | None = None, scale: float = 1.0,
-                     stack: int = 1) -> list[EnergyResult | QuadratureError]:
-    """Integrate two functions over [0, inf) on one ladder centred on
-    ``scale``: the result, or the error, of each.
-
-    ``f`` takes a 1-D array of nodes and returns the arrays of both
-    functions' values there; ``g`` those of the second alone.  The first
-    integral calls ``f`` as :func:`integrate_semi_infinite` calls an
-    integrand with this ``stack``, and keeps the second values of each
-    node it computes.  The second integral takes those, and calls ``g``
-    only on nodes of a level past them.  Each keeps its own walk, cut,
-    stop, estimate and ``max_evals`` budget, so the first result is that
-    of :func:`integrate_semi_infinite` on ``f``'s first values bit for
-    bit, and the second that of ``g`` alone, provided each element of
-    ``g`` equals ``f``'s second value.  Errors are returned, not raised,
-    as by :func:`integrate_rows`.
-    """
-    if not 0 < scale < math.inf:
-        raise ValueError("scale must be positive and finite")
-    if stack < 1:
-        raise ValueError("stack must be >= 1")
-
-    def sources(h, odd_only, rows):
-        # the second values of the nodes the first row computed, per
-        # direction: the first row walks each level before the second
-        shared = ([], [])
-
-        def both(scale, ladder, reach):
-            return _stacked(f, stack, scale, ladder, reach, shared)
-
-        def alone(scale, ladder, reach):
-            values = _stacked(g, stack, scale, ladder, reach,
-                              start=tuple(map(len, shared)))
-            return [itertools.chain(kept, v)
-                    for kept, v in zip(shared, values)]
-
-        return [(both, alone)[row] for row in rows]
-
-    return _ladders(sources, [scale, scale], spec or QuadratureSpec())
 
 
 @functools.lru_cache(maxsize=None)

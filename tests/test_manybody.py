@@ -405,13 +405,13 @@ def test_build_T_rejects_negative_frequency_in_stack():
             geom.alpha_values(xi)
 
 
-@pytest.mark.parametrize("frobenius", [False, True])
-def test_log_det_checks_its_frequencies_once_per_call(monkeypatch,
-                                                      frobenius):
-    # the alphas and the Green blocks share one checked, clamped array;
-    # a NaN or negative xi still raises
+@pytest.mark.parametrize("memo", [False, True])
+def test_log_det_checks_its_frequencies_once_per_call(monkeypatch, memo):
+    # the alphas and the Green blocks share one checked, clamped array,
+    # with a memo of the norms or without; a NaN or negative xi still
+    # raises
     geom = pinned_cube()
-    g = manybody._logdet_function(geom, False, frobenius)
+    g = manybody._logdet_function(geom, False, {} if memo else None)
     xis = np.array([0.3, 1e160, 0.0])
     expected = g(xis)
     checks = []
@@ -931,14 +931,15 @@ SECOND_ORDER_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 def test_joint_free_energy_is_free_energy_T0_alone(load_perfbench):
-    # the shared nodes leave the log det's walk as it is: the same value,
-    # error and count, bit for bit
+    # the memo leaves the log det's walk as it is: the same value, error
+    # and count, bit for bit; the second order is its own ladder's
     for name, geom in retarded_t0_clusters(load_perfbench):
-        free, _ = manybody.free_energy_T0_and_second_order(geom)
+        free, second = manybody.free_energy_T0_and_second_order(geom)
         alone = free_energy_T0(geom)
         assert free.value.hex() == alone.value.hex(), name
         assert (free.error_estimate, free.evaluations) \
             == (alone.error_estimate, alone.evaluations), name
+        assert second == frobenius_alone(geom, None), name
 
 
 def test_joint_second_order_is_the_pair_sum_to_rounding(load_perfbench):
@@ -961,31 +962,143 @@ def frobenius_alone(geom, quad):
     return res.scaled(-1.0 / (4.0 * math.pi))
 
 
-@pytest.mark.parametrize("spacing, n_atoms, first_stops", [
-    (4.0, 3, "second"), (3.0, 8, "free")])
+def integrals_run(monkeypatch):
+    """The log of the integrals that manybody runs through
+    integrate_semi_infinite, in order: ("free" for a log det's integrand,
+    else "second", its result or its error's message)."""
+    runs, log_dets = [], []
+    integrate = manybody.integrate_semi_infinite
+    logdet_function = manybody._logdet_function
+
+    def logdet_recording(*args):
+        log_dets.append(logdet_function(*args))
+        return log_dets[-1]
+
+    def recording(f, *args):
+        kind = "free" if f in log_dets else "second"
+        try:
+            res = integrate(f, *args)
+        except QuadratureError as exc:
+            runs.append((kind, str(exc)))
+            raise
+        runs.append((kind, res))
+        return res
+
+    monkeypatch.setattr(manybody, "_logdet_function", logdet_recording)
+    monkeypatch.setattr(manybody, "integrate_semi_infinite", recording)
+    return runs
+
+
+def message(compute):
+    """The message of the QuadratureError that ``compute()`` raises, or
+    None if it returns."""
+    try:
+        compute()
+    except QuadratureError as exc:
+        return str(exc)
+    return None
+
+
+# at rel_tol 1e-11 these chains take their two integrals to different
+# levels: the log det stops first on the 8-atom chain, the second order
+# on the 3-atom one
+STOP_APART = [(4.0, 3, "second"), (3.0, 8, "free")]
+
+
+@pytest.mark.parametrize("spacing, n_atoms, first_stops", STOP_APART)
 def test_joint_rows_that_stop_apart_give_their_own_results(
         spacing, n_atoms, first_stops, monkeypatch):
-    # at rel_tol 1e-11 these chains take their two integrals to different
-    # levels: each row still gives what it gives alone, and the second
-    # order computes its own M only past the log det's nodes
+    # each integral still gives what it gives alone, and the second order
+    # computes ||M||_F^2 outside the log det only past the log det's nodes
     geom = chain_geometry(single_resonance(2.0, 0.5), spacing, n_atoms)
     quad = QuadratureSpec(rel_tol=1e-11)
-    own = []
-    shared = quadrature.integrate_shared
-
-    def recording(f, g, *args):
-        return shared(f, lambda xi: own.append(len(xi)) or g(xi), *args)
-
-    monkeypatch.setattr(manybody, "integrate_shared", recording)
+    norms, log_dets = [], []
+    frobenius, log_det_1p = manybody._frobenius, manybody._log_det_1p
+    monkeypatch.setattr(manybody, "_frobenius",
+                        lambda p: norms.append(len(p)) or frobenius(p))
+    monkeypatch.setattr(manybody, "_log_det_1p", lambda xi, m: log_dets.append(
+        len(xi)) or log_det_1p(xi, m))
     free, second = manybody.free_energy_T0_and_second_order(geom, quad)
+    own = sum(norms) - sum(log_dets)
     assert free == free_energy_T0(geom, quad)
     assert second == frobenius_alone(geom, quad)
     pairs = second_order_energy(geom, quad)
     assert abs(second.value - pairs.value) <= second.error_estimate
     if first_stops == "second":
-        assert second.evaluations < free.evaluations and not own
+        assert second.evaluations < free.evaluations and own == 0
     else:
-        assert free.evaluations < second.evaluations and sum(own) > 0
+        assert free.evaluations < second.evaluations and own > 0
+
+
+@pytest.mark.parametrize("spacing, n_atoms, first_stops", STOP_APART)
+def test_joint_rows_spend_their_own_budgets(spacing, n_atoms, first_stops,
+                                            monkeypatch):
+    # a budget between the two counts fails the larger integral alone,
+    # with its own ladder's message; a budget that both overspend raises
+    # the free energy's error, and the second order never runs
+    geom = chain_geometry(single_resonance(2.0, 0.5), spacing, n_atoms)
+    free, second = manybody.free_energy_T0_and_second_order(
+        geom, QuadratureSpec(rel_tol=1e-11))
+    counts = sorted([free.evaluations, second.evaluations])
+    for budget in (sum(counts) // 2, 100):
+        spec = QuadratureSpec(rel_tol=1e-11, max_evals=budget)
+        alone = {"free": message(lambda: free_energy_T0(geom, spec)),
+                 "second": message(lambda: frobenius_alone(geom, spec))}
+        runs = integrals_run(monkeypatch)
+        with pytest.raises(QuadratureError) as excinfo:
+            manybody.free_energy_T0_and_second_order(geom, spec)
+        monkeypatch.undo()
+        if budget > counts[0]:
+            larger = "free" if first_stops == "second" else "second"
+            assert [kind for kind, m in alone.items() if m] == [larger]
+        else:
+            assert all(alone.values())
+            larger = "free"
+        assert runs[-1] == (larger, alone[larger]) == (larger,
+                                                       str(excinfo.value))
+        assert len(runs) == 1 + (larger == "second")
+
+
+def test_joint_second_order_takes_each_norm_from_its_node(monkeypatch):
+    # a NaN ||M||_F^2 from the log det at one kept node, above the centre
+    # and then below it, leaves the free energy as it is and is named at
+    # that node by the second order, which takes it from the memo
+    geom = chain_geometry(single_resonance(2.0, 0.5), 4.0, 3)
+    scale = manybody._node_scale(geom, False)
+    walks = []
+    for f in (manybody._logdet_function(geom, False),
+              lambda xi: manybody._frobenius(manybody._m_products(geom, xi))):
+        kept = []
+        integrate_semi_infinite(
+            lambda x: kept.append(x) or np.asarray(f(np.array([x])))[0],
+            scale=scale)
+        walks.append(kept)
+    both = [x for x in walks[0] if x in set(walks[1])]
+    # the third level-0 node of each direction, which both walks keep:
+    # near enough the centre that no other node has its M bit for bit
+    victims = [[x for x in both if (x > scale) == up][2]
+               for up in (True, False)]
+    frobenius = manybody._frobenius
+    free = free_energy_T0(geom)
+    for victim in victims:
+        bad = manybody._m_products(geom, np.array([victim]))[0]
+        spoiled = []
+
+        def once(products, bad=bad):
+            # NaN at the victim the first time only: a second computation
+            # of its norm would hide the error
+            hit = (products == bad).all(axis=-1) & (not spoiled)
+            spoiled.extend(np.flatnonzero(hit))
+            return np.where(hit, math.nan, frobenius(products))
+
+        runs = integrals_run(monkeypatch)
+        monkeypatch.setattr(manybody, "_frobenius", once)
+        with pytest.raises(QuadratureError) as excinfo:
+            manybody.free_energy_T0_and_second_order(geom)
+        monkeypatch.undo()
+        assert str(excinfo.value) == f"integrand is nan at x={victim!r}"
+        assert runs[0][1].scaled(1.0 / (2.0 * math.pi)) == free
+        assert [kind for kind, _ in runs] == ["free", "second"]
 
 
 def test_retarded_t0_rows_never_call_the_pair_polynomial(tmp_path,

@@ -24,7 +24,6 @@ from fluctem.quadrature import (
     integrate_pv,
     integrate_rows,
     integrate_semi_infinite,
-    integrate_shared,
     matsubara_sum,
 )
 
@@ -243,20 +242,36 @@ def test_each_row_spends_its_own_budget():
     assert rows[0] == rows[2] == integrate_semi_infinite(f, spec)
 
 
-def _shared(f, g, spec=None, scale=1.0):
-    """integrate_shared of f and g, each called element by element, and
-    the nodes at which both were computed and g alone."""
-    both, alone = [], []
+def _shared(f, g, spec=None, scale=1.0, stack=3):
+    """f and then g integrated on one scale, on stacks of up to ``stack``
+    nodes called element by element, g's values shared through a memo
+    keyed by the node: f's integrand fills it at every node it computes,
+    and g's reads it and computes g alone past it.  The result, or the
+    error, of each, the nodes f's integrand computed, and those at which
+    g was computed alone."""
+    memo, alone = {}, []
 
-    def pair(xs):
-        both.extend(xs.tolist())
-        return ([f(x) for x in xs.tolist()], [g(x) for x in xs.tolist()])
+    def first(xs):
+        memo.update((x, g(x)) for x in xs.tolist())
+        return np.array([f(x) for x in xs.tolist()])
 
     def second(xs):
-        alone.extend(xs.tolist())
-        return np.array([g(x) for x in xs.tolist()])
+        for x in xs.tolist():
+            if x not in memo:
+                alone.append(x)
+                memo[x] = g(x)
+        return np.array([memo[x] for x in xs.tolist()])
 
-    return integrate_shared(pair, second, spec, scale, stack=3), both, alone
+    def run(h):
+        try:
+            return integrate_semi_infinite(h, spec, scale, stack)
+        except QuadratureError as exc:
+            return exc
+
+    rows = [run(first)]
+    both = list(memo)
+    rows.append(run(second))
+    return rows, both, alone
 
 
 # cases whose values stay finite on every node a stack can reach
@@ -266,8 +281,10 @@ SHARED_CASES = [(0, 4), (4, 0), (2, 5), (5, 2), (0, 0)]
 @pytest.mark.parametrize("rel_tol", [1e-9, 1e-2])
 @pytest.mark.parametrize("pair", SHARED_CASES)
 def test_shared_rows_equal_their_own_ladders(pair, rel_tol):
-    # each integral is its own stacked ladder bit for bit, whichever stops
-    # first, and the second computes g alone only where f never went
+    # two ladders on one scale take the same float nodes, so a memo of
+    # the first serves the second: each is its own stacked ladder bit for
+    # bit, whichever stops first, and g is computed alone only where f's
+    # integrand never went
     f, g = (SEMI_INFINITE_CASES[k][0] for k in pair)
     spec = QuadratureSpec(rel_tol=rel_tol)
     rows, both, alone = _shared(f, g, spec, 0.5)
@@ -288,8 +305,9 @@ def test_shared_second_row_walks_on_alone():
 
 
 def test_shared_rows_spend_their_own_budgets_and_return_errors():
-    # a budget between the two counts fails the larger row alone, with its
-    # own ladder's error; a bad kept value of the first fails only it
+    # a budget between the two counts fails the larger ladder alone, with
+    # its own error, memo values counted as taken; a bad kept value of
+    # the first fails only it
     f, g = SEMI_INFINITE_CASES[0][0], SEMI_INFINITE_CASES[4][0]
     counts = [integrate_semi_infinite(h).evaluations for h in (f, g)]
     spec = QuadratureSpec(max_evals=(counts[0] + counts[1]) // 2)
@@ -318,31 +336,25 @@ def _merged(calls, scale):
 
 @pytest.mark.parametrize("pair", SHARED_CASES)
 def test_merged_first_calls_equal_one_node_ladders(pair):
-    # the first integral is the float walk of f bit for bit, the second
-    # that of g, whether g's values come from the first row's merged
-    # calls or, past them, from its own
-    f, g = (_inf_on_overflow(SEMI_INFINITE_CASES[k][0]) for k in pair)
-    calls = []
+    # each integral, its calls holding both directions' windows, is the
+    # float walk bit for bit
+    for h in (_inf_on_overflow(SEMI_INFINITE_CASES[k][0]) for k in pair):
+        calls = []
 
-    def both(xs):
-        calls.append(xs.tolist())
-        return [f(x) for x in xs.tolist()], [g(x) for x in xs.tolist()]
+        def array_h(xs):
+            calls.append(xs.tolist())
+            return np.array([h(x) for x in xs.tolist()])
 
-    def second(xs):
-        calls.append(xs.tolist())
-        return np.array([g(x) for x in xs.tolist()])
-
-    rows = integrate_shared(both, second, scale=0.5, stack=MERGING)
-    assert rows == [integrate_semi_infinite(h, scale=0.5) for h in (f, g)]
-    assert _merged(calls, 0.5)
-    assert max(map(len, calls)) <= MERGING
+        assert integrate_semi_infinite(array_h, scale=0.5, stack=MERGING) \
+            == integrate_semi_infinite(h, scale=0.5)
+        assert _merged(calls, 0.5)
+        assert max(map(len, calls)) <= MERGING
 
 
 @pytest.mark.parametrize("spoil", SPOILERS)
 def test_merged_window_values_past_the_cut_are_invisible(spoil):
     # a merged call computes the lower direction's window while the walk
-    # is still on the upper one: spoiled past either cut, and passed to
-    # both rows of integrate_shared, nothing changes
+    # is still on the upper one: spoiled past either cut, nothing changes
     f, _, scale = SEMI_INFINITE_CASES[1]
     kept = []
     clean = integrate_semi_infinite(lambda x: kept.append(x) or f(x),
@@ -358,14 +370,12 @@ def test_merged_window_values_past_the_cut_are_invisible(spoil):
                                    stack=MERGING) == clean
     lower = {x for xs in _merged(calls, scale) for x in xs if x < scale}
     assert lower - set(kept)
-    assert integrate_shared(lambda xs: (spoiled(xs),) * 2, spoiled,
-                            scale=scale, stack=MERGING) == [clean, clean]
 
 
 def test_merged_second_values_stay_with_their_nodes():
-    # the second row takes each direction's second values in node order:
-    # a NaN second value at one kept node, above or below the centre, is
-    # named at that node by the second row alone
+    # a memo filled from merged calls keeps each second value with its
+    # node: a NaN second value at one kept node, above or below the
+    # centre, is named at that node by the second ladder alone
     f, _, scale = SEMI_INFINITE_CASES[0]
     kept = []
     clean = integrate_semi_infinite(lambda x: kept.append(x) or f(x),
@@ -373,28 +383,12 @@ def test_merged_second_values_stay_with_their_nodes():
     victims = kept[::9]
     assert min(victims) < scale < max(victims)
     for victim in victims:
-        alone = []
-
-        def both(xs):
-            values = np.array([f(x) for x in xs.tolist()])
-            return values, np.where(xs == victim, math.nan, values)
-
-        def second(xs):
-            alone.extend(xs.tolist())
-            return np.array([f(x) for x in xs.tolist()])
-
-        rows = integrate_shared(both, second, scale=scale, stack=MERGING)
+        rows, _, alone = _shared(
+            f, lambda x: math.nan if x == victim else f(x), scale=scale,
+            stack=MERGING)
         assert rows[0] == clean
         assert str(rows[1]) == f"integrand is nan at x={victim!r}"
         assert not alone
-
-
-@pytest.mark.parametrize("scale, stack", [(0.0, 1), (math.inf, 1),
-                                          (math.nan, 1), (1.0, 0)])
-def test_shared_rejects_bad_scale_and_stack(scale, stack):
-    with pytest.raises(ValueError):
-        integrate_shared(lambda x: (x, x), lambda x: x, scale=scale,
-                         stack=stack)
 
 
 # the walk's three sources of values: one float call per node, stacks of
@@ -661,7 +655,7 @@ def test_energy_result_rejects_nan_value_and_non_finite_error():
 
 def test_spec_validation():
     for kwargs in ({"rel_tol": 0.0}, {"rel_tol": math.nan},
-                   {"max_evals": 10}):
+                   {"max_evals": 10}, {"max_evals": math.nan}):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
     for scale in (0.0, -1.0, math.nan, math.inf):

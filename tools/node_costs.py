@@ -30,9 +30,10 @@ call instead: the fixed per-call work that stacking nodes spreads.
 Beside them are the integrals' evaluation counts and the nodes and calls
 their integrands took, discarded nodes past a cut among them: of the log
 det, of ``second_order_energy``, of the second order of
-``free_energy_T0_and_second_order``, whose nodes and calls are those it
-made without the log det's nodes, and of ``free_energy_finiteT`` at
-T = 0.1, its Matsubara terms and tail nodes together.  Fewer calls for
+``free_energy_T0_and_second_order``, whose nodes and calls are those on
+which it computed ||M||_F^2 itself, past the log det's nodes, and of
+``free_energy_finiteT`` at T = 0.1, its Matsubara terms and tail nodes
+together.  Fewer calls for
 the same nodes show as fewer calls at an equal ``logdet``; cheaper
 nodes as a lower ``logdet``.  BLAS runs on one thread.  Only the
 standard library and numpy are used; fluctem is imported from ``src/``
@@ -153,19 +154,29 @@ def layers_timed(spent: dict):
 
 def joint(geom):
     """The second order of ``free_energy_T0_and_second_order(geom)``, and
-    the stacks its integrand took alone, past the log det's nodes."""
+    the stacks on which it computed ||M||_F^2 itself, past the log det's
+    nodes: those of the ``_m_products`` calls of its second integral."""
     import fluctem.manybody as manybody
-    shared = manybody.integrate_shared
-    stacks = []
+    integrate = manybody.integrate_semi_infinite
+    products = manybody._m_products
+    integrals, stacks = [], []
 
-    def recording(f, g, *args):
-        return shared(f, lambda xi: stacks.append(xi) or g(xi), *args)
+    def counted(*args):
+        integrals.append(args)
+        return integrate(*args)
 
-    manybody.integrate_shared = recording
+    def recording(geom, xi, *blocks):
+        if len(integrals) == 2:
+            stacks.append(np.array(xi))
+        return products(geom, xi, *blocks)
+
+    manybody.integrate_semi_infinite = counted
+    manybody._m_products = recording
     try:
         _, second = manybody.free_energy_T0_and_second_order(geom)
     finally:
-        manybody.integrate_shared = shared
+        manybody.integrate_semi_infinite = integrate
+        manybody._m_products = products
     return second, stacks
 
 
@@ -186,7 +197,7 @@ def node_costs(side: int, repeat: int) -> dict:
     thermal, _, thermal_stacks = recorded(
         lambda geom: manybody.free_energy_finiteT(geom, 0.1), geom,
         "matsubara_sum")
-    both = manybody._logdet_function(geom, False, frobenius=True)
+    both = manybody._logdet_function(geom, False, {})
     seconds = {name: [] for name in LAYERS}
     for _ in range(repeat):
         spent = dict.fromkeys(LAYERS, 0.0)
