@@ -12,18 +12,20 @@ first point runs.
 Results are always in Hartree atomic units.  CSV output starts with
 `# config_hash=<sha256> version=<semver>`, then a header row; numbers
 carry 17 significant digits.  Identical configs produce byte-identical
-files.  Exit codes: 0 success, 1 error, 2 validity warnings under
---strict.
+files.  An existing output file is rewritten in place, so a run killed
+while writing leaves an incomplete file, as it always could: only exit
+0 marks a complete one.  Exit codes: 0 success, 1 error, 2 validity
+warnings under --strict.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
+import os
 import re
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -540,13 +542,12 @@ def _execute(cfg: dict,
 
 def _render_csv(columns: list[str], rows: list[list[float]],
                 config_hash: str) -> str:
-    buffer = io.StringIO()
-    buffer.write(f"# config_hash={config_hash} version={__version__}\r\n")
-    writer = csv.writer(buffer)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(format(value, ".17g") for value in row)
-    return buffer.getvalue()
+    # no column name or number the runners give needs CSV quoting
+    lines = [f"# config_hash={config_hash} version={__version__}",
+             ",".join(columns)]
+    lines += [",".join([format(value, ".17g") for value in row])
+              for row in rows]
+    return "\r\n".join(lines) + "\r\n"
 
 
 def _render_json(columns: list[str], rows: list[list[float]],
@@ -561,9 +562,33 @@ def _render_json(columns: list[str], rows: list[list[float]],
     return json.dumps(document, indent=2) + "\n"
 
 
+def _write_over(path: str, data: bytes) -> None:
+    """Write ``data`` over the file at ``path``, creating it with the mode
+    ``open(path, "wb")`` gives.  An existing file is not opened with
+    O_TRUNC, which frees its blocks only to allocate them again: a longer
+    regular file is cut to ``len(data)`` first, so a run killed before
+    the write leaves a prefix of the old output under its own hash line;
+    a FIFO or a device is written as it is."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                 0o666)
+    try:
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+            os.ftruncate(fd, len(data))
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
 def run(config_path: str, output_path: str = "-", output_format: str = "csv",
         strict: bool = False, fit_slope: bool = False) -> int:
     """Execute one config file and write its table; returns the exit code."""
+    if output_format not in ("csv", "json"):
+        print(f"error: unknown output format {output_format!r}: must be "
+              f"'csv' or 'json'", file=sys.stderr)
+        return 1
     try:
         raw = Path(config_path).read_bytes()
     except OSError as exc:
@@ -606,7 +631,7 @@ def run(config_path: str, output_path: str = "-", output_format: str = "csv",
         sys.stdout.write(text)
     else:
         try:
-            Path(output_path).write_bytes(text.encode("utf-8"))
+            _write_over(output_path, text.encode("utf-8"))
         except OSError as exc:
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             return 1

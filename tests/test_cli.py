@@ -15,6 +15,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -321,6 +322,128 @@ def test_stdout_dash_and_silence_with_file(tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert run(cfg, str(out)) == 0
     assert capsys.readouterr().out == ""
+
+
+# --- the output stage: the table is written over an existing file in place
+
+
+def fresh_bytes(tmp_path, cfg, output_format="csv"):
+    """The bytes ``run`` writes for ``cfg`` to a file that did not exist."""
+    path = tmp_path / f"fresh.{output_format}"
+    assert run(cfg, str(path), output_format=output_format) == 0
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("old_size", [40, 100_000], ids=["shorter", "longer"])
+def test_an_existing_output_holds_exactly_the_new_bytes(
+        tmp_path, output_format, old_size):
+    cfg = write_config(tmp_path, pairwise_config())
+    want = fresh_bytes(tmp_path, cfg, output_format)
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * old_size)
+    assert run(cfg, str(out), output_format=output_format) == 0
+    assert out.read_bytes() == want
+
+
+def test_a_longer_output_is_shrunk_before_it_is_written(tmp_path,
+                                                        monkeypatch):
+    cfg = write_config(tmp_path, pairwise_config())
+    new = len(fresh_bytes(tmp_path, cfg))
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"old\r\n" * 1000)
+    sizes = []
+    write = os.write
+
+    def observed(fd, data):
+        sizes.append(os.fstat(fd).st_size)
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", observed)
+    assert run(cfg, str(out)) == 0
+    # a run killed before the write would leave a prefix of the old table;
+    # a file opened with O_TRUNC, whose blocks are freed only to be
+    # allocated again, would read 0 here
+    assert sizes == [new]
+
+
+def test_short_writes_are_carried_on(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, pairwise_config())
+    want = fresh_bytes(tmp_path, cfg)
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"x" * 100_000)
+    assert run(cfg, str(out)) == 0
+    assert out.read_bytes() == want
+
+
+@pytest.mark.skipif(not hasattr(os, "umask"), reason="needs a umask")
+@pytest.mark.parametrize("umask", [0o002, 0o027])
+def test_a_new_output_gets_the_mode_of_open_wb(tmp_path, umask):
+    cfg = write_config(tmp_path, pairwise_config())
+    old = os.umask(umask)
+    try:
+        assert run(cfg, str(tmp_path / "out.csv")) == 0
+        with open(tmp_path / "reference", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "out.csv").stat().st_mode
+    assert mode == (tmp_path / "reference").stat().st_mode
+    assert mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a POSIX null device")
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_output_to_the_null_device(tmp_path, capsys, output_format):
+    cfg = write_config(tmp_path, pairwise_config())
+    assert run(cfg, os.devnull, output_format=output_format) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_output_to_a_fifo(tmp_path):
+    cfg = write_config(tmp_path, pairwise_config())
+    want = fresh_bytes(tmp_path, cfg)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    try:
+        code = run(cfg, str(fifo))
+    finally:
+        reader.join(timeout=30)
+    assert code == 0
+    assert got == [want]
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("target", ["directory", "missing/out.csv"])
+def test_unwritable_outputs_are_errors(tmp_path, capsys, output_format,
+                                       target):
+    cfg = write_config(tmp_path, pairwise_config())
+    (tmp_path / "directory").mkdir()
+    assert run(cfg, str(tmp_path / target), output_format=output_format) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("output_format", ["xml", "CSV", "", None])
+def test_unknown_output_format_is_refused_before_the_config_is_read(
+        tmp_path, capsys, output_format):
+    out = tmp_path / "out"
+    code = run(str(tmp_path / "no-such-config.json"), str(out),
+               output_format=output_format)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: unknown output format {output_format!r}: "
+        f"must be 'csv' or 'json'\n")
+    assert not out.exists()
 
 
 def test_parse_error_reports_line_and_column(tmp_path, capsys):
@@ -1142,18 +1265,31 @@ def test_console_entry_point(tmp_path):
     assert out.exists()
 
 
-def test_importing_the_cli_leaves_argparse_out():
-    # only main() parses a command line, so run() and importers of the
-    # module do not pay for argparse
+def loaded_by_importing_the_cli(module):
+    """Whether a fresh interpreter holds ``module`` after ``import
+    fluctem.cli``."""
+    # the child imports the package under test, wherever pytest found it
     search = [str(Path(fluctem.__file__).parents[1]),
               os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, fluctem.cli; print('argparse' in sys.modules)"],
+         f"import sys, fluctem.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, search))))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout in ("True\n", "False\n")
+    return proc.stdout == "True\n"
+
+
+def test_importing_the_cli_leaves_argparse_out():
+    # only main() parses a command line, so run() and importers of the
+    # module do not pay for argparse
+    assert not loaded_by_importing_the_cli("argparse")
+
+
+def test_importing_the_cli_leaves_csv_out():
+    # the table is joined by hand, so no fluctem run pays for csv
+    assert not loaded_by_importing_the_cli("csv")
 
 
 # --- the key table: unknown nested keys, sweep values, traffic, README, fuzz

@@ -83,3 +83,20 @@ def test_node_costs_prints_every_layer_and_the_counts():
         assert 0 < calls <= evaluations <= nodes
     # the joint path's second order walks on the log det's nodes alone
     assert joint == (second[0], 0, 0)
+
+
+def test_run_costs_prints_every_stage_of_each_workload():
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "run_costs.py"), "--repeat", "1"],
+        capture_output=True, text=True, check=True)
+    header, *rows = done.stdout.splitlines()
+    tool = load_tool("run_costs")
+    assert header.split() == ["workload", "configs", *tool.STAGES]
+    assert [row.split()[0] for row in rows] == list(tool.WORKLOADS)
+    for row in rows:
+        _, configs, *us = row.split()
+        assert int(configs) > 0 and len(us) == len(tool.STAGES)
+        figures = dict(zip(tool.STAGES, map(float, us)))
+        assert all(math.isfinite(x) and x > 0 for x in figures.values())
+        # the whole call holds its stages
+        assert figures["run"] >= sum(figures[s] for s in tool.STAGES[:-1])
