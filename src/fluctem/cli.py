@@ -12,10 +12,11 @@ first point runs.
 Results are always in Hartree atomic units.  CSV output starts with
 `# config_hash=<sha256> version=<semver>`, then a header row; numbers
 carry 17 significant digits.  Identical configs produce byte-identical
-files.  An existing output file is rewritten in place, so a run killed
-while writing leaves an incomplete file, as it always could: only exit
-0 marks a complete one.  Exit codes: 0 success, 1 error, 2 validity
-warnings under --strict.
+files.  An existing output file is rewritten in place, its config hash
+last: a run killed while writing leaves an incomplete file under the
+old hash or none, never under the new one.  Nothing is synced to disk,
+so after a power loss only a run's exit 0 vouches for its file.  Exit
+codes: 0 success, 1 error, 2 validity warnings under --strict.
 """
 
 from __future__ import annotations
@@ -562,22 +563,34 @@ def _render_json(columns: list[str], rows: list[list[float]],
     return json.dumps(document, indent=2) + "\n"
 
 
-def _write_over(path: str, data: bytes) -> None:
+def _write_all(fd: int, view: memoryview) -> None:
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _write_over(path: str, data: bytes, head: int) -> None:
     """Write ``data`` over the file at ``path``, creating it with the mode
     ``open(path, "wb")`` gives.  An existing file is not opened with
     O_TRUNC, which frees its blocks only to allocate them again: a longer
-    regular file is cut to ``len(data)`` first, so a run killed before
-    the write leaves a prefix of the old output under its own hash line;
-    a FIFO or a device is written as it is."""
+    file is cut to ``len(data)`` first.  A regular file gets its first
+    ``head`` bytes, which end with the config hash, last: a run killed
+    while writing leaves the old hash or none, so the new hash shows only
+    once every other byte is in.  A FIFO or a device cannot seek and
+    takes the bytes in order."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
                  0o666)
     try:
         info = os.fstat(fd)
-        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+        if info.st_size > len(data):
             os.ftruncate(fd, len(data))
         view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
+        if not stat.S_ISREG(info.st_mode):
+            _write_all(fd, view)
+            return
+        os.lseek(fd, head, os.SEEK_SET)
+        _write_all(fd, view[head:])
+        os.lseek(fd, 0, os.SEEK_SET)
+        _write_all(fd, view[:head])
     finally:
         os.close(fd)
 
@@ -631,7 +644,9 @@ def run(config_path: str, output_path: str = "-", output_format: str = "csv",
         sys.stdout.write(text)
     else:
         try:
-            _write_over(output_path, text.encode("utf-8"))
+            data = text.encode("utf-8")
+            _write_over(output_path, data,
+                        data.index(config_hash.encode()) + len(config_hash))
         except OSError as exc:
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             return 1

@@ -5,6 +5,7 @@ import ast
 import contextlib
 import copy
 import csv
+import errno
 import hashlib
 import importlib.util
 import io
@@ -364,7 +365,42 @@ def test_a_longer_output_is_shrunk_before_it_is_written(tmp_path,
     # a run killed before the write would leave a prefix of the old table;
     # a file opened with O_TRUNC, whose blocks are freed only to be
     # allocated again, would read 0 here
-    assert sizes == [new]
+    assert sizes and set(sizes) == {new}
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_a_killed_write_never_shows_the_new_hash(tmp_path, monkeypatch,
+                                                 output_format):
+    old_cfg = write_config(tmp_path, pairwise_config(4.0), "old.json")
+    cfg = write_config(tmp_path, pairwise_config())
+    old = fresh_bytes(tmp_path, old_cfg, output_format)
+    want = fresh_bytes(tmp_path, cfg, output_format)
+    old_hash, new_hash = (hashlib.sha256(Path(c).read_bytes()).hexdigest()
+                          .encode() for c in (old_cfg, cfg))
+    head = want.index(new_hash) + len(new_hash)
+    out = tmp_path / "out"
+    write = os.write
+    for budget in [*range(0, len(want), 5), len(want) - 1]:
+        out.write_bytes(old)
+        left = [budget]
+
+        def killed(fd, data):
+            # the process dies once ``budget`` bytes are written
+            if not left[0]:
+                raise OSError(errno.EIO, "killed")
+            done = write(fd, data[:left[0]])
+            left[0] -= done
+            return done
+
+        monkeypatch.setattr(os, "write", killed)
+        assert run(cfg, str(out), output_format=output_format) == 1
+        monkeypatch.setattr(os, "write", write)
+        got = out.read_bytes()
+        # the hash is written last: a file that carries the new hash is
+        # whole, and one cut before the hash keeps the old one
+        assert new_hash not in got
+        if budget <= len(want) - head:
+            assert got[:head] == old[:head] and old_hash in got
 
 
 def test_short_writes_are_carried_on(tmp_path, monkeypatch):

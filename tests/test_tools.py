@@ -85,9 +85,11 @@ def test_node_costs_prints_every_layer_and_the_counts():
     assert joint == (second[0], 0, 0)
 
 
-def test_run_costs_prints_every_stage_of_each_workload():
+@pytest.mark.parametrize("fresh", [[], ["--fresh"]], ids=["over", "fresh"])
+def test_run_costs_prints_every_stage_of_each_workload(fresh):
     done = subprocess.run(
-        [sys.executable, str(TOOLS / "run_costs.py"), "--repeat", "1"],
+        [sys.executable, str(TOOLS / "run_costs.py"), "--repeat", "1",
+         *fresh],
         capture_output=True, text=True, check=True)
     header, *rows = done.stdout.splitlines()
     tool = load_tool("run_costs")

@@ -4,8 +4,9 @@ The configs are those of a benchmark workload at seed 101, written by
 perfbench's own generator into a temporary directory.  One untimed pass
 runs each config through ``cli.run`` to its own output file, as the
 benchmark's warm-up pass does, so that the timed passes write over
-existing files, as the benchmark's timed passes do.  Then ``--repeat``
-passes run with the stage functions wrapped in timers:
+existing files, as the benchmark's timed passes do; with ``--fresh``
+each timed pass writes to new files instead.  Then ``--repeat`` passes
+run with the stage functions wrapped in timers:
 
     read     from the call of ``run`` to that of ``_execute``: reading the
              config, its sha256 and ``json.loads``
@@ -25,6 +26,10 @@ the checkout that holds this file.
 Usage, from the root of a checkout:
 
     python tools/run_costs.py [--repeat 21] [--workloads clusters ...]
+                              [--fresh]
+
+The outputs go to a temporary directory, so ``TMPDIR`` picks the file
+system whose write is timed.
 """
 
 from __future__ import annotations
@@ -88,8 +93,9 @@ def stages_timed(cli, spent: dict, started: list):
             setattr(cli, name, f)
 
 
-def run_costs(workload: str, repeat: int) -> dict:
-    """Median microseconds per config of each stage, and the configs."""
+def run_costs(workload: str, repeat: int, fresh: bool = False) -> dict:
+    """Median microseconds per config of each stage, and the configs;
+    ``fresh`` writes each timed pass to files that do not exist yet."""
     import fluctem.cli as cli
     seconds = {stage: [] for stage in STAGES}
     with tempfile.TemporaryDirectory() as scratch:
@@ -104,7 +110,10 @@ def run_costs(workload: str, repeat: int) -> dict:
                 if code != 0:
                     raise SystemExit(f"{workload} {entry['id']}: "
                                      f"fluctem run exit code {code}")
-            for _ in range(repeat):
+            for k in range(repeat):
+                if fresh:
+                    outputs = [str(Path(scratch) / f"{entry['id']}.{k}.csv")
+                               for entry in entries]
                 spent = dict.fromkeys(STAGES, 0.0)
                 started = [0.0]
                 with stages_timed(cli, spent, started):
@@ -124,6 +133,8 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=21)
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS,
                         default=list(WORKLOADS))
+    parser.add_argument("--fresh", action="store_true",
+                        help="write each timed pass to new output files")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
@@ -132,7 +143,7 @@ def main(argv=None) -> int:
     print(f"{'workload':<14} {'configs':>7} "
           + " ".join(f"{stage:>9}" for stage in STAGES))
     for workload in args.workloads:
-        row = run_costs(workload, args.repeat)
+        row = run_costs(workload, args.repeat, args.fresh)
         print(f"{workload:<14} {row['configs']:>7} "
               + " ".join(f"{row['us'][stage]:9.1f}" for stage in STAGES))
     return 0
