@@ -102,3 +102,20 @@ def test_run_costs_prints_every_stage_of_each_workload(fresh):
         assert all(math.isfinite(x) and x > 0 for x in figures.values())
         # the whole call holds its stages
         assert figures["run"] >= sum(figures[s] for s in tool.STAGES[:-1])
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["over", "fresh"])
+def test_run_costs_fresh_writes_each_pass_to_new_files(monkeypatch, fresh):
+    import fluctem.cli as cli
+    paths = []
+    write_over = cli._write_over
+
+    def recorded(path, *args):
+        paths.append(path)
+        return write_over(path, *args)
+
+    monkeypatch.setattr(cli, "_write_over", recorded)
+    configs = load_tool("run_costs").run_costs("clusters", 2, fresh)["configs"]
+    # the untimed pass and two timed ones
+    assert len(paths) == 3 * configs
+    assert len(set(paths)) == (3 if fresh else 1) * configs
